@@ -211,18 +211,15 @@ def _predicted_bounds(ct: AsymCiphertext, gate: sim.GateOp) -> list[int]:
 
 def _gate_h(ct: AsymCiphertext, wire: int) -> None:
     slot = ct.wire_slot(wire)
-    start = ct.slot_start(slot.sid)
-    for q in range(ct.n):
-        sim.apply_gate(ct.state, sim.GateOp("H", (start + q,)))
+    sim.transversal_h(ct.state, ct.slot_start(slot.sid), ct.n)
     rec = ct.injected[slot.sid]
     rec["x"], rec["z"] = rec["z"], rec["x"]
 
 
 def _gate_cnot(ct: AsymCiphertext, wc: int, wt: int) -> None:
     sc, st = ct.wire_slot(wc), ct.wire_slot(wt)
-    c0, t0 = ct.slot_start(sc.sid), ct.slot_start(st.sid)
-    for q in range(ct.n):
-        sim.apply_gate(ct.state, sim.GateOp("CNOT", (c0 + q, t0 + q)))
+    sim.transversal_cnot(ct.state, ct.slot_start(sc.sid),
+                         ct.slot_start(st.sid), ct.n)
     ct.injected[st.sid]["x"] = ct.injected[st.sid]["x"] ^ ct.injected[sc.sid]["x"]
     ct.injected[sc.sid]["z"] = ct.injected[sc.sid]["z"] ^ ct.injected[st.sid]["z"]
     nb = min(ct.n, ct.bounds[sc.sid] + ct.bounds[st.sid])
@@ -246,37 +243,24 @@ def _gate_t(ct: AsymCiphertext, wire: int, code: CssCode,
     data = ct.wire_slot(wire)
     n = ct.n
     d0 = ct.slot_start(data.sid)
-    pre = 1 << d0
-    post = 1 << (ct.state.num_qubits - d0 - n)
-    cube = ct.state.amps.reshape(pre, 1 << n, post)
 
     a_idx, a_val = css.magic_ancilla_sparse(code)
     probs = np.abs(a_val) ** 2
     j = int(rng.choice(a_idx.shape[0], p=probs / probs.sum()))
-    marginal = np.einsum("pdq->d", np.abs(cube) ** 2)
-    cum = np.cumsum(marginal / marginal.sum())
-    d = min(int(np.searchsorted(cum, rng.random(), side="right")),
-            (1 << n) - 1)
+    d, _ = sim.sample_block(ct.state, d0, n, rng)
     y = int(a_idx[j]) ^ d
     bits = format(y, f"0{n}b")
 
+    cube = ct.state.amps.reshape(1 << d0, 1 << n, -1)
     new = np.zeros_like(cube)
     new[:, a_idx, :] = a_val[None, :, None] * cube[:, y ^ a_idx, :]
     flat = new.reshape(-1)
     flat /= np.linalg.norm(flat)
     ct.state = sim.StateVector(ct.state.num_qubits, flat, check=False)
 
-    outcome = css.logical_readout(code, bits)
-    if outcome == 1:
-        # logical SX correction: transversal X then transversal Sdg, done
-        # blockwise (X^n reverses the block axis, Sdg^n is diagonal)
-        cube = ct.state.amps.reshape(pre, 1 << n, post)[:, ::-1, :]
-        pc = np.zeros(1 << n, dtype=np.int64)
-        for b in range(n):
-            pc += (np.arange(1 << n) >> b) & 1
-        cube = cube * ((-1j) ** (pc % 4))[None, :, None]
-        ct.state = sim.StateVector(ct.state.num_qubits, cube.reshape(-1),
-                                   check=False)
+    if css.logical_readout(code, bits) == 1:
+        # logical SX correction: transversal X then transversal Sdg
+        sim.transversal_sdgx(ct.state, d0, n)
 
     # bound is inherited: the output block keeps the data block's slot
     ct.injected[data.sid] = {

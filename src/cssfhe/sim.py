@@ -4,7 +4,18 @@ Conventions, fixed once:
   - wire 0 is the most significant bit of the amplitude index;
   - at most 24 qubits (two 7-qubit blocks plus one ancilla block, or one
     23-qubit block, both fit);
-  - gates mutate the amplitude array in place and return the state.
+  - gates and block kernels mutate the StateVector and return it. The
+    kernels that permute amplitudes (`transversal_cnot`, `transversal_sdgx`
+    and the X part of `apply_block_pauli`) rebind `state.amps` to a new
+    array, so read `state.amps` again after a call instead of keeping the
+    old array;
+  - `amps` is always C-contiguous, so reshapes are views.
+
+The per-qubit `apply_gate` and `measure_z` are the reference path; the
+block kernels (`transversal_h`, `transversal_cnot`, `transversal_sdgx`,
+`measure_block`, `apply_block_pauli`) act on a whole n-qubit block at
+once, in one pass over the register (H: one pass per four qubits), and
+are tested against that path.
 """
 
 from __future__ import annotations
@@ -48,7 +59,7 @@ class StateVector:
     def __init__(self, num_qubits: int, amps, check: bool = True):
         if num_qubits < 0 or num_qubits > MAX_QUBITS:
             raise CapacityError(f"{num_qubits} qubits outside [0, {MAX_QUBITS}]")
-        amps = np.asarray(amps, dtype=np.complex128)
+        amps = np.ascontiguousarray(amps, dtype=np.complex128)
         if amps.shape != (1 << num_qubits,):
             raise ShapeError(
                 f"expected {1 << num_qubits} amplitudes, got {amps.shape}")
@@ -277,36 +288,162 @@ def contract_block_state(state: StateVector, start: int, n: int,
     return StateVector(m - n, out.reshape(-1), check=False), lost
 
 
-def _parity64(x: np.ndarray) -> np.ndarray:
-    x = x.astype(np.int64)
-    x ^= x >> 32
-    x ^= x >> 16
-    x ^= x >> 8
-    x ^= x >> 4
-    x ^= x >> 2
-    x ^= x >> 1
-    return x & 1
+def _block_cube(state: StateVector, start: int, n: int) -> np.ndarray:
+    """(2^start, 2^n, rest) view of the block at qubits [start, start+n)."""
+    if n < 1 or start < 0 or start + n > state.num_qubits:
+        raise WireError(f"block [{start}, {start + n}) out of range for "
+                        f"{state.num_qubits} qubits")
+    return state.amps.reshape(1 << start, 1 << n, -1)
+
+
+def _hadamard(k: int) -> np.ndarray:
+    """Real dense H^(x)k, a symmetric 2^k x 2^k matrix."""
+    mat = np.ones((1, 1))
+    for _ in range(k):
+        mat = np.kron(mat, GATE_1Q["H"].real)
+    return mat
+
+
+_H_CHUNK = 4  # qubits per dense Hadamard factor
+_H_DENSE = {k: _hadamard(k) for k in range(1, _H_CHUNK + 1)}
+
+
+def transversal_h(state: StateVector, start: int, n: int) -> StateVector:
+    """H on every qubit of the block at [start, start+n).
+
+    H^(x)n is applied as dense H^(x)k factors on chunks of at most
+    _H_CHUNK qubits. Each factor is one real matrix product over the
+    re/im-interleaved amplitudes, and the passes alternate between the
+    register and a single scratch array, so the result ends in place."""
+    _block_cube(state, start, n)
+    m = state.num_qubits
+    reg = src = state.amps.view(np.float64)
+    dst = np.empty_like(src)
+    for q in range(start, start + n, _H_CHUNK):
+        k = min(_H_CHUNK, start + n - q)
+        mat = _H_DENSE[k]
+        inner = 2 << (m - q - k)  # floats per chunk index
+        if inner >= 16:
+            np.matmul(mat, src.reshape(1 << q, 1 << k, inner),
+                      out=dst.reshape(1 << q, 1 << k, inner))
+        else:
+            # few floats per index: fold them into the matrix instead
+            width = inner << k
+            np.matmul(src.reshape(-1, width), np.kron(mat, np.eye(inner)),
+                      out=dst.reshape(-1, width))
+        src, dst = dst, src
+    if src is not reg:
+        np.copyto(reg, src)
+    return state
+
+
+def transversal_cnot(state: StateVector, c0: int, t0: int,
+                     n: int) -> StateVector:
+    """CNOT from qubit c0+q onto qubit t0+q for every q < n, so the target
+    block index t becomes t XOR c. One gather through a flat source index
+    built by broadcasting over (before, first block, between, second
+    block, after)."""
+    _block_cube(state, c0, n)
+    _block_cube(state, t0, n)
+    if abs(c0 - t0) < n:
+        raise WireError(f"blocks at {c0} and {t0} overlap (n={n})")
+    m = state.num_qubits
+    lo, hi = sorted((c0, t0))
+    size = 1 << n
+    mid, post = 1 << (hi - lo - n), 1 << (m - hi - n)
+    # amplitude strides of the five axes
+    s_mid = size * post
+    s_first = mid * s_mid
+    s_pre = size * s_first
+    j = np.arange(size, dtype=np.intp)
+    xor = j[:, None] ^ j[None, :]
+    if c0 < t0:   # axes (c, t): keep c, read t ^ c
+        blocks = j[:, None] * s_first + xor * post
+    else:         # axes (t, c): read t ^ c, keep c
+        blocks = xor * s_first + j[None, :] * post
+    rest = (np.arange(1 << lo, dtype=np.intp)[:, None, None] * s_pre
+            + np.arange(mid, dtype=np.intp)[None, :, None] * s_mid
+            + np.arange(post, dtype=np.intp))
+    idx = np.empty((1 << lo, size, mid, size, post), dtype=np.intp)
+    np.add(blocks[None, :, None, :, None], rest[:, None, :, None, :], out=idx)
+    state.amps = state.amps[idx.reshape(-1)]
+    return state
+
+
+def _sdg_phases(n: int) -> np.ndarray:
+    """(-i)^popcount(j) for every n-bit block index j."""
+    phases = np.ones(1, dtype=np.complex128)
+    for _ in range(n):
+        phases = np.kron(phases, [1, -1j])
+    return phases
+
+
+def transversal_sdgx(state: StateVector, start: int, n: int) -> StateVector:
+    """X then Sdg on every qubit of the block at [start, start+n):
+    new[j] = (-i)^popcount(j) * old[j XOR (2^n - 1)], one pass."""
+    cube = _block_cube(state, start, n)
+    out = np.empty_like(cube)
+    np.multiply(cube[:, ::-1, :], _sdg_phases(n)[None, :, None], out=out)
+    state.amps = out.reshape(-1)
+    return state
+
+
+def block_marginal(state: StateVector, start: int, n: int) -> np.ndarray:
+    """Probability weight of each basis index of the block at
+    [start, start+n), summed over the rest of the register."""
+    f = _block_cube(state, start, n).view(np.float64)  # (pre, 2^n, 2*post)
+    if f.shape[2] >= 16:
+        return np.einsum("pjq,pjq->j", f, f)
+    flat = f.reshape(f.shape[0], -1)  # short rows: sum whole columns first
+    return np.einsum("pk,pk->k", flat, flat).reshape(1 << n, -1).sum(1)
+
+
+def sample_block(state: StateVector, start: int, n: int,
+                 rng: np.random.Generator) -> tuple[int, float]:
+    """Draw one basis index of the block at [start, start+n) from its
+    marginal with a single random number. Returns the index and its
+    weight, which is its probability: the state must be normalized
+    (ShapeError otherwise)."""
+    marginal = block_marginal(state, start, n)
+    cum = np.cumsum(marginal)
+    if abs(cum[-1] - 1.0) > 1e-9:
+        raise ShapeError(f"state norm {cum[-1]} is not 1")
+    j = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
+    return j, float(marginal[j])
+
+
+def measure_block(state: StateVector, start: int, n: int,
+                  rng: np.random.Generator) -> tuple[str, StateVector]:
+    """Measure every qubit of the block at [start, start+n) in Z with one
+    draw from the block marginal, then drop the block. Returns the n-bit
+    record (block qubit 0 first) and the renormalized smaller state."""
+    j, weight = sample_block(state, start, n, rng)
+    out = _block_cube(state, start, n)[:, j, :] / math.sqrt(weight)
+    return (format(j, f"0{n}b"),
+            StateVector(state.num_qubits - n, out.reshape(-1), check=False))
 
 
 def apply_block_pauli(state: StateVector, start: int, n: int,
                       x_mask: int, z_mask: int) -> StateVector:
     """Apply Z^z then X^x on the block at qubits [start, start+n), with
     masks given as block-local integers (bit n-1-j of the mask acts on the
-    j-th qubit of the block, matching index arithmetic)."""
-    if start < 0 or start + n > state.num_qubits:
-        raise WireError(f"block [{start}, {start + n}) out of range")
-    if x_mask == 0 and z_mask == 0:
-        return state
-    view = state.amps.reshape(1 << start, 1 << n, -1)
-    j = np.arange(1 << n, dtype=np.int64)
-    if z_mask:
-        signs = (1.0 - 2.0 * _parity64(j & z_mask)).astype(np.complex128)
-        out = view * signs[None, :, None]
-    else:
-        out = view
+    j-th qubit of the block, matching index arithmetic).
+
+    Each Z bit negates one strided half of the register in place; the X
+    part is a single copy through a view that flips the axes of the set
+    mask bits."""
+    cube = _block_cube(state, start, n)
+    if not (0 <= x_mask < cube.shape[1] and 0 <= z_mask < cube.shape[1]):
+        raise ShapeError(f"masks {x_mask:#x}, {z_mask:#x} exceed {n} bits")
+    for q in range(n):
+        if (z_mask >> (n - 1 - q)) & 1:
+            state.amps.reshape(1 << (start + q), 2, -1)[:, 1, :] *= -1
     if x_mask:
-        out = out[:, j ^ x_mask, :]
-    view[:] = out
+        shape = (cube.shape[0], *[2] * n, cube.shape[2])
+        axes = [1 + q for q in range(n) if (x_mask >> (n - 1 - q)) & 1]
+        out = np.empty_like(state.amps)
+        np.copyto(out.reshape(shape), np.flip(state.amps.reshape(shape), axes))
+        state.amps = out
     return state
 
 

@@ -130,17 +130,14 @@ def encrypt(sk: SymKey, plaintext: sim.StateVector, t_budget: int,
 
 def _transversal_h(ct: SymCiphertext, wire: int) -> None:
     slot = ct.wire_slot(wire)
-    start = ct.slot_start(slot.sid)
-    for q in range(ct.n):
-        sim.apply_gate(ct.state, sim.GateOp("H", (start + q,)))
+    sim.transversal_h(ct.state, ct.slot_start(slot.sid), ct.n)
     ct.events.append(("H", slot.sid))
 
 
 def _transversal_cnot(ct: SymCiphertext, wc: int, wt: int) -> None:
     sc, st = ct.wire_slot(wc), ct.wire_slot(wt)
-    c0, t0 = ct.slot_start(sc.sid), ct.slot_start(st.sid)
-    for q in range(ct.n):
-        sim.apply_gate(ct.state, sim.GateOp("CNOT", (c0 + q, t0 + q)))
+    sim.transversal_cnot(ct.state, ct.slot_start(sc.sid),
+                         ct.slot_start(st.sid), ct.n)
     ct.events.append(("CNOT", sc.sid, st.sid))
 
 
@@ -148,10 +145,10 @@ def ft_t_gadget(ct: SymCiphertext, wire: int, readout) -> SymCiphertext:
     """Teleport a T gate through one encoded magic ancilla.
 
     Transversal CNOTs with the ancilla block as control write the data onto
-    the ancilla; measuring the data block yields an n-bit record whose
-    logical bit the oracle reports; outcome 1 takes the transversal X then
-    S-dagger correction. The measured block is retired and the ancilla
-    becomes the wire's block.
+    the ancilla; measuring the data block (one draw from its marginal,
+    which also drops the block) yields an n-bit record whose logical bit
+    the oracle reports; outcome 1 takes the transversal X then S-dagger
+    correction. The ancilla becomes the wire's block.
     """
     pool = ct.ancilla_pool
     if not pool:
@@ -160,16 +157,13 @@ def ft_t_gadget(ct: SymCiphertext, wire: int, readout) -> SymCiphertext:
     data = ct.wire_slot(wire)
     n = ct.n
 
-    a0, d0 = ct.slot_start(anc.sid), ct.slot_start(data.sid)
-    for q in range(n):
-        sim.apply_gate(ct.state, sim.GateOp("CNOT", (a0 + q, d0 + q)))
+    sim.transversal_cnot(ct.state, ct.slot_start(anc.sid),
+                         ct.slot_start(data.sid), n)
     ct.events.append(("CNOT", anc.sid, data.sid))
 
-    d0 = ct.slot_start(data.sid)
-    bits = ""
-    for q in range(n):
-        b, _ = sim.measure_z(ct.state, d0 + q, ct.rng)
-        bits += str(b)
+    bits, ct.state = sim.measure_block(ct.state, ct.slot_start(data.sid), n,
+                                       ct.rng)
+    ct.layout.remove(data)
     ct.events.append(("MEASURE", data.sid, bits))
 
     outcome = int(readout(bits))
@@ -177,15 +171,9 @@ def ft_t_gadget(ct: SymCiphertext, wire: int, readout) -> SymCiphertext:
     ct.gadget_outcomes.append(outcome)
 
     if outcome == 1:
-        a0 = ct.slot_start(anc.sid)
-        for q in range(n):
-            sim.apply_gate(ct.state, sim.GateOp("X", (a0 + q,)))
-        for q in range(n):
-            sim.apply_gate(ct.state, sim.GateOp("Sdg", (a0 + q,)))
+        sim.transversal_sdgx(ct.state, ct.slot_start(anc.sid), n)
         ct.events.append(("SDGX", anc.sid))
 
-    ct.state = sim.remove_block(ct.state, ct.slot_start(data.sid), n, bits)
-    ct.layout.remove(data)
     ct.events.append(("RETIRE", data.sid, wire, anc.sid))
     anc.kind = "data"
     anc.wire = wire

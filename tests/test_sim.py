@@ -266,6 +266,187 @@ def test_apply_block_pauli_matches_gate_loop():
         assert np.allclose(fast.amps, slow.amps, atol=1e-12)
 
 
+# Block kernels against the per-qubit reference path. Blocks sit at the
+# head, middle and tail of 8-14 qubit registers, including positions that
+# are not multiples of the block length.
+BLOCKS = [(12, 0, 4), (12, 4, 4), (12, 8, 4), (14, 0, 7), (14, 7, 7),
+          (10, 3, 5), (12, 2, 9), (8, 7, 1)]
+CNOT_PAIRS = [(12, 0, 4, 4), (12, 4, 0, 4), (12, 0, 8, 4), (12, 8, 0, 4),
+              (12, 4, 8, 4), (12, 8, 4, 4), (14, 0, 7, 7), (14, 7, 0, 7),
+              (13, 1, 8, 4), (13, 8, 1, 4), (9, 0, 6, 3), (9, 6, 0, 3)]
+
+
+def _per_qubit(state, kind, start, n):
+    for q in range(n):
+        state = sim.apply_gate(state, sim.GateOp(kind, (start + q,)))
+    return state
+
+
+def _masks(g, n):
+    return [0, (1 << n) - 1, int(g.integers(1 << n)), int(g.integers(1 << n))]
+
+
+@pytest.mark.parametrize("m,start,n", BLOCKS)
+def test_transversal_h_matches_gate_loop(m, start, n):
+    psi = random_state(rng(80 + start), m)
+    fast = sim.transversal_h(psi.copy(), start, n)
+    slow = _per_qubit(psi.copy(), "H", start, n)
+    assert np.allclose(fast.amps, slow.amps, atol=1e-12)
+    assert fast.amps.flags.c_contiguous
+
+
+@pytest.mark.parametrize("m,c0,t0,n", CNOT_PAIRS)
+def test_transversal_cnot_matches_gate_loop(m, c0, t0, n):
+    psi = random_state(rng(81 + c0 + 3 * t0), m)
+    fast = sim.transversal_cnot(psi.copy(), c0, t0, n)
+    slow = psi.copy()
+    for q in range(n):
+        slow = sim.apply_gate(slow, sim.GateOp("CNOT", (c0 + q, t0 + q)))
+    assert np.array_equal(fast.amps, slow.amps)
+
+
+@pytest.mark.parametrize("m,start,n", BLOCKS)
+def test_transversal_sdgx_matches_gate_loop(m, start, n):
+    psi = random_state(rng(82 + start), m)
+    fast = sim.transversal_sdgx(psi.copy(), start, n)
+    slow = _per_qubit(_per_qubit(psi.copy(), "X", start, n), "Sdg", start, n)
+    assert np.allclose(fast.amps, slow.amps, atol=1e-12)
+
+
+@pytest.mark.parametrize("m,start,n", BLOCKS)
+def test_apply_block_pauli_matches_gate_loop_on_blocks(m, start, n):
+    g = rng(83 + start)
+    psi = random_state(g, m)
+    for x in _masks(g, n):
+        for z in _masks(g, n):
+            fast = sim.apply_block_pauli(psi.copy(), start, n, x, z)
+            slow = psi.copy()
+            for q in range(n):
+                if (z >> (n - 1 - q)) & 1:
+                    slow = sim.apply_gate(slow, sim.GateOp("Z", (start + q,)))
+            for q in range(n):
+                if (x >> (n - 1 - q)) & 1:
+                    slow = sim.apply_gate(slow, sim.GateOp("X", (start + q,)))
+            assert np.array_equal(fast.amps, slow.amps)
+            assert fast.amps.flags.c_contiguous
+
+
+def test_apply_block_pauli_rejects_wide_masks():
+    psi = random_state(rng(90), 8)
+    for x, z in ((1 << 4, 0), (0, 1 << 4), (-1, 0)):
+        with pytest.raises(ShapeError):
+            sim.apply_block_pauli(psi.copy(), 2, 4, x, z)
+
+
+def test_transversal_h_stays_in_place():
+    for n in (4, 7, 9):  # odd and even numbers of dense factors
+        s = random_state(rng(91), 12)
+        buf = s.amps
+        sim.transversal_h(s, 1, n)
+        assert s.amps is buf
+
+
+def test_block_kernels_leave_input_arrays_usable():
+    # permuting kernels rebind state.amps; the caller must read it again
+    psi = random_state(rng(84), 8)
+    s = psi.copy()
+    for step in (lambda: sim.transversal_h(s, 0, 4),
+                 lambda: sim.transversal_cnot(s, 4, 0, 4),
+                 lambda: sim.transversal_sdgx(s, 4, 4),
+                 lambda: sim.apply_block_pauli(s, 0, 8, 0b10110101, 0b1)):
+        assert step() is s
+        assert abs(s.norm() - 1) < 1e-12
+
+
+class _Fixed:
+    """Generator stand-in whose random() returns preset values in order."""
+
+    def __init__(self, *values):
+        self.values = list(values)
+
+    def random(self):
+        return self.values.pop(0)
+
+
+def _reference_measure(state, start, n, bits):
+    """Measure the block qubit by qubit with measure_z forced to `bits`;
+    returns the product of the conditional probabilities and the state
+    after remove_block."""
+    prob = 1.0
+    for q, b in enumerate(bits):
+        before = state.amps.copy()
+        # bit = 1 iff random() < p1: 0.0 forces 1, just below 1.0 forces 0
+        forced = 0.0 if b == "1" else np.nextafter(1.0, 0.0)
+        got, state = sim.measure_z(state, start + q, _Fixed(forced))
+        assert got == int(b)
+        k = int(np.argmax(np.abs(state.amps)))
+        prob *= abs(before[k]) ** 2 / abs(state.amps[k]) ** 2
+    return prob, sim.remove_block(state, start, n, bits)
+
+
+@pytest.mark.parametrize("m,start,n", [(9, 0, 3), (9, 3, 3), (9, 6, 3),
+                                       (10, 2, 5), (8, 7, 1)])
+def test_block_marginal_matches_sequential_measure_z(m, start, n):
+    psi = random_state(rng(85 + start), m)
+    marginal = sim.block_marginal(psi, start, n)
+    for j in range(1 << n):
+        want, _ = _reference_measure(psi.copy(), start, n, format(j, f"0{n}b"))
+        assert abs(marginal[j] - want) < 1e-12
+
+
+@pytest.mark.parametrize("m,start,n", [(12, 0, 4), (12, 4, 4), (12, 8, 4),
+                                       (14, 7, 7)])
+def test_measure_block_forced_record_matches_reference(m, start, n):
+    g = rng(86 + start)
+    psi = random_state(g, m)
+    cum = np.cumsum(sim.block_marginal(psi, start, n))
+    for j in (0, (1 << n) - 1, int(g.integers(1 << n))):
+        lower = cum[j - 1] if j else 0.0
+        bits, post = sim.measure_block(psi.copy(), start, n,
+                                       _Fixed((lower + cum[j]) / 2))
+        assert bits == format(j, f"0{n}b")
+        _, ref = _reference_measure(psi.copy(), start, n, bits)
+        assert post.num_qubits == m - n
+        assert np.allclose(post.amps, ref.amps, atol=1e-12)
+        assert abs(post.norm() - 1) < 1e-12
+
+
+def test_measure_block_uses_one_draw_and_checks_norm():
+    psi = random_state(rng(87), 8)
+    sim.measure_block(psi.copy(), 2, 4, _Fixed(0.5))  # a second draw raises
+    unnormalized = sim.StateVector(8, 2 * psi.amps, check=False)
+    with pytest.raises(ShapeError):
+        sim.measure_block(unnormalized, 2, 4, rng(0))
+
+
+def test_measure_block_statistics_on_plus_block():
+    plus = sim.transversal_h(sim.basis_state(3, "000"), 0, 3)
+    g = rng(88)
+    counts = np.zeros(8)
+    for _ in range(4000):
+        bits, rest = sim.measure_block(plus.copy(), 1, 2, g)
+        counts[int(bits, 2)] += 1
+        assert rest.num_qubits == 1
+    assert np.all(np.abs(counts[:4] / 4000 - 0.25) < 0.03)
+
+
+@pytest.mark.parametrize("call", [
+    lambda s: sim.transversal_h(s, 5, 4),
+    lambda s: sim.transversal_h(s, -1, 4),
+    lambda s: sim.transversal_sdgx(s, 6, 3),
+    lambda s: sim.transversal_cnot(s, 0, 6, 4),
+    lambda s: sim.transversal_cnot(s, 0, 2, 4),
+    lambda s: sim.transversal_cnot(s, 4, 4, 4),
+    lambda s: sim.measure_block(s, 6, 3, rng(0)),
+    lambda s: sim.measure_block(s, 0, 0, rng(0)),
+    lambda s: sim.block_marginal(s, -2, 3),
+    lambda s: sim.apply_block_pauli(s, 7, 2, 1, 0),
+])
+def test_block_kernels_reject_bad_blocks(call):
+    with pytest.raises(WireError):
+        call(random_state(rng(89), 8))
+
+
 def test_parse_circuit_basic():
     c = sim.parse_circuit("H 0\nCNOT 0 1\nT 1")
     assert len(c.gates) == 3

@@ -59,44 +59,41 @@ def _emit(obj) -> None:
     sys.stdout.write(files.dumps(obj))
 
 
+# every option a subcommand may take; each subcommand lists the ones it reads
+_OPTIONS = {
+    "scheme": {"choices": ["sym", "asym"], "default": "sym"},
+    "base": {"choices": ["steane", "golay"], "default": "steane"},
+    "mode": {"choices": ["scrambled", "family"], "default": "scrambled"},
+    "c": {"type": float, "default": 0.5},
+    "seed": {"type": int, "required": True},
+    "out": {"type": str, "default": None},
+    "state": {"type": str, "required": True},
+    "circuit": {"type": str, "required": True},
+    "tbudget": {"type": int, "default": None},
+    "weight": {"type": int, "default": None},
+    "trials": {"type": int, "default": 1000},
+    "copies": {"type": int, "default": 1},
+    "candidates": {"type": int, "default": 16},
+}
+_COMMAND_OPTIONS = {
+    "keygen": ("scheme", "base", "mode", "c", "seed", "out"),
+    "roundtrip": ("scheme", "base", "mode", "c", "seed", "out", "state",
+                  "circuit", "tbudget", "weight"),
+    "session": ("base", "c", "seed", "out", "circuit", "weight"),
+    "experiment": ("base", "seed", "trials", "copies", "candidates"),
+    "enumerate": ("base", "seed"),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="cssfhe")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, scheme=True):
-        if scheme:
-            p.add_argument("--scheme", choices=["sym", "asym"], default="sym")
-        p.add_argument("--base", choices=["steane", "golay"], default="steane")
-        p.add_argument("--mode", choices=["scrambled", "family"],
-                       default="scrambled")
-        p.add_argument("--c", type=float, default=0.5)
-        p.add_argument("--seed", type=int, required=True)
-        p.add_argument("--out", type=str, default=None)
-
-    p = sub.add_parser("keygen")
-    common(p)
-
-    p = sub.add_parser("roundtrip")
-    common(p)
-    p.add_argument("--state", type=str, required=True)
-    p.add_argument("--circuit", type=str, required=True)
-    p.add_argument("--tbudget", type=int, default=None)
-    p.add_argument("--weight", type=int, default=None)
-
-    p = sub.add_parser("session")
-    common(p, scheme=False)
-    p.add_argument("--circuit", type=str, required=True)
-    p.add_argument("--weight", type=int, default=None)
-
-    p = sub.add_parser("experiment")
-    p.add_argument("kind")
-    common(p)
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--copies", type=int, default=1)
-    p.add_argument("--candidates", type=int, default=16)
-
-    p = sub.add_parser("enumerate")
-    common(p)
+    for command, names in _COMMAND_OPTIONS.items():
+        p = sub.add_parser(command)
+        if command == "experiment":
+            p.add_argument("kind")
+        for name in names:
+            p.add_argument(f"--{name}", **_OPTIONS[name])
     return parser
 
 
@@ -212,11 +209,6 @@ def cmd_session(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    if args.kind == "family-count":
-        c1, c2 = symmetric.base_pair(args.base)
-        _emit({"base": args.base,
-               "count": css.count_distinct_family_codes(c1, c2)})
-        return 0
     if args.kind == "key-guess":
         key = symmetric.keygen(args.base, "family",
                                _rng(args.seed, STREAM_KEYGEN))

@@ -8,8 +8,7 @@ u and shifted by v; the logical one uses the fixed coset representative x1
 Key generation comes in two flavors: a scrambled generator matrix in the
 McEliece style (u = v = 0), or a random (u, v) pair over a fixed public
 base. Transversal operations move (u, v) keys to other members of the
-family; the KeyEvolver below calibrates those moves by direct simulation
-rather than trusting closed-form rules.
+family by the closed-form rules in KeyEvolver.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from . import gf2, sim
 from .codes import LinearCode, SyndromeTable
 from .errors import (
     CapacityError,
-    CssFheError,
     DecodeFailureError,
     InvalidPairError,
     LeakageError,
@@ -371,202 +369,28 @@ def count_distinct_family_codes(c1: LinearCode, c2: LinearCode) -> int:
     return len(family_key_classes(c1, c2))
 
 
-_PROBE_1Q = [
-    np.array([0.6, 0.8 * np.exp(1j * np.pi / 3)], dtype=np.complex128),
-    np.array([1.0, np.exp(-1j * np.pi / 7) * math.sqrt(2.0)],
-             dtype=np.complex128) / math.sqrt(3.0),
-]
-
-_PROBE_2Q = [
-    np.array([0.5, 0.3j, -0.4, 0.2 + 0.1j], dtype=np.complex128),
-    np.array([0.1, -0.2 + 0.4j, 0.3, 0.6j], dtype=np.complex128),
-]
-
-
-def _normalized(amps: np.ndarray) -> np.ndarray:
-    return amps / math.sqrt(float(np.vdot(amps, amps).real))
-
-
 class KeyEvolver:
-    """Calibrated (u, v) update rules for transversal operations.
+    """Closed-form (u, v) updates for the transversal operations.
 
-    For each operation the algebraic candidate is tried first and verified
-    by exact simulation on generic probe states; if it fails (it should
-    not for the shipped base pairs), a brute-force search over all keys
-    runs at n <= 7. Verified rules are cached per input key.
+    The rules hold for base pairs whose inner code is the dual of the outer
+    one (C2 = C1^perp), as both builtin pairs are: transversal H swaps the
+    roles of phase and shift, X then S-dagger folds the shift into the
+    phase, and CNOT spreads the target's phase to the control and the
+    control's shift to the target.
     """
 
-    def __init__(self, c1: LinearCode, c2: LinearCode):
-        self.c1, self.c2 = c1, c2
-        self.n = c1.n
-        zero = gf2.zeros_vec(self.n)
-        self.code0 = build(c1, c2, zero, zero)
-        self._cache: dict = {}
-
-    def _code(self, u, v) -> CssCode:
-        return self.code0.with_key(u, v)
-
-    # --- verification -------------------------------------------------
-
-    def _decode_matches(self, state: sim.StateVector, cand: CssCode,
-                        expected: sim.StateVector) -> bool:
-        try:
-            out = decode_blocks(cand, state)
-        except LeakageError:
-            return False
-        return sim.fidelity(out, expected) >= 1.0 - 1e-10
-
-    def _encoded_probes_1q(self, code: CssCode, gate: str):
-        """Encode each probe and apply the physical transversal operation;
-        cache per (key, gate)."""
-        key = ("probes", gate, code.key_bytes())
-        if key in self._cache:
-            return self._cache[key]
-        out = []
-        for amps in _PROBE_1Q:
-            plain = sim.StateVector(1, _normalized(amps), check=False)
-            enc = encode_blocks(code, plain)
-            if gate == "H":
-                for q in range(self.n):
-                    sim.apply_gate(enc, sim.GateOp("H", (q,)))
-                ref = sim.run_circuit(plain.copy(),
-                                      sim.LogicalCircuit(1, (sim.GateOp("H", (0,)),)))
-            elif gate == "SdgX":
-                for q in range(self.n):
-                    sim.apply_gate(enc, sim.GateOp("X", (q,)))
-                for q in range(self.n):
-                    sim.apply_gate(enc, sim.GateOp("Sdg", (q,)))
-                ref = plain.copy()
-                sim.apply_gate(ref, sim.GateOp("X", (0,)))
-                sim.apply_gate(ref, sim.GateOp("S", (0,)))
-            else:
-                raise CssFheError(f"no single-block rule for {gate}")
-            out.append((enc, ref))
-        self._cache[key] = out
-        return out
-
-    def _verify_1q(self, probes, cand: CssCode) -> bool:
-        return all(self._decode_matches(enc, cand, ref) for enc, ref in probes)
-
-    def _search_1q(self, probes) -> tuple[np.ndarray, np.ndarray] | None:
-        for ui in range(1 << self.n):
-            u = np.array([(ui >> (self.n - 1 - j)) & 1 for j in range(self.n)],
-                         dtype=np.uint8)
-            for vi in range(1 << self.n):
-                v = np.array([(vi >> (self.n - 1 - j)) & 1
-                              for j in range(self.n)], dtype=np.uint8)
-                if self._verify_1q(probes, self._code(u, v)):
-                    return u, v
-        return None
-
-    def _rule_1q(self, gate: str, u, v, proposal) -> tuple[np.ndarray, np.ndarray]:
+    @staticmethod
+    def h_rule(u, v) -> tuple[np.ndarray, np.ndarray]:
         u, v = gf2.as_vec(u), gf2.as_vec(v)
-        key = (gate, u.tobytes(), v.tobytes())
-        if key in self._cache:
-            return self._cache[key]
-        probes = self._encoded_probes_1q(self._code(u, v), gate)
-        pu, pv = proposal
-        if self._verify_1q(probes, self._code(pu, pv)):
-            result = (pu, pv)
-        else:
-            if self.n > ENUMERATION_LIMIT:
-                raise CssFheError(
-                    f"{gate} calibration failed and n={self.n} is too large "
-                    f"for exhaustive search")
-            found = self._search_1q(probes)
-            if found is None:
-                raise CssFheError(f"{gate} calibration found no key")
-            result = found
-        self._cache[key] = result
-        return result
+        return v.copy(), u.copy()
 
-    # --- public rules ---------------------------------------------------
-
-    def h_rule(self, u, v) -> tuple[np.ndarray, np.ndarray]:
+    @staticmethod
+    def sdgx_rule(u, v) -> tuple[np.ndarray, np.ndarray]:
         u, v = gf2.as_vec(u), gf2.as_vec(v)
-        return self._rule_1q("H", u, v, (v.copy(), u.copy()))
+        return u ^ v, v.copy()
 
-    def sdgx_rule(self, u, v) -> tuple[np.ndarray, np.ndarray]:
-        u, v = gf2.as_vec(u), gf2.as_vec(v)
-        return self._rule_1q("SdgX", u, v, (u ^ v, v.copy()))
-
-    def cnot_rule(self, key_c, key_t):
+    @staticmethod
+    def cnot_rule(key_c, key_t):
         uc, vc = (gf2.as_vec(x) for x in key_c)
         ut, vt = (gf2.as_vec(x) for x in key_t)
-        cache_key = ("CNOT", uc.tobytes(), vc.tobytes(),
-                     ut.tobytes(), vt.tobytes())
-        if cache_key in self._cache:
-            return self._cache[cache_key]
-        probes = self._encoded_probes_cnot(uc, vc, ut, vt)
-        prop = ((uc ^ ut, vc.copy()), (ut.copy(), vc ^ vt))
-        if self._verify_cnot(probes, prop[0], prop[1]):
-            result = prop
-        else:
-            result = self._search_cnot(probes)
-        self._cache[cache_key] = result
-        return result
-
-    def _encoded_probes_cnot(self, uc, vc, ut, vt):
-        code_c, code_t = self._code(uc, vc), self._code(ut, vt)
-        out = []
-        for amps in _PROBE_2Q:
-            plain = sim.StateVector(2, _normalized(amps), check=False)
-            enc = plain.copy()
-            enc = sim.apply_block_isometry(enc, 0, isometry(code_c))
-            enc = sim.apply_block_isometry(enc, self.n, isometry(code_t))
-            for q in range(self.n):
-                sim.apply_gate(enc, sim.GateOp("CNOT", (q, self.n + q)))
-            ref = plain.copy()
-            sim.apply_gate(ref, sim.GateOp("CNOT", (0, 1)))
-            out.append((enc, ref))
-        return out
-
-    def _verify_cnot(self, probes, key_c2, key_t2) -> bool:
-        cand_c = self._code(*key_c2)
-        cand_t = self._code(*key_t2)
-        for enc, ref in probes:
-            try:
-                mid, leak_c = sim.contract_block_isometry(enc, 0, isometry(cand_c))
-                if leak_c > DECODE_LEAKAGE_TOL:
-                    return False
-                out, leak_t = sim.contract_block_isometry(mid, 1, isometry(cand_t))
-                if leak_t > DECODE_LEAKAGE_TOL:
-                    return False
-            except LeakageError:
-                return False
-            if sim.fidelity(out, ref) < 1.0 - 1e-10:
-                return False
-        return True
-
-    def _block_shortlist(self, probes, start: int) -> list[tuple]:
-        """Keys whose single-block decode of every probe is leakage free."""
-        keep = []
-        for ui in range(1 << self.n):
-            u = np.array([(ui >> (self.n - 1 - j)) & 1 for j in range(self.n)],
-                         dtype=np.uint8)
-            for vi in range(1 << self.n):
-                v = np.array([(vi >> (self.n - 1 - j)) & 1
-                              for j in range(self.n)], dtype=np.uint8)
-                cand = self._code(u, v)
-                ok = True
-                for enc, _ in probes:
-                    _, leak = sim.contract_block_isometry(
-                        enc, start, isometry(cand))
-                    if leak > DECODE_LEAKAGE_TOL:
-                        ok = False
-                        break
-                if ok:
-                    keep.append((u, v))
-        return keep
-
-    def _search_cnot(self, probes):
-        if self.n > ENUMERATION_LIMIT:
-            raise CssFheError(
-                f"CNOT calibration failed and n={self.n} is too large "
-                f"for exhaustive search")
-        targets = self._block_shortlist(probes, self.n)
-        for key_c in self._block_shortlist(probes, 0):
-            for key_t in targets:
-                if self._verify_cnot(probes, key_c, key_t):
-                    return key_c, key_t
-        raise CssFheError("CNOT calibration found no key pair")
+        return (uc ^ ut, vc.copy()), (ut.copy(), vc ^ vt)

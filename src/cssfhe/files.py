@@ -116,12 +116,28 @@ def state_record(state: sim.StateVector) -> dict:
             "amps": [[float(a.real), float(a.imag)] for a in state.amps]}
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def parse_state(rec: dict) -> sim.StateVector:
-    amps = np.array([complex(re, im) for re, im in rec["amps"]],
-                    dtype=np.complex128)
-    if amps.shape[0] != 1 << rec["qubits"]:
+    """Rebuild a state from its record; a malformed record raises
+    ShapeError before any of it is used."""
+    if not isinstance(rec, dict):
+        raise ShapeError("state record must be a JSON object")
+    qubits, amps = rec.get("qubits"), rec.get("amps")
+    if type(qubits) is not int or not 0 <= qubits <= sim.MAX_QUBITS:
+        raise ShapeError(
+            f"state record qubits must be an integer in [0, {sim.MAX_QUBITS}]")
+    if not isinstance(amps, list) or not all(
+            isinstance(a, list) and len(a) == 2 and all(map(_is_number, a))
+            for a in amps):
+        raise ShapeError("state record amps must be a list of [re, im] pairs")
+    if len(amps) != 1 << qubits:
         raise ShapeError("state record has the wrong number of amplitudes")
-    return sim.StateVector(rec["qubits"], amps)
+    return sim.StateVector(
+        qubits, np.array([complex(re, im) for re, im in amps],
+                         dtype=np.complex128))
 
 
 def sym_ciphertext_record(ct: symmetric.SymCiphertext) -> dict:

@@ -52,12 +52,6 @@ class SymKey:
             return self.secret.scrambled_code
         return self.secret.code
 
-    def evolver(self) -> KeyEvolver:
-        if not hasattr(self, "_evolver"):
-            code = self.code
-            self._evolver = KeyEvolver(code.c1, code.c2)
-        return self._evolver
-
 
 def keygen(base_name: str, mode: str, rng: np.random.Generator) -> SymKey:
     c1, c2 = base_pair(base_name)
@@ -219,15 +213,14 @@ def _replay_keys(sk: SymKey, events: list[tuple]) -> dict[int, tuple]:
     if sk.variant == "scrambled":
         # static key: transversal operations keep u = v = 0
         return keys
-    ev = sk.evolver()
     for event in events:
         if event[0] == "H":
-            keys[event[1]] = ev.h_rule(*key_of(event[1]))
+            keys[event[1]] = KeyEvolver.h_rule(*key_of(event[1]))
         elif event[0] == "CNOT":
-            kc, kt = ev.cnot_rule(key_of(event[1]), key_of(event[2]))
+            kc, kt = KeyEvolver.cnot_rule(key_of(event[1]), key_of(event[2]))
             keys[event[1]], keys[event[2]] = kc, kt
         elif event[0] == "SDGX":
-            keys[event[1]] = ev.sdgx_rule(*key_of(event[1]))
+            keys[event[1]] = KeyEvolver.sdgx_rule(*key_of(event[1]))
     return keys
 
 

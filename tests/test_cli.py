@@ -2,8 +2,11 @@
 contract (0 success, 1 usage, 2 validation, 3 decode failure)."""
 
 import json
+import os
 import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -122,6 +125,23 @@ def test_roundtrip_missing_state_file(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("record", [
+    {"qubits": "a", "amps": []},
+    {"qubits": 1, "amps": [[1, 0], "x"]},
+])
+def test_roundtrip_malformed_state_is_validation_error(tmp_path, record):
+    state = tmp_path / "bad.json"
+    state.write_text(json.dumps(record), encoding="utf-8")
+    circ = circuit_file(tmp_path, "h.circ", "H 0\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cssfhe.cli", "roundtrip", "--state", str(state),
+         "--circuit", circ, "--seed", "0"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+
+
 def test_roundtrip_bad_gate_is_validation_error(tmp_path, zero_state, capsys):
     circ = circuit_file(tmp_path, "bad.circ", "S 0\n")
     code, _, _ = run_cli(["roundtrip", "--state", zero_state,
@@ -228,10 +248,7 @@ def test_session_deterministic_files(tmp_path, capsys):
     assert a_path.read_bytes() == b_path.read_bytes()
 
 
-def test_experiment_family_count_and_enumerate(capsys):
-    code, lines, _ = run_cli(["experiment", "family-count", "--seed", "0"],
-                             capsys)
-    assert code == 0 and lines[0]["count"] == 64
+def test_enumerate_counts_family_classes(capsys):
     code, lines, _ = run_cli(["enumerate", "--seed", "0"], capsys)
     assert code == 0 and lines[0] == {"base": "steane", "count": 64}
 
@@ -262,7 +279,15 @@ def test_experiment_ancilla_leak_copies_profile(capsys):
 
 
 def test_experiment_unknown_kind_is_usage_error(capsys):
-    code, _, _ = run_cli(["experiment", "warp-drive", "--seed", "0"], capsys)
+    for kind in ("warp-drive", "family-count"):  # enumerate replaced the latter
+        code, _, _ = run_cli(["experiment", kind, "--seed", "0"], capsys)
+        assert code == 1
+
+
+def test_session_rejects_mode_option(tmp_path, capsys):
+    circ = circuit_file(tmp_path, "h.circ", "H 0\n")
+    code, _, _ = run_cli(["session", "--mode", "family", "--circuit", circ,
+                          "--seed", "0"], capsys)
     assert code == 1
 
 

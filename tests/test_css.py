@@ -3,6 +3,7 @@ ancillas, readout, key enumeration, and key evolution under transversal
 gates."""
 
 import itertools
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -463,11 +464,10 @@ def test_transversal_sdg_is_logical_s_scrambled(steane_pair):
 
 def test_key_evolution_h_rule(steane_pair):
     c1, c2 = steane_pair
-    evolver = css.KeyEvolver(c1, c2)
     g = rng(97)
     for _ in range(10):
         u, v = gf2.random_vector(7, g), gf2.random_vector(7, g)
-        nu, nv = evolver.h_rule(u, v)
+        nu, nv = css.KeyEvolver.h_rule(u, v)
         assert np.array_equal(nu, v) and np.array_equal(nv, u)
         code = css.build(c1, c2, u, v)
         psi = random_state(g, 1)
@@ -481,11 +481,10 @@ def test_key_evolution_h_rule(steane_pair):
 
 def test_key_evolution_sdgx_rule(steane_pair):
     c1, c2 = steane_pair
-    evolver = css.KeyEvolver(c1, c2)
     g = rng(98)
     for _ in range(10):
         u, v = gf2.random_vector(7, g), gf2.random_vector(7, g)
-        nu, nv = evolver.sdgx_rule(u, v)
+        nu, nv = css.KeyEvolver.sdgx_rule(u, v)
         assert np.array_equal(nu, u ^ v) and np.array_equal(nv, v)
         code = css.build(c1, c2, u, v)
         psi = random_state(g, 1)
@@ -502,12 +501,11 @@ def test_key_evolution_sdgx_rule(steane_pair):
 
 def test_key_evolution_cnot_rule(steane_pair):
     c1, c2 = steane_pair
-    evolver = css.KeyEvolver(c1, c2)
     g = rng(99)
     for _ in range(5):
         uc, vc = gf2.random_vector(7, g), gf2.random_vector(7, g)
         ut, vt = gf2.random_vector(7, g), gf2.random_vector(7, g)
-        (nuc, nvc), (nut, nvt) = evolver.cnot_rule((uc, vc), (ut, vt))
+        (nuc, nvc), (nut, nvt) = css.KeyEvolver.cnot_rule((uc, vc), (ut, vt))
         assert np.array_equal(nuc, uc ^ ut) and np.array_equal(nvc, vc)
         assert np.array_equal(nut, ut) and np.array_equal(nvt, vc ^ vt)
         psi = random_state(g, 2)
@@ -521,4 +519,97 @@ def test_key_evolution_cnot_rule(steane_pair):
                                 per_block=[css.build(c1, c2, nuc, nvc),
                                            css.build(c1, c2, nut, nvt)])
         ref = sim.apply_gate(psi.copy(), sim.GateOp("CNOT", (0, 1)))
+        assert sim.fidelity(out, ref) >= 1 - 1e-10
+
+
+# Exhaustive and sampled checks of the closed-form key rules. A rule is
+# right when the transversal operation maps the logical basis of (u, v)
+# onto the rule key's basis times the logical gate, up to one global phase.
+
+LOGICAL_SX = np.array([[0, 1], [1j, 0]])  # S after X
+TRANSVERSAL_1Q = {
+    "H": np.array([[1, 1], [1, -1]]) / np.sqrt(2),
+    "SdgX": np.array([[0, 1], [-1j, 0]]),  # Sdg after X, on one qubit
+}
+
+
+@pytest.fixture(scope="module")
+def steane_bases(steane_pair):
+    """bases[ui, vi] is the 128 x 2 logical basis of the key whose u and v
+    have amplitude indices ui and vi."""
+    c1, c2 = steane_pair
+    code0 = css.build(c1, c2, gf2.zeros_vec(7), gf2.zeros_vec(7))
+    keys = [gf2.as_vec(format(i, "07b")) for i in range(128)]
+    bases = np.empty((128, 128, 128, 2), dtype=np.complex128)
+    for ui, u in enumerate(keys):
+        for vi, v in enumerate(keys):
+            zero, one = css.logical_basis(code0.with_key(u, v))
+            bases[ui, vi, :, 0] = zero.amps
+            bases[ui, vi, :, 1] = one.amps
+    return keys, bases
+
+
+def assert_maps_basis(out, rule_basis, logical):
+    """out = rule_basis @ (phase * logical), checked per key in the
+    leading axes: no weight outside the rule key's space, and the induced
+    logical action equals `logical` up to a global phase."""
+    m = rule_basis.conj().swapaxes(-1, -2) @ out
+    leak = out - rule_basis @ m
+    assert np.abs(leak).max() < 1e-10
+    overlap = np.abs(np.einsum("ab,...ab->...", logical.conj(), m))
+    assert np.abs(overlap - logical.shape[0]).max() < 1e-10
+
+
+@pytest.mark.parametrize("gate,rule,logical", [
+    ("H", css.KeyEvolver.h_rule, TRANSVERSAL_1Q["H"]),
+    ("SdgX", css.KeyEvolver.sdgx_rule, LOGICAL_SX),
+])
+def test_key_rule_exhaustive_steane(steane_bases, gate, rule, logical):
+    keys, bases = steane_bases
+    op = reduce(np.kron, [TRANSVERSAL_1Q[gate]] * 7)
+    rule_idx = np.empty((128, 128, 2), dtype=np.int64)
+    for ui, u in enumerate(keys):
+        for vi, v in enumerate(keys):
+            nu, nv = rule(u, v)
+            rule_idx[ui, vi] = bits_to_index(nu), bits_to_index(nv)
+    out = np.moveaxis(np.tensordot(op, bases, axes=(1, 2)), 0, 2)
+    assert_maps_basis(out, bases[rule_idx[..., 0], rule_idx[..., 1]], logical)
+
+
+def test_key_rule_cnot_sampled_steane(steane_bases):
+    keys, bases = steane_bases
+
+    def pair_basis(key_c, key_t):
+        bc, bt = (bases[bits_to_index(u), bits_to_index(v)]
+                  for u, v in (key_c, key_t))
+        return np.einsum("ia,jb->ijab", bc, bt)
+
+    g = rng(100)
+    idx = np.arange(128)[:, None]
+    cnot = np.eye(4)[[0, 1, 3, 2]]
+    for _ in range(64):
+        uc, vc, ut, vt = (keys[int(i)] for i in g.integers(128, size=4))
+        key_c, key_t = css.KeyEvolver.cnot_rule((uc, vc), (ut, vt))
+        before = pair_basis((uc, vc), (ut, vt))
+        out = before[idx, idx ^ idx.T]  # target block ^= control block
+        after = pair_basis(key_c, key_t)
+        assert_maps_basis(out.reshape(1 << 14, 4),
+                          after.reshape(1 << 14, 4), cnot)
+
+
+def test_key_rule_sdgx_golay_transversal():
+    b = codes.builtin_codes()
+    c1 = b["golay2312"]
+    c2 = codes.dual(c1)
+    code0 = css.build(c1, c2, gf2.zeros_vec(23), gf2.zeros_vec(23))
+    g = rng(101)
+    for _ in range(2):
+        u, v = gf2.random_vector(23, g), gf2.random_vector(23, g)
+        psi = random_state(g, 1)
+        enc = css.encode_blocks(code0.with_key(u, v), psi)
+        sim.transversal_sdgx(enc, 0, 23)
+        out = css.decode_blocks(
+            code0.with_key(*css.KeyEvolver.sdgx_rule(u, v)), enc)
+        ref = sim.apply_gate(sim.apply_gate(psi.copy(), sim.GateOp("X", (0,))),
+                             sim.GateOp("S", (0,)))
         assert sim.fidelity(out, ref) >= 1 - 1e-10

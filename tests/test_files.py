@@ -119,6 +119,24 @@ def test_parse_state_rejects_wrong_length():
         files.parse_state({"qubits": 2, "amps": [[1.0, 0.0]] * 3})
 
 
+@pytest.mark.parametrize("record", [
+    [1, 0],
+    {"amps": [[1, 0]]},
+    {"qubits": "a", "amps": []},
+    {"qubits": True, "amps": [[1, 0], [0, 0]]},
+    {"qubits": -1, "amps": []},
+    {"qubits": 1 << 40, "amps": []},
+    {"qubits": 1, "amps": "ab"},
+    {"qubits": 1, "amps": [[1, 0], "x"]},
+    {"qubits": 1, "amps": [[1, 0], [0, 0, 0]]},
+    {"qubits": 1, "amps": [[1, 0], [0, None]]},
+    {"qubits": 1, "amps": [[1, 0], [False, 0]]},
+])
+def test_parse_state_rejects_malformed_records(record):
+    with pytest.raises(ShapeError):
+        files.parse_state(record)
+
+
 def test_sym_ciphertext_record_schema():
     g = rng(55)
     key = symmetric.keygen("steane", "family", g)

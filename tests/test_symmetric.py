@@ -1,6 +1,8 @@
 """Symmetric scheme: encrypt, blind evaluation, gadget statistics,
 decrypt, key replay, and the two attack experiments."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -178,6 +180,19 @@ def test_family_replay_mixed_circuit():
     out, ct = run_encrypted(key, psi, text, 1, 28)
     assert sim.fidelity(out, want) >= 1 - 1e-9
     assert [g.kind for g in ct.executed] == ["H", "T", "CNOT", "H"]
+
+
+def test_golay_family_h_roundtrip_budget():
+    # the key holder's H rule is a swap, so no 23-qubit work beyond the
+    # ciphertext itself
+    t0 = time.perf_counter()
+    for seed in (0, 1):
+        key = symmetric.keygen("golay", "family", rng(seed))
+        psi = random_state(rng(seed + 10), 1)
+        out, _ = run_encrypted(key, psi, "H 0", 0, seed + 20)
+        ref = sim.apply_gate(psi.copy(), sim.GateOp("H", (0,)))
+        assert sim.fidelity(out, ref) >= 1 - 1e-9
+    assert time.perf_counter() - t0 < 5.0
 
 
 def test_scrambled_replay_mixed_circuit():

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import css, sim
-from .css import CssCode, ScrambledSecretKey
+from .css import CssCode, KeyEvolver, ScrambledSecretKey
 from .errors import (
     ParameterError,
     RefreshAuthorityError,
@@ -130,14 +130,16 @@ def encrypt(pk: PublicKey, plaintext: sim.StateVector,
 
 
 def decrypt(private: ScrambledSecretKey, ct: AsymCiphertext) -> sim.StateVector:
-    """Correct each block with the syndrome tables, strip the encoding,
-    and put wires back in logical order."""
+    """Read each block's Pauli frame off its syndromes, decode every block
+    under its frame, and put wires back in logical order. X^x Z^z on a
+    block encoded under (u, v) is, up to a global phase, the encoding
+    under (u ^ z, v ^ x), so the errors never need to be undone: the
+    ciphertext is left unchanged and no register-sized array is made."""
     code = private.scrambled_code
-    state = sim.StateVector(ct.state.num_qubits, ct.state.amps.copy(),
-                            check=False)
-    for i in range(len(ct.layout)):
-        state, _, _ = css.correct_errors(code, state, i)
-    plain = css.decode_blocks(code, state)
+    index = sim.first_occupied(ct.state)
+    frames = [css.correct_errors(code, ct.state, i, index)
+              for i in range(len(ct.layout))]
+    plain = css.decode_blocks(code, ct.state, frames=frames)
     wires = [s.wire for s in ct.layout]
     perm = [wires.index(w) for w in range(len(wires))]
     return sim.permute_wires(plain, perm)
@@ -213,15 +215,16 @@ def _gate_h(ct: AsymCiphertext, wire: int) -> None:
     slot = ct.wire_slot(wire)
     sim.transversal_h(ct.state, ct.slot_start(slot.sid), ct.n)
     rec = ct.injected[slot.sid]
-    rec["x"], rec["z"] = rec["z"], rec["x"]
+    rec["z"], rec["x"] = KeyEvolver.h_rule(rec["z"], rec["x"])
 
 
 def _gate_cnot(ct: AsymCiphertext, wc: int, wt: int) -> None:
     sc, st = ct.wire_slot(wc), ct.wire_slot(wt)
     sim.transversal_cnot(ct.state, ct.slot_start(sc.sid),
                          ct.slot_start(st.sid), ct.n)
-    ct.injected[st.sid]["x"] = ct.injected[st.sid]["x"] ^ ct.injected[sc.sid]["x"]
-    ct.injected[sc.sid]["z"] = ct.injected[sc.sid]["z"] ^ ct.injected[st.sid]["z"]
+    rc, rt = ct.injected[sc.sid], ct.injected[st.sid]
+    (rc["z"], rc["x"]), (rt["z"], rt["x"]) = KeyEvolver.cnot_rule(
+        (rc["z"], rc["x"]), (rt["z"], rt["x"]))
     nb = min(ct.n, ct.bounds[sc.sid] + ct.bounds[st.sid])
     ct.bounds[sc.sid] = nb
     ct.bounds[st.sid] = nb

@@ -262,7 +262,7 @@ def main(argv=None) -> int:
     except _VALIDATION_ERRORS as exc:
         sys.stderr.write(f"invalid request: {exc}\n")
         return 2
-    except (CssFheError, FileNotFoundError, ValueError, KeyError) as exc:
+    except (CssFheError, OSError, ValueError, KeyError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

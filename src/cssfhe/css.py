@@ -58,17 +58,18 @@ class CssCode:
     n: int
     t: int
     x1: np.ndarray
-    # caches shared between all (u, v) siblings over the same base pair
+    # key-independent caches shared between all (u, v) siblings over the
+    # same base pair: "inner_words" and "tables"
     _shared: dict = field(default_factory=dict, repr=False)
+    # this key's encoding isometry, built on first use; with_key starts over
+    _iso: sim.BlockIsometry | None = field(default=None, init=False,
+                                           repr=False)
 
     def with_key(self, u, v) -> "CssCode":
         u, v = gf2.as_vec(u), gf2.as_vec(v)
         if u.shape[0] != self.n or v.shape[0] != self.n:
             raise ShapeError(f"key vectors must have length {self.n}")
         return replace(self, u=u, v=v)
-
-    def key_bytes(self) -> tuple[bytes, bytes]:
-        return self.u.tobytes(), self.v.tobytes()
 
 
 def _vec_indices(rows: np.ndarray) -> np.ndarray:
@@ -107,28 +108,22 @@ def _inner_words(code: CssCode) -> np.ndarray:
 
 
 def _iso_columns(code: CssCode):
-    """Sparse logical-basis columns for the current (u, v); cached."""
-    cache = code._shared.setdefault("iso", {})
-    key = code.key_bytes()
-    if key not in cache:
-        w2 = _inner_words(code)
-        scale = 1.0 / math.sqrt(w2.shape[0])
-        cols = []
-        for rep in (np.zeros(code.n, dtype=np.uint8), code.x1):
-            words = w2 ^ rep
-            idx = _vec_indices(words ^ code.v)
-            signs = 1.0 - 2.0 * (gf2.mat_mul(words, code.u[:, None])[:, 0])
-            cols.append((idx, signs.astype(np.complex128) * scale))
-        cache[key] = tuple(cols)
-    return cache[key]
+    """Sparse logical-basis columns for the current (u, v)."""
+    w2 = _inner_words(code)
+    scale = 1.0 / math.sqrt(w2.shape[0])
+    cols = []
+    for rep in (np.zeros(code.n, dtype=np.uint8), code.x1):
+        words = w2 ^ rep
+        idx = _vec_indices(words ^ code.v)
+        signs = 1.0 - 2.0 * (gf2.mat_mul(words, code.u[:, None])[:, 0])
+        cols.append((idx, signs.astype(np.complex128) * scale))
+    return tuple(cols)
 
 
 def isometry(code: CssCode) -> sim.BlockIsometry:
-    cache = code._shared.setdefault("iso_obj", {})
-    key = code.key_bytes()
-    if key not in cache:
-        cache[key] = sim.BlockIsometry(code.n, _iso_columns(code))
-    return cache[key]
+    if code._iso is None:
+        code._iso = sim.BlockIsometry(code.n, _iso_columns(code))
+    return code._iso
 
 
 def logical_basis(code: CssCode) -> tuple[sim.StateVector, sim.StateVector]:
@@ -151,20 +146,29 @@ def encode_blocks(code: CssCode, logical_state: sim.StateVector) -> sim.StateVec
 
 
 def decode_blocks(code: CssCode, physical_state: sim.StateVector,
-                  per_block: list[CssCode] | None = None) -> sim.StateVector:
+                  per_block: list[CssCode] | None = None,
+                  frames: list[tuple] | None = None) -> sim.StateVector:
     """Inverse of encode_blocks. With per_block, block i is decoded under
-    its own code (the keys a transversal circuit evolved them to)."""
+    its own code (the keys a transversal circuit evolved them to). With
+    frames, block i carries the Pauli error X^x Z^z given by
+    frames[i] = (x, z) as bit vectors (the coset leaders correct_errors
+    returns), and is decoded against that error times the encoder."""
     n = code.n
     if physical_state.num_qubits % n:
         raise ShapeError(
             f"{physical_state.num_qubits} qubits is not a multiple of n={n}")
     m = physical_state.num_qubits // n
-    if per_block is not None and len(per_block) != m:
-        raise ShapeError(f"need {m} block codes, got {len(per_block)}")
+    for name, given in (("block codes", per_block), ("frames", frames)):
+        if given is not None and len(given) != m:
+            raise ShapeError(f"need {m} {name}, got {len(given)}")
     state = physical_state
     for i in range(m):
         block_code = per_block[i] if per_block is not None else code
-        state, leak = sim.contract_block_isometry(state, i, isometry(block_code))
+        x_mask = z_mask = 0
+        if frames is not None:
+            x_mask, z_mask = (sim.mask_of_bits(bits) for bits in frames[i])
+        state, leak = sim.contract_block_isometry(
+            state, i, isometry(block_code), x_mask=x_mask, z_mask=z_mask)
         if leak > DECODE_LEAKAGE_TOL:
             raise LeakageError(
                 f"block {i}: weight {leak:.3e} outside the code space")
@@ -193,13 +197,18 @@ def _tables(code: CssCode) -> tuple[SyndromeTable, SyndromeTable]:
     return code._shared["tables"]
 
 
-def correct_errors(code: CssCode, state: sim.StateVector,
-                   block: int) -> tuple[sim.StateVector, np.ndarray, np.ndarray]:
-    """Measure the signed stabilizers of one block and apply the coset-leader
-    correction. The input must carry a definite Pauli error on the block
-    (the only way errors enter this package), which makes both syndromes
-    deterministic: the bit-flip syndrome is read off any occupied basis
-    index, the phase-flip syndrome off amplitude ratios within a coset."""
+def correct_errors(code: CssCode, state: sim.StateVector, block: int,
+                   index: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Measure the signed stabilizers of one block and return its coset
+    leaders (x_leader, z_leader): up to a stabilizer, the block carries
+    the error X^x_leader Z^z_leader. The state is left as it is; decode
+    under the leaders (decode_blocks with frames) instead of applying them.
+
+    The input must carry a definite Pauli error on the block (the only way
+    errors enter this package), which makes both syndromes deterministic:
+    the bit-flip syndrome is read off one occupied basis index (`index`,
+    or sim.first_occupied when None), the phase-flip syndrome off
+    amplitude ratios within a coset, which an X error only permutes."""
     n = code.n
     start = block * n
     if start < 0 or start + n > state.num_qubits:
@@ -208,7 +217,7 @@ def correct_errors(code: CssCode, state: sim.StateVector,
     correction_counter.bump()
     post = state.num_qubits - start - n
 
-    jidx = int(np.argmax(np.abs(state.amps)))
+    jidx = sim.first_occupied(state) if index is None else index
     y_idx = (jidx >> post) & ((1 << n) - 1)
     y = np.array([(y_idx >> (n - 1 - j)) & 1 for j in range(n)], dtype=np.uint8)
 
@@ -217,12 +226,10 @@ def correct_errors(code: CssCode, state: sim.StateVector,
     if x_leader is None:
         raise DecodeFailureError(
             f"bit-flip syndrome outside radius t={code.t} on block {block}")
-    if x_leader.any():
-        sim.apply_block_pauli(state, start, n,
-                              x_mask=sim.mask_of_bits(x_leader), z_mask=0)
-        jidx ^= sim.mask_of_bits(x_leader) << post
 
     ref = state.amps[jidx]
+    if ref == 0:
+        raise ShapeError(f"basis index {jidx} is not occupied")
     z_syn = np.zeros(code.c2.gen.shape[0], dtype=np.uint8)
     for i, g in enumerate(code.c2.gen):
         other = state.amps[jidx ^ (sim.mask_of_bits(g) << post)]
@@ -236,10 +243,7 @@ def correct_errors(code: CssCode, state: sim.StateVector,
     if z_leader is None:
         raise DecodeFailureError(
             f"phase-flip syndrome outside radius t={code.t} on block {block}")
-    if z_leader.any():
-        sim.apply_block_pauli(state, start, n,
-                              x_mask=0, z_mask=sim.mask_of_bits(z_leader))
-    return state, x_syn, z_syn
+    return x_leader.copy(), z_leader.copy()
 
 
 @dataclass(eq=False)
@@ -287,7 +291,7 @@ def magic_ancilla(code: CssCode) -> sim.StateVector:
 
 
 def magic_ancilla_sparse(code: CssCode) -> tuple[np.ndarray, np.ndarray]:
-    (i0, v0), (i1, v1) = _iso_columns(code)
+    (i0, v0), (i1, v1) = isometry(code).cols
     idx = np.concatenate([i0, i1])
     vals = np.concatenate([v0, MAGIC_PHASE * v1]) / math.sqrt(2.0)
     return idx, vals
@@ -377,6 +381,11 @@ class KeyEvolver:
     roles of phase and shift, X then S-dagger folds the shift into the
     phase, and CNOT spreads the target's phase to the control and the
     control's shift to the target.
+
+    Read with (u, v) as (z, x), the same rules move a Pauli frame
+    X^x Z^z through these gates: X^x Z^z on a block keyed (u, v) is, up
+    to a global phase, the block keyed (u ^ z, v ^ x), so an error frame
+    evolves as a key shift does.
     """
 
     @staticmethod

@@ -195,8 +195,8 @@ def permute_wires(state: StateVector, perm: list[int]) -> StateVector:
 class BlockIsometry:
     """Sparse 2-column isometry sending one wire into an n-qubit block.
 
-    Column b is stored as (indices, values) over the 2^n block basis.
-    Columns must be orthonormal (Gram deviation below 1e-10).
+    Column b is stored as (indices, values) over the 2^n block basis, in
+    the order given. Columns must be orthonormal (Gram deviation below 1e-10).
     """
 
     __slots__ = ("block_qubits", "cols")
@@ -210,8 +210,7 @@ class BlockIsometry:
             vals = np.asarray(vals, dtype=np.complex128)
             if idx.shape != vals.shape or idx.ndim != 1:
                 raise IsometryError("column index/value shape mismatch")
-            order = np.argsort(idx)
-            parsed.append((idx[order], vals[order]))
+            parsed.append((idx, vals))
         for i in range(2):
             for j in range(2):
                 g = _sparse_vdot(*parsed[i], *parsed[j])
@@ -248,20 +247,35 @@ def apply_block_isometry(state: StateVector, wire: int,
     return StateVector(m2, out.reshape(-1), check=False)
 
 
+def _parity(a: np.ndarray) -> np.ndarray:
+    """Parity of the set bits of each entry (entries below 2^32)."""
+    for shift in (16, 8, 4, 2, 1):
+        a = a ^ (a >> shift)
+    return a & 1
+
+
 def contract_block_isometry(state: StateVector, start: int,
-                            iso: BlockIsometry) -> tuple[StateVector, float]:
+                            iso: BlockIsometry, x_mask: int = 0,
+                            z_mask: int = 0) -> tuple[StateVector, float]:
     """Inverse of apply_block_isometry on the block at qubits
-    [start, start+n); returns (smaller state, leaked weight outside the
-    column span). The result is renormalized."""
+    [start, start+n), taken against X^x Z^z V rather than the isometry V
+    itself; the masks are block-local, as in apply_block_pauli. Column
+    entry j of X^x Z^z V sits at index j ^ x_mask and is negated where
+    popcount(j & z_mask) is odd, so the contraction gathers at idx ^ x_mask
+    and flips those signs. Returns (smaller state, leaked weight outside
+    the column span). The result is renormalized."""
     m = state.num_qubits
     n = iso.block_qubits
     if start < 0 or start + n > m:
         raise WireError(f"block [{start}, {start + n}) out of range")
+    if not (0 <= x_mask < 1 << n and 0 <= z_mask < 1 << n):
+        raise ShapeError(f"masks {x_mask:#x}, {z_mask:#x} exceed {n} bits")
     view = state.amps.reshape(1 << start, 1 << n, -1)
     out = np.empty((1 << start, 2, view.shape[2]), dtype=np.complex128)
     for b in range(2):
         idx, vals = iso.cols[b]
-        out[:, b, :] = np.einsum("j,ajb->ab", vals.conj(), view[:, idx, :])
+        weights = vals.conj() * (1 - 2 * _parity(idx & z_mask))
+        out[:, b, :] = np.einsum("j,ajb->ab", weights, view[:, idx ^ x_mask, :])
     kept = float(np.sum(np.abs(out) ** 2))
     leakage = max(0.0, 1.0 - kept)
     if kept > 0:
@@ -453,6 +467,25 @@ def mask_of_bits(bits: np.ndarray) -> int:
     for b in bits:
         m = (m << 1) | int(b)
     return m
+
+
+_SCAN_CHUNK = 1 << 14  # amplitudes per step of first_occupied
+
+
+def first_occupied(state: StateVector) -> int:
+    """Lowest basis index whose amplitude exceeds 1e-6 * 2^(-m/2) in
+    modulus, scanned a chunk at a time so that nothing register-sized is
+    allocated. On a unit vector some index passes (max |a| >= 2^(-m/2)),
+    while rounding residues of order 1e-17, such as transversal H leaves
+    behind, never do."""
+    floor = 1e-6 * 2.0 ** (-state.num_qubits / 2)
+    amps = state.amps
+    for lo in range(0, amps.shape[0], _SCAN_CHUNK):
+        hits = np.flatnonzero(np.abs(amps[lo:lo + _SCAN_CHUNK]) > floor)
+        if hits.size:
+            return lo + int(hits[0])
+    raise ShapeError(f"no amplitude above {floor:.3e}: the state is not "
+                     f"normalized")
 
 
 def remove_block(state: StateVector, start: int, n: int,

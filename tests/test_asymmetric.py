@@ -1,6 +1,7 @@
 """Asymmetric scheme: public-code encryption with injected errors, bound
 tracking, refresh round trips, and the session protocol."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -386,3 +387,70 @@ def test_golay_session_h_then_t(golay_pair):
     want = sim.run_circuit(psi.copy(), sim.parse_circuit("H 0\nT 0"))
     assert sim.fidelity(asymmetric.decrypt(golay_pair.private, final),
                         want) >= 1 - 1e-9
+
+
+def test_decrypt_and_refresh_leave_ciphertext_unchanged():
+    g = rng(32)
+    kp = steane_pair(32)
+    psi = random_state(g, 2)
+    ct = asymmetric.encrypt(kp.public, psi, g, override_weight=1)
+    before = ct.state.amps.tobytes()
+    assert sim.fidelity(asymmetric.decrypt(kp.private, ct), psi) >= 1 - 1e-10
+    assert ct.state.amps.tobytes() == before
+    fresh = asymmetric.refresh(kp.private, ct, g)
+    assert ct.state.amps.tobytes() == before
+    assert sim.fidelity(asymmetric.decrypt(kp.private, fresh), psi) >= 1 - 1e-10
+
+
+def test_decrypt_ignores_rounding_residues():
+    # transversal H leaves residues of about 1e-17 on unoccupied indices;
+    # the syndrome must be read off a truly occupied one
+    g = rng(33)
+    kp = steane_pair(33)
+    psi = random_state(g, 2)
+    ct = asymmetric.encrypt(kp.public, psi, g, override_weight=1)
+    amps = ct.state.amps
+    amps[amps == 0] += 1e-17
+    assert sim.fidelity(asymmetric.decrypt(kp.private, ct), psi) >= 1 - 1e-10
+
+
+def test_golay_decrypt_allocates_no_register(golay_pair):
+    g = rng(34)
+    psi = random_state(g, 1)
+    ct = asymmetric.encrypt(golay_pair.public, psi, g, override_weight=3)
+    asymmetric.decrypt(golay_pair.private, ct)  # builds the code's tables
+    tracemalloc.start()
+    try:
+        out = asymmetric.decrypt(golay_pair.private, ct)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20  # the register alone is 128 MiB
+    assert sim.fidelity(out, psi) >= 1 - 1e-10
+
+
+def test_golay_decrypts_add_no_cache_entries(golay_pair):
+    code = golay_pair.public.code
+    g = rng(35)
+    psi = random_state(g, 1)
+    ct = asymmetric.encrypt(golay_pair.public, psi, g, override_weight=0)
+    iso = css.isometry(code)
+    errors = set()
+    carried = (0, 0)
+    while len(errors) < 20:
+        weight = 1 + len(errors) % code.t
+        pos = g.choice(code.n, size=weight, replace=False)
+        kinds = g.integers(0, 3, size=weight)  # 0 X, 1 Y, 2 Z
+        x = sum(1 << (code.n - 1 - int(p)) for p in pos[kinds != 2])
+        z = sum(1 << (code.n - 1 - int(p)) for p in pos[kinds != 0])
+        if (x, z) in errors:
+            continue
+        errors.add((x, z))
+        # turn the carried error into this one, up to a global sign
+        sim.apply_block_pauli(ct.state, 0, code.n, x ^ carried[0],
+                              z ^ carried[1])
+        carried = (x, z)
+        out = asymmetric.decrypt(golay_pair.private, ct)
+        assert sim.fidelity(out, psi) >= 1 - 1e-10
+    assert set(code._shared) == {"inner_words", "tables"}
+    assert css.isometry(code) is iso

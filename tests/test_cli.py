@@ -142,6 +142,56 @@ def test_roundtrip_malformed_state_is_validation_error(tmp_path, record):
     assert "Traceback" not in proc.stderr
 
 
+# runs each argv through cli.main in one process; an exception that
+# escapes main ends the runner with a traceback on stderr
+_CLI_RUNNER = """
+import json, sys
+from cssfhe import cli
+codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps(codes))
+"""
+
+
+def test_unreadable_paths_exit_without_traceback(tmp_path, zero_state):
+    def bad_paths(where):
+        where.mkdir()
+        (where / "dir").mkdir()
+        (where / "empty").write_bytes(b"")
+        (where / "binary").write_bytes(b"\xff\xfe\x00\x80 H 0\n")
+        (where / "invalid").write_text("{not json", encoding="utf-8")
+        return {k: str(where / k) for k in ("dir", "empty", "binary",
+                                            "invalid")}
+
+    circ = circuit_file(tmp_path, "h.circ", "H 0\n")
+    inputs, outputs = bad_paths(tmp_path / "in"), bad_paths(tmp_path / "out")
+    cases = []  # (argv, allowed exit codes)
+    for kind, path in inputs.items():
+        cases.append((["roundtrip", "--state", path, "--circuit", circ,
+                       "--seed", "0"], {2, 3}))
+        # an empty circuit is a valid circuit with no gates
+        cases.append((["session", "--circuit", path, "--seed", "0"],
+                       {0} if kind == "empty" else {2, 3}))
+    for kind, path in outputs.items():
+        # --out is only written: an existing file of any content is
+        # replaced by the report, a directory cannot be
+        cases.append((["roundtrip", "--state", zero_state, "--circuit", circ,
+                       "--seed", "0", "--out", path],
+                      {2, 3} if kind == "dir" else {0}))
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _CLI_RUNNER,
+         json.dumps([argv for argv, _ in cases])],
+        capture_output=True, text=True, env=env)
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == 0
+    got = json.loads(proc.stdout.splitlines()[-1])
+    assert len(got) == len(cases)
+    for (argv, allowed), code in zip(cases, got):
+        assert code in allowed, argv
+    for kind in ("empty", "binary", "invalid"):
+        assert files.read_json(outputs[kind])["ok"] is True
+
+
 def test_roundtrip_bad_gate_is_validation_error(tmp_path, zero_state, capsys):
     circ = circuit_file(tmp_path, "bad.circ", "S 0\n")
     code, _, _ = run_cli(["roundtrip", "--state", zero_state,

@@ -14,6 +14,7 @@ from cssfhe.errors import (
     DecodeFailureError,
     InvalidPairError,
     LeakageError,
+    ShapeError,
 )
 
 from helpers import bits_to_index, random_state, rng, span_brute
@@ -184,17 +185,29 @@ def test_decode_wrong_key_full_sweep(steane_pair):
     assert exact == 64
 
 
+def apply_leaders(state, block, leaders):
+    """Undo the Pauli error that correct_errors reports, on a copy."""
+    x, z = leaders
+    n = x.shape[0]
+    return sim.apply_block_pauli(state.copy(), block * n, n,
+                                 x_mask=sim.mask_of_bits(x),
+                                 z_mask=sim.mask_of_bits(z))
+
+
 def test_correct_errors_clean_block(steane_pair):
     g = rng(84)
     code = keyed(steane_pair, gf2.random_vector(7, g), gf2.random_vector(7, g))
     enc = css.encode_blocks(code, random_state(g, 1))
     reference = enc.copy()
     before = css.correction_counter.count
-    out, x_syn, z_syn = css.correct_errors(code, enc, 0)
+    x_leader, z_leader = css.correct_errors(code, enc, 0)
     assert css.correction_counter.count == before + 1
-    assert not x_syn.any()
-    assert not z_syn.any()
+    assert not x_leader.any()
+    assert not z_leader.any()
+    out = apply_leaders(enc, 0, (x_leader, z_leader))
     assert sim.fidelity(out, reference) >= 1 - 1e-12
+    with pytest.raises(ShapeError):  # the syndrome needs an occupied index
+        css.correct_errors(code, enc, 0, int(np.flatnonzero(enc.amps == 0)[0]))
 
 
 def test_correct_errors_single_paulis_exhaustive(steane_pair):
@@ -208,17 +221,18 @@ def test_correct_errors_single_paulis_exhaustive(steane_pair):
             x = int(kind in ("X", "Y")) << (6 - pos)
             z = int(kind in ("Y", "Z")) << (6 - pos)
             sim.apply_block_pauli(hurt, 0, 7, x_mask=x, z_mask=z)
-            fixed, x_syn, z_syn = css.correct_errors(code, hurt, 0)
+            x_leader, z_leader = css.correct_errors(code, hurt, 0)
+            fixed = apply_leaders(hurt, 0, (x_leader, z_leader))
             assert sim.fidelity(fixed, enc) >= 1 - 1e-10
-            assert x_syn.any() == (x != 0)
-            assert z_syn.any() == (z != 0)
+            assert x_leader.any() == (x != 0)
+            assert z_leader.any() == (z != 0)
             back = css.decode_blocks(code, fixed)
             assert sim.fidelity(back, psi) >= 1 - 1e-10
 
 
 def test_correct_errors_weight2_misleads(steane_pair):
     # weight 2 exceeds t=1: the corrector either flags the block or lands
-    # on the wrong coset leader and silently applies a logical flip
+    # on the wrong coset leader, whose correction is a logical flip
     g = rng(86)
     code = keyed(steane_pair, gf2.zeros_vec(7), gf2.zeros_vec(7))
     enc = css.encode_blocks(code, random_state(g, 1))
@@ -226,10 +240,77 @@ def test_correct_errors_weight2_misleads(steane_pair):
     hurt = enc.copy()
     sim.apply_block_pauli(hurt, 0, 7, x_mask=0b1100000, z_mask=0)
     try:
-        fixed, _, _ = css.correct_errors(code, hurt, 0)
+        fixed = apply_leaders(hurt, 0, css.correct_errors(code, hurt, 0))
         assert sim.fidelity(fixed, reference) < 0.99
     except DecodeFailureError:
         pass
+
+
+def _frame_checks(code, enc, psi, x, z):
+    """The block enc carries X^x Z^z: its leaders are (x, z), and it decodes
+    both under the shifted key (u ^ z, v ^ x) and under the frame."""
+    leaders = css.correct_errors(code, enc, 0)
+    assert np.array_equal(leaders[0], x) and np.array_equal(leaders[1], z)
+    shifted = code.with_key(code.u ^ z, code.v ^ x)
+    masks = (sim.mask_of_bits(x), sim.mask_of_bits(z))
+    for iso, (xm, zm) in ((css.isometry(shifted), (0, 0)),
+                          (css.isometry(code), masks)):
+        back, leak = sim.contract_block_isometry(enc, 0, iso,
+                                                 x_mask=xm, z_mask=zm)
+        assert leak < 1e-12
+        assert sim.fidelity(back, psi) >= 1 - 1e-12
+
+
+def test_pauli_frame_is_key_shift_steane(steane_pair):
+    g = rng(88)
+    for _ in range(8):
+        code = keyed(steane_pair, gf2.random_vector(7, g),
+                     gf2.random_vector(7, g))
+        psi = random_state(g, 1)
+        enc = css.encode_blocks(code, psi)
+        for pos in range(7):
+            for kind in ("X", "Y", "Z"):
+                x, z = gf2.zeros_vec(7), gf2.zeros_vec(7)
+                x[pos] = kind in ("X", "Y")
+                z[pos] = kind in ("Y", "Z")
+                hurt = sim.apply_block_pauli(
+                    enc.copy(), 0, 7, x_mask=sim.mask_of_bits(x),
+                    z_mask=sim.mask_of_bits(z))
+                _frame_checks(code, hurt, psi, x, z)
+
+
+def test_pauli_frame_is_key_shift_golay():
+    b = codes.builtin_codes()
+    g = rng(89)
+    code = css.build(b["golay2312"], codes.dual(b["golay2312"]),
+                     gf2.random_vector(23, g), gf2.random_vector(23, g))
+    psi = random_state(g, 1)
+    enc = css.encode_blocks(code, psi)
+    for _ in range(3):
+        pos = g.choice(23, size=3, replace=False)
+        kinds = g.integers(0, 3, size=3)  # 0 X, 1 Y, 2 Z
+        x, z = gf2.zeros_vec(23), gf2.zeros_vec(23)
+        x[pos[kinds != 2]] = 1
+        z[pos[kinds != 0]] = 1
+        masks = (sim.mask_of_bits(x), sim.mask_of_bits(z))
+        sim.apply_block_pauli(enc, 0, 23, *masks)
+        _frame_checks(code, enc, psi, x, z)
+        sim.apply_block_pauli(enc, 0, 23, *masks)  # undone up to a sign
+
+
+def test_sibling_keys_leave_shared_cache_bounded(steane_pair):
+    # per-key isometries live on each sibling, never in the shared dict
+    c1, c2 = steane_pair
+    base = css.build(c1, c2, gf2.zeros_vec(7), gf2.zeros_vec(7))
+    g = rng(90)
+    psi = random_state(g, 1)
+    for k in g.choice(1 << 14, size=256, replace=False):
+        bits = [(int(k) >> (13 - j)) & 1 for j in range(14)]
+        sib = base.with_key(bits[:7], bits[7:])
+        css.logical_basis(sib)
+        css.correct_errors(sib, css.encode_blocks(sib, psi), 0)
+    assert set(base._shared) == {"inner_words", "tables"}
+    assert base._iso is None
 
 
 def test_stabilizers_fix_basis_states(steane_pair):

@@ -248,6 +248,59 @@ def test_contract_reports_leakage():
     assert abs(leak - 1.0) < 1e-12
 
 
+def _random_iso(g, n, size):
+    """Two unit columns with disjoint random supports and random phases."""
+    support = g.choice(1 << n, size=2 * size, replace=False)
+    cols = []
+    for part in (support[:size], support[size:]):
+        phases = np.exp(2j * np.pi * g.random(size))
+        cols.append((part, phases / np.sqrt(size)))
+    return sim.BlockIsometry(n, cols)
+
+
+def test_contract_with_masks_matches_pauli_then_contract():
+    # contracting against X^x Z^z V is V^dagger Z^z X^x, while
+    # apply_block_pauli applies X^x Z^z: the two differ by (-1)^(x.z)
+    g = rng(80)
+    iso = _random_iso(g, 7, 8)
+    full = (1 << 7) - 1
+    for m in (14, 21):
+        psi = random_state(g, m)
+        reference = psi.amps.copy()
+        for start in (0, (m - 7) // 2, m - 7):
+            for x, z in ((0, 0), (full, full),
+                         (int(g.integers(1 << 7)), int(g.integers(1 << 7)))):
+                fast, leak = sim.contract_block_isometry(
+                    psi, start, iso, x_mask=x, z_mask=z)
+                hurt = sim.apply_block_pauli(psi.copy(), start, 7, x, z)
+                slow, slow_leak = sim.contract_block_isometry(hurt, start, iso)
+                sign = (-1) ** bin(x & z).count("1")
+                assert fast.num_qubits == m - 6
+                assert np.allclose(fast.amps, sign * slow.amps, atol=1e-12)
+                assert abs(leak - slow_leak) < 1e-12
+        assert np.array_equal(psi.amps, reference)
+
+
+def test_contract_rejects_wide_masks():
+    iso = _ghz_iso(2)
+    with pytest.raises(ShapeError):
+        sim.contract_block_isometry(sim.basis_state(2, "00"), 0, iso,
+                                    x_mask=4)
+
+
+def test_first_occupied_skips_rounding_residues():
+    amps = np.full(1 << 16, 1e-17, dtype=np.complex128)
+    amps[40000] = 0.6
+    amps[50000] = 0.8j
+    state = sim.StateVector(16, amps)
+    assert sim.first_occupied(state) == 40000
+    amps[40000] = 1e-17
+    amps[50000] = 1.0
+    assert sim.first_occupied(state) == 50000
+    with pytest.raises(ShapeError):
+        sim.first_occupied(sim.StateVector(3, np.zeros(8), check=False))
+
+
 def test_apply_block_pauli_matches_gate_loop():
     g = rng(73)
     for _ in range(20):

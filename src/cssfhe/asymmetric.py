@@ -75,16 +75,16 @@ class AsymCiphertext:
 
     def wire_slot(self, wire: int) -> BlockSlot:
         for slot in self.layout:
-            if slot.kind == "data" and slot.wire == wire:
+            if slot.wire == wire:
                 return slot
         raise WireError(f"no block for wire {wire}")
 
     @property
     def num_wires(self) -> int:
-        return sum(1 for s in self.layout if s.kind == "data")
+        return len(self.layout)
 
     def wire_bounds(self) -> list[int]:
-        return [self.bounds[s.sid] for s in self.layout if s.kind == "data"]
+        return [self.bounds[s.sid] for s in self.layout]
 
 
 def _inject(state: sim.StateVector, start: int, n: int, positions, kinds):
@@ -115,7 +115,7 @@ def encrypt(pk: PublicKey, plaintext: sim.StateVector,
             f"the ciphertext would be undecryptable")
     state = css.encode_blocks(code, plaintext)
     m = plaintext.num_qubits
-    layout = [BlockSlot(sid=w, kind="data", wire=w) for w in range(m)]
+    layout = [BlockSlot(sid=w, wire=w) for w in range(m)]
     bounds: dict[int, int] = {}
     injected: dict[int, dict[str, np.ndarray]] = {}
     for w in range(m):
@@ -155,7 +155,7 @@ def refresh(private: ScrambledSecretKey, ct: AsymCiphertext,
     code = private.scrambled_code
     state = css.encode_blocks(code, plaintext)
     m = plaintext.num_qubits
-    layout = [BlockSlot(sid=w, kind="data", wire=w) for w in range(m)]
+    layout = [BlockSlot(sid=w, wire=w) for w in range(m)]
     bounds = {w: 0 for w in range(m)}
     injected = {w: {"x": np.zeros(code.n, dtype=np.uint8),
                     "z": np.zeros(code.n, dtype=np.uint8)} for w in range(m)}
@@ -236,30 +236,14 @@ def _gate_t(ct: AsymCiphertext, wire: int, code: CssCode,
     from the public code, runs n CNOTs with the ancilla as control, measures
     the whole data block, and decodes the record himself.
 
-    The ancilla is a fresh product factor, so the joint register is never
-    materialized (it would not fit for the 23-bit code): measuring the data
-    block after the transversal CNOTs leaves sum_a alpha_a |a> (x) |rest at
-    y xor a>, which is spliced together directly from the ancilla amplitudes
-    and slices of the existing state. The record y is one draw from the XOR
-    convolution of the two block marginals, so y = a xor d with a, d drawn
-    independently."""
+    The ancilla is a fresh product factor, so sim.splice_ancilla puts it in
+    the data block's place without materializing the joint register (it
+    would not fit for the 23-bit code)."""
     data = ct.wire_slot(wire)
     n = ct.n
     d0 = ct.slot_start(data.sid)
-
     a_idx, a_val = css.magic_ancilla_sparse(code)
-    probs = np.abs(a_val) ** 2
-    j = int(rng.choice(a_idx.shape[0], p=probs / probs.sum()))
-    d, _ = sim.sample_block(ct.state, d0, n, rng)
-    y = int(a_idx[j]) ^ d
-    bits = format(y, f"0{n}b")
-
-    cube = ct.state.amps.reshape(1 << d0, 1 << n, -1)
-    new = np.zeros_like(cube)
-    new[:, a_idx, :] = a_val[None, :, None] * cube[:, y ^ a_idx, :]
-    flat = new.reshape(-1)
-    flat /= np.linalg.norm(flat)
-    ct.state = sim.StateVector(ct.state.num_qubits, flat, check=False)
+    bits, ct.state = sim.splice_ancilla(ct.state, d0, n, a_idx, a_val, rng)
 
     if css.logical_readout(code, bits) == 1:
         # logical SX correction: transversal X then transversal Sdg

@@ -146,29 +146,26 @@ def encode_blocks(code: CssCode, logical_state: sim.StateVector) -> sim.StateVec
 
 
 def decode_blocks(code: CssCode, physical_state: sim.StateVector,
-                  per_block: list[CssCode] | None = None,
                   frames: list[tuple] | None = None) -> sim.StateVector:
-    """Inverse of encode_blocks. With per_block, block i is decoded under
-    its own code (the keys a transversal circuit evolved them to). With
-    frames, block i carries the Pauli error X^x Z^z given by
-    frames[i] = (x, z) as bit vectors (the coset leaders correct_errors
-    returns), and is decoded against that error times the encoder."""
+    """Inverse of encode_blocks. With frames, block i carries the Pauli
+    X^x Z^z given by frames[i] = (x, z) as bit vectors (the coset leaders
+    correct_errors returns, or the shift from this key to an evolved one),
+    and is decoded against that Pauli times the encoder."""
     n = code.n
     if physical_state.num_qubits % n:
         raise ShapeError(
             f"{physical_state.num_qubits} qubits is not a multiple of n={n}")
     m = physical_state.num_qubits // n
-    for name, given in (("block codes", per_block), ("frames", frames)):
-        if given is not None and len(given) != m:
-            raise ShapeError(f"need {m} {name}, got {len(given)}")
+    if frames is not None and len(frames) != m:
+        raise ShapeError(f"need {m} frames, got {len(frames)}")
     state = physical_state
+    iso = isometry(code)
     for i in range(m):
-        block_code = per_block[i] if per_block is not None else code
         x_mask = z_mask = 0
         if frames is not None:
             x_mask, z_mask = (sim.mask_of_bits(bits) for bits in frames[i])
         state, leak = sim.contract_block_isometry(
-            state, i, isometry(block_code), x_mask=x_mask, z_mask=z_mask)
+            state, i, iso, x_mask=x_mask, z_mask=z_mask)
         if leak > DECODE_LEAKAGE_TOL:
             raise LeakageError(
                 f"block {i}: weight {leak:.3e} outside the code space")

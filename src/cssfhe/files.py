@@ -141,9 +141,10 @@ def parse_state(rec: dict) -> sim.StateVector:
 
 
 def sym_ciphertext_record(ct: symmetric.SymCiphertext) -> dict:
-    blocks = {str(s.wire): i for i, s in enumerate(ct.layout)
-              if s.kind == "data"}
-    ancillas = [i for i, s in enumerate(ct.layout) if s.kind == "ancilla"]
+    blocks = {str(s.wire): i for i, s in enumerate(ct.layout)}
+    ancillas = [{"slot": sid, "idx": idx.tolist(),
+                 "amps": [[float(a.real), float(a.imag)] for a in vals]}
+                for sid, idx, vals in ct.ancilla_pool]
     max_wire = max((w for g in ct.executed for w in g.wires), default=-1)
     executed = sim.LogicalCircuit(max_wire + 1, tuple(ct.executed))
     return {

@@ -2,8 +2,7 @@
 
 Conventions, fixed once:
   - wire 0 is the most significant bit of the amplitude index;
-  - at most 24 qubits (two 7-qubit blocks plus one ancilla block, or one
-    23-qubit block, both fit);
+  - at most 24 qubits (three 7-qubit blocks, or one 23-qubit block, fit);
   - gates and block kernels mutate the StateVector and return it. The
     kernels that permute amplitudes (`transversal_cnot`, `transversal_sdgx`
     and the X part of `apply_block_pauli`) rebind `state.amps` to a new
@@ -13,7 +12,7 @@ Conventions, fixed once:
 
 The per-qubit `apply_gate` and `measure_z` are the reference path; the
 block kernels (`transversal_h`, `transversal_cnot`, `transversal_sdgx`,
-`measure_block`, `apply_block_pauli`) act on a whole n-qubit block at
+`splice_ancilla`, `apply_block_pauli`) act on a whole n-qubit block at
 once, in one pass over the register (H: one pass per four qubits), and
 are tested against that path.
 """
@@ -213,7 +212,7 @@ class BlockIsometry:
             parsed.append((idx, vals))
         for i in range(2):
             for j in range(2):
-                g = _sparse_vdot(*parsed[i], *parsed[j])
+                g = sparse_vdot(*parsed[i], *parsed[j])
                 want = 1.0 if i == j else 0.0
                 if abs(g - want) > 1e-10:
                     raise IsometryError(
@@ -222,7 +221,8 @@ class BlockIsometry:
         self.cols = tuple(parsed)
 
 
-def _sparse_vdot(ia, va, ib, vb) -> complex:
+def sparse_vdot(ia, va, ib, vb) -> complex:
+    """<a|b> for sparse vectors given as (indices, values) pairs."""
     common, ka, kb = np.intersect1d(ia, ib, return_indices=True)
     if common.size == 0:
         return 0.0
@@ -426,15 +426,30 @@ def sample_block(state: StateVector, start: int, n: int,
     return j, float(marginal[j])
 
 
-def measure_block(state: StateVector, start: int, n: int,
-                  rng: np.random.Generator) -> tuple[str, StateVector]:
-    """Measure every qubit of the block at [start, start+n) in Z with one
-    draw from the block marginal, then drop the block. Returns the n-bit
-    record (block qubit 0 first) and the renormalized smaller state."""
-    j, weight = sample_block(state, start, n, rng)
-    out = _block_cube(state, start, n)[:, j, :] / math.sqrt(weight)
-    return (format(j, f"0{n}b"),
-            StateVector(state.num_qubits - n, out.reshape(-1), check=False))
+def splice_ancilla(state: StateVector, start: int, n: int, a_idx, a_val,
+                   rng: np.random.Generator) -> tuple[str, StateVector]:
+    """Transversal CNOT from a product-factor ancilla onto the data block
+    at [start, start+n), then a Z measurement of the data block, without
+    building the joint register. The ancilla is the normalized
+    sum_a a_val[a] |a_idx[a]> over distinct block indices.
+
+    With record y the state is sum_a alpha_a |a> (x) |rest at y xor a>: the
+    ancilla takes the data block's place. y is one draw from the XOR
+    convolution of the two marginals, y = a xor d, with a drawn from
+    |a_val|^2 and then d from the data block (sample_block). Returns the
+    n-bit record (block qubit 0 first) and the renormalized state."""
+    cube = _block_cube(state, start, n)
+    probs = np.abs(a_val) ** 2
+    j = int(rng.choice(a_idx.shape[0], p=probs / probs.sum()))
+    d, _ = sample_block(state, start, n, rng)
+    y = int(a_idx[j]) ^ d
+
+    new = np.zeros_like(cube)
+    new[:, a_idx, :] = a_val[None, :, None] * cube[:, y ^ a_idx, :]
+    flat = new.reshape(-1)
+    flat /= np.linalg.norm(flat)
+    return (format(y, f"0{n}b"),
+            StateVector(state.num_qubits, flat, check=False))
 
 
 def apply_block_pauli(state: StateVector, start: int, n: int,

@@ -9,7 +9,7 @@ never runs an error-correction round.
 
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,14 +30,22 @@ from .errors import (
 ANCILLA_PRODUCT_TOL = 1e-9
 
 
+@functools.cache
 def base_pair(name: str) -> tuple[LinearCode, LinearCode]:
+    """The named (C1, C2) pair, built once per process. Every key over the
+    pair shares its matrices, so they are made read-only."""
     builtins = codes_mod.builtin_codes()
     if name == "steane":
-        return builtins["hamming74"], builtins["simplex73"]
-    if name == "golay":
+        pair = builtins["hamming74"], builtins["simplex73"]
+    elif name == "golay":
         g = builtins["golay2312"]
-        return g, codes_mod.dual(g)
-    raise ParameterError(f"unknown base pair {name!r}")
+        pair = g, codes_mod.dual(g)
+    else:
+        raise ParameterError(f"unknown base pair {name!r}")
+    for code in pair:
+        code.gen.setflags(write=False)
+        code.pchk.setflags(write=False)
+    return pair
 
 
 @dataclass(eq=False)
@@ -65,16 +73,18 @@ def keygen(base_name: str, mode: str, rng: np.random.Generator) -> SymKey:
 @dataclass
 class BlockSlot:
     sid: int
-    kind: str          # "data" | "ancilla"
-    wire: int | None
+    wire: int
 
 
 @dataclass(eq=False)
 class SymCiphertext:
     state: sim.StateVector
     n: int
-    layout: list[BlockSlot]               # physical order of live blocks
+    layout: list[BlockSlot]               # physical order of the data blocks
     variant: str
+    # unconsumed magic ancillas, each a product factor beside the register:
+    # (sid, block indices, amplitudes), consumed front first
+    ancilla_pool: list[tuple[int, np.ndarray, np.ndarray]]
     events: list[tuple] = field(default_factory=list)
     executed: list[sim.GateOp] = field(default_factory=list)
     gadget_outcomes: list[int] = field(default_factory=list)
@@ -89,23 +99,20 @@ class SymCiphertext:
 
     def wire_slot(self, wire: int) -> BlockSlot:
         for slot in self.layout:
-            if slot.kind == "data" and slot.wire == wire:
+            if slot.wire == wire:
                 return slot
         raise WireError(f"no block for wire {wire}")
 
     @property
-    def ancilla_pool(self) -> list[BlockSlot]:
-        return [s for s in self.layout if s.kind == "ancilla"]
-
-    @property
     def num_wires(self) -> int:
-        return sum(1 for s in self.layout if s.kind == "data")
+        return len(self.layout)
 
 
 def encrypt(sk: SymKey, plaintext: sim.StateVector, t_budget: int,
             rng: np.random.Generator) -> SymCiphertext:
-    """Encode each wire into an n-qubit block and append t_budget encoded
-    magic ancillas; the ancillas ride along inside the same register."""
+    """Encode each wire into an n-qubit block and prepare t_budget encoded
+    magic ancillas. The ancillas stay sparse product factors beside the
+    m*n-qubit register until a T gadget splices one in."""
     code = sk.code
     m = plaintext.num_qubits
     total = (m + t_budget) * code.n
@@ -114,12 +121,10 @@ def encrypt(sk: SymKey, plaintext: sim.StateVector, t_budget: int,
             f"{m} wires + {t_budget} ancillas need {total} qubits "
             f"(limit {sim.MAX_QUBITS})")
     state = css.encode_blocks(code, plaintext)
-    layout = [BlockSlot(sid=w, kind="data", wire=w) for w in range(m)]
-    for a in range(t_budget):
-        state = sim.kron_states(state, css.magic_ancilla(code))
-        layout.append(BlockSlot(sid=m + a, kind="ancilla", wire=None))
+    layout = [BlockSlot(sid=w, wire=w) for w in range(m)]
+    pool = [(m + a, *css.magic_ancilla_sparse(code)) for a in range(t_budget)]
     return SymCiphertext(state=state, n=code.n, layout=layout,
-                         variant=sk.variant, rng=rng)
+                         variant=sk.variant, ancilla_pool=pool, rng=rng)
 
 
 def _transversal_h(ct: SymCiphertext, wire: int) -> None:
@@ -139,25 +144,23 @@ def ft_t_gadget(ct: SymCiphertext, wire: int, readout) -> SymCiphertext:
     """Teleport a T gate through one encoded magic ancilla.
 
     Transversal CNOTs with the ancilla block as control write the data onto
-    the ancilla; measuring the data block (one draw from its marginal,
-    which also drops the block) yields an n-bit record whose logical bit
-    the oracle reports; outcome 1 takes the transversal X then S-dagger
-    correction. The ancilla becomes the wire's block.
+    the ancilla, and measuring the data block yields an n-bit record whose
+    logical bit the oracle reports; sim.splice_ancilla does both on the
+    pending product factor, and the ancilla takes the data block's place.
+    Outcome 1 takes the transversal X then S-dagger correction. The
+    ancilla becomes the wire's block.
     """
-    pool = ct.ancilla_pool
-    if not pool:
+    if not ct.ancilla_pool:
         raise AncillaExhaustedError(f"no ancilla left for T on wire {wire}")
-    anc = pool[0]
     data = ct.wire_slot(wire)
+    sid, a_idx, a_val = ct.ancilla_pool.pop(0)
+    anc = BlockSlot(sid=sid, wire=wire)
     n = ct.n
 
-    sim.transversal_cnot(ct.state, ct.slot_start(anc.sid),
-                         ct.slot_start(data.sid), n)
     ct.events.append(("CNOT", anc.sid, data.sid))
-
-    bits, ct.state = sim.measure_block(ct.state, ct.slot_start(data.sid), n,
-                                       ct.rng)
-    ct.layout.remove(data)
+    bits, ct.state = sim.splice_ancilla(ct.state, ct.slot_start(data.sid), n,
+                                        a_idx, a_val, ct.rng)
+    ct.layout[ct.layout.index(data)] = anc
     ct.events.append(("MEASURE", data.sid, bits))
 
     outcome = int(readout(bits))
@@ -169,8 +172,6 @@ def ft_t_gadget(ct: SymCiphertext, wire: int, readout) -> SymCiphertext:
         ct.events.append(("SDGX", anc.sid))
 
     ct.events.append(("RETIRE", data.sid, wire, anc.sid))
-    anc.kind = "data"
-    anc.wire = wire
     return ct
 
 
@@ -248,33 +249,30 @@ def make_readout(sk: SymKey, ct: SymCiphertext):
 
 
 def decrypt(sk: SymKey, ct: SymCiphertext) -> sim.StateVector:
-    """Replay the executed operations to recover each block's key, discard
-    unconsumed ancillas (verified unentangled), decode the data blocks,
-    and put the wires back in logical order."""
+    """Check that every unconsumed ancilla is still the key's magic state,
+    replay the executed operations to recover each block's key, decode
+    the data blocks, and put the wires back in logical order.
+
+    A block keyed (u', v') is, up to a global phase, the key's own
+    encoding under the Pauli frame X^(v' ^ v) Z^(u' ^ u), so every block
+    decodes under the key's cached isometry with that frame."""
+    code = sk.code
+    magic = css.magic_ancilla_sparse(code)
+    for sid, idx, vals in ct.ancilla_pool:
+        lost = 1.0 - abs(sim.sparse_vdot(*magic, idx, vals)) ** 2
+        if lost > ANCILLA_PRODUCT_TOL:
+            raise LeakageError(
+                f"ancilla slot {sid} is not the expected product state "
+                f"(weight {lost:.3e} lost)")
     keys = _replay_keys(sk, ct.events)
-    state = ct.state
-    prefix_wires: list[int] = []
-    prefix = 0
+    frames = []
     for slot in ct.layout:
-        code = _slot_code(sk, keys, slot.sid)
-        if slot.kind == "ancilla":
-            idx, vals = css.magic_ancilla_sparse(code)
-            state, lost = sim.contract_block_state(state, prefix, ct.n, idx, vals)
-            if lost > ANCILLA_PRODUCT_TOL:
-                raise LeakageError(
-                    f"ancilla slot {slot.sid} is not the expected product "
-                    f"state (weight {lost:.3e} lost)")
-        else:
-            state, leak = sim.contract_block_isometry(state, prefix,
-                                                      css.isometry(code))
-            if leak > css.DECODE_LEAKAGE_TOL:
-                raise LeakageError(
-                    f"block for wire {slot.wire}: weight {leak:.3e} outside "
-                    f"the code space")
-            prefix_wires.append(slot.wire)
-            prefix += 1
-    perm = [prefix_wires.index(w) for w in range(len(prefix_wires))]
-    return sim.permute_wires(state, perm)
+        u, v = keys.get(slot.sid, (code.u, code.v))
+        frames.append((v ^ code.v, u ^ code.u))
+    plain = css.decode_blocks(code, ct.state, frames=frames)
+    wires = [s.wire for s in ct.layout]
+    perm = [wires.index(w) for w in range(len(wires))]
+    return sim.permute_wires(plain, perm)
 
 
 def attack_key_guess(ct: SymCiphertext, candidates: list[SymKey],
@@ -282,13 +280,11 @@ def attack_key_guess(ct: SymCiphertext, candidates: list[SymKey],
     """Try to identify the key by decoding one data block under each
     candidate. Reports how many candidates decode without leakage; clean
     decode alone cannot single out the true key when several do."""
-    data_slots = [s for s in ct.layout if s.kind == "data"]
-    if not data_slots:
+    if not ct.layout:
         raise ShapeError("ciphertext has no data blocks")
-    start = ct.slot_start(data_slots[0].sid)
     clean = []
     for cand in candidates:
-        _, leak = sim.contract_block_isometry(ct.state, start,
+        _, leak = sim.contract_block_isometry(ct.state, 0,
                                               css.isometry(cand.code))
         clean.append(bool(leak <= css.DECODE_LEAKAGE_TOL))
     return {

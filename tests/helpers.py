@@ -9,7 +9,7 @@ import itertools
 
 import numpy as np
 
-from cssfhe import sim
+from cssfhe import css, sim
 
 
 def rng(seed: int) -> np.random.Generator:
@@ -20,6 +20,15 @@ def random_state(gen: np.random.Generator, m: int) -> sim.StateVector:
     amps = gen.normal(size=1 << m) + 1j * gen.normal(size=1 << m)
     amps /= np.linalg.norm(amps)
     return sim.StateVector(m, amps)
+
+
+def decode_per_block(state: sim.StateVector, block_codes) -> sim.StateVector:
+    """Decode block i under block_codes[i]'s own isometry, asserting that
+    each block lies in that code space."""
+    for i, code in enumerate(block_codes):
+        state, leak = sim.contract_block_isometry(state, i, css.isometry(code))
+        assert leak <= css.DECODE_LEAKAGE_TOL
+    return state
 
 
 def span_brute(rows) -> set[tuple]:

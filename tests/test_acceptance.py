@@ -12,7 +12,7 @@ import numpy as np
 from cssfhe import asymmetric, cli, css, files, gf2, sim, symmetric
 from cssfhe.errors import DecodeFailureError
 
-from helpers import random_circuit, random_state, rng
+from helpers import decode_per_block, random_circuit, random_state, rng
 
 
 def seeded(*parts):
@@ -106,10 +106,8 @@ def test_criterion_03_transversal_identities():
                                        css.isometry(css.build(c1, c2, ut, vt)))
         for q in range(7):
             sim.apply_gate(enc, sim.GateOp("CNOT", (q, 7 + q)))
-        out = css.decode_blocks(
-            css.build(c1, c2, uc, vc), enc,
-            per_block=[css.build(c1, c2, uc ^ ut, vc),
-                       css.build(c1, c2, ut, vc ^ vt)])
+        out = decode_per_block(enc, [css.build(c1, c2, uc ^ ut, vc),
+                                     css.build(c1, c2, ut, vc ^ vt)])
         ref = sim.apply_gate(psi.copy(), sim.GateOp("CNOT", (0, 1)))
         assert sim.fidelity(out, ref) >= 1 - 1e-10
 

@@ -17,7 +17,8 @@ from cssfhe.errors import (
     ShapeError,
 )
 
-from helpers import bits_to_index, random_state, rng, span_brute
+from helpers import (bits_to_index, decode_per_block, random_state, rng,
+                     span_brute)
 
 
 @pytest.fixture(scope="module")
@@ -596,9 +597,8 @@ def test_key_evolution_cnot_rule(steane_pair):
         enc = sim.apply_block_isometry(enc, 7, css.isometry(code_t))
         for q in range(7):
             enc = sim.apply_gate(enc, sim.GateOp("CNOT", (q, 7 + q)))
-        out = css.decode_blocks(code_c, enc,
-                                per_block=[css.build(c1, c2, nuc, nvc),
-                                           css.build(c1, c2, nut, nvt)])
+        out = decode_per_block(enc, [css.build(c1, c2, nuc, nvc),
+                                     css.build(c1, c2, nut, nvt)])
         ref = sim.apply_gate(psi.copy(), sim.GateOp("CNOT", (0, 1)))
         assert sim.fidelity(out, ref) >= 1 - 1e-10
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cssfhe import sim
+from cssfhe import codes, css, gf2, sim
 from cssfhe.errors import (
     CapacityError,
     CircuitParseError,
@@ -447,40 +447,108 @@ def test_block_marginal_matches_sequential_measure_z(m, start, n):
         assert abs(marginal[j] - want) < 1e-12
 
 
-@pytest.mark.parametrize("m,start,n", [(12, 0, 4), (12, 4, 4), (12, 8, 4),
-                                       (14, 7, 7)])
-def test_measure_block_forced_record_matches_reference(m, start, n):
+class _Forced:
+    """Generator stand-in for splice_ancilla: choice() checks the weights
+    it is given and returns a preset ancilla term, random() returns a
+    preset value; each may be called once."""
+
+    def __init__(self, term, value, probs):
+        self.terms, self.values, self.probs = [term], [value], probs
+
+    def choice(self, size, p):
+        assert size == len(self.probs)
+        assert np.allclose(p, self.probs / self.probs.sum(), atol=1e-15)
+        return self.terms.pop()
+
+    def random(self):
+        return self.values.pop()
+
+
+def _sparse_ancilla(kind, n, g):
+    """A Steane magic ancilla under a random family key, or a random
+    normalized state on five distinct n-bit block indices."""
+    if kind == "steane":
+        b = codes.builtin_codes()
+        code = css.build(b["hamming74"], b["simplex73"],
+                         gf2.random_vector(7, g), gf2.random_vector(7, g))
+        return css.magic_ancilla_sparse(code)
+    idx = g.choice(1 << n, size=5, replace=False).astype(np.int64)
+    vals = g.normal(size=5) + 1j * g.normal(size=5)
+    return idx, vals / np.linalg.norm(vals)
+
+
+def _joint_after_cnots(psi, start, n, a_idx, a_val):
+    """Reference: the ancilla appended as a dense block after the register,
+    then one CNOT per qubit from the ancilla onto the data block."""
+    m = psi.num_qubits
+    anc = np.zeros(1 << n, dtype=np.complex128)
+    anc[a_idx] = a_val
+    joint = sim.kron_states(psi.copy(), sim.StateVector(n, anc, check=False))
+    for q in range(n):
+        sim.apply_gate(joint, sim.GateOp("CNOT", (m + q, start + q)))
+    return joint
+
+
+@pytest.mark.parametrize("m,start,n,kind", [
+    (7, 0, 7, "steane"), (14, 0, 7, "steane"), (14, 7, 7, "steane"),
+    (14, 0, 7, "random"), (14, 7, 7, "random"), (14, 5, 4, "random"),
+    (7, 0, 3, "random"), (7, 2, 3, "random"), (7, 4, 3, "random"),
+    (12, 0, 4, "random"), (12, 4, 4, "random"), (12, 8, 4, "random")])
+def test_splice_ancilla_forced_record_matches_joint_register(m, start, n,
+                                                             kind):
+    """With both draws forced, the record is a xor d and the state is the
+    joint register sliced at that record, renormalized, with the ancilla
+    moved into the data block's place."""
     g = rng(86 + start)
     psi = random_state(g, m)
+    a_idx, a_val = _sparse_ancilla(kind, n, g)
+    joint = _joint_after_cnots(psi, start, n, a_idx, a_val)
+    cube = joint.amps.reshape(1 << start, 1 << n, -1, 1 << n)
     cum = np.cumsum(sim.block_marginal(psi, start, n))
-    for j in (0, (1 << n) - 1, int(g.integers(1 << n))):
-        lower = cum[j - 1] if j else 0.0
-        bits, post = sim.measure_block(psi.copy(), start, n,
-                                       _Fixed((lower + cum[j]) / 2))
-        assert bits == format(j, f"0{n}b")
-        _, ref = _reference_measure(psi.copy(), start, n, bits)
-        assert post.num_qubits == m - n
-        assert np.allclose(post.amps, ref.amps, atol=1e-12)
-        assert abs(post.norm() - 1) < 1e-12
+    for term in (0, a_idx.size - 1):
+        for d in (0, (1 << n) - 1, int(g.integers(1 << n))):
+            lower = cum[d - 1] if d else 0.0
+            forced = _Forced(term, (lower + cum[d]) / 2, np.abs(a_val) ** 2)
+            bits, post = sim.splice_ancilla(psi.copy(), start, n, a_idx,
+                                            a_val, forced)
+            assert not forced.terms and not forced.values
+            y = int(a_idx[term]) ^ d
+            assert bits == format(y, f"0{n}b")
+            ref = cube[:, y].transpose(0, 2, 1).reshape(-1)
+            assert post.num_qubits == m
+            assert np.allclose(post.amps, ref / np.linalg.norm(ref),
+                               atol=1e-12)
+            assert abs(post.norm() - 1) < 1e-12
 
 
-def test_measure_block_uses_one_draw_and_checks_norm():
+def test_splice_ancilla_record_distribution_is_joint_marginal():
+    """Drawing a from the ancilla and d from the data block gives the
+    record y = a xor d with the XOR convolution of the two marginals,
+    which is the data block's marginal in the joint register after the
+    CNOTs."""
+    g = rng(88)
+    for m, start, n, kind in ((7, 0, 7, "steane"), (14, 7, 7, "steane"),
+                              (14, 0, 7, "random"), (12, 4, 4, "random")):
+        psi = random_state(g, m)
+        a_idx, a_val = _sparse_ancilla(kind, n, g)
+        want = sim.block_marginal(_joint_after_cnots(psi, start, n, a_idx,
+                                                     a_val), start, n)
+        marginal = sim.block_marginal(psi, start, n)
+        got = np.zeros(1 << n)
+        for a, p in zip(a_idx, np.abs(a_val) ** 2):
+            got += p * marginal[np.arange(1 << n) ^ a]
+        assert np.allclose(got, want, atol=1e-12)
+
+
+def test_splice_ancilla_uses_two_draws_and_checks_norm():
     psi = random_state(rng(87), 8)
-    sim.measure_block(psi.copy(), 2, 4, _Fixed(0.5))  # a second draw raises
+    a_idx, a_val = _sparse_ancilla("random", 4, rng(0))
+    # a third draw raises
+    sim.splice_ancilla(psi.copy(), 2, 4, a_idx, a_val,
+                       _Forced(1, 0.5, np.abs(a_val) ** 2))
     unnormalized = sim.StateVector(8, 2 * psi.amps, check=False)
     with pytest.raises(ShapeError):
-        sim.measure_block(unnormalized, 2, 4, rng(0))
-
-
-def test_measure_block_statistics_on_plus_block():
-    plus = sim.transversal_h(sim.basis_state(3, "000"), 0, 3)
-    g = rng(88)
-    counts = np.zeros(8)
-    for _ in range(4000):
-        bits, rest = sim.measure_block(plus.copy(), 1, 2, g)
-        counts[int(bits, 2)] += 1
-        assert rest.num_qubits == 1
-    assert np.all(np.abs(counts[:4] / 4000 - 0.25) < 0.03)
+        sim.splice_ancilla(unnormalized, 2, 4, a_idx, a_val, rng(0))
 
 
 @pytest.mark.parametrize("call", [
@@ -490,8 +558,10 @@ def test_measure_block_statistics_on_plus_block():
     lambda s: sim.transversal_cnot(s, 0, 6, 4),
     lambda s: sim.transversal_cnot(s, 0, 2, 4),
     lambda s: sim.transversal_cnot(s, 4, 4, 4),
-    lambda s: sim.measure_block(s, 6, 3, rng(0)),
-    lambda s: sim.measure_block(s, 0, 0, rng(0)),
+    lambda s: sim.splice_ancilla(s, 6, 3, np.array([0]), np.array([1.0]),
+                                 rng(0)),
+    lambda s: sim.splice_ancilla(s, 0, 0, np.array([0]), np.array([1.0]),
+                                 rng(0)),
     lambda s: sim.block_marginal(s, -2, 3),
     lambda s: sim.apply_block_pauli(s, 7, 2, 1, 0),
 ])

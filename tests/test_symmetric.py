@@ -58,10 +58,16 @@ def test_encrypt_layout_and_capacity():
     psi = random_state(g, 1)
     ct = symmetric.encrypt(key, psi, 0, g)
     assert ct.state.num_qubits == 7
-    assert [s.kind for s in ct.layout] == ["data"]
+    assert [(s.sid, s.wire) for s in ct.layout] == [(0, 0)]
+    assert ct.ancilla_pool == []
+    # the ancilla is a pending product factor, not part of the register
     ct = symmetric.encrypt(key, psi, 1, g)
-    assert ct.state.num_qubits == 14
+    assert ct.state.num_qubits == 7
     assert len(ct.ancilla_pool) == 1
+    sid, idx, vals = ct.ancilla_pool[0]
+    want_idx, want_vals = css.magic_ancilla_sparse(key.code)
+    assert sid == 1
+    assert np.array_equal(idx, want_idx) and np.array_equal(vals, want_vals)
     with pytest.raises(CapacityError):
         symmetric.encrypt(key, random_state(g, 2), 2, g)  # (2+2)*7 = 28
 
@@ -130,6 +136,21 @@ def test_gadget_exhausts_pool_accounting():
     with pytest.raises(AncillaExhaustedError):
         symmetric.evaluate(7, sim.parse_circuit("T 0\nT 0"), ct,
                            symmetric.make_readout(key, ct))
+
+
+def test_gadget_keeps_register_at_data_blocks():
+    """A 2-wire, 1-T Steane circuit never holds more than the two data
+    blocks: the gadget splices its ancilla into the measured block's place,
+    at the same register position."""
+    g = rng(48)
+    key = symmetric.keygen("steane", "family", g)
+    ct = symmetric.encrypt(key, random_state(g, 2), 1, g)
+    assert ct.state.num_qubits == 14
+    symmetric.evaluate(7, sim.parse_circuit("H 1\nT 0\nCNOT 0 1"), ct,
+                       symmetric.make_readout(key, ct))
+    assert ct.state.num_qubits == 14
+    assert [(s.sid, s.wire) for s in ct.layout] == [(2, 0), (1, 1)]
+    assert ct.ancilla_pool == []
 
 
 def test_gadget_t_on_plus_both_outcomes():
@@ -258,6 +279,38 @@ def test_decrypt_sibling_key_flips_plaintext():
     assert sim.fidelity(out, psi) < 0.99
     flipped = sim.apply_gate(psi.copy(), sim.GateOp("X", (0,)))
     assert sim.fidelity(out, flipped) >= 1 - 1e-10
+
+
+@pytest.mark.parametrize("mode", ["family", "scrambled"])
+def test_decrypt_rejects_tampered_pending_ancilla(mode):
+    """An unconsumed ancilla must be the key's own magic state: a sibling
+    key's magic state (half overlap) or the key's |0>_L make decrypt
+    raise, while the untouched ancilla decrypts cleanly."""
+    g = rng(49)
+    key = symmetric.keygen("steane", mode, g)
+    psi = random_state(g, 1)
+    ct = symmetric.encrypt(key, psi, 1, g)
+    assert sim.fidelity(symmetric.decrypt(key, ct), psi) >= 1 - 1e-10
+    sibling = key.code.with_key(key.code.u, key.code.v ^ key.code.x1)
+    logical_zero = css.isometry(key.code).cols[0]
+    for idx, vals in (css.magic_ancilla_sparse(sibling), logical_zero):
+        ct.ancilla_pool[0] = (1, idx, vals)
+        with pytest.raises(LeakageError):
+            symmetric.decrypt(key, ct)
+
+
+def test_base_pairs_are_shared_and_read_only():
+    for name in ("steane", "golay"):
+        pair = symmetric.base_pair(name)
+        assert symmetric.base_pair(name) is pair
+        for code in pair:
+            for mat in (code.gen, code.pchk):
+                with pytest.raises(ValueError):
+                    mat[0, 0] ^= 1
+    c1, _ = symmetric.base_pair("steane")
+    a = symmetric.keygen("steane", "family", rng(50))
+    b = symmetric.keygen("steane", "scrambled", rng(51))
+    assert a.secret.c1 is c1 and b.secret.g is c1.gen
 
 
 def test_decrypt_wrong_scrambled_key_leaks():

@@ -243,7 +243,7 @@ def _gate_t(ct: AsymCiphertext, wire: int, code: CssCode,
     n = ct.n
     d0 = ct.slot_start(data.sid)
     a_idx, a_val = css.magic_ancilla_sparse(code)
-    bits, ct.state = sim.splice_ancilla(ct.state, d0, n, a_idx, a_val, rng)
+    bits, _ = sim.splice_ancilla(ct.state, d0, n, a_idx, a_val, rng)
 
     if css.logical_readout(code, bits) == 1:
         # logical SX correction: transversal X then transversal Sdg

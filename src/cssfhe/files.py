@@ -1,4 +1,4 @@
-"""On-disk formats: keys, states, circuits, ciphertexts, transcripts.
+"""On-disk formats: keys, states, circuits, transcripts.
 
 Everything is JSON with sorted keys and no whitespace so identical inputs
 produce byte-identical files. Matrices are lists of '0'/'1' strings, one
@@ -138,24 +138,6 @@ def parse_state(rec: dict) -> sim.StateVector:
     return sim.StateVector(
         qubits, np.array([complex(re, im) for re, im in amps],
                          dtype=np.complex128))
-
-
-def sym_ciphertext_record(ct: symmetric.SymCiphertext) -> dict:
-    blocks = {str(s.wire): i for i, s in enumerate(ct.layout)}
-    ancillas = [{"slot": sid, "idx": idx.tolist(),
-                 "amps": [[float(a.real), float(a.imag)] for a in vals]}
-                for sid, idx, vals in ct.ancilla_pool]
-    max_wire = max((w for g in ct.executed for w in g.wires), default=-1)
-    executed = sim.LogicalCircuit(max_wire + 1, tuple(ct.executed))
-    return {
-        **state_record(ct.state),
-        "n": ct.n,
-        "blocks": blocks,
-        "ancillas": ancillas,
-        "executed": sim.circuit_to_text(executed),
-        "gadget_outcomes": list(ct.gadget_outcomes),
-        "key_variant": ct.variant,
-    }
 
 
 def transcript_records(tr: asymmetric.Transcript) -> list[dict]:

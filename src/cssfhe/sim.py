@@ -3,18 +3,19 @@
 Conventions, fixed once:
   - wire 0 is the most significant bit of the amplitude index;
   - at most 24 qubits (three 7-qubit blocks, or one 23-qubit block, fit);
-  - gates and block kernels mutate the StateVector and return it. The
-    kernels that permute amplitudes (`transversal_cnot`, `transversal_sdgx`
-    and the X part of `apply_block_pauli`) rebind `state.amps` to a new
-    array, so read `state.amps` again after a call instead of keeping the
-    old array;
+  - gates and block kernels mutate the StateVector in place and return
+    it. No kernel rebinds `state.amps`, so an array read from it before
+    a call holds the result after it. The block kernels work a chunk of
+    _CHUNK amplitudes (512 KiB) at a time, and their scratch is a few
+    chunks (two for amplitudes, the rest phase tables), never a
+    register-sized array. The one exception is `transversal_cnot`, whose
+    gather and index are register-sized;
   - `amps` is always C-contiguous, so reshapes are views.
 
 The per-qubit `apply_gate` and `measure_z` are the reference path; the
 block kernels (`transversal_h`, `transversal_cnot`, `transversal_sdgx`,
 `splice_ancilla`, `apply_block_pauli`) act on a whole n-qubit block at
-once, in one pass over the register (H: one pass per four qubits), and
-are tested against that path.
+once and are tested against that path.
 """
 
 from __future__ import annotations
@@ -34,6 +35,11 @@ from .errors import (
 )
 
 MAX_QUBITS = 24
+_CHUNK_BITS = 15
+_CHUNK = 1 << _CHUNK_BITS  # amplitudes per step of the in-place kernels
+_POPCOUNT = np.zeros(1, dtype=np.uint8)  # set bits of every index < _CHUNK
+for _ in range(_CHUNK_BITS):
+    _POPCOUNT = np.concatenate((_POPCOUNT, _POPCOUNT + 1))
 _SQRT2 = math.sqrt(2.0)
 
 GATE_1Q = {
@@ -310,6 +316,19 @@ def _block_cube(state: StateVector, start: int, n: int) -> np.ndarray:
     return state.amps.reshape(1 << start, 1 << n, -1)
 
 
+def _slabs(cube: np.ndarray, per: int, cap: int):
+    """Views cube[p0:p1, :, q0:q1] that tile the (pre, k, post) array
+    cube: whole rows while they fit, else column pieces of one row. Each
+    slab has at most max(cap, per) elements once its middle axis is cut
+    down to `per` entries."""
+    pre, _, post = cube.shape
+    rows = max(1, cap // (per * post))
+    width = max(1, min(post, cap // per))
+    for p0 in range(0, pre, rows):
+        for q0 in range(0, post, width):
+            yield cube[p0:p0 + rows, :, q0:q0 + width]
+
+
 def _hadamard(k: int) -> np.ndarray:
     """Real dense H^(x)k, a symmetric 2^k x 2^k matrix."""
     mat = np.ones((1, 1))
@@ -320,34 +339,60 @@ def _hadamard(k: int) -> np.ndarray:
 
 _H_CHUNK = 4  # qubits per dense Hadamard factor
 _H_DENSE = {k: _hadamard(k) for k in range(1, _H_CHUNK + 1)}
+# H^(x)k (x) I for axes with fewer than 16 floats per index: the floats are
+# folded into the matrix so that each product has rows of useful length
+_H_FOLDED = {(k, inner): np.kron(_H_DENSE[k], np.eye(inner))
+             for k in _H_DENSE for inner in (2, 4, 8)}
+
+
+def _h_factor(src: np.ndarray, out: np.ndarray) -> None:
+    """out = H^(x)k along axis 1 of the (rows, 2^k, inner) float views."""
+    rows, size, inner = src.shape
+    k = size.bit_length() - 1
+    if inner < 16:
+        np.matmul(src.reshape(rows, -1), _H_FOLDED[k, inner],
+                  out=out.reshape(rows, -1))
+    else:
+        np.matmul(_H_DENSE[k], src, out=out)
 
 
 def transversal_h(state: StateVector, start: int, n: int) -> StateVector:
     """H on every qubit of the block at [start, start+n).
 
-    H^(x)n is applied as dense H^(x)k factors on chunks of at most
-    _H_CHUNK qubits. Each factor is one real matrix product over the
-    re/im-interleaved amplitudes, and the passes alternate between the
-    register and a single scratch array, so the result ends in place."""
-    _block_cube(state, start, n)
-    m = state.num_qubits
-    reg = src = state.amps.view(np.float64)
-    dst = np.empty_like(src)
-    for q in range(start, start + n, _H_CHUNK):
-        k = min(_H_CHUNK, start + n - q)
-        mat = _H_DENSE[k]
-        inner = 2 << (m - q - k)  # floats per chunk index
-        if inner >= 16:
-            np.matmul(mat, src.reshape(1 << q, 1 << k, inner),
-                      out=dst.reshape(1 << q, 1 << k, inner))
-        else:
-            # few floats per index: fold them into the matrix instead
-            width = inner << k
-            np.matmul(src.reshape(-1, width), np.kron(mat, np.eye(inner)),
-                      out=dst.reshape(-1, width))
-        src, dst = dst, src
-    if src is not reg:
-        np.copyto(reg, src)
+    H^(x)n is applied as dense H^(x)k factors on groups of at most
+    _H_CHUNK qubits, each a real matrix product over the re/im-interleaved
+    amplitudes, computed slab by slab into a chunk of scratch. A factor
+    whose fibers (the block from its first qubit on, times everything
+    after the block) fit in the scratch runs together with the later
+    factors: each slab of whole fibers goes through all of them in turn,
+    alternating between the slab and the scratch. Each earlier factor
+    makes its own pass and copies every slab back."""
+    cube = _block_cube(state, start, n).view(np.float64)
+    _, size, inner = cube.shape
+    cap = min(2 * _CHUNK, cube.size)  # floats of scratch
+    buf = np.empty(cap)
+    factors = [(o, min(_H_CHUNK, n - o)) for o in range(0, n, _H_CHUNK)]
+    split = next((i for i, (o, _) in enumerate(factors)
+                  if (size >> o) * inner <= cap), len(factors))
+
+    def axes(o, k):  # (rows, 2^k, floats per index) of the factor at o
+        return -1, 1 << k, (size >> (o + k)) * inner
+
+    for o, k in factors[:split]:
+        for slab in _slabs(cube.reshape(axes(o, k)), 1 << k, cap):
+            out = buf[:slab.size].reshape(slab.shape)
+            _h_factor(slab, out)
+            np.copyto(slab, out)
+    if split < len(factors):
+        o0 = factors[split][0]
+        fibers = cube.reshape(-1, size >> o0, inner)
+        for slab in _slabs(fibers, size >> o0, cap):
+            src, dst = slab, buf[:slab.size].reshape(slab.shape)
+            for o, k in factors[split:]:
+                _h_factor(src.reshape(axes(o, k)), dst.reshape(axes(o, k)))
+                src, dst = dst, src
+            if src is not slab:
+                np.copyto(slab, src)
     return state
 
 
@@ -356,7 +401,9 @@ def transversal_cnot(state: StateVector, c0: int, t0: int,
     """CNOT from qubit c0+q onto qubit t0+q for every q < n, so the target
     block index t becomes t XOR c. One gather through a flat source index
     built by broadcasting over (before, first block, between, second
-    block, after)."""
+    block, after), written back into the register. The gather and the
+    index are register-sized: two blocks fit only for n <= 12, and the
+    schemes run it on at most 21 qubits."""
     _block_cube(state, c0, n)
     _block_cube(state, t0, n)
     if abs(c0 - t0) < n:
@@ -370,46 +417,107 @@ def transversal_cnot(state: StateVector, c0: int, t0: int,
     s_first = mid * s_mid
     s_pre = size * s_first
     j = np.arange(size, dtype=np.intp)
-    xor = j[:, None] ^ j[None, :]
+    blocks = np.bitwise_xor.outer(j, j)
     if c0 < t0:   # axes (c, t): keep c, read t ^ c
-        blocks = j[:, None] * s_first + xor * post
+        blocks *= post
+        blocks += j[:, None] * s_first
     else:         # axes (t, c): read t ^ c, keep c
-        blocks = xor * s_first + j[None, :] * post
+        blocks *= s_first
+        blocks += j * post
     rest = (np.arange(1 << lo, dtype=np.intp)[:, None, None] * s_pre
             + np.arange(mid, dtype=np.intp)[None, :, None] * s_mid
             + np.arange(post, dtype=np.intp))
-    idx = np.empty((1 << lo, size, mid, size, post), dtype=np.intp)
-    np.add(blocks[None, :, None, :, None], rest[:, None, :, None, :], out=idx)
-    state.amps = state.amps[idx.reshape(-1)]
+    if rest.size > 1:  # else the two blocks are the whole register
+        blocks = np.add(blocks[None, :, None, :, None],
+                        rest[:, None, :, None, :])
+    np.copyto(state.amps, state.amps[blocks.reshape(-1)])
     return state
 
 
-def _sdg_phases(n: int) -> np.ndarray:
-    """(-i)^popcount(j) for every n-bit block index j."""
-    phases = np.ones(1, dtype=np.complex128)
-    for _ in range(n):
-        phases = np.kron(phases, [1, -1j])
-    return phases
+def _xor_phase(state: StateVector, start: int, n: int, x_mask: int,
+               p_mask: int, omega: complex, sign: complex) -> None:
+    """In place, new[j] = sign * omega^popcount(j & P) * old[j ^ X] with X
+    and P the block-local masks moved to the register bits of the block
+    at [start, start+n); omega^4 must be 1.
+
+    The register goes chunk by chunk: chunk k pairs with chunk
+    k ^ (X >> _CHUNK_BITS), and both chunks of a pair are read into
+    scratch before either is written. Inside a chunk the low bits of X
+    are one np.flip view. The phase at destination j is a scalar per chunk
+    (from the high bits of j & P) times a table over the block bits inside
+    the chunk."""
+    m = state.num_qubits
+    shift = m - start - n
+    big_x, big_p = x_mask << shift, p_mask << shift
+    cbits = min(m, _CHUNK_BITS)
+    chunks = state.amps.reshape(-1, *[2] * cbits)
+    powers = [sign]
+    for _ in range(3):
+        powers.append(powers[-1] * omega)
+    powers = np.array(powers, dtype=np.complex128)
+    # a chunk as (before the block, the block bits inside it, after)
+    nbits = max(0, min(cbits, shift + n) - shift)
+    shape = (-1, 1 << nbits, 1 << min(shift, cbits))
+    p_low = (big_p & ((1 << cbits) - 1)) >> shift
+    counts = (_POPCOUNT[np.arange(1 << nbits) & p_low][:, None]
+              if p_low else None)
+    phases = {}
+
+    def put(dst, src, k):
+        """dst = (phase of chunk k) * src, for whole chunks."""
+        e = bin(k & big_p >> cbits).count("1") % 4
+        if e not in phases:
+            phases[e] = (powers[e] if counts is None
+                         else powers[(counts + e) % 4])
+        f = phases[e]
+        if counts is not None or f != 1:
+            np.multiply(src.reshape(shape), f, out=dst.reshape(shape))
+        elif src is not dst:
+            np.copyto(dst, src)
+
+    if not big_x:
+        for k, chunk in enumerate(chunks):
+            put(chunk, chunk, k)
+        return
+    flipped = np.flip(chunks, [cbits - b for b in range(cbits)
+                               if big_x >> b & 1])
+    x_hi = big_x >> cbits
+    bufs = np.empty((2 if x_hi else 1, *chunks.shape[1:]),
+                    dtype=np.complex128)
+    for k in range(chunks.shape[0]):
+        k2 = k ^ x_hi
+        if k2 < k:
+            continue
+        np.copyto(bufs[0], flipped[k2])
+        if k2 != k:
+            np.copyto(bufs[1], flipped[k])
+            put(chunks[k2], bufs[1], k2)
+        put(chunks[k], bufs[0], k)
 
 
 def transversal_sdgx(state: StateVector, start: int, n: int) -> StateVector:
     """X then Sdg on every qubit of the block at [start, start+n):
-    new[j] = (-i)^popcount(j) * old[j XOR (2^n - 1)], one pass."""
-    cube = _block_cube(state, start, n)
-    out = np.empty_like(cube)
-    np.multiply(cube[:, ::-1, :], _sdg_phases(n)[None, :, None], out=out)
-    state.amps = out.reshape(-1)
+    new[j] = (-i)^popcount(j) * old[j XOR (2^n - 1)], one in-place pass."""
+    _block_cube(state, start, n)
+    ones = (1 << n) - 1
+    _xor_phase(state, start, n, ones, ones, -1j, 1)
     return state
+
+
+def _marginal(cube: np.ndarray) -> np.ndarray:
+    """Probability weight of each index of axis 1 of the (pre, k, post)
+    array cube, summed over the other two axes."""
+    f = cube.view(np.float64)  # (pre, k, 2*post)
+    if f.shape[2] >= 16:
+        return np.einsum("pjq,pjq->j", f, f)
+    flat = f.reshape(f.shape[0], -1)  # short rows: sum whole columns first
+    return np.einsum("pk,pk->k", flat, flat).reshape(f.shape[1], -1).sum(1)
 
 
 def block_marginal(state: StateVector, start: int, n: int) -> np.ndarray:
     """Probability weight of each basis index of the block at
     [start, start+n), summed over the rest of the register."""
-    f = _block_cube(state, start, n).view(np.float64)  # (pre, 2^n, 2*post)
-    if f.shape[2] >= 16:
-        return np.einsum("pjq,pjq->j", f, f)
-    flat = f.reshape(f.shape[0], -1)  # short rows: sum whole columns first
-    return np.einsum("pk,pk->k", flat, flat).reshape(1 << n, -1).sum(1)
+    return _marginal(_block_cube(state, start, n))
 
 
 def sample_block(state: StateVector, start: int, n: int,
@@ -417,13 +525,29 @@ def sample_block(state: StateVector, start: int, n: int,
     """Draw one basis index of the block at [start, start+n) from its
     marginal with a single random number. Returns the index and its
     weight, which is its probability: the state must be normalized
-    (ShapeError otherwise)."""
-    marginal = block_marginal(state, start, n)
-    cum = np.cumsum(marginal)
-    if abs(cum[-1] - 1.0) > 1e-9:
-        raise ShapeError(f"state norm {cum[-1]} is not 1")
-    j = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
-    return j, float(marginal[j])
+    (ShapeError otherwise).
+
+    The marginal is summed over ranges of a chunk of block indices. Only
+    the last range's marginal is kept, and the range the draw falls in is
+    summed again if it is another one, so a 23-qubit block holds no
+    register-sized marginal. With one range this is a plain cumsum and
+    searchsorted."""
+    cube = _block_cube(state, start, n)
+    starts = range(0, 1 << n, _CHUNK)
+    ends = []
+    for j0 in starts:
+        weights = _marginal(cube[:, j0:j0 + _CHUNK])
+        ends.append(np.cumsum(weights)[-1])
+    ends = np.cumsum(ends)
+    if abs(ends[-1] - 1.0) > 1e-9:
+        raise ShapeError(f"state norm {ends[-1]} is not 1")
+    target = rng.random() * ends[-1]
+    i = int(np.searchsorted(ends, target, side="right"))
+    if i != len(starts) - 1:
+        weights = _marginal(cube[:, starts[i]:starts[i] + _CHUNK])
+    cum = (ends[i - 1] if i else 0.0) + np.cumsum(weights)
+    j = int(np.searchsorted(cum, target, side="right"))
+    return starts[i] + j, float(weights[j])
 
 
 def splice_ancilla(state: StateVector, start: int, n: int, a_idx, a_val,
@@ -436,20 +560,32 @@ def splice_ancilla(state: StateVector, start: int, n: int, a_idx, a_val,
     With record y the state is sum_a alpha_a |a> (x) |rest at y xor a>: the
     ancilla takes the data block's place. y is one draw from the XOR
     convolution of the two marginals, y = a xor d, with a drawn from
-    |a_val|^2 and then d from the data block (sample_block). Returns the
-    n-bit record (block qubit 0 first) and the renormalized state."""
+    |a_val|^2 and then d from the data block (sample_block). The update
+    is in place, slab by slab: the slices at y xor a_idx are gathered into
+    at most a chunk of scratch and weighted by the ancilla, the slab is
+    zeroed, and they are scattered back to a_idx. A first pass over the
+    same slices, read only, gives the norm. Returns the n-bit record
+    (block qubit 0 first) and the state."""
     cube = _block_cube(state, start, n)
     probs = np.abs(a_val) ** 2
     j = int(rng.choice(a_idx.shape[0], p=probs / probs.sum()))
     d, _ = sample_block(state, start, n, rng)
     y = int(a_idx[j]) ^ d
 
-    new = np.zeros_like(cube)
-    new[:, a_idx, :] = a_val[None, :, None] * cube[:, y ^ a_idx, :]
-    flat = new.reshape(-1)
-    flat /= np.linalg.norm(flat)
-    return (format(y, f"0{n}b"),
-            StateVector(state.num_qubits, flat, check=False))
+    def gather(slab):  # the slab's slices at y xor a_idx, weighted
+        got = slab[:, y ^ a_idx, :]
+        got *= a_val[:, None]
+        return got
+
+    slabs = list(_slabs(cube, a_idx.shape[0], _CHUNK))
+    scale = 1 / math.sqrt(sum(float(np.vdot(got, got).real)
+                              for got in map(gather, slabs)))
+    for slab in slabs:
+        got = gather(slab)
+        got *= scale
+        slab[...] = 0
+        slab[:, a_idx, :] = got
+    return format(y, f"0{n}b"), state
 
 
 def apply_block_pauli(state: StateVector, start: int, n: int,
@@ -458,21 +594,14 @@ def apply_block_pauli(state: StateVector, start: int, n: int,
     masks given as block-local integers (bit n-1-j of the mask acts on the
     j-th qubit of the block, matching index arithmetic).
 
-    Each Z bit negates one strided half of the register in place; the X
-    part is a single copy through a view that flips the axes of the set
-    mask bits."""
+    new[j] = (-1)^popcount((j ^ x) & z) * old[j ^ x]: one in-place pass
+    that permutes and signs together."""
     cube = _block_cube(state, start, n)
     if not (0 <= x_mask < cube.shape[1] and 0 <= z_mask < cube.shape[1]):
         raise ShapeError(f"masks {x_mask:#x}, {z_mask:#x} exceed {n} bits")
-    for q in range(n):
-        if (z_mask >> (n - 1 - q)) & 1:
-            state.amps.reshape(1 << (start + q), 2, -1)[:, 1, :] *= -1
-    if x_mask:
-        shape = (cube.shape[0], *[2] * n, cube.shape[2])
-        axes = [1 + q for q in range(n) if (x_mask >> (n - 1 - q)) & 1]
-        out = np.empty_like(state.amps)
-        np.copyto(out.reshape(shape), np.flip(state.amps.reshape(shape), axes))
-        state.amps = out
+    if x_mask or z_mask:
+        sign = -1 if bin(x_mask & z_mask).count("1") & 1 else 1
+        _xor_phase(state, start, n, x_mask, z_mask, -1, sign)
     return state
 
 
@@ -484,9 +613,6 @@ def mask_of_bits(bits: np.ndarray) -> int:
     return m
 
 
-_SCAN_CHUNK = 1 << 14  # amplitudes per step of first_occupied
-
-
 def first_occupied(state: StateVector) -> int:
     """Lowest basis index whose amplitude exceeds 1e-6 * 2^(-m/2) in
     modulus, scanned a chunk at a time so that nothing register-sized is
@@ -495,8 +621,8 @@ def first_occupied(state: StateVector) -> int:
     behind, never do."""
     floor = 1e-6 * 2.0 ** (-state.num_qubits / 2)
     amps = state.amps
-    for lo in range(0, amps.shape[0], _SCAN_CHUNK):
-        hits = np.flatnonzero(np.abs(amps[lo:lo + _SCAN_CHUNK]) > floor)
+    for lo in range(0, amps.shape[0], _CHUNK):
+        hits = np.flatnonzero(np.abs(amps[lo:lo + _CHUNK]) > floor)
         if hits.size:
             return lo + int(hits[0])
     raise ShapeError(f"no amplitude above {floor:.3e}: the state is not "

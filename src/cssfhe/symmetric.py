@@ -115,11 +115,10 @@ def encrypt(sk: SymKey, plaintext: sim.StateVector, t_budget: int,
     m*n-qubit register until a T gadget splices one in."""
     code = sk.code
     m = plaintext.num_qubits
-    total = (m + t_budget) * code.n
+    total = m * code.n
     if total > sim.MAX_QUBITS:
         raise CapacityError(
-            f"{m} wires + {t_budget} ancillas need {total} qubits "
-            f"(limit {sim.MAX_QUBITS})")
+            f"{m} wires need {total} qubits (limit {sim.MAX_QUBITS})")
     state = css.encode_blocks(code, plaintext)
     layout = [BlockSlot(sid=w, wire=w) for w in range(m)]
     pool = [(m + a, *css.magic_ancilla_sparse(code)) for a in range(t_budget)]
@@ -158,8 +157,8 @@ def ft_t_gadget(ct: SymCiphertext, wire: int, readout) -> SymCiphertext:
     n = ct.n
 
     ct.events.append(("CNOT", anc.sid, data.sid))
-    bits, ct.state = sim.splice_ancilla(ct.state, ct.slot_start(data.sid), n,
-                                        a_idx, a_val, ct.rng)
+    bits, _ = sim.splice_ancilla(ct.state, ct.slot_start(data.sid), n,
+                                 a_idx, a_val, ct.rng)
     ct.layout[ct.layout.index(data)] = anc
     ct.events.append(("MEASURE", data.sid, bits))
 

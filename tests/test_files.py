@@ -1,10 +1,10 @@
-"""File formats: canonical JSON, fragments, key records, states,
-ciphertext records, transcripts."""
+"""File formats: canonical JSON, fragments, key records, states and
+transcripts."""
 
 import numpy as np
 import pytest
 
-from cssfhe import asymmetric, codes, css, files, gf2, sim, symmetric
+from cssfhe import asymmetric, codes, files, gf2, sim, symmetric
 from cssfhe.errors import ShapeError
 
 from helpers import random_state, rng, span_brute
@@ -135,39 +135,6 @@ def test_parse_state_rejects_wrong_length():
 def test_parse_state_rejects_malformed_records(record):
     with pytest.raises(ShapeError):
         files.parse_state(record)
-
-
-def test_sym_ciphertext_record_schema():
-    g = rng(55)
-    key = symmetric.keygen("steane", "family", g)
-    ct = symmetric.encrypt(key, random_state(g, 2), 1, g)
-    symmetric.evaluate(7, sim.parse_circuit("H 0\nT 1"), ct,
-                       symmetric.make_readout(key, ct))
-    rec = files.sym_ciphertext_record(ct)
-    assert rec["n"] == 7 and rec["key_variant"] == "family"
-    # two data blocks; the gadget spliced the ancilla into a block's place
-    assert rec["qubits"] == ct.state.num_qubits == 14
-    assert set(rec["blocks"]) == {"0", "1"}
-    assert rec["ancillas"] == []  # the lone ancilla was consumed by T
-    parsed = sim.parse_circuit(rec["executed"])
-    assert [op.kind for op in parsed.gates] == ["H", "T"]
-    assert rec["gadget_outcomes"] == ct.gadget_outcomes
-    assert all(o in (0, 1) for o in rec["gadget_outcomes"])
-
-
-def test_sym_ciphertext_record_lists_pending_ancillas():
-    g = rng(57)
-    key = symmetric.keygen("steane", "scrambled", g)
-    ct = symmetric.encrypt(key, random_state(g, 1), 2, g)
-    symmetric.evaluate(7, sim.parse_circuit("T 0"), ct,
-                       symmetric.make_readout(key, ct))
-    rec = files.sym_ciphertext_record(ct)
-    assert rec["qubits"] == 7 and rec["blocks"] == {"0": 0}
-    idx, vals = css.magic_ancilla_sparse(key.code)
-    [anc] = rec["ancillas"]
-    assert anc["slot"] == 2 and anc["idx"] == idx.tolist()
-    assert np.allclose([complex(re, im) for re, im in anc["amps"]], vals,
-                       atol=1e-15)
 
 
 def test_transcript_records():

@@ -1,5 +1,7 @@
 """State-vector simulator: gates, measurement, isometries, circuits."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -321,9 +323,15 @@ def test_apply_block_pauli_matches_gate_loop():
 
 # Block kernels against the per-qubit reference path. Blocks sit at the
 # head, middle and tail of 8-14 qubit registers, including positions that
-# are not multiples of the block length.
+# are not multiples of the block length. Registers of 17-18 qubits span
+# 4-8 chunks of the in-place kernels, so the chunk pairing, the per-chunk
+# phase scalar and the phase table inside a chunk all act: their blocks
+# lie entirely above the chunk bits (18, 0, 3), across them, or below
+# them, and the 16-qubit blocks have more indices than one chunk.
+WIDE_BLOCKS = [(17, 0, 7), (18, 1, 7), (18, 5, 7), (17, 10, 7), (18, 0, 3),
+               (17, 1, 16), (18, 0, 16)]
 BLOCKS = [(12, 0, 4), (12, 4, 4), (12, 8, 4), (14, 0, 7), (14, 7, 7),
-          (10, 3, 5), (12, 2, 9), (8, 7, 1)]
+          (10, 3, 5), (12, 2, 9), (8, 7, 1), *WIDE_BLOCKS]
 CNOT_PAIRS = [(12, 0, 4, 4), (12, 4, 0, 4), (12, 0, 8, 4), (12, 8, 0, 4),
               (12, 4, 8, 4), (12, 8, 4, 4), (14, 0, 7, 7), (14, 7, 0, 7),
               (13, 1, 8, 4), (13, 8, 1, 4), (9, 0, 6, 3), (9, 6, 0, 3)]
@@ -335,8 +343,14 @@ def _per_qubit(state, kind, start, n):
     return state
 
 
-def _masks(g, n):
-    return [0, (1 << n) - 1, int(g.integers(1 << n)), int(g.integers(1 << n))]
+def _masks(g, m, start, n):
+    """0, all ones, the block bits next to the chunk boundary (if any)
+    with random bits, and random bits."""
+    shift = m - start - n
+    edge = sum(1 << b for b in (sim._CHUNK_BITS - 1 - shift,
+                                sim._CHUNK_BITS - shift) if 0 <= b < n)
+    return [0, (1 << n) - 1, edge | int(g.integers(1 << n)),
+            int(g.integers(1 << n))]
 
 
 @pytest.mark.parametrize("m,start,n", BLOCKS)
@@ -370,8 +384,8 @@ def test_transversal_sdgx_matches_gate_loop(m, start, n):
 def test_apply_block_pauli_matches_gate_loop_on_blocks(m, start, n):
     g = rng(83 + start)
     psi = random_state(g, m)
-    for x in _masks(g, n):
-        for z in _masks(g, n):
+    for x in _masks(g, m, start, n):
+        for z in _masks(g, m, start, n):
             fast = sim.apply_block_pauli(psi.copy(), start, n, x, z)
             slow = psi.copy()
             for q in range(n):
@@ -400,14 +414,19 @@ def test_transversal_h_stays_in_place():
 
 
 def test_block_kernels_leave_input_arrays_usable():
-    # permuting kernels rebind state.amps; the caller must read it again
+    # every kernel updates state.amps in place and never rebinds it
     psi = random_state(rng(84), 8)
     s = psi.copy()
+    before = s.amps
+    a_idx, a_val = _sparse_ancilla("random", 4, rng(0))
     for step in (lambda: sim.transversal_h(s, 0, 4),
                  lambda: sim.transversal_cnot(s, 4, 0, 4),
                  lambda: sim.transversal_sdgx(s, 4, 4),
-                 lambda: sim.apply_block_pauli(s, 0, 8, 0b10110101, 0b1)):
+                 lambda: sim.apply_block_pauli(s, 0, 8, 0b10110101, 0b1),
+                 lambda: sim.splice_ancilla(s, 2, 4, a_idx, a_val,
+                                            rng(1))[1]):
         assert step() is s
+        assert s.amps is before
         assert abs(s.norm() - 1) < 1e-12
 
 
@@ -568,6 +587,62 @@ def test_splice_ancilla_uses_two_draws_and_checks_norm():
 def test_block_kernels_reject_bad_blocks(call):
     with pytest.raises(WireError):
         call(random_state(rng(89), 8))
+
+
+@pytest.mark.parametrize("m,start,n", WIDE_BLOCKS)
+def test_splice_ancilla_across_chunks_matches_dense_splice(m, start, n):
+    """Forced draws against the splice written out densely: the slices at
+    y xor a_idx, weighted by the ancilla and moved to a_idx."""
+    g = rng(102 + start)
+    psi = random_state(g, m)
+    a_idx, a_val = _sparse_ancilla("steane" if n == 7 else "random", n, g)
+    cube = psi.amps.reshape(1 << start, 1 << n, -1)
+    cum = np.cumsum(sim.block_marginal(psi, start, n))
+    for term, d in ((0, 0), (a_idx.size - 1, (1 << n) - 1),
+                    (1, int(g.integers(1 << n)))):
+        lower = cum[d - 1] if d else 0.0
+        forced = _Forced(term, (lower + cum[d]) / 2, np.abs(a_val) ** 2)
+        bits, post = sim.splice_ancilla(psi.copy(), start, n, a_idx, a_val,
+                                        forced)
+        y = int(a_idx[term]) ^ d
+        assert bits == format(y, f"0{n}b")
+        ref = np.zeros_like(cube)
+        ref[:, a_idx, :] = a_val[None, :, None] * cube[:, y ^ a_idx, :]
+        ref = ref.reshape(-1) / np.linalg.norm(ref)
+        assert np.allclose(post.amps, ref, atol=1e-12)
+
+
+def test_sample_block_draws_across_ranges_like_full_marginal():
+    # a 16-qubit block has two ranges of a chunk of block indices each
+    psi = random_state(rng(103), 17)
+    cum = np.cumsum(sim.block_marginal(psi, 1, 16))
+    for r in (0.0, 0.25, 0.5, 0.75, np.nextafter(1.0, 0.0),
+              *rng(104).random(20)):
+        j, weight = sim.sample_block(psi, 1, 16, _Fixed(r))
+        assert j == int(np.searchsorted(cum, r * cum[-1], side="right"))
+        assert abs(weight - (cum[j] - (cum[j - 1] if j else 0.0))) < 1e-15
+
+
+def test_block_kernels_scratch_stays_within_chunks():
+    """On a 21-qubit register (32 MiB) no kernel but the CNOT allocates
+    more than a few chunks (512 KiB each)."""
+    s = random_state(rng(105), 21)
+    a_idx, a_val = _sparse_ancilla("steane", 7, rng(106))
+    for start in (0, 7, 14):
+        for call in (
+                lambda: sim.apply_block_pauli(s, start, 7, 0b1010011,
+                                              0b0110101),
+                lambda: sim.transversal_h(s, start, 7),
+                lambda: sim.transversal_sdgx(s, start, 7),
+                lambda: sim.splice_ancilla(s, start, 7, a_idx, a_val,
+                                           rng(107))):
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 * 2**20
 
 
 def test_parse_circuit_basic():

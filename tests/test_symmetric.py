@@ -2,6 +2,7 @@
 decrypt, key replay, and the two attack experiments."""
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -68,8 +69,10 @@ def test_encrypt_layout_and_capacity():
     want_idx, want_vals = css.magic_ancilla_sparse(key.code)
     assert sid == 1
     assert np.array_equal(idx, want_idx) and np.array_equal(vals, want_vals)
+    # ancillas take no register space: only the wires count
+    assert symmetric.encrypt(key, psi, 3, g).state.num_qubits == 7
     with pytest.raises(CapacityError):
-        symmetric.encrypt(key, random_state(g, 2), 2, g)  # (2+2)*7 = 28
+        symmetric.encrypt(key, random_state(g, 4), 0, g)  # 4*7 = 28
 
 
 def test_encrypt_decrypt_roundtrip():
@@ -214,6 +217,26 @@ def test_golay_family_h_roundtrip_budget():
         ref = sim.apply_gate(psi.copy(), sim.GateOp("H", (0,)))
         assert sim.fidelity(out, ref) >= 1 - 1e-9
     assert time.perf_counter() - t0 < 5.0
+
+
+def test_golay_family_t_roundtrip_in_place():
+    """One Golay wire takes a T gate: the magic ancilla waits outside the
+    23-qubit register, and the in-place kernels keep the allocations of
+    evaluate far below one 128 MiB register."""
+    key = symmetric.keygen("golay", "family", rng(40))
+    psi = random_state(rng(41), 1)
+    circuit = sim.parse_circuit("H 0\nT 0")
+    ct = symmetric.encrypt(key, psi, 1, rng(42))
+    readout = symmetric.make_readout(key, ct)
+    tracemalloc.start()
+    try:
+        symmetric.evaluate(key.code.n, circuit, ct, readout)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    want = sim.run_circuit(psi.copy(), circuit)
+    assert sim.fidelity(symmetric.decrypt(key, ct), want) >= 1 - 1e-9
+    assert peak < 32 * 2**20
 
 
 def test_scrambled_replay_mixed_circuit():

@@ -40,6 +40,7 @@ _CHUNK = 1 << _CHUNK_BITS  # amplitudes per step of the in-place kernels
 _POPCOUNT = np.zeros(1, dtype=np.uint8)  # set bits of every index < _CHUNK
 for _ in range(_CHUNK_BITS):
     _POPCOUNT = np.concatenate((_POPCOUNT, _POPCOUNT + 1))
+_INDEX = np.arange(_CHUNK, dtype=np.intp)  # gather index of a chunk
 _SQRT2 = math.sqrt(2.0)
 
 GATE_1Q = {
@@ -443,14 +444,16 @@ def _xor_phase(state: StateVector, start: int, n: int, x_mask: int,
     The register goes chunk by chunk: chunk k pairs with chunk
     k ^ (X >> _CHUNK_BITS), and both chunks of a pair are read into
     scratch before either is written. Inside a chunk the low bits of X
-    are one np.flip view. The phase at destination j is a scalar per chunk
-    (from the high bits of j & P) times a table over the block bits inside
-    the chunk."""
+    are one np.take of whole rows through a precomputed index (mode
+    "clip", whose indices are all in range anyway, lets np.take write
+    straight into `out`, which the default mode buffers). The phase at
+    destination j is a scalar per chunk (from the high bits of j & P)
+    times a table over the block bits inside the chunk."""
     m = state.num_qubits
     shift = m - start - n
     big_x, big_p = x_mask << shift, p_mask << shift
     cbits = min(m, _CHUNK_BITS)
-    chunks = state.amps.reshape(-1, *[2] * cbits)
+    chunks = state.amps.reshape(-1, 1 << cbits)
     powers = [sign]
     for _ in range(3):
         powers.append(powers[-1] * omega)
@@ -479,18 +482,24 @@ def _xor_phase(state: StateVector, start: int, n: int, x_mask: int,
         for k, chunk in enumerate(chunks):
             put(chunk, chunk, k)
         return
-    flipped = np.flip(chunks, [cbits - b for b in range(cbits)
-                               if big_x >> b & 1])
-    x_hi = big_x >> cbits
-    bufs = np.empty((2 if x_hi else 1, *chunks.shape[1:]),
-                    dtype=np.complex128)
-    for k in range(chunks.shape[0]):
+    x_hi, x_lo = big_x >> cbits, big_x & ((1 << cbits) - 1)
+    # rows of 2^r amplitudes move whole. A register of one chunk stays in
+    # cache, and rows up to the lowest set bit of X copy fastest. A larger
+    # one streams from memory, where single amplitudes (r = 0) cost the
+    # same for every mask; wider rows took 20 to 55 ms per 23-qubit call
+    # by mask, which made the time of an op depend on its error
+    r = (x_lo & -x_lo).bit_length() - 1 if len(chunks) == 1 else 0
+    src_of = _INDEX[:1 << (cbits - r)] ^ (x_lo >> r)
+    rows = chunks.reshape(len(chunks), -1, 1 << r)
+    bufs = np.empty((2 if x_hi else 1, 1 << cbits), dtype=np.complex128)
+    buf_rows = bufs.reshape(len(bufs), -1, 1 << r)
+    for k in range(len(chunks)):
         k2 = k ^ x_hi
         if k2 < k:
             continue
-        np.copyto(bufs[0], flipped[k2])
+        np.take(rows[k2], src_of, axis=0, out=buf_rows[0], mode="clip")
         if k2 != k:
-            np.copyto(bufs[1], flipped[k])
+            np.take(rows[k], src_of, axis=0, out=buf_rows[1], mode="clip")
             put(chunks[k2], bufs[1], k2)
         put(chunks[k], bufs[0], k)
 

@@ -107,7 +107,7 @@ def _family_candidates(base: str, count: int,
 
     def family_key(u, v) -> symmetric.SymKey:
         secret = css.FamilySecretKey(c1=c1, c2=c2, u=u, v=v,
-                                     code=css.build(c1, c2, u, v))
+                                     code=css.base_code(c1, c2).with_key(u, v))
         return symmetric.SymKey("family", base, secret)
 
     out = [true_key]

@@ -13,6 +13,7 @@ family by the closed-form rules in KeyEvolver.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -274,11 +275,24 @@ def keygen_scrambled(c1: LinearCode, c2: LinearCode,
                               scrambled_code=build(c1s, c2s, zero, zero))
 
 
+@functools.lru_cache(maxsize=8)
+def base_code(c1: LinearCode, c2: LinearCode) -> CssCode:
+    """The pair's code under the zero key, built once per pair (the cache
+    keeps the last few pairs, compared by identity). Family codes over the
+    pair are its with_key siblings, so they share its t, x1 and caches."""
+    zero = gf2.zeros_vec(c1.n)
+    code = build(c1, c2, zero, zero)
+    for vec in (code.u, code.v, code.x1):  # every caller gets this object
+        vec.setflags(write=False)
+    return code
+
+
 def keygen_family(c1: LinearCode, c2: LinearCode,
                   rng: np.random.Generator) -> FamilySecretKey:
     u = gf2.random_vector(c1.n, rng)
     v = gf2.random_vector(c1.n, rng)
-    return FamilySecretKey(c1=c1, c2=c2, u=u, v=v, code=build(c1, c2, u, v))
+    return FamilySecretKey(c1=c1, c2=c2, u=u, v=v,
+                           code=base_code(c1, c2).with_key(u, v))
 
 
 def magic_ancilla(code: CssCode) -> sim.StateVector:
@@ -347,7 +361,7 @@ def family_key_classes(c1: LinearCode, c2: LinearCode) -> dict[tuple, tuple]:
     n = c1.n
     if n > ENUMERATION_LIMIT:
         raise CapacityError(f"n={n} exceeds enumeration bound {ENUMERATION_LIMIT}")
-    code0 = build(c1, c2, gf2.zeros_vec(n), gf2.zeros_vec(n))
+    code0 = base_code(c1, c2)
     w2 = _inner_words(code0)
     w2x = w2 ^ code0.x1
     idx_w2 = _vec_indices(w2)

@@ -8,6 +8,7 @@ per row, which keeps key files human-diffable.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -116,8 +117,14 @@ def state_record(state: sim.StateVector) -> dict:
             "amps": [[float(a.real), float(a.imag)] for a in state.amps]}
 
 
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+def _is_finite_number(x) -> bool:
+    """A finite JSON number; json reads NaN, Infinity and -Infinity too."""
+    if not isinstance(x, (int, float)) or isinstance(x, bool):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an integer beyond the float range
+        return False
 
 
 def parse_state(rec: dict) -> sim.StateVector:
@@ -130,9 +137,10 @@ def parse_state(rec: dict) -> sim.StateVector:
         raise ShapeError(
             f"state record qubits must be an integer in [0, {sim.MAX_QUBITS}]")
     if not isinstance(amps, list) or not all(
-            isinstance(a, list) and len(a) == 2 and all(map(_is_number, a))
-            for a in amps):
-        raise ShapeError("state record amps must be a list of [re, im] pairs")
+            isinstance(a, list) and len(a) == 2
+            and all(map(_is_finite_number, a)) for a in amps):
+        raise ShapeError(
+            "state record amps must be a list of finite [re, im] pairs")
     if len(amps) != 1 << qubits:
         raise ShapeError("state record has the wrong number of amplitudes")
     return sim.StateVector(

@@ -6,10 +6,13 @@ Conventions, fixed once:
   - gates and block kernels mutate the StateVector in place and return
     it. No kernel rebinds `state.amps`, so an array read from it before
     a call holds the result after it. The block kernels work a chunk of
-    _CHUNK amplitudes (512 KiB) at a time, and their scratch is a few
-    chunks (two for amplitudes, the rest phase tables), never a
-    register-sized array. The one exception is `transversal_cnot`, whose
-    gather and index are register-sized;
+    _CHUNK = 2^14 amplitudes (256 KiB) at a time, and their scratch is a
+    few chunks (two for amplitudes, the rest phase tables), never a
+    register-sized array, so it stays in a 2 MiB L2 cache. The
+    XOR-and-phase pass behind block Pauli and X.Sdg stages each source
+    chunk: one sequential copy into scratch, with the phase applied,
+    then a gather from the scratch into the register. The one exception
+    is `transversal_cnot`, whose gather and index are register-sized;
   - `amps` is always C-contiguous, so reshapes are views.
 
 The per-qubit `apply_gate` and `measure_z` are the reference path; the
@@ -35,11 +38,11 @@ from .errors import (
 )
 
 MAX_QUBITS = 24
-_CHUNK_BITS = 15
+_CHUNK_BITS = 14
 _CHUNK = 1 << _CHUNK_BITS  # amplitudes per step of the in-place kernels
-_POPCOUNT = np.zeros(1, dtype=np.uint8)  # set bits of every index < _CHUNK
+_POP4 = np.zeros(1, dtype=np.uint8)  # set bits of every index < _CHUNK, mod 4
 for _ in range(_CHUNK_BITS):
-    _POPCOUNT = np.concatenate((_POPCOUNT, _POPCOUNT + 1))
+    _POP4 = np.concatenate((_POP4, (_POP4 + 1) & 3))
 _INDEX = np.arange(_CHUNK, dtype=np.intp)  # gather index of a chunk
 _SQRT2 = math.sqrt(2.0)
 
@@ -71,7 +74,7 @@ class StateVector:
                 f"expected {1 << num_qubits} amplitudes, got {amps.shape}")
         if check:
             norm = float(np.vdot(amps, amps).real)
-            if abs(norm - 1.0) > 1e-9:
+            if not abs(norm - 1.0) <= 1e-9:  # also NaN
                 raise ShapeError(f"state norm {norm} is not 1")
         self.num_qubits = num_qubits
         self.amps = amps
@@ -442,38 +445,40 @@ def _xor_phase(state: StateVector, start: int, n: int, x_mask: int,
     at [start, start+n); omega^4 must be 1.
 
     The register goes chunk by chunk: chunk k pairs with chunk
-    k ^ (X >> _CHUNK_BITS), and both chunks of a pair are read into
-    scratch before either is written. Inside a chunk the low bits of X
-    are one np.take of whole rows through a precomputed index (mode
-    "clip", whose indices are all in range anyway, lets np.take write
-    straight into `out`, which the default mode buffers). The phase at
-    destination j is a scalar per chunk (from the high bits of j & P)
-    times a table over the block bits inside the chunk."""
+    k ^ (X >> _CHUNK_BITS). Each chunk of a pair is staged, a sequential
+    pass that copies it into scratch times the phase its amplitudes take
+    at their destination. Once both are staged, the low bits of X are one
+    np.take from the scratch straight into the register chunk, in rows as
+    wide as the lowest set bit of X allows (mode "clip", whose indices are
+    all in range anyway, writes straight into `out`, which the default
+    mode buffers). So the register is read once and written once, and the
+    gather reads from cache. The phase at destination j is a scalar per
+    chunk (from the high bits of j & P) times a table over the block bits
+    inside the chunk, which the staging reads at source index j ^ X."""
     m = state.num_qubits
     shift = m - start - n
     big_x, big_p = x_mask << shift, p_mask << shift
     cbits = min(m, _CHUNK_BITS)
     chunks = state.amps.reshape(-1, 1 << cbits)
-    powers = [sign]
-    for _ in range(3):
-        powers.append(powers[-1] * omega)
-    powers = np.array(powers, dtype=np.complex128)
+    x_hi, x_lo = big_x >> cbits, big_x & ((1 << cbits) - 1)
+    # sign * omega^e for e < 8, so that the powers from e on are a slice
+    cycle = np.array([sign * omega**e for e in range(8)], dtype=np.complex128)
     # a chunk as (before the block, the block bits inside it, after)
     nbits = max(0, min(cbits, shift + n) - shift)
     shape = (-1, 1 << nbits, 1 << min(shift, cbits))
     p_low = (big_p & ((1 << cbits) - 1)) >> shift
-    counts = (_POPCOUNT[np.arange(1 << nbits) & p_low][:, None]
-              if p_low else None)
+    # exponent of the table phase of each source row, taken at i ^ X
+    exps = (_POP4[(_INDEX[:1 << nbits] ^ (x_lo >> shift)) & p_low][:, None]
+            if p_low else None)
     phases = {}
 
     def put(dst, src, k):
-        """dst = (phase of chunk k) * src, for whole chunks."""
+        """dst = (phase of destination chunk k) * src, for whole chunks."""
         e = bin(k & big_p >> cbits).count("1") % 4
         if e not in phases:
-            phases[e] = (powers[e] if counts is None
-                         else powers[(counts + e) % 4])
+            phases[e] = cycle[e] if exps is None else cycle[e:e + 4][exps]
         f = phases[e]
-        if counts is not None or f != 1:
+        if exps is not None or f != 1:
             np.multiply(src.reshape(shape), f, out=dst.reshape(shape))
         elif src is not dst:
             np.copyto(dst, src)
@@ -482,26 +487,20 @@ def _xor_phase(state: StateVector, start: int, n: int, x_mask: int,
         for k, chunk in enumerate(chunks):
             put(chunk, chunk, k)
         return
-    x_hi, x_lo = big_x >> cbits, big_x & ((1 << cbits) - 1)
-    # rows of 2^r amplitudes move whole. A register of one chunk stays in
-    # cache, and rows up to the lowest set bit of X copy fastest. A larger
-    # one streams from memory, where single amplitudes (r = 0) cost the
-    # same for every mask; wider rows took 20 to 55 ms per 23-qubit call
-    # by mask, which made the time of an op depend on its error
-    r = (x_lo & -x_lo).bit_length() - 1 if len(chunks) == 1 else 0
+    r = ((x_lo & -x_lo) or 1 << cbits).bit_length() - 1  # row width 2^r
     src_of = _INDEX[:1 << (cbits - r)] ^ (x_lo >> r)
     rows = chunks.reshape(len(chunks), -1, 1 << r)
-    bufs = np.empty((2 if x_hi else 1, 1 << cbits), dtype=np.complex128)
-    buf_rows = bufs.reshape(len(bufs), -1, 1 << r)
+    stage = np.empty((2 if x_hi else 1, 1 << cbits), dtype=np.complex128)
+    stage_rows = stage.reshape(len(stage), -1, 1 << r)
     for k in range(len(chunks)):
         k2 = k ^ x_hi
         if k2 < k:
             continue
-        np.take(rows[k2], src_of, axis=0, out=buf_rows[0], mode="clip")
+        put(stage[0], chunks[k2], k)
         if k2 != k:
-            np.take(rows[k], src_of, axis=0, out=buf_rows[1], mode="clip")
-            put(chunks[k2], bufs[1], k2)
-        put(chunks[k], bufs[0], k)
+            put(stage[1], chunks[k], k2)
+            np.take(stage_rows[1], src_of, axis=0, out=rows[k2], mode="clip")
+        np.take(stage_rows[0], src_of, axis=0, out=rows[k], mode="clip")
 
 
 def transversal_sdgx(state: StateVector, start: int, n: int) -> StateVector:

@@ -142,6 +142,26 @@ def test_roundtrip_malformed_state_is_validation_error(tmp_path, record):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity",
+                                     "9" * 400],
+                         ids=["NaN", "Infinity", "-Infinity", "huge-int"])
+def test_roundtrip_non_finite_state_is_validation_error(tmp_path, literal):
+    # json reads these literals, and integers beyond the float range; such
+    # a state must not reach the scheme
+    state = tmp_path / "bad.json"
+    state.write_text(f'{{"qubits": 1, "amps": [[{literal}, 0], [0, 0]]}}',
+                     encoding="utf-8")
+    circ = circuit_file(tmp_path, "h.circ", "H 0\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cssfhe.cli", "roundtrip", "--scheme", "sym",
+         "--state", str(state), "--circuit", circ, "--seed", "0"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "NaN" not in proc.stdout
+
+
 # runs each argv through cli.main in one process; an exception that
 # escapes main ends the runner with a traceback on stderr
 _CLI_RUNNER = """

@@ -366,6 +366,34 @@ def test_keygen_family_deterministic(steane_pair):
     assert np.array_equal(a.u, b.u) and np.array_equal(a.v, b.v)
 
 
+@pytest.mark.parametrize("pair", ["steane", "golay"])
+def test_family_keys_share_the_cached_base_code(pair, monkeypatch):
+    b = codes.builtin_codes()
+    c1 = b["hamming74"] if pair == "steane" else b["golay2312"]
+    c2 = b["simplex73"] if pair == "steane" else codes.dual(c1)
+    first = css.keygen_family(c1, c2, rng(91))
+    css.correct_errors(first.code, css.encode_blocks(first.code,
+                                                     random_state(rng(92), 1)),
+                       0)
+    calls = []
+    monkeypatch.setattr(codes, "min_distance",
+                        lambda code: calls.append(code))
+    base = css.base_code(c1, c2)
+    assert not base.u.any() and not base.v.any()
+    for seed in range(93, 98):
+        key = css.keygen_family(c1, c2, rng(seed))
+        want = rng(seed)  # the same draws as before: u, then v
+        assert np.array_equal(key.u, gf2.random_vector(c1.n, want))
+        assert np.array_equal(key.v, gf2.random_vector(c1.n, want))
+        assert np.array_equal(key.code.u, key.u)
+        assert np.array_equal(key.code.v, key.v)
+        assert key.code._shared is base._shared is first.code._shared
+        assert key.code.t == base.t and key.code.x1 is base.x1
+        assert key.code._iso is None  # each key builds its own isometry
+    assert calls == []
+    assert set(base._shared) == {"inner_words", "tables"}
+
+
 def test_keygen_family_zero_key_matches_plain(steane_pair, steane):
     code = keyed(steane_pair, "0000000", "0000000")
     for mine, plain in zip(css.logical_basis(code), css.logical_basis(steane)):

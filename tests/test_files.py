@@ -137,6 +137,15 @@ def test_parse_state_rejects_malformed_records(record):
         files.parse_state(record)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"),
+                                 1 << 1100],
+                         ids=["nan", "inf", "-inf", "int-beyond-float"])
+def test_parse_state_rejects_non_finite_numbers(bad):
+    for amps in ([[bad, 0], [0, 0]], [[1, 0], [0, bad]]):
+        with pytest.raises(ShapeError, match="finite"):
+            files.parse_state({"qubits": 1, "amps": amps})
+
+
 def test_transcript_records():
     g = rng(56)
     kp = asymmetric.keygen("golay", 0.5, g)

@@ -40,6 +40,13 @@ def test_statevector_rejects_unnormalized():
         sim.StateVector(1, np.array([1.0, 1.0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(np.inf, 1)])
+def test_statevector_rejects_non_finite_amplitudes(bad):
+    # a NaN norm fails every comparison, so the check must not pass it
+    with pytest.raises(ShapeError):
+        sim.StateVector(1, np.array([bad, 0.0]))
+
+
 def test_apply_h_on_zero():
     s = sim.apply_gate(sim.basis_state(1, "0"), sim.GateOp("H", (0,)))
     assert np.allclose(s.amps, [1 / np.sqrt(2), 1 / np.sqrt(2)])
@@ -324,10 +331,10 @@ def test_apply_block_pauli_matches_gate_loop():
 # Block kernels against the per-qubit reference path. Blocks sit at the
 # head, middle and tail of 8-14 qubit registers, including positions that
 # are not multiples of the block length. Registers of 17-18 qubits span
-# 4-8 chunks of the in-place kernels, so the chunk pairing, the per-chunk
-# phase scalar and the phase table inside a chunk all act: their blocks
-# lie entirely above the chunk bits (18, 0, 3), across them, or below
-# them, and the 16-qubit blocks have more indices than one chunk.
+# 8-16 chunks of the in-place kernels, so the chunk pairing, the staging,
+# the per-chunk phase scalar and the phase table inside a chunk all act:
+# their blocks lie entirely above the chunk bits (18, 0, 3), across them,
+# or below them, and the 16-qubit blocks have more indices than one chunk.
 WIDE_BLOCKS = [(17, 0, 7), (18, 1, 7), (18, 5, 7), (17, 10, 7), (18, 0, 3),
                (17, 1, 16), (18, 0, 16)]
 BLOCKS = [(12, 0, 4), (12, 4, 4), (12, 8, 4), (14, 0, 7), (14, 7, 7),
@@ -344,13 +351,15 @@ def _per_qubit(state, kind, start, n):
 
 
 def _masks(g, m, start, n):
-    """0, all ones, the block bits next to the chunk boundary (if any)
-    with random bits, and random bits."""
+    """0, all ones, the lowest and the highest block bit (rows of the
+    gather as narrow as the block allows), the block bits on both sides
+    of the chunk boundary (if any) alone and with random bits, and random
+    bits."""
     shift = m - start - n
     edge = sum(1 << b for b in (sim._CHUNK_BITS - 1 - shift,
                                 sim._CHUNK_BITS - shift) if 0 <= b < n)
-    return [0, (1 << n) - 1, edge | int(g.integers(1 << n)),
-            int(g.integers(1 << n))]
+    return [0, (1 << n) - 1, 1 | 1 << (n - 1), edge,
+            edge | int(g.integers(1 << n)), int(g.integers(1 << n))]
 
 
 @pytest.mark.parametrize("m,start,n", BLOCKS)

@@ -260,7 +260,10 @@ def evaluate_session(pk: PublicKey, circuit: sim.LogicalCircuit,
                      ct: AsymCiphertext, alice,
                      rng: np.random.Generator) -> tuple[AsymCiphertext, Transcript]:
     """Run the circuit, interleaving refresh round trips with the key
-    holder whenever the next gate would push a tracked bound past t."""
+    holder whenever the next gate would push a tracked bound past t.
+    The transcript's Cipher and Result messages carry the input and the
+    final ciphertext; a RefreshResponse carries only the fresh bounds, so
+    no superseded register stays alive for the rest of the session."""
     if circuit.num_wires > ct.num_wires:
         raise WireError(
             f"circuit uses {circuit.num_wires} wires, ciphertext has "
@@ -274,7 +277,7 @@ def evaluate_session(pk: PublicKey, circuit: sim.LogicalCircuit,
                 ct = alice(ct)
             except Exception as exc:
                 raise RefreshAuthorityError(f"refresh failed: {exc}") from exc
-            transcript.append("RefreshResponse", ct.wire_bounds(), payload=ct)
+            transcript.append("RefreshResponse", ct.wire_bounds())
             if any(b > ct.t for b in _predicted_bounds(ct, gate)):
                 raise RefreshAuthorityError(
                     f"bounds {ct.wire_bounds()} still exceed t={ct.t} after "

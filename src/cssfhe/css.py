@@ -62,9 +62,11 @@ class CssCode:
     # key-independent caches shared between all (u, v) siblings over the
     # same base pair: "inner_words" and "tables"
     _shared: dict = field(default_factory=dict, repr=False)
-    # this key's encoding isometry, built on first use; with_key starts over
+    # this key's encoding isometry and correct_errors' syndrome masks,
+    # built on first use; with_key starts over
     _iso: sim.BlockIsometry | None = field(default=None, init=False,
                                            repr=False)
+    _masks: tuple | None = field(default=None, init=False, repr=False)
 
     def with_key(self, u, v) -> "CssCode":
         u, v = gf2.as_vec(u), gf2.as_vec(v)
@@ -206,38 +208,43 @@ def correct_errors(code: CssCode, state: sim.StateVector, block: int,
     errors enter this package), which makes both syndromes deterministic:
     the bit-flip syndrome is read off one occupied basis index (`index`,
     or sim.first_occupied when None), the phase-flip syndrome off
-    amplitude ratios within a coset, which an X error only permutes."""
+    amplitude ratios within a coset, which an X error only permutes. Each
+    syndrome bit is the parity of a block-local int mask, cached on the
+    code: v, the rows of c1.pchk, and the rows of c2.gen with u.g."""
     n = code.n
     start = block * n
     if start < 0 or start + n > state.num_qubits:
         raise ShapeError(f"block {block} out of range")
     x_table, z_table = _tables(code)
+    if code._masks is None:
+        code._masks = (
+            sim.mask_of_bits(code.v),
+            [sim.mask_of_bits(h) for h in code.c1.pchk],
+            [(sim.mask_of_bits(g), gf2.dot(code.u, g)) for g in code.c2.gen])
+    v_mask, pchk_masks, gen_masks = code._masks
     correction_counter.bump()
     post = state.num_qubits - start - n
 
     jidx = sim.first_occupied(state) if index is None else index
-    y_idx = (jidx >> post) & ((1 << n) - 1)
-    y = np.array([(y_idx >> (n - 1 - j)) & 1 for j in range(n)], dtype=np.uint8)
-
-    x_syn = gf2.mat_mul(code.c1.pchk, (y ^ code.v)[:, None])[:, 0]
-    x_leader = x_table.entries.get(x_syn.tobytes())
+    y = ((jidx >> post) & ((1 << n) - 1)) ^ v_mask
+    x_syn = bytes((y & h).bit_count() & 1 for h in pchk_masks)
+    x_leader = x_table.entries.get(x_syn)
     if x_leader is None:
         raise DecodeFailureError(
             f"bit-flip syndrome outside radius t={code.t} on block {block}")
 
-    ref = state.amps[jidx]
+    amps = state.amps
+    ref = amps.item(jidx)
     if ref == 0:
         raise ShapeError(f"basis index {jidx} is not occupied")
-    z_syn = np.zeros(code.c2.gen.shape[0], dtype=np.uint8)
-    for i, g in enumerate(code.c2.gen):
-        other = state.amps[jidx ^ (sim.mask_of_bits(g) << post)]
-        ratio = other / ref
+    z_syn = bytearray()
+    for g, ug in gen_masks:
+        ratio = amps.item(jidx ^ (g << post)) / ref
         if abs(abs(ratio) - 1.0) > 1e-6 or abs(ratio.imag) > 1e-6:
             raise DecodeFailureError(
                 f"block {block} does not carry a definite Pauli error")
-        measured = 1 if ratio.real < 0 else 0
-        z_syn[i] = measured ^ gf2.dot(code.u, g)
-    z_leader = z_table.entries.get(z_syn.tobytes())
+        z_syn.append((ratio.real < 0) ^ ug)
+    z_leader = z_table.entries.get(bytes(z_syn))
     if z_leader is None:
         raise DecodeFailureError(
             f"phase-flip syndrome outside radius t={code.t} on block {block}")

@@ -6,13 +6,13 @@ Conventions, fixed once:
   - gates and block kernels mutate the StateVector in place and return
     it. No kernel rebinds `state.amps`, so an array read from it before
     a call holds the result after it. The block kernels work a chunk of
-    _CHUNK = 2^14 amplitudes (256 KiB) at a time, and their scratch is a
-    few chunks (two for amplitudes, the rest phase tables), never a
-    register-sized array, so it stays in a 2 MiB L2 cache. The
-    XOR-and-phase pass behind block Pauli and X.Sdg stages each source
-    chunk: one sequential copy into scratch, with the phase applied,
-    then a gather from the scratch into the register. The one exception
-    is `transversal_cnot`, whose gather and index are register-sized;
+    _CHUNK = 2^14 amplitudes (256 KiB) at a time, and their scratch is
+    never a register-sized array: it is a few chunks of one module-level
+    arena, allocated once at import and reused by every call, so a call
+    pages in no fresh memory. Each kernel keeps to fixed rows of the
+    arena (see _ARENA), so a kernel that calls another never shares
+    scratch with it. The kernels are therefore not reentrant: the
+    package is single-threaded;
   - `amps` is always C-contiguous, so reshapes are views.
 
 The per-qubit `apply_gate` and `measure_z` are the reference path; the
@@ -23,6 +23,7 @@ once and are tested against that path.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -40,10 +41,20 @@ from .errors import (
 MAX_QUBITS = 24
 _CHUNK_BITS = 14
 _CHUNK = 1 << _CHUNK_BITS  # amplitudes per step of the in-place kernels
-_POP4 = np.zeros(1, dtype=np.uint8)  # set bits of every index < _CHUNK, mod 4
+_POP4 = np.zeros(1, dtype=np.intp)  # set bits of every index < _CHUNK, mod 4
 for _ in range(_CHUNK_BITS):
     _POP4 = np.concatenate((_POP4, (_POP4 + 1) & 3))
 _INDEX = np.arange(_CHUNK, dtype=np.intp)  # gather index of a chunk
+# The block kernels' scratch arena. Rows 0-5 hold amplitudes (_STAGE):
+# each kernel stages in rows 0-1 (first_occupied puts its moduli in row
+# 0), and _xor_phase puts its phase tables, one per value of the scalar
+# exponent, in the rows after its one or two staging rows, so that a
+# pass that needs fewer rows touches fewer pages. Row 6 gives two rows of
+# gather indices (_INDICES). sample_block, which splice_ancilla calls,
+# takes none of it.
+_ARENA = np.empty((7, _CHUNK), dtype=np.complex128)
+_STAGE = _ARENA[:6]
+_INDICES = _ARENA[6:].view(np.intp).reshape(2, _CHUNK)
 _SQRT2 = math.sqrt(2.0)
 
 GATE_1Q = {
@@ -374,7 +385,7 @@ def transversal_h(state: StateVector, start: int, n: int) -> StateVector:
     cube = _block_cube(state, start, n).view(np.float64)
     _, size, inner = cube.shape
     cap = min(2 * _CHUNK, cube.size)  # floats of scratch
-    buf = np.empty(cap)
+    buf = _STAGE[0].view(np.float64)[:cap]
     factors = [(o, min(_H_CHUNK, n - o)) for o in range(0, n, _H_CHUNK)]
     split = next((i for i, (o, _) in enumerate(factors)
                   if (size >> o) * inner <= cap), len(factors))
@@ -403,46 +414,67 @@ def transversal_h(state: StateVector, start: int, n: int) -> StateVector:
 def transversal_cnot(state: StateVector, c0: int, t0: int,
                      n: int) -> StateVector:
     """CNOT from qubit c0+q onto qubit t0+q for every q < n, so the target
-    block index t becomes t XOR c. One gather through a flat source index
-    built by broadcasting over (before, first block, between, second
-    block, after), written back into the register. The gather and the
-    index are register-sized: two blocks fit only for n <= 12, and the
-    schemes run it on at most 21 qubits."""
+    block index t becomes t XOR c. In place, a tile at a time: a tile is
+    a range of control values times the whole target block, at one index
+    of the wires before and between the two blocks, in rows over a range
+    of the wires after them, at most a chunk in all. The map keeps the
+    control value, so it permutes the rows of each tile: one np.take
+    gathers them into the stage (from a staged copy of the tile when the
+    tile is not contiguous), and the stage is copied back. The row index
+    is built once per call; for a range of control values starting at o
+    it is the first range's index XOR a multiple of o."""
     _block_cube(state, c0, n)
     _block_cube(state, t0, n)
     if abs(c0 - t0) < n:
         raise WireError(f"blocks at {c0} and {t0} overlap (n={n})")
-    m = state.num_qubits
     lo, hi = sorted((c0, t0))
     size = 1 << n
-    mid, post = 1 << (hi - lo - n), 1 << (m - hi - n)
-    # amplitude strides of the five axes
-    s_mid = size * post
-    s_first = mid * s_mid
-    s_pre = size * s_first
-    j = np.arange(size, dtype=np.intp)
-    blocks = np.bitwise_xor.outer(j, j)
-    if c0 < t0:   # axes (c, t): keep c, read t ^ c
-        blocks *= post
-        blocks += j[:, None] * s_first
-    else:         # axes (t, c): read t ^ c, keep c
-        blocks *= s_first
-        blocks += j * post
-    rest = (np.arange(1 << lo, dtype=np.intp)[:, None, None] * s_pre
-            + np.arange(mid, dtype=np.intp)[None, :, None] * s_mid
-            + np.arange(post, dtype=np.intp))
-    if rest.size > 1:  # else the two blocks are the whole register
-        blocks = np.add(blocks[None, :, None, :, None],
-                        rest[:, None, :, None, :])
-    np.copyto(state.amps, state.amps[blocks.reshape(-1)])
+    cube = state.amps.reshape(1 << lo, size, 1 << (hi - lo - n), size, -1)
+    pre, _, mid, _, post = cube.shape
+    width = min(post, max(1, _CHUNK >> n))  # amplitudes per row
+    group = min(size, max(1, _CHUNK // (size * width)))  # control values
+    rows = group * size
+    base, shifted = _INDICES[0, :rows], _INDICES[1, :rows]
+    # row f of a tile reads row f ^ (control value << the target's bits)
+    if c0 < t0:   # tile (control i, target b): f = i*size + b reads b ^ i
+        np.right_shift(_INDEX[:rows], n, out=base)
+        step = 1
+    else:         # tile (target a, control j): f = a*group + j reads a ^ j
+        np.bitwise_and(_INDEX[:rows], group - 1, out=base)
+        np.left_shift(base, group.bit_length() - 1, out=base)
+        step = group
+    np.bitwise_xor(base, _INDEX[:rows], out=base)
+    out = _STAGE[0, :rows * width].reshape(rows, width)
+    staged = _STAGE[1, :rows * width]
+    for p, q, o, r in itertools.product(range(pre), range(mid),
+                                        range(0, size, group),
+                                        range(0, post, width)):
+        ctrl = slice(o, o + group)
+        tile = (cube[p, ctrl, q, :, r:r + width] if c0 < t0
+                else cube[p, :, q, ctrl, r:r + width])
+        src = tile
+        if not tile.flags.c_contiguous:
+            src = staged.reshape(tile.shape)
+            np.copyto(src, tile)
+        index = np.bitwise_xor(base, o * step, out=shifted) if o else base
+        np.take(src.reshape(rows, width), index, axis=0, out=out,
+                mode="clip")
+        np.copyto(tile, out.reshape(tile.shape))
     return state
+
+
+# sign * omega^e for e < 8, so that the powers from e on are a slice: the
+# (omega, sign) pairs of block Pauli and of X.Sdg
+_CYCLES = {(omega, sign): np.array([sign * omega**e for e in range(8)],
+                                   dtype=np.complex128)
+           for omega, sign in ((-1, 1), (-1, -1), (-1j, 1))}
 
 
 def _xor_phase(state: StateVector, start: int, n: int, x_mask: int,
                p_mask: int, omega: complex, sign: complex) -> None:
     """In place, new[j] = sign * omega^popcount(j & P) * old[j ^ X] with X
     and P the block-local masks moved to the register bits of the block
-    at [start, start+n); omega^4 must be 1.
+    at [start, start+n); (omega, sign) is one of the pairs in _CYCLES.
 
     The register goes chunk by chunk: chunk k pairs with chunk
     k ^ (X >> _CHUNK_BITS). Each chunk of a pair is staged, a sequential
@@ -454,32 +486,40 @@ def _xor_phase(state: StateVector, start: int, n: int, x_mask: int,
     mode buffers). So the register is read once and written once, and the
     gather reads from cache. The phase at destination j is a scalar per
     chunk (from the high bits of j & P) times a table over the block bits
-    inside the chunk, which the staging reads at source index j ^ X."""
+    inside the chunk, which the staging reads at source index j ^ X; each
+    value of the scalar gets one flat table over the whole chunk, built
+    before the pass, so that the multiply broadcasts nothing (a
+    broadcasting ufunc takes a buffer from malloc on every call)."""
     m = state.num_qubits
     shift = m - start - n
     big_x, big_p = x_mask << shift, p_mask << shift
     cbits = min(m, _CHUNK_BITS)
     chunks = state.amps.reshape(-1, 1 << cbits)
     x_hi, x_lo = big_x >> cbits, big_x & ((1 << cbits) - 1)
-    # sign * omega^e for e < 8, so that the powers from e on are a slice
-    cycle = np.array([sign * omega**e for e in range(8)], dtype=np.complex128)
-    # a chunk as (before the block, the block bits inside it, after)
-    nbits = max(0, min(cbits, shift + n) - shift)
-    shape = (-1, 1 << nbits, 1 << min(shift, cbits))
-    p_low = (big_p & ((1 << cbits) - 1)) >> shift
-    # exponent of the table phase of each source row, taken at i ^ X
-    exps = (_POP4[(_INDEX[:1 << nbits] ^ (x_lo >> shift)) & p_low][:, None]
-            if p_low else None)
-    phases = {}
+    p_hi, p_lo = big_p >> cbits, big_p & ((1 << cbits) - 1)
+    cycle = _CYCLES[omega, sign]
+    period = 2 if omega == -1 else 4  # of the scalar exponent e
+    stage = _STAGE[:2 if x_hi else 1, :1 << cbits]
+    tables = _STAGE[len(stage):]
+    if p_lo:  # a flat table per scalar exponent e, over the whole chunk
+        size = 1 << (min(cbits, shift + n) - shift)  # block bits in a chunk
+        exps = _INDICES[0, :size]  # table exponent of each row, at i ^ X
+        np.bitwise_xor(_INDEX[:size], x_lo >> shift, out=exps)
+        np.bitwise_and(exps, p_lo >> shift, out=exps)
+        np.take(_POP4, exps, out=_INDICES[1, :size], mode="clip")
+        for e in range(min(period, p_hi.bit_count() + 1)):
+            row = np.take(cycle[e:e + 4], _INDICES[1, :size], mode="clip",
+                          out=stage[0, :size])
+            np.copyto(tables[e, :chunks.shape[1]].reshape(
+                -1, size, 1 << min(shift, cbits)), row[:, None])
 
     def put(dst, src, k):
         """dst = (phase of destination chunk k) * src, for whole chunks."""
-        e = bin(k & big_p >> cbits).count("1") % 4
-        if e not in phases:
-            phases[e] = cycle[e] if exps is None else cycle[e:e + 4][exps]
-        f = phases[e]
-        if exps is not None or f != 1:
-            np.multiply(src.reshape(shape), f, out=dst.reshape(shape))
+        e = (k & p_hi).bit_count() % period
+        if p_lo:
+            np.multiply(src, tables[e, :len(src)], out=dst)
+        elif cycle[e] != 1:
+            np.multiply(src, cycle[e], out=dst)
         elif src is not dst:
             np.copyto(dst, src)
 
@@ -488,9 +528,9 @@ def _xor_phase(state: StateVector, start: int, n: int, x_mask: int,
             put(chunk, chunk, k)
         return
     r = ((x_lo & -x_lo) or 1 << cbits).bit_length() - 1  # row width 2^r
-    src_of = _INDEX[:1 << (cbits - r)] ^ (x_lo >> r)
+    src_of = np.bitwise_xor(_INDEX[:1 << (cbits - r)], x_lo >> r,
+                            out=_INDICES[0, :1 << (cbits - r)])
     rows = chunks.reshape(len(chunks), -1, 1 << r)
-    stage = np.empty((2 if x_hi else 1, 1 << cbits), dtype=np.complex128)
     stage_rows = stage.reshape(len(stage), -1, 1 << r)
     for k in range(len(chunks)):
         k2 = k ^ x_hi
@@ -563,34 +603,52 @@ def splice_ancilla(state: StateVector, start: int, n: int, a_idx, a_val,
     """Transversal CNOT from a product-factor ancilla onto the data block
     at [start, start+n), then a Z measurement of the data block, without
     building the joint register. The ancilla is the normalized
-    sum_a a_val[a] |a_idx[a]> over distinct block indices.
+    sum_a a_val[a] |a_idx[a]> over at most _CHUNK distinct block indices
+    (CapacityError otherwise).
 
     With record y the state is sum_a alpha_a |a> (x) |rest at y xor a>: the
     ancilla takes the data block's place. y is one draw from the XOR
     convolution of the two marginals, y = a xor d, with a drawn from
     |a_val|^2 and then d from the data block (sample_block). The update
     is in place, slab by slab: the slices at y xor a_idx are gathered into
-    at most a chunk of scratch and weighted by the ancilla, the slab is
-    zeroed, and they are scattered back to a_idx. A first pass over the
-    same slices, read only, gives the norm. Returns the n-bit record
-    (block qubit 0 first) and the state."""
+    at most a chunk of the stage, by one np.take along the block axis, and
+    weighted by the ancilla; the slab is zeroed, and they are scattered
+    back to a_idx. A first pass over the same slices, read only, gives the
+    norm. Returns the n-bit record (block qubit 0 first) and the state."""
     cube = _block_cube(state, start, n)
+    per = a_idx.shape[0]
+    if per > _CHUNK:
+        raise CapacityError(f"{per} ancilla terms exceed {_CHUNK}")
     probs = np.abs(a_val) ** 2
-    j = int(rng.choice(a_idx.shape[0], p=probs / probs.sum()))
+    j = int(rng.choice(per, p=probs / probs.sum()))
     d, _ = sample_block(state, start, n, rng)
     y = int(a_idx[j]) ^ d
 
-    def gather(slab):  # the slab's slices at y xor a_idx, weighted
-        got = slab[:, y ^ a_idx, :]
-        got *= a_val[:, None]
-        return got
+    pre, size, post = cube.shape
+    fit = 1 << ((_CHUNK // per).bit_length() - 1)  # a power of two
+    rows, width = min(pre, max(1, fit // post)), min(post, fit)
+    pieces = post // width
+    # the cube in rows of `width` amplitudes: a slab's slices at y xor
+    # a_idx are one np.take along axis 1 of `rows` whole rows of it
+    lines = cube.reshape(pre, size * pieces, width)
+    src = np.multiply(a_idx ^ y, pieces, out=_INDICES[0, :per])
+    index = _INDICES[1, :per]
+    got = _STAGE[0, :rows * per * width].reshape(rows, per, width)
+    weights = _STAGE[1, :got.size].reshape(got.shape)
+    np.copyto(weights, a_val[:, None])  # so that the weighting is flat
+    slabs = [(p, q) for p in range(0, pre, rows) for q in range(pieces)]
 
-    slabs = list(_slabs(cube, a_idx.shape[0], _CHUNK))
-    scale = 1 / math.sqrt(sum(float(np.vdot(got, got).real)
-                              for got in map(gather, slabs)))
-    for slab in slabs:
-        got = gather(slab)
+    def gather(p, q):  # the slab's slices at y xor a_idx, weighted
+        np.take(lines[p:p + rows], np.add(src, q, out=index), axis=1,
+                out=got, mode="clip")
+        return np.multiply(got, weights, out=got)
+
+    scale = 1 / math.sqrt(sum(float(np.vdot(g, g).real)
+                              for g in itertools.starmap(gather, slabs)))
+    for p, q in slabs:
+        gather(p, q)
         got *= scale
+        slab = cube[p:p + rows, :, q * width:(q + 1) * width]
         slab[...] = 0
         slab[:, a_idx, :] = got
     return format(y, f"0{n}b"), state
@@ -623,16 +681,21 @@ def mask_of_bits(bits: np.ndarray) -> int:
 
 def first_occupied(state: StateVector) -> int:
     """Lowest basis index whose amplitude exceeds 1e-6 * 2^(-m/2) in
-    modulus, scanned a chunk at a time so that nothing register-sized is
-    allocated. On a unit vector some index passes (max |a| >= 2^(-m/2)),
-    while rounding residues of order 1e-17, such as transversal H leaves
-    behind, never do."""
+    modulus, scanned 256 amplitudes, then a chunk at a time, with the
+    moduli in the stage, so that nothing register-sized is allocated. On
+    a unit vector some index passes (max |a| >= 2^(-m/2)), while rounding
+    residues of order 1e-17, such as transversal H leaves behind, never
+    do."""
     floor = 1e-6 * 2.0 ** (-state.num_qubits / 2)
     amps = state.amps
-    for lo in range(0, amps.shape[0], _CHUNK):
-        hits = np.flatnonzero(np.abs(amps[lo:lo + _CHUNK]) > floor)
+    lo, step = 0, 256  # a short first step: the index is often low
+    while lo < amps.shape[0]:
+        part = amps[lo:lo + step]
+        mod = np.abs(part, out=_STAGE[0].view(np.float64)[:len(part)])
+        hits = np.flatnonzero(mod > floor)
         if hits.size:
             return lo + int(hits[0])
+        lo, step = lo + step, _CHUNK
     raise ShapeError(f"no amplitude above {floor:.3e}: the state is not "
                      f"normalized")
 

@@ -325,6 +325,7 @@ def test_session_transcript_bounds_snapshots():
     assert result.bounds == (1, 1)       # both blocks after the CNOT
     assert cipher.payload is ct
     assert result.payload is not None
+    assert response.payload is None  # no superseded register kept alive
 
 
 def test_session_stale_authority_rejected():

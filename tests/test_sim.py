@@ -339,9 +339,12 @@ WIDE_BLOCKS = [(17, 0, 7), (18, 1, 7), (18, 5, 7), (17, 10, 7), (18, 0, 3),
                (17, 1, 16), (18, 0, 16)]
 BLOCKS = [(12, 0, 4), (12, 4, 4), (12, 8, 4), (14, 0, 7), (14, 7, 7),
           (10, 3, 5), (12, 2, 9), (8, 7, 1), *WIDE_BLOCKS]
+# The 17-18 qubit CNOT pairs have tiles of fewer control values than the
+# block has, so the tile index is shifted by the range's first value.
 CNOT_PAIRS = [(12, 0, 4, 4), (12, 4, 0, 4), (12, 0, 8, 4), (12, 8, 0, 4),
               (12, 4, 8, 4), (12, 8, 4, 4), (14, 0, 7, 7), (14, 7, 0, 7),
-              (13, 1, 8, 4), (13, 8, 1, 4), (9, 0, 6, 3), (9, 6, 0, 3)]
+              (13, 1, 8, 4), (13, 8, 1, 4), (9, 0, 6, 3), (9, 6, 0, 3),
+              (17, 0, 7, 7), (17, 7, 0, 7), (18, 1, 10, 7), (18, 10, 1, 7)]
 
 
 def _per_qubit(state, kind, start, n):
@@ -632,9 +635,20 @@ def test_sample_block_draws_across_ranges_like_full_marginal():
         assert abs(weight - (cum[j] - (cum[j - 1] if j else 0.0))) < 1e-15
 
 
+def _peak(call) -> int:
+    """tracemalloc peak of one call, in bytes."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_block_kernels_scratch_stays_within_chunks():
-    """On a 21-qubit register (32 MiB) no kernel but the CNOT allocates
-    more than a few chunks (512 KiB each)."""
+    """On a 21-qubit register (32 MiB) no kernel, the CNOT between every
+    pair of blocks in both directions included, allocates more than a
+    few chunks (512 KiB each)."""
     s = random_state(rng(105), 21)
     a_idx, a_val = _sparse_ancilla("steane", 7, rng(106))
     for start in (0, 7, 14):
@@ -645,13 +659,85 @@ def test_block_kernels_scratch_stays_within_chunks():
                 lambda: sim.transversal_sdgx(s, start, 7),
                 lambda: sim.splice_ancilla(s, start, 7, a_idx, a_val,
                                            rng(107))):
-            tracemalloc.start()
-            try:
-                call()
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < 4 * 2**20
+            assert _peak(call) < 4 * 2**20
+    for c0 in (0, 7, 14):
+        for t0 in (0, 7, 14):
+            if c0 != t0:
+                assert _peak(lambda: sim.transversal_cnot(s, c0, t0, 7)) \
+                    < 4 * 2**20
+
+
+def test_block_kernels_take_their_scratch_from_the_arena():
+    """On a warmed 14-qubit register of two Steane blocks (the size the
+    schemes run at) no kernel allocates a chunk: each takes its scratch
+    from the module's arena."""
+    s = random_state(rng(108), 14)
+    a_idx, a_val = _sparse_ancilla("steane", 7, rng(109))
+    for start, other in ((0, 7), (7, 0)):
+        calls = {
+            "pauli": lambda: sim.apply_block_pauli(s, start, 7, 0b1010011,
+                                                   0b0110101),
+            "sdgx": lambda: sim.transversal_sdgx(s, start, 7),
+            "h": lambda: sim.transversal_h(s, start, 7),
+            "cnot": lambda: sim.transversal_cnot(s, start, other, 7),
+            "splice": lambda: sim.splice_ancilla(s, start, 7, a_idx, a_val,
+                                                 rng(110)),
+        }
+        for call in calls.values():  # warm up
+            call()
+        for name, call in calls.items():
+            assert _peak(call) < 64 * 2**10, name
+
+
+def test_block_kernels_reuse_the_arena_without_stale_scratch():
+    """Kernels interleaved on a one-chunk 14-qubit register and a 18-qubit
+    register of 16 chunks, so that each call finds the arena as a call of
+    another shape left it. Every result matches the per-qubit path (the
+    splice: the dense splice at the record it drew)."""
+    g = rng(111)
+    a_idx, a_val = _sparse_ancilla("steane", 7, rng(112))
+    registers = [(random_state(g, 14), (0, 7)), (random_state(g, 18), (1, 10))]
+
+    def pauli(s, b, other, x=0, z=0):
+        for q in range(7):
+            if (z >> (6 - q)) & 1:
+                s = sim.apply_gate(s, sim.GateOp("Z", (b + q,)))
+        for q in range(7):
+            if (x >> (6 - q)) & 1:
+                s = sim.apply_gate(s, sim.GateOp("X", (b + q,)))
+        return s
+
+    def cnot(s, b, other):
+        for q in range(7):
+            s = sim.apply_gate(s, sim.GateOp("CNOT", (b + q, other + q)))
+        return s
+
+    steps = [
+        (lambda s, b, o: sim.apply_block_pauli(s, b, 7, 0b1010011, 0b0110101),
+         lambda s, b, o: pauli(s, b, o, 0b1010011, 0b0110101)),
+        (lambda s, b, o: sim.apply_block_pauli(s, b, 7, 0, 0b1000001),
+         lambda s, b, o: pauli(s, b, o, 0, 0b1000001)),
+        (lambda s, b, o: sim.transversal_sdgx(s, b, 7),
+         lambda s, b, o: _per_qubit(_per_qubit(s, "X", b, 7), "Sdg", b, 7)),
+        (lambda s, b, o: sim.transversal_h(s, b, 7),
+         lambda s, b, o: _per_qubit(s, "H", b, 7)),
+        (lambda s, b, o: sim.transversal_cnot(s, b, o, 7), cnot),
+    ]
+    for i in range(40):
+        state, blocks = registers[i % 2]
+        fast, slow = steps[(i // 2) % len(steps)]
+        b, other = blocks if (i // 10) % 2 else blocks[::-1]
+        want = slow(state.copy(), b, other)
+        assert fast(state, b, other) is state
+        assert np.allclose(state.amps, want.amps, atol=1e-12)
+        if i % 3 == 0:  # a splice, against the dense one at its record
+            cube = state.amps.reshape(1 << b, 1 << 7, -1).copy()
+            bits, _ = sim.splice_ancilla(state, b, 7, a_idx, a_val, g)
+            y = int(bits, 2)
+            ref = np.zeros_like(cube)
+            ref[:, a_idx, :] = a_val[None, :, None] * cube[:, y ^ a_idx, :]
+            assert np.allclose(state.amps, ref.reshape(-1)
+                               / np.linalg.norm(ref), atol=1e-12)
 
 
 def test_parse_circuit_basic():

@@ -17,21 +17,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import css, sim
-from .css import CssCode, KeyEvolver, ScrambledSecretKey
+from .css import CssCode, ScrambledSecretKey
 from .errors import (
     ParameterError,
     RefreshAuthorityError,
-    ShapeError,
     WeightTooLargeError,
     WireError,
 )
-from .symmetric import BlockSlot, base_pair
+from .symmetric import base_pair
 
 
 @dataclass(eq=False)
 class PublicKey:
     code: CssCode      # scrambled pair, u = v = 0
-    ct_weight: int     # injected errors per block at encryption time
+    ct_weight: int     # Pauli errors per block at encryption time
 
 
 @dataclass(eq=False)
@@ -58,38 +57,24 @@ def keygen(base_name: str, c: float, rng: np.random.Generator) -> AsymKeyPair:
 
 @dataclass(eq=False)
 class AsymCiphertext:
+    """Wire w's block is register qubits [w*n, (w+1)*n). The evaluator
+    holds the blocks and an upper bound on each block's error weight; the
+    errors themselves are known only to whoever can read the syndromes
+    under the private key."""
     state: sim.StateVector
     n: int
     t: int
-    layout: list[BlockSlot]
-    bounds: dict[int, int]                      # sid -> tracked upper bound
-    injected: dict[int, dict[str, np.ndarray]]  # sid -> actual masks (tests only)
+    bounds: list[int]  # per wire: tracked upper bound on the error weight
     session_weight: int
-    next_sid: int
-
-    def slot_start(self, sid: int) -> int:
-        for i, slot in enumerate(self.layout):
-            if slot.sid == sid:
-                return i * self.n
-        raise WireError(f"slot {sid} is not live")
-
-    def wire_slot(self, wire: int) -> BlockSlot:
-        for slot in self.layout:
-            if slot.wire == wire:
-                return slot
-        raise WireError(f"no block for wire {wire}")
 
     @property
     def num_wires(self) -> int:
-        return len(self.layout)
-
-    def wire_bounds(self) -> list[int]:
-        return [self.bounds[s.sid] for s in self.layout]
+        return self.state.num_qubits // self.n
 
 
 def _inject(state: sim.StateVector, start: int, n: int, positions, kinds):
-    """Apply one Pauli per (position, kind) pair on a block; returns the
-    x/z masks actually applied. kind 0 = X, 1 = Y, 2 = Z."""
+    """Apply one Pauli per (position, kind) pair on a block.
+    kind 0 = X, 1 = Y, 2 = Z."""
     x = np.zeros(n, dtype=np.uint8)
     z = np.zeros(n, dtype=np.uint8)
     for p, k in zip(positions, kinds):
@@ -99,7 +84,6 @@ def _inject(state: sim.StateVector, start: int, n: int, positions, kinds):
             z[p] ^= 1
     sim.apply_block_pauli(state, start, n,
                           x_mask=sim.mask_of_bits(x), z_mask=sim.mask_of_bits(z))
-    return x, z
 
 
 def encrypt(pk: PublicKey, plaintext: sim.StateVector,
@@ -109,66 +93,54 @@ def encrypt(pk: PublicKey, plaintext: sim.StateVector,
     `weight` Pauli errors at distinct random positions."""
     code = pk.code
     weight = pk.ct_weight if override_weight is None else override_weight
+    if weight < 0:
+        raise ParameterError(f"error weight must be at least 0, got {weight}")
     if weight > code.t:
         raise WeightTooLargeError(
-            f"{weight} injected errors exceed the radius t={code.t}; "
+            f"{weight} Pauli errors per block exceed the radius t={code.t}; "
             f"the ciphertext would be undecryptable")
     state = css.encode_blocks(code, plaintext)
     m = plaintext.num_qubits
-    layout = [BlockSlot(sid=w, wire=w) for w in range(m)]
-    bounds: dict[int, int] = {}
-    injected: dict[int, dict[str, np.ndarray]] = {}
     for w in range(m):
         positions = rng.choice(code.n, size=weight, replace=False)
         kinds = rng.integers(0, 3, size=weight)
-        x, z = _inject(state, w * code.n, code.n, positions, kinds)
-        bounds[w] = weight
-        injected[w] = {"x": x, "z": z}
-    return AsymCiphertext(state=state, n=code.n, t=code.t, layout=layout,
-                          bounds=bounds, injected=injected,
-                          session_weight=weight, next_sid=m)
+        _inject(state, w * code.n, code.n, positions, kinds)
+    return AsymCiphertext(state=state, n=code.n, t=code.t, bounds=[weight] * m,
+                          session_weight=weight)
 
 
 def decrypt(private: ScrambledSecretKey, ct: AsymCiphertext) -> sim.StateVector:
-    """Read each block's Pauli frame off its syndromes, decode every block
-    under its frame, and put wires back in logical order. X^x Z^z on a
-    block encoded under (u, v) is, up to a global phase, the encoding
-    under (u ^ z, v ^ x), so the errors never need to be undone: the
-    ciphertext is left unchanged and no register-sized array is made."""
+    """Read each block's Pauli frame off its syndromes and decode every
+    block under its frame. X^x Z^z on a block encoded under (u, v) is, up
+    to a global phase, the encoding under (u ^ z, v ^ x), so the errors
+    never need to be undone: the ciphertext is left unchanged and no
+    register-sized array is made."""
     code = private.scrambled_code
     index = sim.first_occupied(ct.state)
     frames = [css.correct_errors(code, ct.state, i, index)
-              for i in range(len(ct.layout))]
-    plain = css.decode_blocks(code, ct.state, frames=frames)
-    wires = [s.wire for s in ct.layout]
-    perm = [wires.index(w) for w in range(len(wires))]
-    return sim.permute_wires(plain, perm)
+              for i in range(ct.num_wires)]
+    return css.decode_blocks(code, ct.state, frames=frames)
 
 
 def refresh(private: ScrambledSecretKey, ct: AsymCiphertext,
             rng: np.random.Generator) -> AsymCiphertext:
     """Decrypt and re-encrypt with fresh randomness. The session's error
-    weight is re-injected into a single uniformly chosen block so the
+    weight goes back into a single uniformly chosen block so the
     total never grows with the block count; bounds drop to the actual
     fresh counts."""
     plaintext = decrypt(private, ct)
     code = private.scrambled_code
     state = css.encode_blocks(code, plaintext)
     m = plaintext.num_qubits
-    layout = [BlockSlot(sid=w, wire=w) for w in range(m)]
-    bounds = {w: 0 for w in range(m)}
-    injected = {w: {"x": np.zeros(code.n, dtype=np.uint8),
-                    "z": np.zeros(code.n, dtype=np.uint8)} for w in range(m)}
+    bounds = [0] * m
     if ct.session_weight > 0:
         target = int(rng.integers(m))
         positions = rng.choice(code.n, size=ct.session_weight, replace=False)
         kinds = rng.integers(0, 3, size=ct.session_weight)
-        x, z = _inject(state, target * code.n, code.n, positions, kinds)
+        _inject(state, target * code.n, code.n, positions, kinds)
         bounds[target] = ct.session_weight
-        injected[target] = {"x": x, "z": z}
-    return AsymCiphertext(state=state, n=code.n, t=code.t, layout=layout,
-                          bounds=bounds, injected=injected,
-                          session_weight=ct.session_weight, next_sid=m)
+    return AsymCiphertext(state=state, n=code.n, t=code.t, bounds=bounds,
+                          session_weight=ct.session_weight)
 
 
 def make_refresh_authority(private: ScrambledSecretKey,
@@ -204,30 +176,19 @@ def _predicted_bounds(ct: AsymCiphertext, gate: sim.GateOp) -> list[int]:
     if gate.kind == "H":
         return []
     if gate.kind == "CNOT":
-        bc = ct.bounds[ct.wire_slot(gate.wires[0]).sid]
-        bt = ct.bounds[ct.wire_slot(gate.wires[1]).sid]
-        return [min(ct.n, bc + bt)] * 2
+        wc, wt = gate.wires
+        return [min(ct.n, ct.bounds[wc] + ct.bounds[wt])] * 2
     # T: the output block inherits the data block's bound
-    return [ct.bounds[ct.wire_slot(gate.wires[0]).sid]]
+    return [ct.bounds[gate.wires[0]]]
 
 
 def _gate_h(ct: AsymCiphertext, wire: int) -> None:
-    slot = ct.wire_slot(wire)
-    sim.transversal_h(ct.state, ct.slot_start(slot.sid), ct.n)
-    rec = ct.injected[slot.sid]
-    rec["z"], rec["x"] = KeyEvolver.h_rule(rec["z"], rec["x"])
+    sim.transversal_h(ct.state, wire * ct.n, ct.n)
 
 
 def _gate_cnot(ct: AsymCiphertext, wc: int, wt: int) -> None:
-    sc, st = ct.wire_slot(wc), ct.wire_slot(wt)
-    sim.transversal_cnot(ct.state, ct.slot_start(sc.sid),
-                         ct.slot_start(st.sid), ct.n)
-    rc, rt = ct.injected[sc.sid], ct.injected[st.sid]
-    (rc["z"], rc["x"]), (rt["z"], rt["x"]) = KeyEvolver.cnot_rule(
-        (rc["z"], rc["x"]), (rt["z"], rt["x"]))
-    nb = min(ct.n, ct.bounds[sc.sid] + ct.bounds[st.sid])
-    ct.bounds[sc.sid] = nb
-    ct.bounds[st.sid] = nb
+    sim.transversal_cnot(ct.state, wc * ct.n, wt * ct.n, ct.n)
+    ct.bounds[wc] = ct.bounds[wt] = min(ct.n, ct.bounds[wc] + ct.bounds[wt])
 
 
 def _gate_t(ct: AsymCiphertext, wire: int, code: CssCode,
@@ -238,22 +199,15 @@ def _gate_t(ct: AsymCiphertext, wire: int, code: CssCode,
 
     The ancilla is a fresh product factor, so sim.splice_ancilla puts it in
     the data block's place without materializing the joint register (it
-    would not fit for the 23-bit code)."""
-    data = ct.wire_slot(wire)
-    n = ct.n
-    d0 = ct.slot_start(data.sid)
+    would not fit for the 23-bit code). The wire's bound carries over: the
+    new block inherits the data block's phase errors, and its bit-flip
+    errors are absorbed by the corrected readout."""
+    d0 = wire * ct.n
     a_idx, a_val = css.magic_ancilla_sparse(code)
-    bits, _ = sim.splice_ancilla(ct.state, d0, n, a_idx, a_val, rng)
-
+    bits, _ = sim.splice_ancilla(ct.state, d0, ct.n, a_idx, a_val, rng)
     if css.logical_readout(code, bits) == 1:
         # logical SX correction: transversal X then transversal Sdg
-        sim.transversal_sdgx(ct.state, d0, n)
-
-    # bound is inherited: the output block keeps the data block's slot
-    ct.injected[data.sid] = {
-        "x": np.zeros(n, dtype=np.uint8),
-        "z": ct.injected[data.sid]["z"],
-    }
+        sim.transversal_sdgx(ct.state, d0, ct.n)
 
 
 def evaluate_session(pk: PublicKey, circuit: sim.LogicalCircuit,
@@ -269,18 +223,18 @@ def evaluate_session(pk: PublicKey, circuit: sim.LogicalCircuit,
             f"circuit uses {circuit.num_wires} wires, ciphertext has "
             f"{ct.num_wires}")
     transcript = Transcript()
-    transcript.append("Cipher", ct.wire_bounds(), payload=ct)
+    transcript.append("Cipher", ct.bounds, payload=ct)
     for gate in circuit.gates:
         if any(b > ct.t for b in _predicted_bounds(ct, gate)):
-            transcript.append("RefreshRequest", ct.wire_bounds())
+            transcript.append("RefreshRequest", ct.bounds)
             try:
                 ct = alice(ct)
             except Exception as exc:
                 raise RefreshAuthorityError(f"refresh failed: {exc}") from exc
-            transcript.append("RefreshResponse", ct.wire_bounds())
+            transcript.append("RefreshResponse", ct.bounds)
             if any(b > ct.t for b in _predicted_bounds(ct, gate)):
                 raise RefreshAuthorityError(
-                    f"bounds {ct.wire_bounds()} still exceed t={ct.t} after "
+                    f"bounds {ct.bounds} still exceed t={ct.t} after "
                     f"a refresh; gate {gate.kind} cannot run")
         if gate.kind == "H":
             _gate_h(ct, gate.wires[0])
@@ -288,5 +242,5 @@ def evaluate_session(pk: PublicKey, circuit: sim.LogicalCircuit,
             _gate_cnot(ct, gate.wires[0], gate.wires[1])
         else:
             _gate_t(ct, gate.wires[0], pk.code, rng)
-    transcript.append("Result", ct.wire_bounds(), payload=ct)
+    transcript.append("Result", ct.bounds, payload=ct)
     return ct, transcript

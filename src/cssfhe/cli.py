@@ -103,6 +103,8 @@ def _family_candidates(base: str, count: int,
     same-space sibling (v shifted by the coset representative, so its ancilla
     overlaps the true one partially rather than 0 or 1), then representatives
     of other code-space classes."""
+    if count < 1:
+        raise ParameterError(f"candidates must be at least 1, got {count}")
     c1, c2 = symmetric.base_pair(base)
 
     def family_key(u, v) -> symmetric.SymKey:

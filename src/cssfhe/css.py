@@ -161,7 +161,8 @@ def decode_blocks(code: CssCode, physical_state: sim.StateVector,
     m = physical_state.num_qubits // n
     if frames is not None and len(frames) != m:
         raise ShapeError(f"need {m} frames, got {len(frames)}")
-    state = physical_state
+    # with no blocks, copy: a decode never returns its input register
+    state = physical_state if m else physical_state.copy()
     iso = isometry(code)
     for i in range(m):
         x_mask = z_mask = 0
@@ -318,8 +319,6 @@ def magic_ancilla_sparse(code: CssCode) -> tuple[np.ndarray, np.ndarray]:
 def logical_readout(code: CssCode, y) -> int:
     """Classically correct an n-bit measurement record and return the
     logical bit it encodes."""
-    if isinstance(y, str):
-        y = gf2.as_vec(y)
     y = gf2.as_vec(y)
     if y.shape[0] != code.n:
         raise ShapeError(f"record length {y.shape[0]}, expected {code.n}")

@@ -68,7 +68,7 @@ class AncillaExhaustedError(CssFheError):
 
 
 class WeightTooLargeError(CssFheError):
-    """Requested injected error weight exceeds the correction radius."""
+    """Requested encryption error weight exceeds the correction radius."""
 
 
 class RefreshAuthorityError(CssFheError):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import codes as codes_mod
-from . import css, gf2, sim
+from . import css, sim
 from .codes import LinearCode
 from .css import CssCode, FamilySecretKey, KeyEvolver, ScrambledSecretKey
 from .errors import (
@@ -70,42 +70,23 @@ def keygen(base_name: str, mode: str, rng: np.random.Generator) -> SymKey:
     raise ParameterError(f"unknown key mode {mode!r}")
 
 
-@dataclass
-class BlockSlot:
-    sid: int
-    wire: int
-
-
 @dataclass(eq=False)
 class SymCiphertext:
+    """Wire w's block is register qubits [w*n, (w+1)*n); blocks never
+    move. What the gates did to the key is a function of `executed` and
+    `gadget_outcomes`, which only the key holder can evaluate."""
     state: sim.StateVector
     n: int
-    layout: list[BlockSlot]               # physical order of the data blocks
-    variant: str
     # unconsumed magic ancillas, each a product factor beside the register:
-    # (sid, block indices, amplitudes), consumed front first
-    ancilla_pool: list[tuple[int, np.ndarray, np.ndarray]]
-    events: list[tuple] = field(default_factory=list)
+    # (block indices, amplitudes), consumed front first
+    ancilla_pool: list[tuple[np.ndarray, np.ndarray]]
     executed: list[sim.GateOp] = field(default_factory=list)
     gadget_outcomes: list[int] = field(default_factory=list)
-    log: list[str] = field(default_factory=list)
     rng: np.random.Generator | None = None
-
-    def slot_start(self, sid: int) -> int:
-        for i, slot in enumerate(self.layout):
-            if slot.sid == sid:
-                return i * self.n
-        raise WireError(f"slot {sid} is not live")
-
-    def wire_slot(self, wire: int) -> BlockSlot:
-        for slot in self.layout:
-            if slot.wire == wire:
-                return slot
-        raise WireError(f"no block for wire {wire}")
 
     @property
     def num_wires(self) -> int:
-        return len(self.layout)
+        return self.state.num_qubits // self.n
 
 
 def encrypt(sk: SymKey, plaintext: sim.StateVector, t_budget: int,
@@ -113,6 +94,8 @@ def encrypt(sk: SymKey, plaintext: sim.StateVector, t_budget: int,
     """Encode each wire into an n-qubit block and prepare t_budget encoded
     magic ancillas. The ancillas stay sparse product factors beside the
     m*n-qubit register until a T gadget splices one in."""
+    if t_budget < 0:
+        raise ParameterError(f"T budget must be at least 0, got {t_budget}")
     code = sk.code
     m = plaintext.num_qubits
     total = m * code.n
@@ -120,23 +103,8 @@ def encrypt(sk: SymKey, plaintext: sim.StateVector, t_budget: int,
         raise CapacityError(
             f"{m} wires need {total} qubits (limit {sim.MAX_QUBITS})")
     state = css.encode_blocks(code, plaintext)
-    layout = [BlockSlot(sid=w, wire=w) for w in range(m)]
-    pool = [(m + a, *css.magic_ancilla_sparse(code)) for a in range(t_budget)]
-    return SymCiphertext(state=state, n=code.n, layout=layout,
-                         variant=sk.variant, ancilla_pool=pool, rng=rng)
-
-
-def _transversal_h(ct: SymCiphertext, wire: int) -> None:
-    slot = ct.wire_slot(wire)
-    sim.transversal_h(ct.state, ct.slot_start(slot.sid), ct.n)
-    ct.events.append(("H", slot.sid))
-
-
-def _transversal_cnot(ct: SymCiphertext, wc: int, wt: int) -> None:
-    sc, st = ct.wire_slot(wc), ct.wire_slot(wt)
-    sim.transversal_cnot(ct.state, ct.slot_start(sc.sid),
-                         ct.slot_start(st.sid), ct.n)
-    ct.events.append(("CNOT", sc.sid, st.sid))
+    pool = [css.magic_ancilla_sparse(code) for _ in range(t_budget)]
+    return SymCiphertext(state=state, n=code.n, ancilla_pool=pool, rng=rng)
 
 
 def ft_t_gadget(ct: SymCiphertext, wire: int, readout) -> SymCiphertext:
@@ -151,26 +119,13 @@ def ft_t_gadget(ct: SymCiphertext, wire: int, readout) -> SymCiphertext:
     """
     if not ct.ancilla_pool:
         raise AncillaExhaustedError(f"no ancilla left for T on wire {wire}")
-    data = ct.wire_slot(wire)
-    sid, a_idx, a_val = ct.ancilla_pool.pop(0)
-    anc = BlockSlot(sid=sid, wire=wire)
-    n = ct.n
-
-    ct.events.append(("CNOT", anc.sid, data.sid))
-    bits, _ = sim.splice_ancilla(ct.state, ct.slot_start(data.sid), n,
-                                 a_idx, a_val, ct.rng)
-    ct.layout[ct.layout.index(data)] = anc
-    ct.events.append(("MEASURE", data.sid, bits))
-
+    a_idx, a_val = ct.ancilla_pool.pop(0)
+    start = wire * ct.n
+    bits, _ = sim.splice_ancilla(ct.state, start, ct.n, a_idx, a_val, ct.rng)
     outcome = int(readout(bits))
-    ct.log.append(f"READOUT {data.sid} {bits} -> {outcome}")
     ct.gadget_outcomes.append(outcome)
-
     if outcome == 1:
-        sim.transversal_sdgx(ct.state, ct.slot_start(anc.sid), n)
-        ct.events.append(("SDGX", anc.sid))
-
-    ct.events.append(("RETIRE", data.sid, wire, anc.sid))
+        sim.transversal_sdgx(ct.state, start, ct.n)
     return ct
 
 
@@ -190,88 +145,80 @@ def evaluate(n: int, circuit: sim.LogicalCircuit, ct: SymCiphertext,
             f"{sim.count_t_gates(circuit)} T gates but only "
             f"{len(ct.ancilla_pool)} ancillas")
     for g in circuit.gates:
-        if g.kind == "H":
-            _transversal_h(ct, g.wires[0])
-        elif g.kind == "CNOT":
-            _transversal_cnot(ct, g.wires[0], g.wires[1])
-        else:
-            ft_t_gadget(ct, g.wires[0], readout)
         ct.executed.append(g)
+        w = g.wires[0]
+        if g.kind == "H":
+            sim.transversal_h(ct.state, w * n, n)
+        elif g.kind == "CNOT":
+            sim.transversal_cnot(ct.state, w * n, g.wires[1] * n, n)
+        else:
+            ft_t_gadget(ct, w, readout)
     return ct
 
 
-def _replay_keys(sk: SymKey, events: list[tuple]) -> dict[int, tuple]:
-    """Walk the event log and return each slot's current (u, v)."""
+def _replay_keys(sk: SymKey, ct: SymCiphertext) -> tuple[list, tuple | None]:
+    """Walk the executed gates and return each wire's current (u, v), and
+    the key a T gadget's data block was measured under: the last gadget's,
+    or the pending one's when the last T has no outcome yet.
+
+    A T gadget's ancilla starts under the key itself; the transversal
+    CNOT from it moves the data block to `measured` and the ancilla to
+    the wire's new key, and outcome 1 adds the X then S-dagger rule."""
     code = sk.code
-    keys: dict[int, tuple] = {}
-
-    def key_of(sid):
-        if sid not in keys:
-            keys[sid] = (code.u.copy(), code.v.copy())
-        return keys[sid]
-
+    key = (code.u, code.v)
+    keys = [key] * ct.num_wires
     if sk.variant == "scrambled":
         # static key: transversal operations keep u = v = 0
-        return keys
-    for event in events:
-        if event[0] == "H":
-            keys[event[1]] = KeyEvolver.h_rule(*key_of(event[1]))
-        elif event[0] == "CNOT":
-            kc, kt = KeyEvolver.cnot_rule(key_of(event[1]), key_of(event[2]))
-            keys[event[1]], keys[event[2]] = kc, kt
-        elif event[0] == "SDGX":
-            keys[event[1]] = KeyEvolver.sdgx_rule(*key_of(event[1]))
-    return keys
-
-
-def _slot_code(sk: SymKey, keys: dict[int, tuple], sid: int) -> CssCode:
-    code = sk.code
-    if sk.variant == "scrambled" or sid not in keys:
-        return code
-    return code.with_key(*keys[sid])
+        return keys, key
+    outcomes = iter(ct.gadget_outcomes)
+    measured = None
+    for g in ct.executed:
+        w = g.wires[0]
+        if g.kind == "H":
+            keys[w] = KeyEvolver.h_rule(*keys[w])
+        elif g.kind == "CNOT":
+            keys[w], keys[g.wires[1]] = KeyEvolver.cnot_rule(
+                keys[w], keys[g.wires[1]])
+        else:
+            keys[w], measured = KeyEvolver.cnot_rule(key, keys[w])
+            if next(outcomes, 0) == 1:
+                keys[w] = KeyEvolver.sdgx_rule(*keys[w])
+    return keys, measured
 
 
 def make_readout(sk: SymKey, ct: SymCiphertext):
     """Alice's side of the oracle boundary: maps the n-bit measurement
-    record of the most recent gadget to its logical bit. Only classical
-    strings cross this callable."""
+    record of the pending gadget, the last executed gate, to its logical
+    bit. Only classical strings cross this callable."""
 
     def readout(bits: str) -> int:
-        keys = _replay_keys(sk, ct.events)
-        measured = [e for e in ct.events if e[0] == "MEASURE"]
-        if not measured:
+        if not ct.executed or ct.executed[-1].kind != "T":
             raise ShapeError("no measurement to read out")
-        sid = measured[-1][1]
-        return css.logical_readout(_slot_code(sk, keys, sid), bits)
+        _, measured = _replay_keys(sk, ct)
+        return css.logical_readout(sk.code.with_key(*measured), bits)
 
     return readout
 
 
 def decrypt(sk: SymKey, ct: SymCiphertext) -> sim.StateVector:
     """Check that every unconsumed ancilla is still the key's magic state,
-    replay the executed operations to recover each block's key, decode
-    the data blocks, and put the wires back in logical order.
+    replay the executed operations to recover each block's key, and
+    decode the data blocks.
 
     A block keyed (u', v') is, up to a global phase, the key's own
     encoding under the Pauli frame X^(v' ^ v) Z^(u' ^ u), so every block
     decodes under the key's cached isometry with that frame."""
     code = sk.code
     magic = css.magic_ancilla_sparse(code)
-    for sid, idx, vals in ct.ancilla_pool:
+    for a, (idx, vals) in enumerate(ct.ancilla_pool):
         lost = 1.0 - abs(sim.sparse_vdot(*magic, idx, vals)) ** 2
         if lost > ANCILLA_PRODUCT_TOL:
             raise LeakageError(
-                f"ancilla slot {sid} is not the expected product state "
+                f"pending ancilla {a} is not the expected product state "
                 f"(weight {lost:.3e} lost)")
-    keys = _replay_keys(sk, ct.events)
-    frames = []
-    for slot in ct.layout:
-        u, v = keys.get(slot.sid, (code.u, code.v))
-        frames.append((v ^ code.v, u ^ code.u))
-    plain = css.decode_blocks(code, ct.state, frames=frames)
-    wires = [s.wire for s in ct.layout]
-    perm = [wires.index(w) for w in range(len(wires))]
-    return sim.permute_wires(plain, perm)
+    keys, _ = _replay_keys(sk, ct)
+    frames = [(v ^ code.v, u ^ code.u) for u, v in keys]
+    return css.decode_blocks(code, ct.state, frames=frames)
 
 
 def attack_key_guess(ct: SymCiphertext, candidates: list[SymKey],
@@ -279,7 +226,7 @@ def attack_key_guess(ct: SymCiphertext, candidates: list[SymKey],
     """Try to identify the key by decoding one data block under each
     candidate. Reports how many candidates decode without leakage; clean
     decode alone cannot single out the true key when several do."""
-    if not ct.layout:
+    if not ct.num_wires:
         raise ShapeError("ciphertext has no data blocks")
     clean = []
     for cand in candidates:
@@ -303,6 +250,10 @@ def attack_ancilla_leak(copies: int, candidates: list[SymKey],
     ancillas in the {magic, orthogonal} basis of that key; a candidate
     survives if every copy passes. The attacker guesses uniformly among
     survivors. With 0 copies this is a uniform guess at 1/K."""
+    if trials < 1:
+        raise ParameterError(f"trials must be at least 1, got {trials}")
+    if copies < 0:
+        raise ParameterError(f"copies must be at least 0, got {copies}")
     true_anc = css.magic_ancilla(true_key.code)
     overlaps = [sim.fidelity(css.magic_ancilla(c.code), true_anc)
                 for c in candidates]

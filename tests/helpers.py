@@ -81,3 +81,72 @@ def random_circuit(gen: np.random.Generator, max_wires: int = 2,
             if kind == "T":
                 t_used += 1
     return sim.LogicalCircuit(num_wires=wires, gates=tuple(gates))
+
+
+class FrameOracle:
+    """Test-side Pauli frame of an asymmetric ciphertext: wire w's block
+    carries X^x Z^z with (x, z) = frames[w]. The ciphertext keeps no such
+    record, since only the key holder may know the errors. The frame
+    starts from Paulis the test injected itself (`inject`) or from the
+    syndromes read under the private key (`read`), and the gates move it
+    by the key rules with (u, v) read as (z, x). Unlike the oracles above
+    it reuses library routines, so the tests that use it also check its
+    frame against the register itself (`undo`, or `read` after a gate)."""
+
+    def __init__(self, frames):
+        self.frames = [(np.asarray(x, dtype=np.uint8),
+                        np.asarray(z, dtype=np.uint8)) for x, z in frames]
+
+    @classmethod
+    def inject(cls, ct, frames) -> "FrameOracle":
+        """Apply X^x Z^z to each block of `ct` and record it; `ct` should
+        carry no errors of its own (encrypted with override_weight=0)."""
+        oracle = cls(frames)
+        for w, (x, z) in enumerate(oracle.frames):
+            sim.apply_block_pauli(ct.state, w * ct.n, ct.n,
+                                  x_mask=sim.mask_of_bits(x),
+                                  z_mask=sim.mask_of_bits(z))
+        return oracle
+
+    @classmethod
+    def read(cls, private, ct) -> "FrameOracle":
+        """Read every block's frame off its syndromes; exact while each
+        block's error weight is within the radius t."""
+        code = private.scrambled_code
+        return cls([css.correct_errors(code, ct.state, w)
+                    for w in range(ct.num_wires)])
+
+    def h(self, w: int) -> None:
+        x, z = self.frames[w]
+        z, x = css.KeyEvolver.h_rule(z, x)
+        self.frames[w] = (x, z)
+
+    def cnot(self, wc: int, wt: int) -> None:
+        (xc, zc), (xt, zt) = self.frames[wc], self.frames[wt]
+        (zc, xc), (zt, xt) = css.KeyEvolver.cnot_rule((zc, xc), (zt, xt))
+        self.frames[wc], self.frames[wt] = (xc, zc), (xt, zt)
+
+    def t(self, w: int) -> None:
+        """The error-free ancilla, as control of the gadget's CNOT, takes
+        the data block's phase errors and none of its bit flips, which
+        only perturb the corrected readout. X then S-dagger on outcome 1
+        leaves a frame without bit flips as it is."""
+        n = self.frames[w][0].shape[0]
+        zero = np.zeros(n, dtype=np.uint8)
+        x, z = self.frames[w]
+        (z, x), _ = css.KeyEvolver.cnot_rule((zero, zero), (z, x))
+        self.frames[w] = (x, z)
+
+    def weight(self, w: int) -> int:
+        x, z = self.frames[w]
+        return int(np.count_nonzero(x | z))
+
+    def undo(self, ct) -> sim.StateVector:
+        """A copy of the register with every block's frame applied again,
+        which removes it up to a global phase."""
+        probe = ct.state.copy()
+        for w, (x, z) in enumerate(self.frames):
+            sim.apply_block_pauli(probe, w * ct.n, ct.n,
+                                  x_mask=sim.mask_of_bits(x),
+                                  z_mask=sim.mask_of_bits(z))
+        return probe

@@ -138,23 +138,31 @@ def test_criterion_03_transversal_identities():
     assert time.perf_counter() - t0 < 10.0
 
 
-def test_criterion_04_gadget_both_branches():
+def test_criterion_04_gadget_both_branches(monkeypatch):
     plus = sim.apply_gate(sim.basis_state(1, "0"), sim.GateOp("H", (0,)))
     want = sim.apply_gate(plus.copy(), sim.GateOp("T", (0,)))
     key = symmetric.keygen("steane", "family", seeded(4, 0))
     circuit = sim.parse_circuit("T 0")
+    corrections = []
+    sdgx = sim.transversal_sdgx
+
+    def counted(*args):
+        corrections.append(args[1:])
+        return sdgx(*args)
+
+    monkeypatch.setattr(sim, "transversal_sdgx", counted)
     found = {}
     for seed in range(60):
         if len(found) == 2:
             break
+        corrections.clear()
         out, ct = sym_run(key, plus, circuit, 1, seeded(4, 1, seed))
         outcome = ct.gadget_outcomes[0]
         if outcome in found:
             continue
         assert sim.fidelity(out, want) >= 1 - 1e-9
-        if outcome == 1:
-            # the correction path must have fired
-            assert any(e[0] == "SDGX" for e in ct.events)
+        # the correction path fires, on the wire's block, exactly on 1
+        assert corrections == [(0, 7)] * outcome
         found[outcome] = seed
     assert sorted(found) == [0, 1]
 
@@ -292,8 +300,17 @@ def test_criterion_10_determinism(capsys, tmp_path):
         key = symmetric.keygen("steane", "family", seeded(10, 0))
         psi = random_state(seeded(10, 1), 2)
         circuit = sim.parse_circuit("H 0\nT 0\nCNOT 0 1")
-        out, ct = sym_run(key, psi, circuit, 1, seeded(10, 2))
-        return out.amps.tobytes(), tuple(ct.gadget_outcomes), tuple(ct.log)
+        ct = symmetric.encrypt(key, psi, 1, seeded(10, 2))
+        oracle = symmetric.make_readout(key, ct)
+        crossing = []
+
+        def recorder(bits):
+            crossing.append((bits, oracle(bits)))
+            return crossing[-1][1]
+
+        symmetric.evaluate(key.code.n, circuit, ct, recorder)
+        out = symmetric.decrypt(key, ct)
+        return out.amps.tobytes(), tuple(ct.gadget_outcomes), tuple(crossing)
 
     def asym_trace():
         kp = steane_keypair(3)

@@ -1,13 +1,14 @@
 """Asymmetric scheme: public-code encryption with injected errors, bound
 tracking, refresh round trips, and the session protocol."""
 
+import dataclasses
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from cssfhe import asymmetric, css, sim
+from cssfhe import asymmetric, css, sim, symmetric
 from cssfhe.errors import (
     ParameterError,
     RefreshAuthorityError,
@@ -15,7 +16,7 @@ from cssfhe.errors import (
     WireError,
 )
 
-from helpers import random_state, rng
+from helpers import FrameOracle, random_state, rng
 
 
 def steane_pair(seed):
@@ -29,8 +30,10 @@ def golay_pair():
     return asymmetric.keygen("golay", 0.5, rng(200))
 
 
-def mask_weight(rec):
-    return int(np.count_nonzero(rec["x"] | rec["z"]))
+def unit(n, *positions):
+    bits = np.zeros(n, dtype=np.uint8)
+    bits[list(positions)] = 1
+    return bits
 
 
 def test_keygen_validates_c():
@@ -59,15 +62,37 @@ def test_public_code_has_zero_key():
     assert kp.public.code is kp.private.scrambled_code
 
 
+def test_ciphertexts_hold_nothing_the_evaluator_must_not_see():
+    """The evaluator holds the blocks, public sizes, weight bounds and the
+    gates it ran: no error masks, and no field that the key decides."""
+    assert [f.name for f in dataclasses.fields(asymmetric.AsymCiphertext)] \
+        == ["state", "n", "t", "bounds", "session_weight"]
+    quantum = {"state", "ancilla_pool"}  # data prepared under the key
+    classical = [f.name for f in dataclasses.fields(symmetric.SymCiphertext)
+                 if f.name not in quantum]
+    assert classical == ["n", "executed", "gadget_outcomes", "rng"]
+    circuit = sim.parse_circuit("H 0\nCNOT 0 1")
+    g = rng(36)
+    psi = random_state(g, 2)
+    views = []
+    for seed, mode in enumerate(("family", "scrambled", "family")):
+        key = symmetric.keygen("steane", mode, rng(40 + seed))
+        ct = symmetric.encrypt(key, psi, 1, rng(37))
+        symmetric.evaluate(7, circuit, ct, symmetric.make_readout(key, ct))
+        views.append((ct.n, ct.executed, ct.gadget_outcomes,
+                      ct.rng.bit_generator.state))
+    assert views[0] == views[1] == views[2]
+
+
 def test_encrypt_zero_weight_roundtrip():
     g = rng(6)
     kp = steane_pair(6)
     psi = random_state(g, 2)
     ct = asymmetric.encrypt(kp.public, psi, g)
     assert ct.state.num_qubits == 14
-    assert ct.wire_bounds() == [0, 0]
-    for rec in ct.injected.values():
-        assert mask_weight(rec) == 0
+    assert ct.bounds == [0, 0]
+    frame = FrameOracle.read(kp.private, ct)
+    assert [frame.weight(w) for w in range(2)] == [0, 0]
     out = asymmetric.decrypt(kp.private, ct)
     assert sim.fidelity(out, psi) >= 1 - 1e-10
 
@@ -77,10 +102,10 @@ def test_encrypt_injects_per_block():
     kp = steane_pair(7)
     psi = random_state(g, 2)
     ct = asymmetric.encrypt(kp.public, psi, g, override_weight=1)
-    assert ct.wire_bounds() == [1, 1]
+    assert ct.bounds == [1, 1]
     assert ct.session_weight == 1
-    for rec in ct.injected.values():
-        assert mask_weight(rec) == 1
+    frame = FrameOracle.read(kp.private, ct)
+    assert [frame.weight(w) for w in range(2)] == [1, 1]
     out = asymmetric.decrypt(kp.private, ct)
     assert sim.fidelity(out, psi) >= 1 - 1e-10
 
@@ -125,10 +150,10 @@ def test_refresh_resets_bounds_to_one_block():
     psi = random_state(g, 2)
     ct = asymmetric.encrypt(kp.public, psi, g, override_weight=1)
     fresh = asymmetric.refresh(kp.private, ct, g)
-    assert sorted(fresh.wire_bounds()) == [0, 1]  # total stays session_weight
+    assert sorted(fresh.bounds) == [0, 1]  # total stays session_weight
     assert fresh.session_weight == 1
-    total = sum(mask_weight(rec) for rec in fresh.injected.values())
-    assert total == 1
+    frame = FrameOracle.read(kp.private, fresh)
+    assert [frame.weight(w) for w in range(2)] == fresh.bounds
     out = asymmetric.decrypt(kp.private, fresh)
     assert sim.fidelity(out, psi) >= 1 - 1e-10
 
@@ -137,9 +162,9 @@ def test_refresh_single_block_restores_encryption_weight(golay_pair):
     g = rng(12)
     psi = random_state(g, 1)
     ct = asymmetric.encrypt(golay_pair.public, psi, g)
-    assert ct.wire_bounds() == [1]
+    assert ct.bounds == [1]
     fresh = asymmetric.refresh(golay_pair.private, ct, g)
-    assert fresh.wire_bounds() == [1]  # floor(c * t) again
+    assert fresh.bounds == [1]  # floor(c * t) again
     out = asymmetric.decrypt(golay_pair.private, fresh)
     assert sim.fidelity(out, psi) >= 1 - 1e-10
 
@@ -160,12 +185,12 @@ def test_gate_h_swaps_masks():
     kp = steane_pair(14)
     psi = random_state(g, 1)
     ct = asymmetric.encrypt(kp.public, psi, g, override_weight=1)
-    x0 = ct.injected[0]["x"].copy()
-    z0 = ct.injected[0]["z"].copy()
+    (x0, z0), = FrameOracle.read(kp.private, ct).frames
     asymmetric._gate_h(ct, 0)
-    assert np.array_equal(ct.injected[0]["x"], z0)
-    assert np.array_equal(ct.injected[0]["z"], x0)
-    assert ct.wire_bounds() == [1]
+    (x1, z1), = FrameOracle.read(kp.private, ct).frames
+    assert np.array_equal(x1, z0)
+    assert np.array_equal(z1, x0)
+    assert ct.bounds == [1]
     want = sim.apply_gate(psi.copy(), sim.GateOp("H", (0,)))
     assert sim.fidelity(asymmetric.decrypt(kp.private, ct), want) >= 1 - 1e-10
 
@@ -174,15 +199,21 @@ def test_gate_cnot_propagates_masks_and_bounds():
     g = rng(15)
     kp = steane_pair(15)
     psi = random_state(g, 2)
-    ct = asymmetric.encrypt(kp.public, psi, g, override_weight=1)
-    xc, zc = (ct.injected[0][k].copy() for k in ("x", "z"))
-    xt, zt = (ct.injected[1][k].copy() for k in ("x", "z"))
+    ct = asymmetric.encrypt(kp.public, psi, g, override_weight=0)
+    xc, zc, xt, zt = unit(7, 2), unit(7, 2), unit(7, 5), unit(7, 0)
+    frame = FrameOracle.inject(ct, [(xc, zc), (xt, zt)])  # Y 2 | X 5, Z 0
+    ct.bounds = [1, 1]
     asymmetric._gate_cnot(ct, 0, 1)
-    assert np.array_equal(ct.injected[1]["x"], xt ^ xc)
-    assert np.array_equal(ct.injected[0]["z"], zc ^ zt)
-    assert np.array_equal(ct.injected[0]["x"], xc)
-    assert np.array_equal(ct.injected[1]["z"], zt)
-    assert ct.wire_bounds() == [2, 2]
+    frame.cnot(0, 1)
+    (xc1, zc1), (xt1, zt1) = frame.frames
+    assert np.array_equal(xt1, unit(7, 2, 5))  # xt ^ xc
+    assert np.array_equal(zc1, unit(7, 0, 2))  # zc ^ zt
+    assert np.array_equal(xc1, xc)
+    assert np.array_equal(zt1, zt)
+    assert ct.bounds == [2, 2]
+    evolved = sim.apply_gate(psi.copy(), sim.GateOp("CNOT", (0, 1)))
+    clean = css.encode_blocks(kp.public.code, evolved)
+    assert sim.fidelity(frame.undo(ct), clean) >= 1 - 1e-10
 
 
 def test_gate_masks_match_physical_error():
@@ -193,19 +224,17 @@ def test_gate_masks_match_physical_error():
     code = kp.public.code
     psi = random_state(g, 2)
     ct = asymmetric.encrypt(kp.public, psi, g, override_weight=1)
+    frame = FrameOracle.read(kp.private, ct)
     asymmetric._gate_h(ct, 0)
+    frame.h(0)
     asymmetric._gate_cnot(ct, 0, 1)
+    frame.cnot(0, 1)
     asymmetric._gate_h(ct, 1)
+    frame.h(1)
     evolved = sim.run_circuit(psi.copy(),
                               sim.parse_circuit("H 0\nCNOT 0 1\nH 1"))
-    probe = ct.state.copy()
-    for sid in (0, 1):
-        rec = ct.injected[sid]
-        sim.apply_block_pauli(probe, ct.slot_start(sid), 7,
-                              x_mask=sim.mask_of_bits(rec["x"]),
-                              z_mask=sim.mask_of_bits(rec["z"]))
     clean = css.encode_blocks(code, evolved)
-    assert sim.fidelity(probe, clean) >= 1 - 1e-10
+    assert sim.fidelity(frame.undo(ct), clean) >= 1 - 1e-10
 
 
 def test_gate_t_inherits_phase_mask_and_bound():
@@ -215,18 +244,18 @@ def test_gate_t_inherits_phase_mask_and_bound():
         g = rng(400 + seed)
         kp = steane_pair(17)
         psi = random_state(g, 1)
-        ct = asymmetric.encrypt(kp.public, psi, g)
+        ct = asymmetric.encrypt(kp.public, psi, g, override_weight=0)
         # definite Y error: both mask kinds at one position
-        sim.apply_block_pauli(ct.state, 0, 7, x_mask=1 << 3, z_mask=1 << 3)
-        ct.injected[0] = {
-            "x": np.array([0, 0, 0, 1, 0, 0, 0], dtype=np.uint8),
-            "z": np.array([0, 0, 0, 1, 0, 0, 0], dtype=np.uint8)}
+        frame = FrameOracle.inject(ct, [(unit(7, 3), unit(7, 3))])
         ct.bounds[0] = 1
         asymmetric._gate_t(ct, 0, kp.public.code, g)
-        assert not ct.injected[0]["x"].any()
-        assert np.array_equal(ct.injected[0]["z"],
-                              np.array([0, 0, 0, 1, 0, 0, 0], dtype=np.uint8))
-        assert ct.wire_bounds() == [1]
+        frame.t(0)
+        (x, z), = frame.frames
+        assert not x.any()
+        assert np.array_equal(z, unit(7, 3))
+        (x_read, z_read), = FrameOracle.read(kp.private, ct).frames
+        assert np.array_equal(x_read, x) and np.array_equal(z_read, z)
+        assert ct.bounds == [1]
         want = sim.apply_gate(psi.copy(), sim.GateOp("T", (0,)))
         assert sim.fidelity(asymmetric.decrypt(kp.private, ct), want) >= 1 - 1e-10
 
@@ -249,25 +278,31 @@ def test_bounds_dominate_actual_weights():
     kp = steane_pair(19)
     psi = random_state(g, 2)
     ct = asymmetric.encrypt(kp.public, psi, g, override_weight=1)
+    frame = FrameOracle.read(kp.private, ct)
     plain = psi.copy()
     for step in range(30):
         pick = g.integers(3)
         if pick == 0:
             w = int(g.integers(2))
             asymmetric._gate_h(ct, w)
+            frame.h(w)
             plain = sim.apply_gate(plain, sim.GateOp("H", (w,)))
         elif pick == 1:
             wc = int(g.integers(2))
             gate = sim.GateOp("CNOT", (wc, 1 - wc))
             if max(asymmetric._predicted_bounds(ct, gate)) > ct.t:
                 ct = asymmetric.refresh(kp.private, ct, g)
+                frame = FrameOracle.read(kp.private, ct)
             asymmetric._gate_cnot(ct, wc, 1 - wc)
+            frame.cnot(wc, 1 - wc)
             plain = sim.apply_gate(plain, gate)
         else:
             continue
-        for slot in ct.layout:
-            assert ct.bounds[slot.sid] >= mask_weight(ct.injected[slot.sid])
-            assert ct.bounds[slot.sid] <= ct.t or pick == 1
+        for w in range(ct.num_wires):
+            assert ct.bounds[w] >= frame.weight(w)
+            assert ct.bounds[w] <= ct.t or pick == 1
+    assert sim.fidelity(frame.undo(ct), css.encode_blocks(kp.public.code,
+                                                          plain)) >= 1 - 1e-9
     out = asymmetric.decrypt(kp.private, ct)
     # bounds can sit above t right after a CNOT; refresh before comparing
     assert sim.fidelity(out, plain) >= 1 - 1e-9 or sim.fidelity(

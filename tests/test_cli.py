@@ -162,6 +162,31 @@ def test_roundtrip_non_finite_state_is_validation_error(tmp_path, literal):
     assert "NaN" not in proc.stdout
 
 
+@pytest.mark.parametrize("argv", [
+    ["experiment", "ancilla-leak", "--trials", "0"],
+    ["experiment", "ancilla-leak", "--trials", "10", "--copies", "-1"],
+    ["experiment", "ancilla-leak", "--trials", "10", "--candidates", "0"],
+    ["experiment", "key-guess", "--candidates", "-3"],
+    ["roundtrip", "--tbudget", "-2"],
+    ["roundtrip", "--scheme", "asym", "--weight", "-1"],
+    ["session", "--weight", "-1"],
+], ids=["trials-0", "copies-neg", "leak-candidates-0", "guess-candidates-neg",
+        "tbudget-neg", "roundtrip-weight-neg", "session-weight-neg"])
+def test_out_of_range_counts_are_validation_errors(tmp_path, zero_state, argv):
+    circ = circuit_file(tmp_path, "h.circ", "H 0\n")
+    if argv[0] == "roundtrip":
+        argv = argv + ["--state", zero_state]
+    if argv[0] != "experiment":
+        argv = argv + ["--circuit", circ]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cssfhe.cli", *argv, "--seed", "0"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "invalid request:" in proc.stderr
+
+
 # runs each argv through cli.main in one process; an exception that
 # escapes main ends the runner with a traceback on stderr
 _CLI_RUNNER = """

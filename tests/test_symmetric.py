@@ -59,15 +59,14 @@ def test_encrypt_layout_and_capacity():
     psi = random_state(g, 1)
     ct = symmetric.encrypt(key, psi, 0, g)
     assert ct.state.num_qubits == 7
-    assert [(s.sid, s.wire) for s in ct.layout] == [(0, 0)]
+    assert ct.num_wires == 1
     assert ct.ancilla_pool == []
     # the ancilla is a pending product factor, not part of the register
     ct = symmetric.encrypt(key, psi, 1, g)
     assert ct.state.num_qubits == 7
     assert len(ct.ancilla_pool) == 1
-    sid, idx, vals = ct.ancilla_pool[0]
+    idx, vals = ct.ancilla_pool[0]
     want_idx, want_vals = css.magic_ancilla_sparse(key.code)
-    assert sid == 1
     assert np.array_equal(idx, want_idx) and np.array_equal(vals, want_vals)
     # ancillas take no register space: only the wires count
     assert symmetric.encrypt(key, psi, 3, g).state.num_qubits == 7
@@ -152,7 +151,7 @@ def test_gadget_keeps_register_at_data_blocks():
     symmetric.evaluate(7, sim.parse_circuit("H 1\nT 0\nCNOT 0 1"), ct,
                        symmetric.make_readout(key, ct))
     assert ct.state.num_qubits == 14
-    assert [(s.sid, s.wire) for s in ct.layout] == [(2, 0), (1, 1)]
+    assert ct.num_wires == 2
     assert ct.ancilla_pool == []
 
 
@@ -317,9 +316,17 @@ def test_decrypt_rejects_tampered_pending_ancilla(mode):
     sibling = key.code.with_key(key.code.u, key.code.v ^ key.code.x1)
     logical_zero = css.isometry(key.code).cols[0]
     for idx, vals in (css.magic_ancilla_sparse(sibling), logical_zero):
-        ct.ancilla_pool[0] = (1, idx, vals)
+        ct.ancilla_pool[0] = (idx, vals)
         with pytest.raises(LeakageError):
             symmetric.decrypt(key, ct)
+
+
+def test_decrypt_of_no_wires_is_a_new_state():
+    g = rng(52)
+    key = symmetric.keygen("steane", "family", g)
+    ct = symmetric.encrypt(key, sim.StateVector(0, np.ones(1)), 0, g)
+    out = symmetric.decrypt(key, ct)
+    assert out is not ct.state and out.amps.tolist() == [1.0]
 
 
 def test_base_pairs_are_shared_and_read_only():

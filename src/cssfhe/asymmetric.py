@@ -13,18 +13,18 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from . import css, sim
-from .css import CssCode, ScrambledSecretKey
+from . import css, sim, symmetric
+from .css import CssCode
 from .errors import (
     ParameterError,
     RefreshAuthorityError,
     WeightTooLargeError,
     WireError,
 )
-from .symmetric import base_pair
 
 
 @dataclass(eq=False)
@@ -35,23 +35,22 @@ class PublicKey:
 
 @dataclass(eq=False)
 class AsymKeyPair:
-    private: ScrambledSecretKey
+    private: symmetric.SymKey  # scrambled
     public: PublicKey
 
 
 def keygen(base_name: str, c: float, rng: np.random.Generator) -> AsymKeyPair:
     if not 0.0 < c < 1.0:
         raise ParameterError(f"c must be in (0, 1), got {c}")
-    c1, c2 = base_pair(base_name)
-    private = css.keygen_scrambled(c1, c2, rng)
-    t = private.scrambled_code.t
+    private = symmetric.keygen(base_name, "scrambled", rng)
+    t = private.code.t
     ct_weight = math.floor(c * t)
     if ct_weight == 0:
         warnings.warn(
             f"floor({c} * {t}) = 0: encryption will inject no errors",
             stacklevel=2)
     return AsymKeyPair(private=private,
-                       public=PublicKey(code=private.scrambled_code,
+                       public=PublicKey(code=private.code,
                                         ct_weight=ct_weight))
 
 
@@ -72,9 +71,12 @@ class AsymCiphertext:
         return self.state.num_qubits // self.n
 
 
-def _inject(state: sim.StateVector, start: int, n: int, positions, kinds):
-    """Apply one Pauli per (position, kind) pair on a block.
-    kind 0 = X, 1 = Y, 2 = Z."""
+def _inject(state: sim.StateVector, start: int, n: int, weight: int,
+            rng: np.random.Generator) -> None:
+    """Apply `weight` Pauli errors to a block: distinct uniform positions,
+    each an X, Y or Z (kind 0, 1 or 2) with equal probability."""
+    positions = rng.choice(n, size=weight, replace=False)
+    kinds = rng.integers(0, 3, size=weight)
     x = np.zeros(n, dtype=np.uint8)
     z = np.zeros(n, dtype=np.uint8)
     for p, k in zip(positions, kinds):
@@ -102,48 +104,44 @@ def encrypt(pk: PublicKey, plaintext: sim.StateVector,
     state = css.encode_blocks(code, plaintext)
     m = plaintext.num_qubits
     for w in range(m):
-        positions = rng.choice(code.n, size=weight, replace=False)
-        kinds = rng.integers(0, 3, size=weight)
-        _inject(state, w * code.n, code.n, positions, kinds)
+        _inject(state, w * code.n, code.n, weight, rng)
     return AsymCiphertext(state=state, n=code.n, t=code.t, bounds=[weight] * m,
                           session_weight=weight)
 
 
-def decrypt(private: ScrambledSecretKey, ct: AsymCiphertext) -> sim.StateVector:
+def decrypt(private: symmetric.SymKey, ct: AsymCiphertext) -> sim.StateVector:
     """Read each block's Pauli frame off its syndromes and decode every
     block under its frame. X^x Z^z on a block encoded under (u, v) is, up
     to a global phase, the encoding under (u ^ z, v ^ x), so the errors
     never need to be undone: the ciphertext is left unchanged and no
     register-sized array is made."""
-    code = private.scrambled_code
+    code = private.code
     index = sim.first_occupied(ct.state)
     frames = [css.correct_errors(code, ct.state, i, index)
               for i in range(ct.num_wires)]
     return css.decode_blocks(code, ct.state, frames=frames)
 
 
-def refresh(private: ScrambledSecretKey, ct: AsymCiphertext,
+def refresh(private: symmetric.SymKey, ct: AsymCiphertext,
             rng: np.random.Generator) -> AsymCiphertext:
     """Decrypt and re-encrypt with fresh randomness. The session's error
     weight goes back into a single uniformly chosen block so the
     total never grows with the block count; bounds drop to the actual
     fresh counts."""
     plaintext = decrypt(private, ct)
-    code = private.scrambled_code
+    code = private.code
     state = css.encode_blocks(code, plaintext)
     m = plaintext.num_qubits
     bounds = [0] * m
     if ct.session_weight > 0:
         target = int(rng.integers(m))
-        positions = rng.choice(code.n, size=ct.session_weight, replace=False)
-        kinds = rng.integers(0, 3, size=ct.session_weight)
-        _inject(state, target * code.n, code.n, positions, kinds)
+        _inject(state, target * code.n, code.n, ct.session_weight, rng)
         bounds[target] = ct.session_weight
     return AsymCiphertext(state=state, n=code.n, t=code.t, bounds=bounds,
                           session_weight=ct.session_weight)
 
 
-def make_refresh_authority(private: ScrambledSecretKey,
+def make_refresh_authority(private: symmetric.SymKey,
                            rng: np.random.Generator):
     def authority(ct: AsymCiphertext) -> AsymCiphertext:
         return refresh(private, ct, rng)
@@ -155,7 +153,6 @@ class ProtocolMessage:
     kind: str                 # Cipher | RefreshRequest | RefreshResponse | Result
     seq: int
     bounds: tuple[int, ...]
-    payload: object = None
 
 
 @dataclass
@@ -166,10 +163,9 @@ class Transcript:
     def refresh_count(self) -> int:
         return sum(1 for m in self.messages if m.kind == "RefreshRequest")
 
-    def append(self, kind: str, bounds, payload=None) -> None:
+    def append(self, kind: str, bounds) -> None:
         self.messages.append(ProtocolMessage(
-            kind=kind, seq=len(self.messages), bounds=tuple(bounds),
-            payload=payload))
+            kind=kind, seq=len(self.messages), bounds=tuple(bounds)))
 
 
 def _predicted_bounds(ct: AsymCiphertext, gate: sim.GateOp) -> list[int]:
@@ -182,32 +178,25 @@ def _predicted_bounds(ct: AsymCiphertext, gate: sim.GateOp) -> list[int]:
     return [ct.bounds[gate.wires[0]]]
 
 
-def _gate_h(ct: AsymCiphertext, wire: int) -> None:
-    sim.transversal_h(ct.state, wire * ct.n, ct.n)
+def _step(ct: AsymCiphertext, gate: sim.GateOp, code: CssCode,
+          rng: np.random.Generator) -> None:
+    """Run one gate on the blocks and update the bounds it moves.
 
-
-def _gate_cnot(ct: AsymCiphertext, wc: int, wt: int) -> None:
-    sim.transversal_cnot(ct.state, wc * ct.n, wt * ct.n, ct.n)
-    ct.bounds[wc] = ct.bounds[wt] = min(ct.n, ct.bounds[wc] + ct.bounds[wt])
-
-
-def _gate_t(ct: AsymCiphertext, wire: int, code: CssCode,
-            rng: np.random.Generator) -> None:
-    """Bob's own T gadget: he prepares an error-free encoded magic state
-    from the public code, runs n CNOTs with the ancilla as control, measures
-    the whole data block, and decodes the record himself.
-
-    The ancilla is a fresh product factor, so sim.splice_ancilla puts it in
-    the data block's place without materializing the joint register (it
-    would not fit for the 23-bit code). The wire's bound carries over: the
-    new block inherits the data block's phase errors, and its bit-flip
-    errors are absorbed by the corrected readout."""
-    d0 = wire * ct.n
-    a_idx, a_val = css.magic_ancilla_sparse(code)
-    bits, _ = sim.splice_ancilla(ct.state, d0, ct.n, a_idx, a_val, rng)
-    if css.logical_readout(code, bits) == 1:
-        # logical SX correction: transversal X then transversal Sdg
-        sim.transversal_sdgx(ct.state, d0, ct.n)
+    A T is Bob's own gadget: a fresh error-free magic ancilla from the
+    public code, whose record Bob decodes with it. The wire's bound carries
+    over: the new block inherits the data block's phase errors, and its
+    bit-flip errors are absorbed by the corrected readout."""
+    start = gate.wires[0] * ct.n
+    if gate.kind == "H":
+        sim.transversal_h(ct.state, start, ct.n)
+    elif gate.kind == "CNOT":
+        wc, wt = gate.wires
+        sim.transversal_cnot(ct.state, start, wt * ct.n, ct.n)
+        ct.bounds[wc], ct.bounds[wt] = _predicted_bounds(ct, gate)
+    else:
+        symmetric.ft_t_gadget(ct.state, start, ct.n,
+                              css.magic_ancilla_sparse(code),
+                              partial(css.logical_readout, code), rng)
 
 
 def evaluate_session(pk: PublicKey, circuit: sim.LogicalCircuit,
@@ -215,15 +204,14 @@ def evaluate_session(pk: PublicKey, circuit: sim.LogicalCircuit,
                      rng: np.random.Generator) -> tuple[AsymCiphertext, Transcript]:
     """Run the circuit, interleaving refresh round trips with the key
     holder whenever the next gate would push a tracked bound past t.
-    The transcript's Cipher and Result messages carry the input and the
-    final ciphertext; a RefreshResponse carries only the fresh bounds, so
-    no superseded register stays alive for the rest of the session."""
+    Each transcript message records the bounds at that point; the final
+    ciphertext is returned, and no superseded register stays alive."""
     if circuit.num_wires > ct.num_wires:
         raise WireError(
             f"circuit uses {circuit.num_wires} wires, ciphertext has "
             f"{ct.num_wires}")
     transcript = Transcript()
-    transcript.append("Cipher", ct.bounds, payload=ct)
+    transcript.append("Cipher", ct.bounds)
     for gate in circuit.gates:
         if any(b > ct.t for b in _predicted_bounds(ct, gate)):
             transcript.append("RefreshRequest", ct.bounds)
@@ -236,11 +224,6 @@ def evaluate_session(pk: PublicKey, circuit: sim.LogicalCircuit,
                 raise RefreshAuthorityError(
                     f"bounds {ct.bounds} still exceed t={ct.t} after "
                     f"a refresh; gate {gate.kind} cannot run")
-        if gate.kind == "H":
-            _gate_h(ct, gate.wires[0])
-        elif gate.kind == "CNOT":
-            _gate_cnot(ct, gate.wires[0], gate.wires[1])
-        else:
-            _gate_t(ct, gate.wires[0], pk.code, rng)
-    transcript.append("Result", ct.bounds, payload=ct)
+        _step(ct, gate, pk.code, rng)
+    transcript.append("Result", ct.bounds)
     return ct, transcript

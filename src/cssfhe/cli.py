@@ -108,9 +108,7 @@ def _family_candidates(base: str, count: int,
     c1, c2 = symmetric.base_pair(base)
 
     def family_key(u, v) -> symmetric.SymKey:
-        secret = css.FamilySecretKey(c1=c1, c2=c2, u=u, v=v,
-                                     code=css.base_code(c1, c2).with_key(u, v))
-        return symmetric.SymKey("family", base, secret)
+        return symmetric.SymKey(base, css.base_code(c1, c2).with_key(u, v))
 
     out = [true_key]
     if count > 1:
@@ -124,6 +122,9 @@ def _family_candidates(base: str, count: int,
         if sig == true_sig:
             continue
         out.append(family_key(u, v))
+    if len(out) < count:
+        raise ParameterError(
+            f"{base} has at most {len(out)} distinct candidates, got {count}")
     return out
 
 
@@ -131,11 +132,11 @@ def cmd_keygen(args) -> int:
     rng = _rng(args.seed, STREAM_KEYGEN)
     if args.scheme == "sym":
         key = symmetric.keygen(args.base, args.mode, rng)
-        rec = files.key_record(key, args.base)
+        rec = files.key_record(key)
         report = {"kind": args.mode, "n": key.code.n, "t": key.code.t}
     else:
         pair = asymmetric.keygen(args.base, args.c, rng)
-        rec = files.key_record(pair, args.base)
+        rec = files.key_record(pair)
         report = {"kind": "asym", "n": pair.public.code.n,
                   "t": pair.public.code.t, "ct": pair.public.ct_weight}
     if args.out:
@@ -158,7 +159,9 @@ def _run_sym_roundtrip(args, plaintext, circuit):
     return sim.fidelity(out, reference), key.code.n
 
 
-def _run_asym_roundtrip(args, plaintext, circuit):
+def _run_session(args, plaintext, circuit):
+    """An asymmetric session: keygen, encrypt, evaluate with refreshes
+    from the key holder, decrypt; returns (fidelity, n, transcript)."""
     pair = asymmetric.keygen(args.base, args.c, _rng(args.seed, STREAM_KEYGEN))
     ct = asymmetric.encrypt(pair.public, plaintext,
                             _rng(args.seed, STREAM_ERRORS),
@@ -169,7 +172,7 @@ def _run_asym_roundtrip(args, plaintext, circuit):
         pair.public, circuit, ct, alice, _rng(args.seed, STREAM_MEASURE))
     out = asymmetric.decrypt(pair.private, ct)
     reference = sim.run_circuit(plaintext.copy(), circuit)
-    return sim.fidelity(out, reference), pair.public.code.n
+    return sim.fidelity(out, reference), pair.public.code.n, transcript
 
 
 def cmd_roundtrip(args) -> int:
@@ -178,7 +181,7 @@ def cmd_roundtrip(args) -> int:
     if args.scheme == "sym":
         fidelity, n = _run_sym_roundtrip(args, plaintext, circuit)
     else:
-        fidelity, n = _run_asym_roundtrip(args, plaintext, circuit)
+        fidelity, n, _ = _run_session(args, plaintext, circuit)
     ok = fidelity >= FIDELITY_GATE
     report = {"fidelity": fidelity, "n": n, "ok": ok}
     if args.out:
@@ -189,19 +192,9 @@ def cmd_roundtrip(args) -> int:
 
 def cmd_session(args) -> int:
     circuit = sim.parse_circuit(Path(args.circuit).read_text(encoding="utf-8"))
-    pair = asymmetric.keygen(args.base, args.c, _rng(args.seed, STREAM_KEYGEN))
     m = max(circuit.num_wires, 1)
-    plaintext = sim.basis_state(m, "0" * m)
-    ct = asymmetric.encrypt(pair.public, plaintext,
-                            _rng(args.seed, STREAM_ERRORS),
-                            override_weight=args.weight)
-    alice = asymmetric.make_refresh_authority(pair.private,
-                                              _rng(args.seed, STREAM_REFRESH))
-    ct, transcript = asymmetric.evaluate_session(
-        pair.public, circuit, ct, alice, _rng(args.seed, STREAM_MEASURE))
-    out = asymmetric.decrypt(pair.private, ct)
-    reference = sim.run_circuit(plaintext.copy(), circuit)
-    fidelity = sim.fidelity(out, reference)
+    fidelity, _, transcript = _run_session(
+        args, sim.basis_state(m, "0" * m), circuit)
     if args.out:
         files.write_json(args.out, files.transcript_records(transcript))
     _emit({"refreshes": transcript.refresh_count,

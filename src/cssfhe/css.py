@@ -5,10 +5,10 @@ logical zero is the superposition of the inner code's codewords, phased by
 u and shifted by v; the logical one uses the fixed coset representative x1
 (minimum weight, lexicographic tie break).
 
-Key generation comes in two flavors: a scrambled generator matrix in the
-McEliece style (u = v = 0), or a random (u, v) pair over a fixed public
-base. Transversal operations move (u, v) keys to other members of the
-family by the closed-form rules in KeyEvolver.
+A secret key (symmetric.SymKey) is either a scrambled presentation of a
+base pair in the McEliece style (u = v = 0) or a random (u, v) over the
+base pair itself. Transversal operations move (u, v) keys to other
+members of the family by the closed-form rules in KeyEvolver.
 """
 
 from __future__ import annotations
@@ -35,19 +35,6 @@ ENUMERATION_LIMIT = 7
 
 MAGIC_PHASE = np.exp(1j * np.pi / 4)
 MAGIC_AMPS = np.array([1.0, MAGIC_PHASE], dtype=np.complex128) / math.sqrt(2.0)
-
-
-class _Counter:
-    """Instrumentation: counts projective error-correction rounds."""
-
-    def __init__(self):
-        self.count = 0
-
-    def bump(self):
-        self.count += 1
-
-
-correction_counter = _Counter()
 
 
 @dataclass(eq=False)
@@ -223,7 +210,6 @@ def correct_errors(code: CssCode, state: sim.StateVector, block: int,
             [sim.mask_of_bits(h) for h in code.c1.pchk],
             [(sim.mask_of_bits(g), gf2.dot(code.u, g)) for g in code.c2.gen])
     v_mask, pchk_masks, gen_masks = code._masks
-    correction_counter.bump()
     post = state.num_qubits - start - n
 
     jidx = sim.first_occupied(state) if index is None else index
@@ -252,37 +238,6 @@ def correct_errors(code: CssCode, state: sim.StateVector, block: int,
     return x_leader.copy(), z_leader.copy()
 
 
-@dataclass(eq=False)
-class ScrambledSecretKey:
-    s: np.ndarray
-    g: np.ndarray
-    p: np.ndarray
-    scrambled_code: CssCode
-
-
-@dataclass(eq=False)
-class FamilySecretKey:
-    c1: LinearCode
-    c2: LinearCode
-    u: np.ndarray
-    v: np.ndarray
-    code: CssCode
-
-
-def keygen_scrambled(c1: LinearCode, c2: LinearCode,
-                     rng: np.random.Generator) -> ScrambledSecretKey:
-    """Present the base pair through a random row mixer S and a shared
-    column permutation P; the scrambled pair is (C1 P, C2 P) with u = v = 0."""
-    s = gf2.random_nonsingular(c1.k, rng)
-    p = gf2.random_permutation(c1.n, rng)
-    ghat = gf2.mat_mul(gf2.mat_mul(s, c1.gen), p)
-    c1s = codes_mod.from_generator(ghat)
-    c2s = codes_mod.from_generator(gf2.mat_mul(c2.gen, p))
-    zero = gf2.zeros_vec(c1.n)
-    return ScrambledSecretKey(s=s, g=c1.gen, p=p,
-                              scrambled_code=build(c1s, c2s, zero, zero))
-
-
 @functools.lru_cache(maxsize=8)
 def base_code(c1: LinearCode, c2: LinearCode) -> CssCode:
     """The pair's code under the zero key, built once per pair (the cache
@@ -293,14 +248,6 @@ def base_code(c1: LinearCode, c2: LinearCode) -> CssCode:
     for vec in (code.u, code.v, code.x1):  # every caller gets this object
         vec.setflags(write=False)
     return code
-
-
-def keygen_family(c1: LinearCode, c2: LinearCode,
-                  rng: np.random.Generator) -> FamilySecretKey:
-    u = gf2.random_vector(c1.n, rng)
-    v = gf2.random_vector(c1.n, rng)
-    return FamilySecretKey(c1=c1, c2=c2, u=u, v=v,
-                           code=base_code(c1, c2).with_key(u, v))
 
 
 def magic_ancilla(code: CssCode) -> sim.StateVector:

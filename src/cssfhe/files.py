@@ -56,27 +56,26 @@ def parse_code(frag: dict) -> codes_mod.LinearCode:
     return codes_mod.from_generator(parse_matrix(frag["gen"]))
 
 
-def key_record(key, base_name: str, ct_weight: int | None = None) -> dict:
-    """Serialize a symmetric key (either variant) or an asymmetric pair's
-    private key (scrambled variant plus its public error count)."""
-    if isinstance(key, symmetric.SymKey):
-        variant, secret, code = key.variant, key.secret, key.code
-    elif isinstance(key, asymmetric.AsymKeyPair):
-        variant, secret, code = "scrambled", key.private, key.private.scrambled_code
-        ct_weight = key.public.ct_weight
-    else:
+def key_record(key) -> dict:
+    """Serialize a symmetric key (either variant) or an asymmetric pair:
+    its scrambled private key plus the public error count."""
+    ct_weight = None
+    if isinstance(key, asymmetric.AsymKeyPair):
+        key, ct_weight = key.private, key.public.ct_weight
+    elif not isinstance(key, symmetric.SymKey):
         raise ShapeError(f"cannot serialize {type(key).__name__}")
-    c1, c2 = symmetric.base_pair(base_name)
+    c1, c2 = symmetric.base_pair(key.base_name)
+    scrambled = key.variant == "scrambled"
     rec = {
-        "kind": variant,
-        "base": {"name": base_name,
+        "kind": key.variant,
+        "base": {"name": key.base_name,
                  "c1": code_fragment(c1), "c2": code_fragment(c2)},
-        "S": matrix_fragment(secret.s) if variant == "scrambled" else None,
-        "P": matrix_fragment(secret.p) if variant == "scrambled" else None,
-        "u": _bits_str(code.u),
-        "v": _bits_str(code.v),
-        "n": code.n,
-        "t": code.t,
+        "S": matrix_fragment(key.s) if scrambled else None,
+        "P": matrix_fragment(key.p) if scrambled else None,
+        "u": _bits_str(key.code.u),
+        "v": _bits_str(key.code.v),
+        "n": key.code.n,
+        "t": key.code.t,
     }
     if ct_weight is not None:
         rec["ct"] = ct_weight
@@ -91,24 +90,14 @@ def parse_key_record(rec: dict):
     c2 = parse_code(rec["base"]["c2"])
     if rec["kind"] == "family":
         u, v = gf2.as_vec(rec["u"]), gf2.as_vec(rec["v"])
-        secret = css.FamilySecretKey(c1=c1, c2=c2, u=u, v=v,
-                                     code=css.build(c1, c2, u, v))
-        return symmetric.SymKey("family", base_name, secret)
+        return symmetric.SymKey(base_name, css.build(c1, c2, u, v))
     s = parse_matrix(rec["S"])
     p = parse_matrix(rec["P"])
-    ghat = gf2.mat_mul(gf2.mat_mul(s, c1.gen), p)
-    zero = gf2.zeros_vec(c1.n)
-    scrambled = css.ScrambledSecretKey(
-        s=s, g=c1.gen, p=p,
-        scrambled_code=css.build(codes_mod.from_generator(ghat),
-                                 codes_mod.from_generator(gf2.mat_mul(c2.gen, p)),
-                                 zero, zero))
-    key = symmetric.SymKey("scrambled", base_name, scrambled)
+    key = symmetric.SymKey(base_name, symmetric.scramble(c1, c2, s, p), s, p)
     if "ct" in rec:
         return asymmetric.AsymKeyPair(
-            private=scrambled,
-            public=asymmetric.PublicKey(code=scrambled.scrambled_code,
-                                        ct_weight=rec["ct"]))
+            private=key,
+            public=asymmetric.PublicKey(code=key.code, ct_weight=rec["ct"]))
     return key
 
 

@@ -98,19 +98,13 @@ class StateVector:
 
 
 def basis_state(m: int, label: str) -> StateVector:
+    if not 0 <= m <= MAX_QUBITS:
+        raise CapacityError(f"{m} qubits outside [0, {MAX_QUBITS}]")
     if len(label) != m or any(ch not in "01" for ch in label):
         raise ShapeError(f"label {label!r} is not an {m}-bit string")
     amps = np.zeros(1 << m, dtype=np.complex128)
     amps[int(label, 2) if m else 0] = 1.0
     return StateVector(m, amps, check=False)
-
-
-def state_from_amps(amps) -> StateVector:
-    amps = np.asarray(amps, dtype=np.complex128)
-    m = int(amps.shape[0]).bit_length() - 1
-    if (1 << m) != amps.shape[0]:
-        raise ShapeError(f"{amps.shape[0]} amplitudes is not a power of two")
-    return StateVector(m, amps.copy())
 
 
 @dataclass(frozen=True)
@@ -750,6 +744,9 @@ def parse_circuit(text: str) -> LogicalCircuit:
             wires = tuple(int(a) for a in args)
         except ValueError:
             raise CircuitParseError(f"bad wire index in {line!r}", lineno)
+        if max(wires) >= MAX_QUBITS:
+            raise CircuitParseError(
+                f"wire {max(wires)} outside [0, {MAX_QUBITS})", lineno)
         try:
             gates.append(GateOp(name, wires))
         except WireError as exc:

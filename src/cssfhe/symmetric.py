@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import codes as codes_mod
-from . import css, sim
+from . import css, gf2, sim
 from .codes import LinearCode
-from .css import CssCode, FamilySecretKey, KeyEvolver, ScrambledSecretKey
+from .css import CssCode, KeyEvolver
 from .errors import (
     AncillaExhaustedError,
     CapacityError,
@@ -48,25 +48,42 @@ def base_pair(name: str) -> tuple[LinearCode, LinearCode]:
     return pair
 
 
+def scramble(c1: LinearCode, c2: LinearCode, s: np.ndarray,
+             p: np.ndarray) -> CssCode:
+    """Present the pair through the row mixer S and the shared column
+    permutation P: the scrambled pair (S C1 P, C2 P) with u = v = 0."""
+    zero = gf2.zeros_vec(c1.n)
+    return css.build(
+        codes_mod.from_generator(gf2.mat_mul(gf2.mat_mul(s, c1.gen), p)),
+        codes_mod.from_generator(gf2.mat_mul(c2.gen, p)), zero, zero)
+
+
 @dataclass(eq=False)
 class SymKey:
-    variant: str  # "scrambled" | "family"
+    """A secret CSS code over a named base pair. A scrambled key holds the
+    S and P that made its code from the pair (McEliece style, u = v = 0);
+    a family key is a random (u, v) over the pair itself. The asymmetric
+    private key is a scrambled SymKey."""
     base_name: str
-    secret: ScrambledSecretKey | FamilySecretKey
+    code: CssCode
+    s: np.ndarray | None = None
+    p: np.ndarray | None = None
 
     @property
-    def code(self) -> CssCode:
-        if self.variant == "scrambled":
-            return self.secret.scrambled_code
-        return self.secret.code
+    def variant(self) -> str:
+        return "family" if self.s is None else "scrambled"
 
 
 def keygen(base_name: str, mode: str, rng: np.random.Generator) -> SymKey:
     c1, c2 = base_pair(base_name)
     if mode == "scrambled":
-        return SymKey("scrambled", base_name, css.keygen_scrambled(c1, c2, rng))
+        s = gf2.random_nonsingular(c1.k, rng)
+        p = gf2.random_permutation(c1.n, rng)
+        return SymKey(base_name, scramble(c1, c2, s, p), s, p)
     if mode == "family":
-        return SymKey("family", base_name, css.keygen_family(c1, c2, rng))
+        u = gf2.random_vector(c1.n, rng)
+        v = gf2.random_vector(c1.n, rng)
+        return SymKey(base_name, css.base_code(c1, c2).with_key(u, v))
     raise ParameterError(f"unknown key mode {mode!r}")
 
 
@@ -107,26 +124,25 @@ def encrypt(sk: SymKey, plaintext: sim.StateVector, t_budget: int,
     return SymCiphertext(state=state, n=code.n, ancilla_pool=pool, rng=rng)
 
 
-def ft_t_gadget(ct: SymCiphertext, wire: int, readout) -> SymCiphertext:
-    """Teleport a T gate through one encoded magic ancilla.
+def ft_t_gadget(state: sim.StateVector, start: int, n: int, ancilla,
+                readout, rng: np.random.Generator) -> int:
+    """Teleport a T gate through one encoded magic ancilla, a sparse
+    product factor (indices, amplitudes) beside the register, onto the
+    block at qubits [start, start+n). Both schemes run it; only `readout`
+    differs: the key holder's oracle here, the public code's classical
+    decoder in the asymmetric scheme.
 
     Transversal CNOTs with the ancilla block as control write the data onto
     the ancilla, and measuring the data block yields an n-bit record whose
-    logical bit the oracle reports; sim.splice_ancilla does both on the
-    pending product factor, and the ancilla takes the data block's place.
-    Outcome 1 takes the transversal X then S-dagger correction. The
-    ancilla becomes the wire's block.
+    logical bit `readout` reports; sim.splice_ancilla does both, and the
+    ancilla takes the data block's place. Outcome 1 takes the transversal
+    X then S-dagger correction. Returns the outcome.
     """
-    if not ct.ancilla_pool:
-        raise AncillaExhaustedError(f"no ancilla left for T on wire {wire}")
-    a_idx, a_val = ct.ancilla_pool.pop(0)
-    start = wire * ct.n
-    bits, _ = sim.splice_ancilla(ct.state, start, ct.n, a_idx, a_val, ct.rng)
+    bits, _ = sim.splice_ancilla(state, start, n, *ancilla, rng)
     outcome = int(readout(bits))
-    ct.gadget_outcomes.append(outcome)
     if outcome == 1:
-        sim.transversal_sdgx(ct.state, start, ct.n)
-    return ct
+        sim.transversal_sdgx(state, start, n)
+    return outcome
 
 
 def evaluate(n: int, circuit: sim.LogicalCircuit, ct: SymCiphertext,
@@ -152,7 +168,8 @@ def evaluate(n: int, circuit: sim.LogicalCircuit, ct: SymCiphertext,
         elif g.kind == "CNOT":
             sim.transversal_cnot(ct.state, w * n, g.wires[1] * n, n)
         else:
-            ft_t_gadget(ct, w, readout)
+            ct.gadget_outcomes.append(ft_t_gadget(
+                ct.state, w * n, n, ct.ancilla_pool.pop(0), readout, ct.rng))
     return ct
 
 
@@ -163,13 +180,11 @@ def _replay_keys(sk: SymKey, ct: SymCiphertext) -> tuple[list, tuple | None]:
 
     A T gadget's ancilla starts under the key itself; the transversal
     CNOT from it moves the data block to `measured` and the ancilla to
-    the wire's new key, and outcome 1 adds the X then S-dagger rule."""
+    the wire's new key, and outcome 1 adds the X then S-dagger rule.
+    A scrambled key, u = v = 0, is a fixed point of all three rules."""
     code = sk.code
     key = (code.u, code.v)
     keys = [key] * ct.num_wires
-    if sk.variant == "scrambled":
-        # static key: transversal operations keep u = v = 0
-        return keys, key
     outcomes = iter(ct.gadget_outcomes)
     measured = None
     for g in ct.executed:

@@ -31,6 +31,21 @@ def decode_per_block(state: sim.StateVector, block_codes) -> sim.StateVector:
     return state
 
 
+def count_calls(monkeypatch, owner, name) -> list:
+    """Wrap owner.name for the rest of the test so that every call still
+    runs, and return the list that collects each call's positional
+    arguments."""
+    calls = []
+    real = getattr(owner, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, spy)
+    return calls
+
+
 def span_brute(rows) -> set[tuple]:
     """Every GF(2) combination of the given rows, by exhaustion."""
     rows = [np.asarray(r, dtype=np.uint8) % 2 for r in rows]
@@ -112,7 +127,7 @@ class FrameOracle:
     def read(cls, private, ct) -> "FrameOracle":
         """Read every block's frame off its syndromes; exact while each
         block's error weight is within the radius t."""
-        code = private.scrambled_code
+        code = private.code
         return cls([css.correct_errors(code, ct.state, w)
                     for w in range(ct.num_wires)])
 

@@ -12,7 +12,7 @@ import numpy as np
 from cssfhe import asymmetric, cli, css, files, gf2, sim, symmetric
 from cssfhe.errors import DecodeFailureError
 
-from helpers import decode_per_block, random_circuit, random_state, rng
+from helpers import count_calls, decode_per_block, random_circuit, random_state
 
 
 def seeded(*parts):
@@ -113,12 +113,12 @@ def test_criterion_03_transversal_identities():
 
     # logical S as transversal S-dagger on scrambled codes
     for seed in range(3):
-        key = css.keygen_scrambled(c1, c2, seeded(3, 1, seed))
+        key = symmetric.keygen("steane", "scrambled", seeded(3, 1, seed))
         psi = random_state(gen, 1)
-        enc = css.encode_blocks(key.scrambled_code, psi)
+        enc = css.encode_blocks(key.code, psi)
         for q in range(7):
             sim.apply_gate(enc, sim.GateOp("Sdg", (q,)))
-        ref = css.encode_blocks(key.scrambled_code,
+        ref = css.encode_blocks(key.code,
                                 sim.apply_gate(psi.copy(), sim.GateOp("S", (0,))))
         assert sim.fidelity(enc, ref) >= 1 - 1e-10
 
@@ -143,14 +143,7 @@ def test_criterion_04_gadget_both_branches(monkeypatch):
     want = sim.apply_gate(plus.copy(), sim.GateOp("T", (0,)))
     key = symmetric.keygen("steane", "family", seeded(4, 0))
     circuit = sim.parse_circuit("T 0")
-    corrections = []
-    sdgx = sim.transversal_sdgx
-
-    def counted(*args):
-        corrections.append(args[1:])
-        return sdgx(*args)
-
-    monkeypatch.setattr(sim, "transversal_sdgx", counted)
+    corrections = count_calls(monkeypatch, sim, "transversal_sdgx")
     found = {}
     for seed in range(60):
         if len(found) == 2:
@@ -162,7 +155,7 @@ def test_criterion_04_gadget_both_branches(monkeypatch):
             continue
         assert sim.fidelity(out, want) >= 1 - 1e-9
         # the correction path fires, on the wire's block, exactly on 1
-        assert corrections == [(0, 7)] * outcome
+        assert [args[1:] for args in corrections] == [(0, 7)] * outcome
         found[outcome] = seed
     assert sorted(found) == [0, 1]
 
@@ -270,7 +263,7 @@ def test_criterion_08_ancilla_leak_statistics():
     assert r4["success"] > r0["success"]
 
 
-def test_criterion_09_evaluator_isolation():
+def test_criterion_09_evaluator_isolation(monkeypatch):
     # the evaluation entry point cannot receive key material
     params = set(inspect.signature(symmetric.evaluate).parameters)
     assert params == {"n", "circuit", "ct", "readout"}
@@ -286,9 +279,9 @@ def test_criterion_09_evaluator_isolation():
         crossing.append(bits)
         return inner(bits)
 
-    before = css.correction_counter.count
+    corrections = count_calls(monkeypatch, css, "correct_errors")
     symmetric.evaluate(7, sim.parse_circuit("H 0\nT 0\nT 0"), ct, recorder)
-    assert css.correction_counter.count == before
+    assert corrections == []
     assert len(crossing) == 2
     for bits in crossing:
         assert isinstance(bits, str) and len(bits) == 7

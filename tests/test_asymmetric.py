@@ -30,6 +30,17 @@ def golay_pair():
     return asymmetric.keygen("golay", 0.5, rng(200))
 
 
+def run_gate(kp, ct, kind, *wires, gen=None):
+    asymmetric._step(ct, sim.GateOp(kind, wires), kp.public.code, gen)
+
+
+def pauli_kinds(frame) -> set:
+    """The (x, z) bits of every position a frame flips: (1, 0) is an X,
+    (1, 1) a Y and (0, 1) a Z."""
+    return {(int(a), int(b)) for x, z in frame.frames
+            for a, b in zip(x, z) if a or b}
+
+
 def unit(n, *positions):
     bits = np.zeros(n, dtype=np.uint8)
     bits[list(positions)] = 1
@@ -59,7 +70,8 @@ def test_keygen_steane_warns_on_zero_weight():
 def test_public_code_has_zero_key():
     kp = steane_pair(5)
     assert not kp.public.code.u.any() and not kp.public.code.v.any()
-    assert kp.public.code is kp.private.scrambled_code
+    assert kp.public.code is kp.private.code
+    assert kp.private.variant == "scrambled"
 
 
 def test_ciphertexts_hold_nothing_the_evaluator_must_not_see():
@@ -108,6 +120,32 @@ def test_encrypt_injects_per_block():
     assert [frame.weight(w) for w in range(2)] == [1, 1]
     out = asymmetric.decrypt(kp.private, ct)
     assert sim.fidelity(out, psi) >= 1 - 1e-10
+
+
+def test_injected_errors_are_uniform_paulis(golay_pair):
+    """encrypt puts exactly `weight` errors on every block and refresh puts
+    the session weight on one block; X, Y and Z errors all occur."""
+    seen = set()
+    for seed in range(12):
+        g = rng(500 + seed)
+        kp = steane_pair(500 + seed)
+        ct = asymmetric.encrypt(kp.public, random_state(g, 2), g,
+                                override_weight=1)
+        frame = FrameOracle.read(kp.private, ct)
+        assert [frame.weight(w) for w in range(2)] == [1, 1]
+        fresh = asymmetric.refresh(kp.private, ct, g)
+        fresh_frame = FrameOracle.read(kp.private, fresh)
+        assert sorted(fresh_frame.weight(w) for w in range(2)) == [0, 1]
+        seen |= pauli_kinds(frame) | pauli_kinds(fresh_frame)
+    for seed in range(2):
+        g = rng(520 + seed)
+        ct = asymmetric.encrypt(golay_pair.public, random_state(g, 1), g,
+                                override_weight=3)
+        frame = FrameOracle.read(golay_pair.private, ct)
+        assert frame.weight(0) == 3
+        seen |= pauli_kinds(frame)
+        del ct  # free the 128 MiB register before the next encryption
+    assert seen == {(1, 0), (1, 1), (0, 1)}
 
 
 def test_encrypt_rejects_weight_beyond_radius():
@@ -186,7 +224,7 @@ def test_gate_h_swaps_masks():
     psi = random_state(g, 1)
     ct = asymmetric.encrypt(kp.public, psi, g, override_weight=1)
     (x0, z0), = FrameOracle.read(kp.private, ct).frames
-    asymmetric._gate_h(ct, 0)
+    run_gate(kp, ct, "H", 0)
     (x1, z1), = FrameOracle.read(kp.private, ct).frames
     assert np.array_equal(x1, z0)
     assert np.array_equal(z1, x0)
@@ -203,7 +241,7 @@ def test_gate_cnot_propagates_masks_and_bounds():
     xc, zc, xt, zt = unit(7, 2), unit(7, 2), unit(7, 5), unit(7, 0)
     frame = FrameOracle.inject(ct, [(xc, zc), (xt, zt)])  # Y 2 | X 5, Z 0
     ct.bounds = [1, 1]
-    asymmetric._gate_cnot(ct, 0, 1)
+    run_gate(kp, ct, "CNOT", 0, 1)
     frame.cnot(0, 1)
     (xc1, zc1), (xt1, zt1) = frame.frames
     assert np.array_equal(xt1, unit(7, 2, 5))  # xt ^ xc
@@ -225,11 +263,11 @@ def test_gate_masks_match_physical_error():
     psi = random_state(g, 2)
     ct = asymmetric.encrypt(kp.public, psi, g, override_weight=1)
     frame = FrameOracle.read(kp.private, ct)
-    asymmetric._gate_h(ct, 0)
+    run_gate(kp, ct, "H", 0)
     frame.h(0)
-    asymmetric._gate_cnot(ct, 0, 1)
+    run_gate(kp, ct, "CNOT", 0, 1)
     frame.cnot(0, 1)
-    asymmetric._gate_h(ct, 1)
+    run_gate(kp, ct, "H", 1)
     frame.h(1)
     evolved = sim.run_circuit(psi.copy(),
                               sim.parse_circuit("H 0\nCNOT 0 1\nH 1"))
@@ -248,7 +286,7 @@ def test_gate_t_inherits_phase_mask_and_bound():
         # definite Y error: both mask kinds at one position
         frame = FrameOracle.inject(ct, [(unit(7, 3), unit(7, 3))])
         ct.bounds[0] = 1
-        asymmetric._gate_t(ct, 0, kp.public.code, g)
+        run_gate(kp, ct, "T", 0, gen=g)
         frame.t(0)
         (x, z), = frame.frames
         assert not x.any()
@@ -266,7 +304,7 @@ def test_gate_t_on_entangled_wires():
     bell = sim.run_circuit(sim.basis_state(2, "00"),
                            sim.parse_circuit("H 0\nCNOT 0 1"))
     ct = asymmetric.encrypt(kp.public, bell, g)
-    asymmetric._gate_t(ct, 1, kp.public.code, g)
+    run_gate(kp, ct, "T", 1, gen=g)
     want = sim.apply_gate(bell.copy(), sim.GateOp("T", (1,)))
     assert sim.fidelity(asymmetric.decrypt(kp.private, ct), want) >= 1 - 1e-10
 
@@ -284,7 +322,7 @@ def test_bounds_dominate_actual_weights():
         pick = g.integers(3)
         if pick == 0:
             w = int(g.integers(2))
-            asymmetric._gate_h(ct, w)
+            run_gate(kp, ct, "H", w)
             frame.h(w)
             plain = sim.apply_gate(plain, sim.GateOp("H", (w,)))
         elif pick == 1:
@@ -293,7 +331,7 @@ def test_bounds_dominate_actual_weights():
             if max(asymmetric._predicted_bounds(ct, gate)) > ct.t:
                 ct = asymmetric.refresh(kp.private, ct, g)
                 frame = FrameOracle.read(kp.private, ct)
-            asymmetric._gate_cnot(ct, wc, 1 - wc)
+            run_gate(kp, ct, "CNOT", wc, 1 - wc)
             frame.cnot(wc, 1 - wc)
             plain = sim.apply_gate(plain, gate)
         else:
@@ -358,9 +396,6 @@ def test_session_transcript_bounds_snapshots():
     assert request.bounds == (1, 1)      # taken just before the refresh
     assert sorted(response.bounds) == [0, 1]
     assert result.bounds == (1, 1)       # both blocks after the CNOT
-    assert cipher.payload is ct
-    assert result.payload is not None
-    assert response.payload is None  # no superseded register kept alive
 
 
 def test_session_stale_authority_rejected():

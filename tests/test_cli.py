@@ -162,22 +162,30 @@ def test_roundtrip_non_finite_state_is_validation_error(tmp_path, literal):
     assert "NaN" not in proc.stdout
 
 
-@pytest.mark.parametrize("argv", [
-    ["experiment", "ancilla-leak", "--trials", "0"],
-    ["experiment", "ancilla-leak", "--trials", "10", "--copies", "-1"],
-    ["experiment", "ancilla-leak", "--trials", "10", "--candidates", "0"],
-    ["experiment", "key-guess", "--candidates", "-3"],
-    ["roundtrip", "--tbudget", "-2"],
-    ["roundtrip", "--scheme", "asym", "--weight", "-1"],
-    ["session", "--weight", "-1"],
+@pytest.mark.parametrize("argv, circuit", [
+    (["experiment", "ancilla-leak", "--trials", "0"], None),
+    (["experiment", "ancilla-leak", "--trials", "10", "--copies", "-1"], None),
+    (["experiment", "ancilla-leak", "--trials", "10", "--candidates", "0"],
+     None),
+    (["experiment", "key-guess", "--candidates", "-3"], None),
+    # Steane has 64 code-space classes: the roster holds at most 65 keys
+    (["experiment", "ancilla-leak", "--trials", "10", "--candidates", "66"],
+     None),
+    (["experiment", "key-guess", "--candidates", "66"], None),
+    (["roundtrip", "--tbudget", "-2"], "H 0\n"),
+    (["roundtrip", "--scheme", "asym", "--weight", "-1"], "H 0\n"),
+    (["session", "--weight", "-1"], "H 0\n"),
+    # a wire past the register limit, rejected before any state is built
+    (["session"], "H 40\n"),
 ], ids=["trials-0", "copies-neg", "leak-candidates-0", "guess-candidates-neg",
-        "tbudget-neg", "roundtrip-weight-neg", "session-weight-neg"])
-def test_out_of_range_counts_are_validation_errors(tmp_path, zero_state, argv):
-    circ = circuit_file(tmp_path, "h.circ", "H 0\n")
+        "leak-candidates-66", "guess-candidates-66", "tbudget-neg",
+        "roundtrip-weight-neg", "session-weight-neg", "session-wire-40"])
+def test_out_of_range_counts_are_validation_errors(tmp_path, zero_state, argv,
+                                                   circuit):
     if argv[0] == "roundtrip":
         argv = argv + ["--state", zero_state]
-    if argv[0] != "experiment":
-        argv = argv + ["--circuit", circ]
+    if circuit is not None:
+        argv = argv + ["--circuit", circuit_file(tmp_path, "c.circ", circuit)]
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     proc = subprocess.run(
         [sys.executable, "-m", "cssfhe.cli", *argv, "--seed", "0"],
@@ -358,6 +366,9 @@ def test_experiment_key_guess(capsys):
     assert report["candidates"] == 16
     assert report["clean"] == 2
     assert report["identified"] is False
+    code, lines, _ = run_cli(["experiment", "key-guess", "--seed", "21",
+                              "--candidates", "65"], capsys)
+    assert code == 0 and lines[0]["candidates"] == 65
 
 
 def test_experiment_ancilla_leak_copies_profile(capsys):

@@ -1,7 +1,5 @@
 """Linear block codes: construction, duals, distance, syndrome decoding."""
 
-import itertools
-
 import numpy as np
 import pytest
 

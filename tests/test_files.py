@@ -4,7 +4,7 @@ transcripts."""
 import numpy as np
 import pytest
 
-from cssfhe import asymmetric, codes, files, gf2, sim, symmetric
+from cssfhe import asymmetric, codes, files, sim, symmetric
 from cssfhe.errors import ShapeError
 
 from helpers import random_state, rng, span_brute
@@ -57,22 +57,22 @@ def test_code_fragment_roundtrip():
 
 def test_family_key_record_roundtrip():
     key = symmetric.keygen("steane", "family", rng(50))
-    rec = files.key_record(key, "steane")
+    rec = files.key_record(key)
     assert rec["kind"] == "family" and rec["S"] is None and rec["P"] is None
     back = files.parse_key_record(rec)
     assert back.variant == "family"
     assert np.array_equal(back.code.u, key.code.u)
     assert np.array_equal(back.code.v, key.code.v)
-    assert files.dumps(files.key_record(back, "steane")) == files.dumps(rec)
+    assert files.dumps(files.key_record(back)) == files.dumps(rec)
 
 
 def test_scrambled_key_record_roundtrip():
     key = symmetric.keygen("steane", "scrambled", rng(51))
-    rec = files.key_record(key, "steane")
+    rec = files.key_record(key)
     back = files.parse_key_record(rec)
     assert back.variant == "scrambled"
-    assert np.array_equal(back.secret.s, key.secret.s)
-    assert np.array_equal(back.secret.p, key.secret.p)
+    assert np.array_equal(back.s, key.s)
+    assert np.array_equal(back.p, key.p)
     assert np.array_equal(back.code.c1.gen, key.code.c1.gen)
     assert np.array_equal(back.code.c2.gen, key.code.c2.gen)
 
@@ -82,7 +82,7 @@ def test_sym_key_record_interoperates():
     key = symmetric.keygen("steane", "family", g)
     psi = random_state(g, 1)
     ct = symmetric.encrypt(key, psi, 0, g)
-    back = files.parse_key_record(files.key_record(key, "steane"))
+    back = files.parse_key_record(files.key_record(key))
     out = symmetric.decrypt(back, ct)
     assert sim.fidelity(out, psi) >= 1 - 1e-10
 
@@ -90,7 +90,7 @@ def test_sym_key_record_interoperates():
 def test_asym_key_record_roundtrip_and_interop():
     g = rng(53)
     kp = asymmetric.keygen("golay", 0.5, g)
-    rec = files.key_record(kp, "golay")
+    rec = files.key_record(kp)
     assert rec["ct"] == 1 and rec["t"] == 3 and rec["n"] == 23
     back = files.parse_key_record(rec)
     assert isinstance(back, asymmetric.AsymKeyPair)
@@ -103,7 +103,7 @@ def test_asym_key_record_roundtrip_and_interop():
 
 def test_key_record_rejects_unknown_types():
     with pytest.raises(ShapeError):
-        files.key_record(42, "steane")
+        files.key_record(42)
 
 
 def test_state_record_roundtrip():
@@ -152,12 +152,12 @@ def test_transcript_records():
     tr = asymmetric.Transcript()
     tr.append("Cipher", [1])
     tr.append("RefreshRequest", [1])
-    tr.append("RefreshResponse", [0], payload="ignored")
+    tr.append("RefreshResponse", [0])
     tr.append("Result", [1])
     recs = files.transcript_records(tr)
     assert [r["kind"] for r in recs] == [
         "Cipher", "RefreshRequest", "RefreshResponse", "Result"]
     assert [r["seq"] for r in recs] == [0, 1, 2, 3]
     assert recs[2]["bounds"] == [0]
-    assert "payload" not in recs[2]
+    assert all(set(r) == {"seq", "kind", "bounds"} for r in recs)
     assert files.dumps(recs) == files.dumps(files.transcript_records(tr))

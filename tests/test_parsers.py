@@ -85,8 +85,8 @@ def test_parse_state_takes_any_amplitude_record(record):
 CIRCUIT_LINES = st.builds(
     lambda name, wires, space: space.join([name, *wires]),
     st.sampled_from(["H", "T", "CNOT", "S", "h", "", "#", "# H 0"]),
-    st.lists(st.sampled_from(["0", "1", "2", "-1", "007", "1_0", "1.5", "x",
-                              "\u0661", "#"]), max_size=3),
+    st.lists(st.sampled_from(["0", "1", "2", "24", "40", "-1", "007", "1_0",
+                              "1.5", "x", "\u0661", "#"]), max_size=3),
     st.sampled_from([" ", "\t", "  ", "\u00a0", "\x0b"]))
 
 
@@ -99,6 +99,7 @@ def test_parse_circuit_takes_any_text(text):
         circuit = sim.parse_circuit(text)
     except (CircuitParseError, UnknownGateError):
         return
+    assert circuit.num_wires <= sim.MAX_QUBITS
     for g in circuit.gates:
         assert g.kind in sim.LOGICAL_GATES
         assert all(0 <= w < circuit.num_wires for w in g.wires)

@@ -31,8 +31,14 @@ def test_basis_state_msb_convention():
 
 
 def test_basis_state_capacity():
-    with pytest.raises(CapacityError):
-        sim.basis_state(25, "0" * 25)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError):
+            sim.basis_state(25, "0" * 25)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # refused before the 512 MiB array is made
 
 
 def test_statevector_rejects_unnormalized():

@@ -7,8 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cssfhe import codes, css, gf2, sim, symmetric
-from cssfhe.css import FamilySecretKey
+from cssfhe import css, gf2, sim, symmetric
 from cssfhe.errors import (
     AncillaExhaustedError,
     CapacityError,
@@ -18,15 +17,13 @@ from cssfhe.errors import (
     WireError,
 )
 
-from helpers import random_state, rng
+from helpers import count_calls, random_state, rng
 
 
 def family_key(u, v):
     c1, c2 = symmetric.base_pair("steane")
     u, v = gf2.as_vec(u), gf2.as_vec(v)
-    return symmetric.SymKey(
-        "family", "steane",
-        FamilySecretKey(c1=c1, c2=c2, u=u, v=v, code=css.build(c1, c2, u, v)))
+    return symmetric.SymKey("steane", css.build(c1, c2, u, v))
 
 
 def run_encrypted(key, plaintext, circuit_text, t_budget, seed):
@@ -248,7 +245,7 @@ def test_scrambled_replay_mixed_circuit():
     assert sim.fidelity(out, want) >= 1 - 1e-9
 
 
-def test_evaluator_sees_only_classical_bits():
+def test_evaluator_sees_only_classical_bits(monkeypatch):
     """The oracle boundary: during evaluation the only key-holder traffic
     is n-bit measurement records, and the evaluator never triggers an
     error-correction round."""
@@ -263,9 +260,9 @@ def test_evaluator_sees_only_classical_bits():
         seen.append(bits)
         return inner(bits)
 
-    before = css.correction_counter.count
+    corrections = count_calls(monkeypatch, css, "correct_errors")
     symmetric.evaluate(7, sim.parse_circuit("H 0\nT 0\nT 0"), ct, recorder)
-    assert css.correction_counter.count == before
+    assert corrections == []
     assert len(seen) == 2
     for bits in seen:
         assert isinstance(bits, str) and len(bits) == 7
@@ -340,7 +337,9 @@ def test_base_pairs_are_shared_and_read_only():
     c1, _ = symmetric.base_pair("steane")
     a = symmetric.keygen("steane", "family", rng(50))
     b = symmetric.keygen("steane", "scrambled", rng(51))
-    assert a.secret.c1 is c1 and b.secret.g is c1.gen
+    assert a.code.c1 is c1
+    assert np.array_equal(b.code.c1.gen,
+                          gf2.mat_mul(gf2.mat_mul(b.s, c1.gen), b.p))
 
 
 def test_decrypt_wrong_scrambled_key_leaks():

@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 usage, 2 validation failure, 3 decode failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -85,7 +86,9 @@ _COMMAND_OPTIONS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parse_args leaves it as it is."""
     parser = argparse.ArgumentParser(prog="cssfhe")
     sub = parser.add_subparsers(dest="command", required=True)
     for command, names in _COMMAND_OPTIONS.items():

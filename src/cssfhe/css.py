@@ -53,6 +53,8 @@ class CssCode:
     # built on first use; with_key starts over
     _iso: sim.BlockIsometry | None = field(default=None, init=False,
                                            repr=False)
+    # encode_blocks' and decode_blocks' code-space support per block count
+    _support: dict = field(default_factory=dict, init=False, repr=False)
     _masks: tuple | None = field(default=None, init=False, repr=False)
 
     def with_key(self, u, v) -> "CssCode":
@@ -125,22 +127,51 @@ def logical_basis(code: CssCode) -> tuple[sim.StateVector, sim.StateVector]:
     return out[0], out[1]
 
 
+def _block_support(code: CssCode, m: int):
+    """The non-zero entries of V^(x)m for the isometry V: register indices
+    and weights of shape (2, K) * m for K inner codewords, entry
+    (bit_0, j_0, bit_1, j_1, ...) the product of the column entries
+    (bit_i, j_i), block 0 most significant. Also the column entries' bit
+    rows, shape (2, K, n): their parity against a Z frame is its sign."""
+    if m not in code._support:
+        (i0, v0), (i1, v1) = isometry(code).cols
+        idx, vals = np.stack([i0, i1]), np.stack([v0, v1])
+        support = np.zeros((), dtype=np.int64)
+        weights = np.ones((), dtype=np.complex128)
+        for _ in range(m):
+            support = (support[..., None, None] << code.n) | idx
+            weights = np.multiply.outer(weights, vals)
+        rows = _inner_words(code) ^ code.v  # as _iso_columns orders them
+        bits = np.stack([rows, rows ^ code.x1])
+        code._support[m] = (support, weights, bits)
+    return code._support[m]
+
+
 def encode_blocks(code: CssCode, logical_state: sim.StateVector) -> sim.StateVector:
     """Encode every wire into its own n-qubit block, wire w at qubits
-    [w*n, (w+1)*n)."""
-    state = logical_state.copy()
-    iso = isometry(code)
-    for w in range(logical_state.num_qubits):
-        state = sim.apply_block_isometry(state, w * code.n, iso)
-    return state
+    [w*n, (w+1)*n): one scatter of the weighted plaintext into a new
+    register, over the code-space support only."""
+    m = logical_state.num_qubits
+    total = m * code.n
+    if total > sim.MAX_QUBITS:
+        raise CapacityError(
+            f"{m} wires need {total} qubits (limit {sim.MAX_QUBITS})")
+    support, weights, _ = _block_support(code, m)
+    amps = np.zeros(1 << total, dtype=np.complex128)
+    amps[support] = weights * logical_state.amps.reshape((2, 1) * m)
+    return sim.StateVector(total, amps, check=False)
 
 
 def decode_blocks(code: CssCode, physical_state: sim.StateVector,
                   frames: list[tuple] | None = None) -> sim.StateVector:
-    """Inverse of encode_blocks. With frames, block i carries the Pauli
+    """Inverse of encode_blocks, in one gather over the code-space support;
+    the input is left as it is. With frames, block i carries the Pauli
     X^x Z^z given by frames[i] = (x, z) as bit vectors (the coset leaders
     correct_errors returns, or the shift from this key to an evolved one),
-    and is decoded against that Pauli times the encoder."""
+    and is decoded against that Pauli times the encoder: support entry s
+    is read at s ^ X and negated where s & Z has odd parity, X and Z
+    being the frames' masks over the whole register. Raises LeakageError
+    when the weight outside the code space exceeds DECODE_LEAKAGE_TOL."""
     n = code.n
     if physical_state.num_qubits % n:
         raise ShapeError(
@@ -148,19 +179,21 @@ def decode_blocks(code: CssCode, physical_state: sim.StateVector,
     m = physical_state.num_qubits // n
     if frames is not None and len(frames) != m:
         raise ShapeError(f"need {m} frames, got {len(frames)}")
-    # with no blocks, copy: a decode never returns its input register
-    state = physical_state if m else physical_state.copy()
-    iso = isometry(code)
-    for i in range(m):
-        x_mask = z_mask = 0
-        if frames is not None:
-            x_mask, z_mask = (sim.mask_of_bits(bits) for bits in frames[i])
-        state, leak = sim.contract_block_isometry(
-            state, i, iso, x_mask=x_mask, z_mask=z_mask)
-        if leak > DECODE_LEAKAGE_TOL:
-            raise LeakageError(
-                f"block {i}: weight {leak:.3e} outside the code space")
-    return state
+    support, weights, bits = _block_support(code, m)
+    x_mask = 0
+    signs = np.ones((), dtype=np.int8)
+    for x, z in frames or ():
+        x_mask = (x_mask << n) | sim.mask_of_bits(x)
+        flips = (bits @ z) & 1
+        signs = np.multiply.outer(signs, 1 - 2 * flips.astype(np.int8))
+    terms = physical_state.amps.take(support ^ x_mask) * weights.conj() * signs
+    logical = terms.sum(axis=tuple(range(1, 2 * m, 2))).reshape(-1)
+    kept = float(np.vdot(logical, logical).real)
+    leak = 1.0 - kept
+    if leak > DECODE_LEAKAGE_TOL:
+        raise LeakageError(f"weight {leak:.3e} outside the code space")
+    logical /= math.sqrt(kept)
+    return sim.StateVector(m, logical, check=False)
 
 
 @dataclass(frozen=True)

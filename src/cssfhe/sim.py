@@ -246,7 +246,8 @@ def sparse_vdot(ia, va, ib, vb) -> complex:
 
 def apply_block_isometry(state: StateVector, wire: int,
                          iso: BlockIsometry) -> StateVector:
-    """Replace `wire` by an n-qubit block; all other wires untouched."""
+    """Replace `wire` by an n-qubit block; all other wires untouched.
+    The per-block reference for css.encode_blocks."""
     m = state.num_qubits
     if not 0 <= wire < m:
         raise WireError(f"wire {wire} out of range")
@@ -278,7 +279,8 @@ def contract_block_isometry(state: StateVector, start: int,
     entry j of X^x Z^z V sits at index j ^ x_mask and is negated where
     popcount(j & z_mask) is odd, so the contraction gathers at idx ^ x_mask
     and flips those signs. Returns (smaller state, leaked weight outside
-    the column span). The result is renormalized."""
+    the column span). The result is renormalized. The per-block reference
+    for css.decode_blocks."""
     m = state.num_qubits
     n = iso.block_qubits
     if start < 0 or start + n > m:

@@ -20,7 +20,6 @@ from .codes import LinearCode
 from .css import CssCode, KeyEvolver
 from .errors import (
     AncillaExhaustedError,
-    CapacityError,
     LeakageError,
     ParameterError,
     ShapeError,
@@ -114,11 +113,6 @@ def encrypt(sk: SymKey, plaintext: sim.StateVector, t_budget: int,
     if t_budget < 0:
         raise ParameterError(f"T budget must be at least 0, got {t_budget}")
     code = sk.code
-    m = plaintext.num_qubits
-    total = m * code.n
-    if total > sim.MAX_QUBITS:
-        raise CapacityError(
-            f"{m} wires need {total} qubits (limit {sim.MAX_QUBITS})")
     state = css.encode_blocks(code, plaintext)
     pool = [css.magic_ancilla_sparse(code) for _ in range(t_budget)]
     return SymCiphertext(state=state, n=code.n, ancilla_pool=pool, rng=rng)
@@ -173,43 +167,61 @@ def evaluate(n: int, circuit: sim.LogicalCircuit, ct: SymCiphertext,
     return ct
 
 
-def _replay_keys(sk: SymKey, ct: SymCiphertext) -> tuple[list, tuple | None]:
-    """Walk the executed gates and return each wire's current (u, v), and
-    the key a T gadget's data block was measured under: the last gadget's,
-    or the pending one's when the last T has no outcome yet.
+class _KeyReplay:
+    """Each wire's current (u, v), replayed from a ciphertext's executed
+    gates and gadget outcomes and advanced from where the last call left
+    off, so a readout oracle that keeps one does O(1) rule calls per gate.
 
     A T gadget's ancilla starts under the key itself; the transversal
     CNOT from it moves the data block to `measured` and the ancilla to
     the wire's new key, and outcome 1 adds the X then S-dagger rule.
     A scrambled key, u = v = 0, is a fixed point of all three rules."""
-    code = sk.code
-    key = (code.u, code.v)
-    keys = [key] * ct.num_wires
-    outcomes = iter(ct.gadget_outcomes)
-    measured = None
-    for g in ct.executed:
-        w = g.wires[0]
-        if g.kind == "H":
-            keys[w] = KeyEvolver.h_rule(*keys[w])
-        elif g.kind == "CNOT":
-            keys[w], keys[g.wires[1]] = KeyEvolver.cnot_rule(
-                keys[w], keys[g.wires[1]])
-        else:
-            keys[w], measured = KeyEvolver.cnot_rule(key, keys[w])
-            if next(outcomes, 0) == 1:
-                keys[w] = KeyEvolver.sdgx_rule(*keys[w])
-    return keys, measured
+
+    def __init__(self, code: CssCode, num_wires: int):
+        self.key = (code.u, code.v)
+        self.keys = [self.key] * num_wires
+        self.done = 0       # executed gates applied to self.keys
+        self.outcomes = 0   # gadget outcomes read
+        self.measured = None
+
+    def advance(self, ct: SymCiphertext) -> tuple[list, tuple | None]:
+        """Return each wire's current (u, v), and the key a T gadget's
+        data block was measured under: the last gadget's, or the pending
+        one's when the last T has no outcome yet. A T with no outcome
+        counts as outcome 0 and is replayed on a copy, so that a later
+        call sees it again once its outcome is known."""
+        keys, live = self.keys, True
+        for g in ct.executed[self.done:]:
+            w = g.wires[0]
+            if g.kind == "H":
+                keys[w] = KeyEvolver.h_rule(*keys[w])
+            elif g.kind == "CNOT":
+                keys[w], keys[g.wires[1]] = KeyEvolver.cnot_rule(
+                    keys[w], keys[g.wires[1]])
+            else:
+                if live and self.outcomes == len(ct.gadget_outcomes):
+                    keys, live = list(keys), False  # the pending gadget
+                keys[w], self.measured = KeyEvolver.cnot_rule(self.key,
+                                                              keys[w])
+                if live:
+                    if ct.gadget_outcomes[self.outcomes] == 1:
+                        keys[w] = KeyEvolver.sdgx_rule(*keys[w])
+                    self.outcomes += 1
+            self.done += live
+        return list(keys), self.measured
 
 
 def make_readout(sk: SymKey, ct: SymCiphertext):
     """Alice's side of the oracle boundary: maps the n-bit measurement
     record of the pending gadget, the last executed gate, to its logical
-    bit. Only classical strings cross this callable."""
+    bit. Only classical strings cross this callable; the replayed keys
+    stay on Alice's side between calls."""
+    replay = _KeyReplay(sk.code, ct.num_wires)
 
     def readout(bits: str) -> int:
         if not ct.executed or ct.executed[-1].kind != "T":
             raise ShapeError("no measurement to read out")
-        _, measured = _replay_keys(sk, ct)
+        _, measured = replay.advance(ct)
         return css.logical_readout(sk.code.with_key(*measured), bits)
 
     return readout
@@ -231,7 +243,7 @@ def decrypt(sk: SymKey, ct: SymCiphertext) -> sim.StateVector:
             raise LeakageError(
                 f"pending ancilla {a} is not the expected product state "
                 f"(weight {lost:.3e} lost)")
-    keys, _ = _replay_keys(sk, ct)
+    keys, _ = _KeyReplay(code, ct.num_wires).advance(ct)
     frames = [(v ^ code.v, u ^ code.u) for u, v in keys]
     return css.decode_blocks(code, ct.state, frames=frames)
 

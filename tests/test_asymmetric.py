@@ -10,6 +10,7 @@ import pytest
 
 from cssfhe import asymmetric, css, sim, symmetric
 from cssfhe.errors import (
+    CapacityError,
     ParameterError,
     RefreshAuthorityError,
     WeightTooLargeError,
@@ -153,6 +154,22 @@ def test_encrypt_rejects_weight_beyond_radius():
     kp = steane_pair(8)
     with pytest.raises(WeightTooLargeError):
         asymmetric.encrypt(kp.public, random_state(g, 1), g, override_weight=2)
+
+
+def test_encrypt_refuses_capacity_before_allocating():
+    """Four Steane wires need 28 qubits: the refusal comes before any
+    register is built."""
+    g = rng(10)
+    kp = steane_pair(10)
+    plain = random_state(g, 4)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError):
+            asymmetric.encrypt(kp.public, plain, g, override_weight=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_decrypt_single_pauli_sweep():

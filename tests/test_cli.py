@@ -351,6 +351,25 @@ def test_session_deterministic_files(tmp_path, capsys):
     assert a_path.read_bytes() == b_path.read_bytes()
 
 
+def test_parser_is_built_once_and_reused(tmp_path, capsys):
+    circ = circuit_file(tmp_path, "mix.circ", "H 0\nCNOT 0 1\nT 1\nCNOT 1 0\n")
+    out_path = tmp_path / "tr.json"
+    argv = ["session", "--circuit", circ, "--weight", "1", "--seed", "77",
+            "--out", str(out_path)]
+    assert cli._build_parser() is cli._build_parser()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code_a, _, out_a = run_cli(argv, capsys)
+        bytes_a = out_path.read_bytes()
+        out_path.unlink()
+        usage, _, _ = run_cli(["session", "--circuit", circ], capsys)
+        code_b, _, out_b = run_cli(argv, capsys)
+    assert usage == 1
+    assert code_a == code_b == 0
+    assert out_a == out_b
+    assert out_path.read_bytes() == bytes_a
+
+
 def test_enumerate_counts_family_classes(capsys):
     code, lines, _ = run_cli(["enumerate", "--seed", "0"], capsys)
     assert code == 0 and lines[0] == {"base": "steane", "count": 64}

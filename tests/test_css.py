@@ -3,6 +3,8 @@ ancillas, readout, key enumeration, and key evolution under transversal
 gates."""
 
 import itertools
+import re
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -132,6 +134,103 @@ def test_encode_decode_roundtrip(steane_pair):
         psi = random_state(g, m)
         back = css.decode_blocks(code, css.encode_blocks(code, psi))
         assert sim.fidelity(back, psi) >= 1 - 1e-10
+
+
+def encode_per_block(code, psi):
+    """The reference encoder: one apply_block_isometry per wire."""
+    state, iso = psi.copy(), css.isometry(code)
+    for w in range(psi.num_qubits):
+        state = sim.apply_block_isometry(state, w * code.n, iso)
+    return state
+
+
+def decode_per_block_leaks(code, state, frames):
+    """The reference decoder: one contract_block_isometry per block, each
+    under its own frame; returns the state and every block's leak."""
+    iso, leaks = css.isometry(code), []
+    for i, (x, z) in enumerate(frames):
+        state, leak = sim.contract_block_isometry(
+            state, i, iso, x_mask=sim.mask_of_bits(x),
+            z_mask=sim.mask_of_bits(z))
+        leaks.append(leak)
+    return state, leaks
+
+
+def codec_cases():
+    """(code, blocks, generator): Steane family and scrambled keys with
+    0..3 blocks, and one Golay block."""
+    g = rng(90)
+    for mode in ("family", "scrambled"):
+        for m in range(4):
+            yield symmetric.keygen("steane", mode, g).code, m, g
+    yield symmetric.keygen("golay", "family", g).code, 1, g
+
+
+def test_codec_matches_per_block_path():
+    """One pass over the code-space support gives the amplitudes of the
+    per-block isometry chain, under random frames, and never writes to
+    the register it decodes."""
+    for code, m, g in codec_cases():
+        psi = random_state(g, m)
+        enc = css.encode_blocks(code, psi)
+        ref = encode_per_block(code, psi)
+        assert np.abs(enc.amps - ref.amps).max() <= 1e-12
+        del ref
+        frames = [(g.integers(0, 2, code.n, dtype=np.uint8),
+                   g.integers(0, 2, code.n, dtype=np.uint8))
+                  for _ in range(m)]
+        for i, (x, z) in enumerate(frames):
+            sim.apply_block_pauli(enc, i * code.n, code.n,
+                                  sim.mask_of_bits(x), sim.mask_of_bits(z))
+        before = enc.amps.copy()
+        out = css.decode_blocks(code, enc, frames=frames)
+        assert np.array_equal(enc.amps, before)
+        del before
+        want, leaks = decode_per_block_leaks(code, enc, frames)
+        assert max(leaks, default=0.0) <= 1e-12
+        assert np.abs(out.amps - want.amps).max() <= 1e-12
+        assert sim.fidelity(out, psi) >= 1 - 1e-12
+
+
+def test_codec_leakage_is_total_over_blocks():
+    """The leak decode_blocks reports is the weight outside the code space
+    of all blocks at once, 1 - prod(1 - leak_i) over the per-block leaks,
+    so it refuses whatever the per-block path refuses."""
+    for code, m, g in codec_cases():
+        if not m:
+            continue
+        enc = css.encode_blocks(code, random_state(g, m))
+        hit = g.integers(0, enc.amps.shape[0], size=32)
+        enc.amps[hit] += 1e-3 * (g.normal(size=32) + 1j * g.normal(size=32))
+        enc.amps /= np.linalg.norm(enc.amps)
+        frames = [(np.zeros(code.n, np.uint8),) * 2] * m
+        _, leaks = decode_per_block_leaks(code, enc, frames)
+        want = 1 - np.prod([1 - leak for leak in leaks])
+        assert want > css.DECODE_LEAKAGE_TOL
+        with pytest.raises(LeakageError) as info:
+            css.decode_blocks(code, enc)
+        got = float(re.search(r"weight (\S+)", str(info.value)).group(1))
+        assert got == pytest.approx(want, rel=5e-3)
+
+
+def test_decode_21_qubits_allocates_no_register():
+    g = rng(91)
+    code = symmetric.keygen("steane", "family", g).code
+    psi = random_state(g, 3)
+    enc = css.encode_blocks(code, psi)
+    frames = [(g.integers(0, 2, 7, dtype=np.uint8),
+               g.integers(0, 2, 7, dtype=np.uint8)) for _ in range(3)]
+    for i, (x, z) in enumerate(frames):
+        sim.apply_block_pauli(enc, 7 * i, 7, sim.mask_of_bits(x),
+                              sim.mask_of_bits(z))
+    tracemalloc.start()
+    try:
+        out = css.decode_blocks(code, enc, frames=frames)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sim.fidelity(out, psi) >= 1 - 1e-12
+    assert peak < 2**20
 
 
 def test_encode_norm_preservation(steane_pair):

@@ -269,6 +269,85 @@ def test_evaluator_sees_only_classical_bits(monkeypatch):
         assert set(bits) <= {"0", "1"}
 
 
+def full_replay_readout(key, ct):
+    """A readout oracle that replays every executed gate from the key on
+    each call, by the key rules alone: the reference for make_readout."""
+    def readout(bits):
+        base = (key.code.u, key.code.v)
+        keys = [base] * ct.num_wires
+        outcomes = iter(ct.gadget_outcomes)
+        measured = None
+        for g in ct.executed:
+            w = g.wires[0]
+            if g.kind == "H":
+                keys[w] = css.KeyEvolver.h_rule(*keys[w])
+            elif g.kind == "CNOT":
+                keys[w], keys[g.wires[1]] = css.KeyEvolver.cnot_rule(
+                    keys[w], keys[g.wires[1]])
+            else:
+                keys[w], measured = css.KeyEvolver.cnot_rule(base, keys[w])
+                if next(outcomes, 0) == 1:
+                    keys[w] = css.KeyEvolver.sdgx_rule(*keys[w])
+        return css.logical_readout(key.code.with_key(*measured), bits)
+    return readout
+
+
+def test_readout_matches_full_replay():
+    """The readout oracle keeps its replayed keys between calls; its bits,
+    the gadget outcomes and the decrypted amplitudes equal those of an
+    oracle that replays the whole circuit on every call."""
+    for seed in range(50):
+        g = rng(1000 + seed)
+        wires = int(g.integers(1, 3))
+        gates = []
+        for _ in range(int(g.integers(1, 13))):
+            kind = ("H", "T", "CNOT")[int(g.integers(3 if wires > 1 else 2))]
+            if kind == "CNOT":
+                gates.append(sim.GateOp(kind, (0, 1) if g.integers(2) else (1, 0)))
+            else:
+                gates.append(sim.GateOp(kind, (int(g.integers(wires)),)))
+        circuit = sim.LogicalCircuit(num_wires=wires, gates=tuple(gates))
+        key = symmetric.keygen("steane", ("family", "scrambled")[seed % 2], g)
+        psi = random_state(g, wires)
+        runs = []
+        for make in (symmetric.make_readout, full_replay_readout):
+            ct = symmetric.encrypt(key, psi, sim.count_t_gates(circuit),
+                                   rng(2000 + seed))
+            oracle = make(key, ct)
+            answers = []
+
+            def readout(bits):
+                answers.append(oracle(bits))
+                return answers[-1]
+
+            symmetric.evaluate(key.code.n, circuit, ct, readout)
+            runs.append((answers, ct.gadget_outcomes,
+                         symmetric.decrypt(key, ct).amps))
+        (bits_a, out_a, amps_a), (bits_b, out_b, amps_b) = runs
+        assert bits_a == bits_b and out_a == out_b
+        assert np.array_equal(amps_a, amps_b)
+        want = sim.run_circuit(psi.copy(), circuit)
+        assert sim.fidelity(sim.StateVector(wires, amps_a), want) >= 1 - 1e-9
+
+
+def test_readout_rule_calls_grow_linearly(monkeypatch):
+    """Each gate costs the readout oracle a bounded number of key-rule
+    calls, however long the circuit already is (a 320-gate H/T circuit
+    made 32598 calls when every call replayed the circuit)."""
+    calls = [count_calls(monkeypatch, css.KeyEvolver, rule)
+             for rule in ("h_rule", "cnot_rule", "sdgx_rule")]
+    key = symmetric.keygen("steane", "family", rng(50))
+    for length in (20, 80, 320):
+        circuit = sim.parse_circuit("H 0\nT 0\n" * (length // 2))
+        ct = symmetric.encrypt(key, random_state(rng(51), 1), length // 2,
+                               rng(52))
+        readout = symmetric.make_readout(key, ct)
+        for c in calls:
+            c.clear()
+        symmetric.evaluate(key.code.n, circuit, ct, readout)
+        assert sum(map(len, calls)) <= 3 * length
+
+
 def test_readout_oracle_requires_a_measurement():
     g = rng(32)
     key = symmetric.keygen("steane", "family", g)

@@ -214,7 +214,7 @@ def cmd_experiment(args) -> int:
         candidates = _family_candidates(args.base, args.candidates, key)
         plain = sim.StateVector(1, np.array([0.6, 0.8]), check=False)
         ct = symmetric.encrypt(key, plain, 0, rng)
-        stats = symmetric.attack_key_guess(ct, candidates, rng)
+        stats = symmetric.attack_key_guess(ct, candidates)
         _emit({"kind": "key-guess", "candidates": stats["candidates"],
                "clean": stats["clean"], "identified": stats["identified"]})
         return 0

@@ -5,10 +5,11 @@ logical zero is the superposition of the inner code's codewords, phased by
 u and shifted by v; the logical one uses the fixed coset representative x1
 (minimum weight, lexicographic tie break).
 
-A secret key (symmetric.SymKey) is either a scrambled presentation of a
-base pair in the McEliece style (u = v = 0) or a random (u, v) over the
-base pair itself. Transversal operations move (u, v) keys to other
-members of the family by the closed-form rules in KeyEvolver.
+A secret key (symmetric.SymKey) is a view of its pair's one base code:
+a McEliece-style scrambled presentation, the base code with its qubits
+permuted (u = v = 0), or a random (u, v) over it. Transversal operations
+move (u, v) keys to other members of the family by the closed-form rules
+in KeyEvolver.
 """
 
 from __future__ import annotations
@@ -46,6 +47,10 @@ class CssCode:
     n: int
     t: int
     x1: np.ndarray
+    # the qubit order of this code against the code whose syndrome tables
+    # it shares: a table leader l reads l[perm] here (the identity unless
+    # the code is a scrambled view)
+    perm: np.ndarray
     # key-independent caches shared between all (u, v) siblings over the
     # same base pair: "inner_words" and "tables"
     _shared: dict = field(default_factory=dict, repr=False)
@@ -87,10 +92,14 @@ def build(c1: LinearCode, c2: LinearCode, u, v) -> CssCode:
             codes_mod.min_distance(codes_mod.dual(c2)))
     t = (d - 1) // 2
     cw1 = codes_mod.codewords(c1)
-    outside = cw1[gf2.mat_mul(cw1, c2.pchk.T).any(axis=1)]
-    order = np.lexsort((_vec_indices(outside), outside.sum(axis=1)))
-    x1 = outside[order[0]]
-    return CssCode(c1=c1, c2=c2, u=u, v=v, n=c1.n, t=t, x1=x1)
+    x1 = _lightest(cw1[gf2.mat_mul(cw1, c2.pchk.T).any(axis=1)])
+    return CssCode(c1=c1, c2=c2, u=u, v=v, n=c1.n, t=t, x1=x1,
+                   perm=np.arange(c1.n))
+
+
+def _lightest(words: np.ndarray) -> np.ndarray:
+    """The row of least weight, the lowest amplitude index among ties."""
+    return words[np.lexsort((_vec_indices(words), words.sum(axis=1)))[0]]
 
 
 def _inner_words(code: CssCode) -> np.ndarray:
@@ -218,6 +227,14 @@ def _tables(code: CssCode) -> tuple[SyndromeTable, SyndromeTable]:
     return code._shared["tables"]
 
 
+def _leader(code: CssCode, table: SyndromeTable,
+            syndrome: bytes) -> np.ndarray | None:
+    """The table's coset leader for a syndrome in the code's qubit order,
+    a new array, or None beyond the table's radius."""
+    leader = table.entries.get(syndrome)
+    return None if leader is None else leader[code.perm]
+
+
 def correct_errors(code: CssCode, state: sim.StateVector, block: int,
                    index: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Measure the signed stabilizers of one block and return its coset
@@ -248,7 +265,7 @@ def correct_errors(code: CssCode, state: sim.StateVector, block: int,
     jidx = sim.first_occupied(state) if index is None else index
     y = ((jidx >> post) & ((1 << n) - 1)) ^ v_mask
     x_syn = bytes((y & h).bit_count() & 1 for h in pchk_masks)
-    x_leader = x_table.entries.get(x_syn)
+    x_leader = _leader(code, x_table, x_syn)
     if x_leader is None:
         raise DecodeFailureError(
             f"bit-flip syndrome outside radius t={code.t} on block {block}")
@@ -264,23 +281,43 @@ def correct_errors(code: CssCode, state: sim.StateVector, block: int,
             raise DecodeFailureError(
                 f"block {block} does not carry a definite Pauli error")
         z_syn.append((ratio.real < 0) ^ ug)
-    z_leader = z_table.entries.get(bytes(z_syn))
+    z_leader = _leader(code, z_table, bytes(z_syn))
     if z_leader is None:
         raise DecodeFailureError(
             f"phase-flip syndrome outside radius t={code.t} on block {block}")
-    return x_leader.copy(), z_leader.copy()
+    return x_leader, z_leader
 
 
 @functools.lru_cache(maxsize=8)
 def base_code(c1: LinearCode, c2: LinearCode) -> CssCode:
     """The pair's code under the zero key, built once per pair (the cache
     keeps the last few pairs, compared by identity). Family codes over the
-    pair are its with_key siblings, so they share its t, x1 and caches."""
+    pair are its with_key siblings, so they share its t, x1 and caches;
+    scrambled codes are its permuted views."""
     zero = gf2.zeros_vec(c1.n)
     code = build(c1, c2, zero, zero)
     for vec in (code.u, code.v, code.x1):  # every caller gets this object
         vec.setflags(write=False)
     return code
+
+
+def scrambled(c1: LinearCode, c2: LinearCode, s: np.ndarray,
+              p: np.ndarray) -> CssCode:
+    """The pair's base code with its qubits permuted by P: what build makes
+    of the scrambled pair (S C1 P, C2 P) under u = v = 0, as S only changes
+    how the published c1.gen is written. The checks, the inner words and
+    x1 (the lightest permuted coset word) are moved by P; P keeps every
+    syndrome, so the base code's tables are shared and _leader moves them."""
+    base = base_code(c1, c2)
+    perm = np.argmax(p, axis=0)  # (x P)[j] = x[perm[j]]
+    inner = _inner_words(base)
+    return CssCode(
+        c1=LinearCode(c1.n, c1.k, gf2.mat_mul(s, c1.gen)[:, perm],
+                      c1.pchk[:, perm]),
+        c2=LinearCode(c2.n, c2.k, c2.gen[:, perm], c2.pchk[:, perm]),
+        u=base.u, v=base.v, n=c1.n, t=base.t,
+        x1=_lightest((inner ^ base.x1)[:, perm]), perm=perm,
+        _shared={"inner_words": inner[:, perm], "tables": _tables(base)})
 
 
 def magic_ancilla(code: CssCode) -> sim.StateVector:
@@ -304,7 +341,7 @@ def logical_readout(code: CssCode, y) -> int:
         raise ShapeError(f"record length {y.shape[0]}, expected {code.n}")
     x_table, _ = _tables(code)
     syn = gf2.mat_mul(code.c1.pchk, (y ^ code.v)[:, None])[:, 0]
-    leader = x_table.entries.get(syn.tobytes())
+    leader = _leader(code, x_table, syn.tobytes())
     if leader is None:
         raise DecodeFailureError(
             f"measurement record outside radius t={code.t}")

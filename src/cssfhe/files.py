@@ -84,16 +84,25 @@ def key_record(key) -> dict:
 
 def parse_key_record(rec: dict):
     """Rebuild a SymKey (or an AsymKeyPair when the record carries a public
-    error count) from its file form."""
+    error count) from its file form. The record's base must be the named
+    pair, P an n x n permutation and S a nonsingular k x k mixer."""
     base_name = rec["base"]["name"]
-    c1 = parse_code(rec["base"]["c1"])
-    c2 = parse_code(rec["base"]["c2"])
+    c1, c2 = symmetric.base_pair(base_name)
+    for c, frag in ((c1, rec["base"]["c1"]), (c2, rec["base"]["c2"])):
+        if not np.array_equal(parse_matrix(frag["gen"]), c.gen):
+            raise ShapeError(f"key record base is not the {base_name} pair")
     if rec["kind"] == "family":
         u, v = gf2.as_vec(rec["u"]), gf2.as_vec(rec["v"])
-        return symmetric.SymKey(base_name, css.build(c1, c2, u, v))
+        code = css.base_code(c1, c2).with_key(u, v)
+        return symmetric.SymKey(base_name, code)
     s = parse_matrix(rec["S"])
     p = parse_matrix(rec["P"])
-    key = symmetric.SymKey(base_name, symmetric.scramble(c1, c2, s, p), s, p)
+    if p.shape != (c1.n, c1.n) or not (
+            (p.sum(axis=0) == 1).all() and (p.sum(axis=1) == 1).all()):
+        raise ShapeError(f"P must be a {c1.n}x{c1.n} permutation matrix")
+    if s.shape != (c1.k, c1.k) or gf2.rank(s) < c1.k:
+        raise ShapeError(f"S must be a nonsingular {c1.k}x{c1.k} matrix")
+    key = symmetric.SymKey(base_name, css.scrambled(c1, c2, s, p), s, p)
     if "ct" in rec:
         return asymmetric.AsymKeyPair(
             private=key,

@@ -47,21 +47,12 @@ def base_pair(name: str) -> tuple[LinearCode, LinearCode]:
     return pair
 
 
-def scramble(c1: LinearCode, c2: LinearCode, s: np.ndarray,
-             p: np.ndarray) -> CssCode:
-    """Present the pair through the row mixer S and the shared column
-    permutation P: the scrambled pair (S C1 P, C2 P) with u = v = 0."""
-    zero = gf2.zeros_vec(c1.n)
-    return css.build(
-        codes_mod.from_generator(gf2.mat_mul(gf2.mat_mul(s, c1.gen), p)),
-        codes_mod.from_generator(gf2.mat_mul(c2.gen, p)), zero, zero)
-
-
 @dataclass(eq=False)
 class SymKey:
     """A secret CSS code over a named base pair. A scrambled key holds the
-    S and P that made its code from the pair (McEliece style, u = v = 0);
-    a family key is a random (u, v) over the pair itself. The asymmetric
+    S and P that made its code from the pair (McEliece style, u = v = 0):
+    the pair's code with its qubits permuted by P, published as S C1 P.
+    A family key is a random (u, v) over the pair itself. The asymmetric
     private key is a scrambled SymKey."""
     base_name: str
     code: CssCode
@@ -78,7 +69,7 @@ def keygen(base_name: str, mode: str, rng: np.random.Generator) -> SymKey:
     if mode == "scrambled":
         s = gf2.random_nonsingular(c1.k, rng)
         p = gf2.random_permutation(c1.n, rng)
-        return SymKey(base_name, scramble(c1, c2, s, p), s, p)
+        return SymKey(base_name, css.scrambled(c1, c2, s, p), s, p)
     if mode == "family":
         u = gf2.random_vector(c1.n, rng)
         v = gf2.random_vector(c1.n, rng)
@@ -221,8 +212,14 @@ def make_readout(sk: SymKey, ct: SymCiphertext):
     def readout(bits: str) -> int:
         if not ct.executed or ct.executed[-1].kind != "T":
             raise ShapeError("no measurement to read out")
-        _, measured = replay.advance(ct)
-        return css.logical_readout(sk.code.with_key(*measured), bits)
+        y = gf2.as_vec(bits)
+        if y.shape[0] != sk.code.n:
+            raise ShapeError(
+                f"record length {y.shape[0]}, expected {sk.code.n}")
+        _, (_, v) = replay.advance(ct)
+        # the record is under the measured key's v; logical_readout reads
+        # only v, so shift the record to the key's own
+        return css.logical_readout(sk.code, y ^ v ^ sk.code.v)
 
     return readout
 
@@ -248,8 +245,7 @@ def decrypt(sk: SymKey, ct: SymCiphertext) -> sim.StateVector:
     return css.decode_blocks(code, ct.state, frames=frames)
 
 
-def attack_key_guess(ct: SymCiphertext, candidates: list[SymKey],
-                     rng: np.random.Generator) -> dict:
+def attack_key_guess(ct: SymCiphertext, candidates: list[SymKey]) -> dict:
     """Try to identify the key by decoding one data block under each
     candidate. Reports how many candidates decode without leakage; clean
     decode alone cannot single out the true key when several do."""

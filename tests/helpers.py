@@ -74,17 +74,16 @@ def bits_to_index(bits) -> int:
 
 def random_circuit(gen: np.random.Generator, max_wires: int = 2,
                    max_gates: int = 8, max_t: int = 2) -> sim.LogicalCircuit:
-    """Random H/CNOT/T circuit that fits the 24-qubit register when each
-    wire and each T ancilla costs one 7-qubit block."""
+    """Random H/CNOT/T circuit with at most max_t T gates. Magic ancillas
+    wait outside the register, so only the wires take 7-qubit blocks."""
     wires = int(gen.integers(1, max_wires + 1))
-    t_cap = min(max_t, 24 // 7 - wires)
     gates = []
     t_used = 0
     for _ in range(int(gen.integers(1, max_gates + 1))):
         kinds = ["H"]
         if wires > 1:
             kinds.append("CNOT")
-        if t_used < t_cap:
+        if t_used < max_t:
             kinds.append("T")
         kind = kinds[int(gen.integers(len(kinds)))]
         if kind == "CNOT":

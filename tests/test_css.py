@@ -10,7 +10,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from cssfhe import codes, css, gf2, sim, symmetric
+from cssfhe import asymmetric, codes, css, gf2, sim, symmetric
 from cssfhe.errors import (
     CapacityError,
     DecodeFailureError,
@@ -453,6 +453,87 @@ def test_keygen_scrambled_distinct_permutations_differ():
         key = symmetric.keygen("steane", "scrambled", rng(seed))
         supports.add(tuple(sorted(span_brute(key.code.c1.gen))))
     assert len(supports) > 1
+
+
+def _correctable_errors(n: int, t: int) -> np.ndarray:
+    """Every error of weight <= t, one per row."""
+    rows = []
+    for w in range(t + 1):
+        for pos in itertools.combinations(range(n), w):
+            e = np.zeros(n, dtype=np.uint8)
+            e[list(pos)] = 1
+            rows.append(e)
+    return np.array(rows)
+
+
+def _table_leaders(code, errors) -> list[np.ndarray]:
+    """The (bit-flip, phase-flip) leaders the code's tables give each
+    error, by the code's own checks (c1.pchk and the rows of c2.gen), in
+    the code's qubit order."""
+    x_table, z_table = css._tables(code)
+    out = []
+    for table, checks in ((x_table, code.c1.pchk), (z_table, code.c2.gen)):
+        syndromes = gf2.mat_mul(errors, checks.T)
+        out.append(np.array([css._leader(code, table, syn.tobytes())
+                             for syn in syndromes]))
+    return out
+
+
+@pytest.mark.parametrize("pair, seeds", [("steane", 50), ("golay", 3)])
+def test_scrambled_key_is_a_view_of_the_base_code(pair, seeds):
+    """A scrambled key's code is the base code with its qubits permuted
+    by P. It equals what build makes of the scrambled pair (S C1 P, C2 P):
+    the same isometry columns in the same order, x1 and t, and the same
+    coset leaders for every error of weight <= t."""
+    c1, c2 = symmetric.base_pair(pair)
+    zero = gf2.zeros_vec(c1.n)
+    for seed in range(seeds):
+        key = symmetric.keygen(pair, "scrambled", rng(300 + seed))
+        view = key.code
+        ref = css.build(
+            codes.from_generator(gf2.mat_mul(gf2.mat_mul(key.s, c1.gen),
+                                             key.p)),
+            codes.from_generator(gf2.mat_mul(c2.gen, key.p)), zero, zero)
+        assert view.t == ref.t
+        assert np.array_equal(view.x1, ref.x1)
+        for (iv, wv), (ir, wr) in zip(css.isometry(view).cols,
+                                      css.isometry(ref).cols):
+            assert np.array_equal(iv, ir) and np.array_equal(wv, wr)
+        errors = _correctable_errors(view.n, view.t)
+        for mine, theirs in zip(_table_leaders(view, errors),
+                                _table_leaders(ref, errors)):
+            assert np.array_equal(mine, theirs)
+            assert np.array_equal(mine, errors)
+
+
+def test_scrambled_keys_rebuild_nothing(monkeypatch):
+    """After one warm-up key per pair, scrambled keygens and a decrypt
+    derive no distance, codeword list, syndrome table or code: every
+    scrambled key reuses its base code's."""
+    for pair in ("steane", "golay"):
+        symmetric.keygen(pair, "scrambled", rng(400))
+    spies = [count_calls(monkeypatch, codes, name)
+             for name in ("min_distance", "codewords", "build_syndrome_table")]
+    spies.append(count_calls(monkeypatch, css, "build"))
+    steane = [symmetric.keygen("steane", "scrambled", rng(410 + seed))
+              for seed in range(20)]
+    golay = [symmetric.keygen("golay", "scrambled", rng(440 + seed))
+             for seed in range(3)]
+    key = steane[-1]
+    psi = random_state(rng(450), 1)
+    circuit = sim.parse_circuit("H 0\nT 0")
+    ct = symmetric.encrypt(key, psi, 1, rng(451))
+    symmetric.evaluate(7, circuit, ct, symmetric.make_readout(key, ct))
+    want = sim.run_circuit(psi.copy(), circuit)
+    assert sim.fidelity(symmetric.decrypt(key, ct), want) >= 1 - 1e-9
+    act = asymmetric.encrypt(asymmetric.PublicKey(code=key.code, ct_weight=1),
+                             psi, rng(452))
+    assert sim.fidelity(asymmetric.decrypt(key, act), psi) >= 1 - 1e-10
+    for g in golay:
+        error = np.zeros(23, dtype=np.uint8)
+        error[:3] = 1
+        assert css.logical_readout(g.code, g.code.x1 ^ error) == 1
+    assert spies == [[], [], [], []]
 
 
 def test_keygen_family_deterministic():

@@ -4,7 +4,7 @@ transcripts."""
 import numpy as np
 import pytest
 
-from cssfhe import asymmetric, codes, files, sim, symmetric
+from cssfhe import asymmetric, codes, files, gf2, sim, symmetric
 from cssfhe.errors import ShapeError
 
 from helpers import random_state, rng, span_brute
@@ -75,6 +75,49 @@ def test_scrambled_key_record_roundtrip():
     assert np.array_equal(back.p, key.p)
     assert np.array_equal(back.code.c1.gen, key.code.c1.gen)
     assert np.array_equal(back.code.c2.gen, key.code.c2.gen)
+
+
+def _scrambled_record(name: str, seed: int, s=None, p=None) -> dict:
+    """A scrambled key's record, with S or P replaced when given."""
+    rec = files.key_record(symmetric.keygen(name, "scrambled", rng(seed)))
+    if s is not None:
+        rec["S"] = files.matrix_fragment(s)
+    if p is not None:
+        rec["P"] = files.matrix_fragment(p)
+    return rec
+
+
+@pytest.mark.parametrize("name", ["steane", "golay"])
+def test_parse_key_record_rejects_a_p_that_is_not_a_permutation(name):
+    n = symmetric.base_pair(name)[0].n
+    sheared = np.eye(n, dtype=np.uint8)
+    sheared[0, 1] = 1  # invertible, but it mixes two qubits
+    assert gf2.rank(sheared) == n
+    for p in (sheared, np.eye(n - 1, dtype=np.uint8),
+              np.zeros((n, n), dtype=np.uint8)):
+        with pytest.raises(ShapeError, match="permutation"):
+            files.parse_key_record(_scrambled_record(name, 57, p=p))
+
+
+@pytest.mark.parametrize("name", ["steane", "golay"])
+def test_parse_key_record_rejects_a_singular_s(name):
+    k = symmetric.base_pair(name)[0].k
+    singular = np.eye(k, dtype=np.uint8)
+    singular[1] = singular[0]
+    for s in (singular, np.eye(k + 1, dtype=np.uint8)):
+        with pytest.raises(ShapeError, match="nonsingular"):
+            files.parse_key_record(_scrambled_record(name, 58, s=s))
+
+
+def test_parse_key_record_rejects_a_non_bit_p_and_a_foreign_base():
+    rec = _scrambled_record("steane", 59)
+    rec["P"]["data"][0] = rec["P"]["data"][0].replace("1", "2")
+    with pytest.raises(ShapeError, match="permutation"):
+        files.parse_key_record(rec)
+    rec = _scrambled_record("steane", 59)
+    rec["base"]["c1"] = files.code_fragment(codes.builtin_codes()["simplex73"])
+    with pytest.raises(ShapeError, match="steane pair"):
+        files.parse_key_record(rec)
 
 
 def test_sym_key_record_interoperates():

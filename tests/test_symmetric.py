@@ -356,6 +356,17 @@ def test_readout_oracle_requires_a_measurement():
         symmetric.make_readout(key, ct)("0000000")
 
 
+def test_readout_oracle_refuses_a_record_of_the_wrong_length():
+    g = rng(39)
+    key = symmetric.keygen("steane", "scrambled", g)
+    ct = symmetric.encrypt(key, random_state(g, 1), 1, g)
+    oracle = symmetric.make_readout(key, ct)
+    symmetric.evaluate(7, sim.parse_circuit("T 0"), ct, oracle)
+    for bits in ("000000", "00000000"):
+        with pytest.raises(ShapeError, match="record length"):
+            oracle(bits)
+
+
 def test_decrypt_wrong_family_key_leaks():
     g = rng(33)
     key = family_key("1010110", "0110001")
@@ -434,7 +445,7 @@ def test_attack_key_guess_single_candidate():
     g = rng(36)
     key = symmetric.keygen("steane", "family", g)
     ct = symmetric.encrypt(key, random_state(g, 1), 0, g)
-    report = symmetric.attack_key_guess(ct, [key], g)
+    report = symmetric.attack_key_guess(ct, [key])
     assert report["clean"] == 1 and report["identified"]
 
 
@@ -444,7 +455,7 @@ def test_attack_key_guess_sibling_blocks_identification():
     ct = symmetric.encrypt(key, random_state(g, 1), 0, g)
     sibling = family_key("0101101", gf2.as_vec("1110000") ^ key.code.x1)
     stranger = family_key("0101100", "1110000")
-    report = symmetric.attack_key_guess(ct, [key, sibling, stranger], g)
+    report = symmetric.attack_key_guess(ct, [key, sibling, stranger])
     assert report["clean"] == 2
     assert report["per_candidate"] == [True, True, False]
     assert not report["identified"]
@@ -454,7 +465,7 @@ def test_attack_key_guess_empty_roster():
     g = rng(38)
     key = symmetric.keygen("steane", "family", g)
     ct = symmetric.encrypt(key, random_state(g, 1), 0, g)
-    report = symmetric.attack_key_guess(ct, [], g)
+    report = symmetric.attack_key_guess(ct, [])
     assert report["clean"] == 0 and not report["identified"]
 
 

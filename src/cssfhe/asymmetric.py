@@ -71,28 +71,26 @@ class AsymCiphertext:
         return self.state.num_qubits // self.n
 
 
-def _inject(state: sim.StateVector, start: int, n: int, weight: int,
-            rng: np.random.Generator) -> None:
-    """Apply `weight` Pauli errors to a block: distinct uniform positions,
-    each an X, Y or Z (kind 0, 1 or 2) with equal probability."""
+def _draw(n: int, weight: int,
+          rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """The (x, z) bits of `weight` Pauli errors on a block: distinct
+    uniform positions, each an X, Y or Z (kind 0, 1 or 2) with equal
+    probability."""
     positions = rng.choice(n, size=weight, replace=False)
     kinds = rng.integers(0, 3, size=weight)
     x = np.zeros(n, dtype=np.uint8)
     z = np.zeros(n, dtype=np.uint8)
-    for p, k in zip(positions, kinds):
-        if k != 2:
-            x[p] ^= 1
-        if k != 0:
-            z[p] ^= 1
-    sim.apply_block_pauli(state, start, n,
-                          x_mask=sim.mask_of_bits(x), z_mask=sim.mask_of_bits(z))
+    x[positions[kinds != 2]] = 1
+    z[positions[kinds != 0]] = 1
+    return x, z
 
 
 def encrypt(pk: PublicKey, plaintext: sim.StateVector,
             rng: np.random.Generator,
             override_weight: int | None = None) -> AsymCiphertext:
-    """Encode every wire under the public code, then hit each block with
-    `weight` Pauli errors at distinct random positions."""
+    """Encode every wire under the public code with `weight` Pauli errors
+    at distinct random positions on each block: every block's errors are
+    drawn first, then encoded as its frame in the one scatter."""
     code = pk.code
     weight = pk.ct_weight if override_weight is None else override_weight
     if weight < 0:
@@ -101,10 +99,9 @@ def encrypt(pk: PublicKey, plaintext: sim.StateVector,
         raise WeightTooLargeError(
             f"{weight} Pauli errors per block exceed the radius t={code.t}; "
             f"the ciphertext would be undecryptable")
-    state = css.encode_blocks(code, plaintext)
     m = plaintext.num_qubits
-    for w in range(m):
-        _inject(state, w * code.n, code.n, weight, rng)
+    frames = [_draw(code.n, weight, rng) for _ in range(m)]
+    state = css.encode_blocks(code, plaintext, frames)
     return AsymCiphertext(state=state, n=code.n, t=code.t, bounds=[weight] * m,
                           session_weight=weight)
 
@@ -127,16 +124,23 @@ def refresh(private: symmetric.SymKey, ct: AsymCiphertext,
     """Decrypt and re-encrypt with fresh randomness. The session's error
     weight goes back into a single uniformly chosen block so the
     total never grows with the block count; bounds drop to the actual
-    fresh counts."""
+    fresh counts.
+
+    The re-encryption is written into the register it consumes, as a
+    quantum register cannot be copied: the returned ciphertext holds
+    ct.state, which no longer holds the old encryption. A decrypt that
+    fails raises before anything is written."""
     plaintext = decrypt(private, ct)
     code = private.code
-    state = css.encode_blocks(code, plaintext)
     m = plaintext.num_qubits
     bounds = [0] * m
+    zero = np.zeros(code.n, dtype=np.uint8)
+    frames = [(zero, zero)] * m
     if ct.session_weight > 0:
         target = int(rng.integers(m))
-        _inject(state, target * code.n, code.n, ct.session_weight, rng)
+        frames[target] = _draw(code.n, ct.session_weight, rng)
         bounds[target] = ct.session_weight
+    state = css.encode_blocks(code, plaintext, frames, out=ct.state)
     return AsymCiphertext(state=state, n=code.n, t=code.t, bounds=bounds,
                           session_weight=ct.session_weight)
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -165,7 +166,11 @@ def _run_sym_roundtrip(args, plaintext, circuit):
 def _run_session(args, plaintext, circuit):
     """An asymmetric session: keygen, encrypt, evaluate with refreshes
     from the key holder, decrypt; returns (fidelity, n, transcript)."""
-    pair = asymmetric.keygen(args.base, args.c, _rng(args.seed, STREAM_KEYGEN))
+    with warnings.catch_warnings():
+        if args.weight:  # keygen's zero-weight warning does not apply
+            warnings.simplefilter("ignore", UserWarning)
+        pair = asymmetric.keygen(args.base, args.c,
+                                 _rng(args.seed, STREAM_KEYGEN))
     ct = asymmetric.encrypt(pair.public, plaintext,
                             _rng(args.seed, STREAM_ERRORS),
                             override_weight=args.weight)

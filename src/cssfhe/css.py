@@ -156,19 +156,50 @@ def _block_support(code: CssCode, m: int):
     return code._support[m]
 
 
-def encode_blocks(code: CssCode, logical_state: sim.StateVector) -> sim.StateVector:
+def _frame_masks(bits: np.ndarray, frames, m: int) -> tuple[int, np.ndarray]:
+    """The register X mask and the support's Z-frame signs of m per-block
+    Paulis frames[i] = (x, z), given _block_support's bit rows: support
+    entry s of X^x Z^z V^(x)m sits at s ^ X and is negated where s & Z
+    has odd parity, X and Z being the frames' masks over the whole
+    register. Without frames, 0 and 1."""
+    if frames is not None and len(frames) != m:
+        raise ShapeError(f"need {m} frames, got {len(frames)}")
+    x_mask = 0
+    signs = np.ones((), dtype=np.int8)
+    for x, z in frames or ():
+        x_mask = (x_mask << bits.shape[-1]) | sim.mask_of_bits(x)
+        flips = (bits @ z) & 1
+        signs = np.multiply.outer(signs, 1 - 2 * flips.astype(np.int8))
+    return x_mask, signs
+
+
+def encode_blocks(code: CssCode, logical_state: sim.StateVector,
+                  frames: list[tuple] | None = None,
+                  out: sim.StateVector | None = None) -> sim.StateVector:
     """Encode every wire into its own n-qubit block, wire w at qubits
-    [w*n, (w+1)*n): one scatter of the weighted plaintext into a new
-    register, over the code-space support only."""
+    [w*n, (w+1)*n): one scatter of the weighted plaintext over the
+    code-space support only. With frames, as in decode_blocks, block i is
+    encoded under the Pauli X^x Z^z given by frames[i] = (x, z) in the
+    same scatter. The register is new, or `out`, an m*n-qubit register
+    that is zeroed and overwritten."""
     m = logical_state.num_qubits
     total = m * code.n
     if total > sim.MAX_QUBITS:
         raise CapacityError(
             f"{m} wires need {total} qubits (limit {sim.MAX_QUBITS})")
-    support, weights, _ = _block_support(code, m)
-    amps = np.zeros(1 << total, dtype=np.complex128)
-    amps[support] = weights * logical_state.amps.reshape((2, 1) * m)
-    return sim.StateVector(total, amps, check=False)
+    if out is not None and out.num_qubits != total:
+        raise ShapeError(
+            f"{m} wires need a {total}-qubit register, got {out.num_qubits}")
+    support, weights, bits = _block_support(code, m)
+    x_mask, signs = _frame_masks(bits, frames, m)
+    terms = weights * logical_state.amps.reshape((2, 1) * m) * signs
+    if out is None:
+        out = sim.StateVector(total, np.zeros(1 << total, dtype=np.complex128),
+                              check=False)
+    else:
+        out.amps.fill(0)
+    out.amps[support ^ x_mask] = terms
+    return out
 
 
 def decode_blocks(code: CssCode, physical_state: sim.StateVector,
@@ -177,24 +208,16 @@ def decode_blocks(code: CssCode, physical_state: sim.StateVector,
     the input is left as it is. With frames, block i carries the Pauli
     X^x Z^z given by frames[i] = (x, z) as bit vectors (the coset leaders
     correct_errors returns, or the shift from this key to an evolved one),
-    and is decoded against that Pauli times the encoder: support entry s
-    is read at s ^ X and negated where s & Z has odd parity, X and Z
-    being the frames' masks over the whole register. Raises LeakageError
-    when the weight outside the code space exceeds DECODE_LEAKAGE_TOL."""
+    and is decoded against that Pauli times the encoder (_frame_masks).
+    Raises LeakageError when the weight outside the code space exceeds
+    DECODE_LEAKAGE_TOL."""
     n = code.n
     if physical_state.num_qubits % n:
         raise ShapeError(
             f"{physical_state.num_qubits} qubits is not a multiple of n={n}")
     m = physical_state.num_qubits // n
-    if frames is not None and len(frames) != m:
-        raise ShapeError(f"need {m} frames, got {len(frames)}")
     support, weights, bits = _block_support(code, m)
-    x_mask = 0
-    signs = np.ones((), dtype=np.int8)
-    for x, z in frames or ():
-        x_mask = (x_mask << n) | sim.mask_of_bits(x)
-        flips = (bits @ z) & 1
-        signs = np.multiply.outer(signs, 1 - 2 * flips.astype(np.int8))
+    x_mask, signs = _frame_masks(bits, frames, m)
     terms = physical_state.amps.take(support ^ x_mask) * weights.conj() * signs
     logical = terms.sum(axis=tuple(range(1, 2 * m, 2))).reshape(-1)
     kept = float(np.vdot(logical, logical).real)

@@ -52,10 +52,6 @@ def code_fragment(c: codes_mod.LinearCode) -> dict:
     return {"n": c.n, "k": c.k, "gen": matrix_fragment(c.gen)}
 
 
-def parse_code(frag: dict) -> codes_mod.LinearCode:
-    return codes_mod.from_generator(parse_matrix(frag["gen"]))
-
-
 def key_record(key) -> dict:
     """Serialize a symmetric key (either variant) or an asymmetric pair:
     its scrambled private key plus the public error count."""

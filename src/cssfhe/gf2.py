@@ -87,7 +87,17 @@ def rref(m) -> tuple[np.ndarray, int, list[int]]:
 
 
 def rank(m) -> int:
-    return rref(m)[1]
+    """Rank by elimination on the rows packed into Python ints: each pivot
+    row is kept under its leading bit, and a row that reduces to 0 adds
+    nothing."""
+    pivots = {}
+    for packed in np.packbits(as_bits(m), axis=1):
+        row = int.from_bytes(packed.tobytes(), "big")
+        while row.bit_length() in pivots:
+            row ^= pivots[row.bit_length()]
+        if row:
+            pivots[row.bit_length()] = row
+    return len(pivots)
 
 
 def mat_mul(a, b) -> np.ndarray:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,6 +114,8 @@ class GateOp:
     wires: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "wires",
+                           tuple(operator.index(w) for w in self.wires))
         if self.kind == "CNOT":
             if len(self.wires) != 2:
                 raise WireError("CNOT takes two wires")
@@ -210,8 +213,8 @@ class BlockIsometry:
     """Sparse 2-column isometry sending one wire into an n-qubit block.
 
     Column b is stored as (indices, values) over the 2^n block basis, in
-    the order given. Columns must be orthonormal (Gram deviation below 1e-10).
-    """
+    the order given, with no index repeated. Columns must be orthonormal
+    (Gram deviation below 1e-10)."""
 
     __slots__ = ("block_qubits", "cols")
 
@@ -225,13 +228,21 @@ class BlockIsometry:
             if idx.shape != vals.shape or idx.ndim != 1:
                 raise IsometryError("column index/value shape mismatch")
             parsed.append((idx, vals))
-        for i in range(2):
-            for j in range(2):
-                g = sparse_vdot(*parsed[i], *parsed[j])
-                want = 1.0 if i == j else 0.0
-                if abs(g - want) > 1e-10:
-                    raise IsometryError(
-                        f"column Gram [{i},{j}] = {g}, expected {want}")
+        # both columns dense over the union of their indices
+        union, where = np.unique(np.concatenate([parsed[0][0], parsed[1][0]]),
+                                 return_inverse=True)
+        dense = np.zeros((2, union.size), dtype=np.complex128)
+        k = parsed[0][0].size
+        for b, part in enumerate((where[:k], where[k:])):
+            if np.bincount(part, minlength=union.size).max(initial=0) > 1:
+                raise IsometryError(f"column {b} repeats an index")
+            dense[b, part] = parsed[b][1]
+        for i, j in itertools.product(range(2), range(2)):
+            g = complex(np.vdot(dense[i], dense[j]))
+            want = 1.0 if i == j else 0.0
+            if abs(g - want) > 1e-10:
+                raise IsometryError(
+                    f"column Gram [{i},{j}] = {g}, expected {want}")
         self.block_qubits = block_qubits
         self.cols = tuple(parsed)
 
@@ -378,6 +389,7 @@ def transversal_h(state: StateVector, start: int, n: int) -> StateVector:
     factors: each slab of whole fibers goes through all of them in turn,
     alternating between the slab and the scratch. Each earlier factor
     makes its own pass and copies every slab back."""
+    start, n = map(operator.index, (start, n))
     cube = _block_cube(state, start, n).view(np.float64)
     _, size, inner = cube.shape
     cap = min(2 * _CHUNK, cube.size)  # floats of scratch
@@ -419,6 +431,7 @@ def transversal_cnot(state: StateVector, c0: int, t0: int,
     tile is not contiguous), and the stage is copied back. The row index
     is built once per call; for a range of control values starting at o
     it is the first range's index XOR a multiple of o."""
+    c0, t0, n = map(operator.index, (c0, t0, n))
     _block_cube(state, c0, n)
     _block_cube(state, t0, n)
     if abs(c0 - t0) < n:
@@ -542,6 +555,7 @@ def _xor_phase(state: StateVector, start: int, n: int, x_mask: int,
 def transversal_sdgx(state: StateVector, start: int, n: int) -> StateVector:
     """X then Sdg on every qubit of the block at [start, start+n):
     new[j] = (-i)^popcount(j) * old[j XOR (2^n - 1)], one in-place pass."""
+    start, n = map(operator.index, (start, n))
     _block_cube(state, start, n)
     ones = (1 << n) - 1
     _xor_phase(state, start, n, ones, ones, -1j, 1)
@@ -611,6 +625,7 @@ def splice_ancilla(state: StateVector, start: int, n: int, a_idx, a_val,
     weighted by the ancilla; the slab is zeroed, and they are scattered
     back to a_idx. A first pass over the same slices, read only, gives the
     norm. Returns the n-bit record (block qubit 0 first) and the state."""
+    start, n = map(operator.index, (start, n))
     cube = _block_cube(state, start, n)
     per = a_idx.shape[0]
     if per > _CHUNK:
@@ -658,6 +673,7 @@ def apply_block_pauli(state: StateVector, start: int, n: int,
 
     new[j] = (-1)^popcount((j ^ x) & z) * old[j ^ x]: one in-place pass
     that permutes and signs together."""
+    start, n, x_mask, z_mask = map(operator.index, (start, n, x_mask, z_mask))
     cube = _block_cube(state, start, n)
     if not (0 <= x_mask < cube.shape[1] and 0 <= z_mask < cube.shape[1]):
         raise ShapeError(f"masks {x_mask:#x}, {z_mask:#x} exceed {n} bits")
@@ -677,9 +693,11 @@ def mask_of_bits(bits: np.ndarray) -> int:
 
 def first_occupied(state: StateVector) -> int:
     """Lowest basis index whose amplitude exceeds 1e-6 * 2^(-m/2) in
-    modulus, scanned 256 amplitudes, then a chunk at a time, with the
-    moduli in the stage, so that nothing register-sized is allocated. On
-    a unit vector some index passes (max |a| >= 2^(-m/2)), while rounding
+    modulus, scanned 256 amplitudes first and then in steps four times
+    longer each, up to a chunk, with the moduli in the stage, so that
+    nothing register-sized is allocated and an index in the first
+    thousands is found without a pass over the whole chunk. On a unit
+    vector some index passes (max |a| >= 2^(-m/2)), while rounding
     residues of order 1e-17, such as transversal H leaves behind, never
     do."""
     floor = 1e-6 * 2.0 ** (-state.num_qubits / 2)
@@ -691,7 +709,7 @@ def first_occupied(state: StateVector) -> int:
         hits = np.flatnonzero(mod > floor)
         if hits.size:
             return lo + int(hits[0])
-        lo, step = lo + step, _CHUNK
+        lo, step = lo + step, min(4 * step, _CHUNK)
     raise ShapeError(f"no amplitude above {floor:.3e}: the state is not "
                      f"normalized")
 

@@ -164,3 +164,47 @@ class FrameOracle:
                                   x_mask=sim.mask_of_bits(x),
                                   z_mask=sim.mask_of_bits(z))
         return probe
+
+
+def _inject_reference(state, start, n, weight, gen) -> None:
+    """Draw `weight` Pauli errors on a block as the schemes draw them
+    (positions, then kinds: 0 X, 1 Y, 2 Z) and apply them with the
+    block Pauli kernel, one position at a time."""
+    positions = gen.choice(n, size=weight, replace=False)
+    kinds = gen.integers(0, 3, size=weight)
+    x = np.zeros(n, dtype=np.uint8)
+    z = np.zeros(n, dtype=np.uint8)
+    for p, k in zip(positions, kinds):
+        if k != 2:
+            x[p] ^= 1
+        if k != 0:
+            z[p] ^= 1
+    sim.apply_block_pauli(state, start, n, x_mask=sim.mask_of_bits(x),
+                          z_mask=sim.mask_of_bits(z))
+
+
+def encrypt_reference(pk, plaintext, gen, weight) -> sim.StateVector:
+    """asymmetric.encrypt's register, built densely: encode every wire
+    without errors, then inject each block's errors in turn."""
+    state = css.encode_blocks(pk.code, plaintext)
+    for w in range(plaintext.num_qubits):
+        _inject_reference(state, w * pk.code.n, pk.code.n, weight, gen)
+    return state
+
+
+def refresh_reference(private, ct, gen) -> tuple[sim.StateVector, list]:
+    """asymmetric.refresh's register and bounds, built densely into a new
+    register: decrypt, encode, then inject the session weight into one
+    uniformly drawn block. `ct` is left as it is."""
+    code = private.code
+    plaintext = css.decode_blocks(
+        code, ct.state, frames=[css.correct_errors(code, ct.state, w)
+                                for w in range(ct.num_wires)])
+    state = css.encode_blocks(code, plaintext)
+    bounds = [0] * ct.num_wires
+    if ct.session_weight > 0:
+        target = int(gen.integers(ct.num_wires))
+        _inject_reference(state, target * code.n, code.n, ct.session_weight,
+                          gen)
+        bounds[target] = ct.session_weight
+    return state, bounds

@@ -11,13 +11,16 @@ import pytest
 from cssfhe import asymmetric, css, sim, symmetric
 from cssfhe.errors import (
     CapacityError,
+    DecodeFailureError,
+    LeakageError,
     ParameterError,
     RefreshAuthorityError,
     WeightTooLargeError,
     WireError,
 )
 
-from helpers import FrameOracle, random_state, rng
+from helpers import (FrameOracle, encrypt_reference, random_state,
+                     refresh_reference, rng)
 
 
 def steane_pair(seed):
@@ -485,9 +488,63 @@ def test_decrypt_and_refresh_leave_ciphertext_unchanged():
     before = ct.state.amps.tobytes()
     assert sim.fidelity(asymmetric.decrypt(kp.private, ct), psi) >= 1 - 1e-10
     assert ct.state.amps.tobytes() == before
+    # refresh consumes the register: it re-encrypts into ct.state
     fresh = asymmetric.refresh(kp.private, ct, g)
-    assert ct.state.amps.tobytes() == before
+    assert fresh.state is ct.state
     assert sim.fidelity(asymmetric.decrypt(kp.private, fresh), psi) >= 1 - 1e-10
+
+
+def test_encrypt_and_refresh_match_dense_reference():
+    """Seeded encrypt and refresh draw the same errors as encoding first
+    and then injecting block by block, and build the same amplitudes."""
+    for seed in range(6):
+        kp = steane_pair(600 + seed)
+        for m in (1, 2):
+            psi = random_state(rng(seed), m)
+            g, ref_g = rng([600 + seed, m]), rng([600 + seed, m])
+            ct = asymmetric.encrypt(kp.public, psi, g, override_weight=1)
+            want = encrypt_reference(kp.public, psi, ref_g, 1)
+            assert np.array_equal(ct.state.amps, want.amps)
+            for _ in range(3):
+                want, bounds = refresh_reference(kp.private, ct, ref_g)
+                ct = asymmetric.refresh(kp.private, ct, g)
+                assert ct.bounds == bounds
+                assert np.array_equal(ct.state.amps, want.amps)
+
+
+@pytest.mark.parametrize("base", ["steane", "golay"])
+def test_refresh_allocates_less_than_a_register(base, golay_pair):
+    kp = steane_pair(37) if base == "steane" else golay_pair
+    g = rng(37)
+    m = 2 if base == "steane" else 1
+    psi = random_state(g, m)
+    ct = asymmetric.encrypt(kp.public, psi, g, override_weight=1)
+    ct = asymmetric.refresh(kp.private, ct, g)  # builds the code's caches
+    register = ct.state.amps.nbytes
+    tracemalloc.start()
+    try:
+        fresh = asymmetric.refresh(kp.private, ct, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fresh.state is ct.state
+    assert peak < register
+    assert sim.fidelity(asymmetric.decrypt(kp.private, fresh), psi) >= 1 - 1e-10
+
+
+def test_refresh_refuses_before_writing():
+    """A refresh whose decrypt fails raises before the register it would
+    consume is touched."""
+    g = rng(38)
+    kp = steane_pair(38)
+    ct = asymmetric.encrypt(kp.public, random_state(g, 2), g,
+                            override_weight=1)
+    ct.state.amps[g.integers(0, 1 << 14, size=8)] += 1e-3
+    ct.state.amps /= np.linalg.norm(ct.state.amps)
+    before = ct.state.amps.copy()
+    with pytest.raises((LeakageError, DecodeFailureError)):
+        asymmetric.refresh(kp.private, ct, g)
+    assert np.array_equal(ct.state.amps, before)
 
 
 def test_decrypt_ignores_rounding_residues():

@@ -205,6 +205,30 @@ print(json.dumps(codes))
 """
 
 
+def test_weight_override_silences_the_zero_weight_warning(tmp_path,
+                                                         zero_state):
+    """Steane keygen at c = 0.5 warns that encryption injects no errors;
+    with a non-zero --weight it does inject them, so nothing is printed.
+    Without --weight the warning stays."""
+    circ = circuit_file(tmp_path, "c.circ", "CNOT 0 1\n")
+    one_wire = circuit_file(tmp_path, "h.circ", "H 0\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+
+    def run(*argvs):
+        return subprocess.run(
+            [sys.executable, "-c", _CLI_RUNNER, json.dumps(argvs)],
+            capture_output=True, text=True, env=env)
+
+    proc = run(["session", "--circuit", circ, "--weight", "1", "--seed", "3"],
+               ["roundtrip", "--scheme", "asym", "--weight", "1", "--state",
+                zero_state, "--circuit", one_wire, "--seed", "3"])
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, 0]
+    assert proc.stderr == ""
+    proc = run(["session", "--circuit", circ, "--seed", "3"])
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0]
+    assert "encryption will inject no errors" in proc.stderr
+
+
 def test_unreadable_paths_exit_without_traceback(tmp_path, zero_state):
     def bad_paths(where):
         where.mkdir()

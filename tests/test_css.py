@@ -192,6 +192,44 @@ def test_codec_matches_per_block_path():
         assert sim.fidelity(out, psi) >= 1 - 1e-12
 
 
+def test_encode_under_frames_is_encode_then_pauli():
+    """Encoding under frames gives exactly the amplitudes of encoding
+    without them and then applying each block's Pauli: X^x Z^z scatters
+    at the support ^ X and negates the entries s where s.z is odd."""
+    g = rng(92)
+    cases = [(symmetric.keygen("steane", mode, g).code, m)
+             for mode in ("family", "scrambled") for m in (1, 2, 3)]
+    cases.append((symmetric.keygen("golay", "scrambled", g).code, 1))
+    for code, m in cases:
+        psi = random_state(g, m)
+        frames = [(g.integers(0, 2, code.n, dtype=np.uint8),
+                   g.integers(0, 2, code.n, dtype=np.uint8))
+                  for _ in range(m)]
+        want = css.encode_blocks(code, psi)
+        for i, (x, z) in enumerate(frames):
+            sim.apply_block_pauli(want, i * code.n, code.n,
+                                  sim.mask_of_bits(x), sim.mask_of_bits(z))
+        got = css.encode_blocks(code, psi, frames)
+        assert np.array_equal(got.amps, want.amps)
+        del got, want
+
+
+def test_encode_into_register_overwrites_it():
+    g = rng(93)
+    code = symmetric.keygen("steane", "scrambled", g).code
+    psi = random_state(g, 2)
+    frames = [(gf2.random_vector(7, g), gf2.random_vector(7, g))
+              for _ in range(2)]
+    out = random_state(g, 14)  # every entry non-zero
+    got = css.encode_blocks(code, psi, frames, out=out)
+    assert got is out
+    assert np.array_equal(out.amps, css.encode_blocks(code, psi, frames).amps)
+    with pytest.raises(ShapeError):
+        css.encode_blocks(code, psi, out=random_state(g, 7))
+    with pytest.raises(ShapeError):
+        css.encode_blocks(code, psi, frames[:1])
+
+
 def test_codec_leakage_is_total_over_blocks():
     """The leak decode_blocks reports is the weight outside the code space
     of all blocks at once, 1 - prod(1 - leak_i) over the per-block leaks,

@@ -49,7 +49,8 @@ def test_parse_matrix_rejects_bad_shape():
 def test_code_fragment_roundtrip():
     b = codes.builtin_codes()
     for name, c in b.items():
-        back = files.parse_code(files.code_fragment(c))
+        back = codes.from_generator(
+            files.parse_matrix(files.code_fragment(c)["gen"]))
         assert (back.n, back.k) == (c.n, c.k)
         assert np.array_equal(back.gen, c.gen)
         assert span_brute(back.gen) == span_brute(c.gen)

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cssfhe import codes, css, gf2, sim
+from cssfhe import codes, css, gf2, sim, symmetric
 from cssfhe.errors import (
     CapacityError,
     CircuitParseError,
@@ -228,6 +228,46 @@ def test_block_isometry_gram_check():
                           (np.array([0]), np.array([1.0 + 0j]))])
 
 
+def test_block_isometry_refuses_repeated_index():
+    # the Gram matrix of a column with a repeated index is not the Gram
+    # matrix of the vector the column scatters
+    with pytest.raises(IsometryError, match="repeats"):
+        sim.BlockIsometry(1, [([0, 0], [1, 0.5]), ([1], [1])])
+    with pytest.raises(IsometryError, match="repeats"):
+        sim.BlockIsometry(2, [([0], [1]), ([3, 1, 3], [0.5, 0.5, 0.5])])
+
+
+def test_block_isometry_gram_matches_sparse_vdot():
+    """The Gram check accepts a pair of columns exactly when their pairwise
+    sparse_vdot overlaps are within 1e-10 of the identity: orthonormal
+    pairs over overlapping supports, and pairs that miss by a little."""
+    g = rng(72)
+    for trial in range(60):
+        n = int(g.integers(1, 6))
+        dense = np.zeros((2, 1 << n), dtype=np.complex128)
+        for b in range(2):
+            idx = g.choice(1 << n, size=int(g.integers(1, (1 << n) + 1)),
+                           replace=False)
+            dense[b, idx] = g.normal(size=idx.size) + 1j * g.normal(size=idx.size)
+        dense[0] /= np.linalg.norm(dense[0])
+        dense[1] -= np.vdot(dense[0], dense[1]) * dense[0]
+        if np.linalg.norm(dense[1]) < 1e-3:
+            continue
+        dense[1] /= np.linalg.norm(dense[1])
+        dense[trial % 2] *= 1 + (trial % 3 - 1) * 1e-9  # 0 or about 2e-9 off
+        cols = [(np.flatnonzero(dense[b]), dense[b][dense[b] != 0])
+                for b in range(2)]
+        ok = all(abs(sim.sparse_vdot(*cols[i], *cols[j]) - (i == j)) <= 1e-10
+                 for i in range(2) for j in range(2))
+        if ok:
+            iso = sim.BlockIsometry(n, cols)
+            assert all(np.array_equal(a, b) for a, b in
+                       zip(iso.cols[1], cols[1]))
+        else:
+            with pytest.raises(IsometryError, match="Gram"):
+                sim.BlockIsometry(n, cols)
+
+
 def _ghz_iso(n):
     # |b> -> |b b ... b>, a valid 2 -> 2^n isometry
     amp = np.array([1.0 + 0j])
@@ -314,6 +354,26 @@ def test_first_occupied_skips_rounding_residues():
     assert sim.first_occupied(state) == 50000
     with pytest.raises(ShapeError):
         sim.first_occupied(sim.StateVector(3, np.zeros(8), check=False))
+
+
+def test_first_occupied_matches_modulus_rule():
+    """The stepped scan picks the lowest index that |a| > floor picks:
+    over 1e-17 residues, and over amplitudes just above and below the
+    floor, in either part, within the first step, in a later one, or in a
+    later chunk."""
+    g = rng(74)
+    for m in (3, 9, 14, 16):
+        floor = 1e-6 * 2.0 ** (-m / 2)
+        for _ in range(20):
+            amps = np.full(1 << m, 1e-17, dtype=np.complex128)
+            near = g.choice(1 << m, size=6, replace=False)
+            scale = floor * (1 + g.choice([-1e-9, -1e-6, 1e-9, 1e-6], size=6))
+            phase = g.choice([1, -1, 1j, -1j, np.exp(0.3j)], size=6)
+            amps[near] = scale * phase
+            amps[int(g.integers(1 << m))] = 0.5
+            state = sim.StateVector(m, amps, check=False)
+            want = int(np.flatnonzero(np.abs(amps) > floor)[0])
+            assert sim.first_occupied(state) == want
 
 
 def test_apply_block_pauli_matches_gate_loop():
@@ -414,6 +474,28 @@ def test_apply_block_pauli_matches_gate_loop_on_blocks(m, start, n):
                     slow = sim.apply_gate(slow, sim.GateOp("X", (start + q,)))
             assert np.array_equal(fast.amps, slow.amps)
             assert fast.amps.flags.c_contiguous
+
+
+def test_block_kernels_take_numpy_integers():
+    """Starts, block lengths and masks given as numpy integers act as the
+    Python ints of the same value."""
+    i = np.int64
+    calls = [
+        lambda s, c: sim.apply_block_pauli(s, c(7), c(7), c(0b1010011),
+                                           c(0b0110101)),
+        lambda s, c: sim.transversal_sdgx(s, c(0), c(7)),
+        lambda s, c: sim.transversal_h(s, c(7), c(7)),
+        lambda s, c: sim.transversal_cnot(s, c(7), c(0), c(7)),
+        lambda s, c: sim.splice_ancilla(
+            s, c(0), c(7), *css.magic_ancilla_sparse(
+                css.base_code(*symmetric.base_pair("steane"))),
+            rng(75))[1],
+    ]
+    for call in calls:
+        psi = random_state(rng(76), 14)
+        want = call(psi.copy(), int)
+        got = call(psi.copy(), i)
+        assert np.array_equal(got.amps, want.amps)
 
 
 def test_apply_block_pauli_rejects_wide_masks():

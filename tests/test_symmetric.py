@@ -202,6 +202,32 @@ def test_family_replay_mixed_circuit():
     assert [g.kind for g in ct.executed] == ["H", "T", "CNOT", "H"]
 
 
+def test_numpy_integer_wires_round_trip_like_python_ints():
+    """Gates built on numpy-integer wires (as a circuit generated with
+    numpy would have) run the same round trip as on Python ints,
+    including the X then S-dagger correction of a gadget outcome 1."""
+    circuit = sim.parse_circuit("H 0\nT 0\nCNOT 0 1\nT 1\nH 1\nT 0")
+    numpy_circuit = sim.LogicalCircuit(2, tuple(
+        sim.GateOp(g.kind, tuple(np.int64(w) for w in g.wires))
+        for g in circuit.gates))
+    assert numpy_circuit == circuit
+    assert all(type(w) is int for g in numpy_circuit.gates for w in g.wires)
+    outcomes = set()
+    for seed in range(4):
+        key = symmetric.keygen("steane", "family", rng(seed))
+        psi = random_state(rng(seed), 2)
+        runs = []
+        for c in (circuit, numpy_circuit):
+            ct = symmetric.encrypt(key, psi, 3, rng(100 + seed))
+            symmetric.evaluate(7, c, ct, symmetric.make_readout(key, ct))
+            runs.append((symmetric.decrypt(key, ct), ct.gadget_outcomes))
+        (want, want_bits), (got, got_bits) = runs
+        assert got_bits == want_bits
+        assert np.array_equal(got.amps, want.amps)
+        outcomes |= set(got_bits)
+    assert outcomes == {0, 1}
+
+
 def test_golay_family_h_roundtrip_budget():
     # the key holder's H rule is a swap, so no 23-qubit work beyond the
     # ciphertext itself

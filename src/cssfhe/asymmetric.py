@@ -71,17 +71,17 @@ class AsymCiphertext:
         return self.state.num_qubits // self.n
 
 
-def _draw(n: int, weight: int,
-          rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """The (x, z) bits of `weight` Pauli errors on a block: distinct
-    uniform positions, each an X, Y or Z (kind 0, 1 or 2) with equal
-    probability."""
+def _draw(n: int, weight: int, rng: np.random.Generator) -> tuple[int, int]:
+    """The (x, z) block-local int masks of `weight` Pauli errors on a
+    block: distinct uniform positions, each an X, Y or Z (kind 0, 1 or 2)
+    with equal probability."""
     positions = rng.choice(n, size=weight, replace=False)
     kinds = rng.integers(0, 3, size=weight)
-    x = np.zeros(n, dtype=np.uint8)
-    z = np.zeros(n, dtype=np.uint8)
-    x[positions[kinds != 2]] = 1
-    z[positions[kinds != 0]] = 1
+    x = z = 0
+    for pos, kind in zip(positions.tolist(), kinds.tolist()):
+        bit = 1 << (n - 1 - pos)
+        x |= bit if kind != 2 else 0
+        z |= bit if kind != 0 else 0
     return x, z
 
 
@@ -134,8 +134,7 @@ def refresh(private: symmetric.SymKey, ct: AsymCiphertext,
     code = private.code
     m = plaintext.num_qubits
     bounds = [0] * m
-    zero = np.zeros(code.n, dtype=np.uint8)
-    frames = [(zero, zero)] * m
+    frames = [(0, 0)] * m
     if ct.session_weight > 0:
         target = int(rng.integers(m))
         frames[target] = _draw(code.n, ct.session_weight, rng)

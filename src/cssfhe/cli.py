@@ -231,7 +231,8 @@ def cmd_experiment(args) -> int:
         stats = symmetric.attack_ancilla_leak(
             args.copies, candidates, key, rng, trials=args.trials)
         _emit({"kind": "ancilla-leak", "copies": stats["copies"],
-               "trials": stats["trials"], "success": stats["success"]})
+               "trials": stats["trials"], "success": stats["success"],
+               "exact": stats["exact"]})
         return 0
     sys.stderr.write(f"unknown experiment kind {args.kind!r}\n")
     return 1

@@ -10,12 +10,21 @@ a McEliece-style scrambled presentation, the base code with its qubits
 permuted (u = v = 0), or a random (u, v) over it. Transversal operations
 move (u, v) keys to other members of the family by the closed-form rules
 in KeyEvolver.
+
+The key (u, v) is exactly the Pauli frame X^v Z^u on the zero-key
+encoding, so every key of a qubit presentation encodes and decodes
+through that presentation's one code-space support (_block_support),
+with the key folded into the caller's frame. Frames and keys are block-
+local int masks there, bit n-1-j for qubit j, as in sim.apply_block_pauli.
+The sparse isometry (isometry) is the reference path: the base code
+validates it once, and the tests check the support against it.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -52,15 +61,19 @@ class CssCode:
     # the code is a scrambled view)
     perm: np.ndarray
     # key-independent caches shared between all (u, v) siblings over the
-    # same base pair: "inner_words" and "tables"
+    # same qubit presentation: "inner_words", "tables", and the code-space
+    # support ("support", m) of each block count m
     _shared: dict = field(default_factory=dict, repr=False)
-    # this key's encoding isometry and correct_errors' syndrome masks,
-    # built on first use; with_key starts over
+    # the key (u, v) as block-local int masks
+    key_masks: tuple[int, int] = field(init=False, repr=False)
+    # the reference isometry and correct_errors' syndrome masks, built on
+    # first use; with_key starts over
     _iso: sim.BlockIsometry | None = field(default=None, init=False,
                                            repr=False)
-    # encode_blocks' and decode_blocks' code-space support per block count
-    _support: dict = field(default_factory=dict, init=False, repr=False)
     _masks: tuple | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self):
+        self.key_masks = (sim.mask_of_bits(self.u), sim.mask_of_bits(self.v))
 
     def with_key(self, u, v) -> "CssCode":
         u, v = gf2.as_vec(u), gf2.as_vec(v)
@@ -137,40 +150,70 @@ def logical_basis(code: CssCode) -> tuple[sim.StateVector, sim.StateVector]:
 
 
 def _block_support(code: CssCode, m: int):
-    """The non-zero entries of V^(x)m for the isometry V: register indices
-    and weights of shape (2, K) * m for K inner codewords, entry
-    (bit_0, j_0, bit_1, j_1, ...) the product of the column entries
-    (bit_i, j_i), block 0 most significant. Also the column entries' bit
-    rows, shape (2, K, n): their parity against a Z frame is its sign."""
-    if m not in code._support:
-        (i0, v0), (i1, v1) = isometry(code).cols
-        idx, vals = np.stack([i0, i1]), np.stack([v0, v1])
+    """The code space of m blocks under the zero key, shared by every key
+    of the code's qubit presentation: the register indices of shape
+    (2, K) * m for K inner codewords, entry (bit_0, j_0, bit_1, j_1, ...)
+    block 0 most significant, their one weight K^(-m/2), and the block-
+    local index rows of shape (2, K), (bit, j) with j in inner-word order
+    as _iso_columns orders them: the support of one block."""
+    key = ("support", m)
+    if key not in code._shared:
+        w2 = _inner_words(code)
+        inner = _vec_indices(w2)
+        rows = np.array([inner, inner ^ sim.mask_of_bits(code.x1)])
+        scale = 1.0 / math.sqrt(w2.shape[0])
         support = np.zeros((), dtype=np.int64)
-        weights = np.ones((), dtype=np.complex128)
+        weight = 1.0
         for _ in range(m):
-            support = (support[..., None, None] << code.n) | idx
-            weights = np.multiply.outer(weights, vals)
-        rows = _inner_words(code) ^ code.v  # as _iso_columns orders them
-        bits = np.stack([rows, rows ^ code.x1])
-        code._support[m] = (support, weights, bits)
-    return code._support[m]
+            support = (support[..., None, None] << code.n) | rows
+            weight *= scale
+        code._shared[key] = (support, weight, rows)
+    return code._shared[key]
 
 
-def _frame_masks(bits: np.ndarray, frames, m: int) -> tuple[int, np.ndarray]:
-    """The register X mask and the support's Z-frame signs of m per-block
-    Paulis frames[i] = (x, z), given _block_support's bit rows: support
-    entry s of X^x Z^z V^(x)m sits at s ^ X and is negated where s & Z
-    has odd parity, X and Z being the frames' masks over the whole
-    register. Without frames, 0 and 1."""
-    if frames is not None and len(frames) != m:
+def _frame_mask(part, n: int) -> int:
+    """One part of a block frame as a block-local int mask: an int mask
+    as it is, or a bit vector of length n."""
+    if isinstance(part, np.ndarray):
+        if part.shape != (n,):
+            raise ShapeError(f"frame of shape {part.shape}, expected ({n},)")
+        return sim.mask_of_bits(part)
+    part = operator.index(part)
+    if not 0 <= part < 1 << n:
+        raise ShapeError(f"frame mask {part:#x} exceeds {n} bits")
+    return part
+
+
+def _z_signs(rows: np.ndarray, z: int) -> np.ndarray:
+    """(-1)^(s.z) over the block rows s."""
+    return 1 - 2 * sim._parity(rows & z)
+
+
+def _framed_support(code: CssCode, m: int, frames):
+    """_block_support under m block frames with the key folded in:
+    X^x Z^z X^v Z^u is (-1)^(z.v) X^(x^v) Z^(z^u), the key (u, v) being
+    the frame X^v Z^u on the zero-key encoding. Given frames[i] = (x, z)
+    (None: identity frames), returns the support's register indices moved
+    by the X masks, its weight times the blocks' signs (-1)^(z.v), and for
+    each block whose z ^ u is not 0 its _z_signs, shaped to broadcast
+    against the indices."""
+    if frames is None:
+        frames = [(0, 0)] * m
+    elif len(frames) != m:
         raise ShapeError(f"need {m} frames, got {len(frames)}")
-    x_mask = 0
-    signs = np.ones((), dtype=np.int8)
-    for x, z in frames or ():
-        x_mask = (x_mask << bits.shape[-1]) | sim.mask_of_bits(x)
-        flips = (bits @ z) & 1
-        signs = np.multiply.outer(signs, 1 - 2 * flips.astype(np.int8))
-    return x_mask, signs
+    n = code.n
+    u, v = code.key_masks
+    support, weight, rows = _block_support(code, m)
+    x_mask, factors = 0, []
+    for i, (x, z) in enumerate(frames):
+        x, z = _frame_mask(x, n), _frame_mask(z, n)
+        x_mask = (x_mask << n) | (x ^ v)
+        if (z & v).bit_count() & 1:
+            weight = -weight
+        if z ^ u:
+            factors.append(_z_signs(rows, z ^ u).reshape(
+                (1, 1) * i + rows.shape + (1, 1) * (m - 1 - i)))
+    return support ^ x_mask, weight, factors
 
 
 def encode_blocks(code: CssCode, logical_state: sim.StateVector,
@@ -180,7 +223,8 @@ def encode_blocks(code: CssCode, logical_state: sim.StateVector,
     [w*n, (w+1)*n): one scatter of the weighted plaintext over the
     code-space support only. With frames, as in decode_blocks, block i is
     encoded under the Pauli X^x Z^z given by frames[i] = (x, z) in the
-    same scatter. The register is new, or `out`, an m*n-qubit register
+    same scatter, and the key is such a frame on every block
+    (_framed_support). The register is new, or `out`, an m*n-qubit register
     that is zeroed and overwritten."""
     m = logical_state.num_qubits
     total = m * code.n
@@ -190,15 +234,16 @@ def encode_blocks(code: CssCode, logical_state: sim.StateVector,
     if out is not None and out.num_qubits != total:
         raise ShapeError(
             f"{m} wires need a {total}-qubit register, got {out.num_qubits}")
-    support, weights, bits = _block_support(code, m)
-    x_mask, signs = _frame_masks(bits, frames, m)
-    terms = weights * logical_state.amps.reshape((2, 1) * m) * signs
+    index, weight, factors = _framed_support(code, m, frames)
+    terms = weight * logical_state.amps.reshape((2, 1) * m)
+    for f in factors:
+        terms = terms * f
     if out is None:
         out = sim.StateVector(total, np.zeros(1 << total, dtype=np.complex128),
                               check=False)
     else:
         out.amps.fill(0)
-    out.amps[support ^ x_mask] = terms
+    out.amps[index] = terms
     return out
 
 
@@ -206,9 +251,9 @@ def decode_blocks(code: CssCode, physical_state: sim.StateVector,
                   frames: list[tuple] | None = None) -> sim.StateVector:
     """Inverse of encode_blocks, in one gather over the code-space support;
     the input is left as it is. With frames, block i carries the Pauli
-    X^x Z^z given by frames[i] = (x, z) as bit vectors (the coset leaders
-    correct_errors returns, or the shift from this key to an evolved one),
-    and is decoded against that Pauli times the encoder (_frame_masks).
+    X^x Z^z given by frames[i] = (x, z), int masks or bit vectors (the
+    coset leaders correct_errors returns, or the shift from this key to an
+    evolved one), and is decoded against that Pauli times the encoder.
     Raises LeakageError when the weight outside the code space exceeds
     DECODE_LEAKAGE_TOL."""
     n = code.n
@@ -216,10 +261,12 @@ def decode_blocks(code: CssCode, physical_state: sim.StateVector,
         raise ShapeError(
             f"{physical_state.num_qubits} qubits is not a multiple of n={n}")
     m = physical_state.num_qubits // n
-    support, weights, bits = _block_support(code, m)
-    x_mask, signs = _frame_masks(bits, frames, m)
-    terms = physical_state.amps.take(support ^ x_mask) * weights.conj() * signs
+    index, weight, factors = _framed_support(code, m, frames)
+    terms = physical_state.amps.take(index)
+    for f in factors:
+        terms *= f
     logical = terms.sum(axis=tuple(range(1, 2 * m, 2))).reshape(-1)
+    logical *= weight
     kept = float(np.vdot(logical, logical).real)
     leak = 1.0 - kept
     if leak > DECODE_LEAKAGE_TOL:
@@ -277,12 +324,13 @@ def correct_errors(code: CssCode, state: sim.StateVector, block: int,
     if start < 0 or start + n > state.num_qubits:
         raise ShapeError(f"block {block} out of range")
     x_table, z_table = _tables(code)
+    u_mask, v_mask = code.key_masks
     if code._masks is None:
         code._masks = (
-            sim.mask_of_bits(code.v),
             [sim.mask_of_bits(h) for h in code.c1.pchk],
-            [(sim.mask_of_bits(g), gf2.dot(code.u, g)) for g in code.c2.gen])
-    v_mask, pchk_masks, gen_masks = code._masks
+            [(g, (g & u_mask).bit_count() & 1)
+             for g in map(sim.mask_of_bits, code.c2.gen)])
+    pchk_masks, gen_masks = code._masks
     post = state.num_qubits - start - n
 
     jidx = sim.first_occupied(state) if index is None else index
@@ -350,10 +398,16 @@ def magic_ancilla(code: CssCode) -> sim.StateVector:
 
 
 def magic_ancilla_sparse(code: CssCode) -> tuple[np.ndarray, np.ndarray]:
-    (i0, v0), (i1, v1) = isometry(code).cols
-    idx = np.concatenate([i0, i1])
-    vals = np.concatenate([v0, MAGIC_PHASE * v1]) / math.sqrt(2.0)
-    return idx, vals
+    """Encoded (|0> + e^{i pi/4} |1>)/sqrt(2) as block indices and
+    amplitudes, in _iso_columns' order: the order splice_ancilla's draw
+    indexes."""
+    index, weight, factors = _framed_support(code, 1, None)
+    vals = np.full(index.shape, weight, dtype=np.complex128)
+    for f in factors:
+        vals *= f
+    vals[1] *= MAGIC_PHASE
+    vals /= math.sqrt(2.0)
+    return index.reshape(-1), vals.reshape(-1)
 
 
 def logical_readout(code: CssCode, y) -> int:
@@ -443,20 +497,20 @@ class KeyEvolver:
     X^x Z^z through these gates: X^x Z^z on a block keyed (u, v) is, up
     to a global phase, the block keyed (u ^ z, v ^ x), so an error frame
     evolves as a key shift does.
+
+    The rules take u and v as int masks or as bit vectors, and return
+    the same kind; a returned part may be an input object.
     """
 
     @staticmethod
-    def h_rule(u, v) -> tuple[np.ndarray, np.ndarray]:
-        u, v = gf2.as_vec(u), gf2.as_vec(v)
-        return v.copy(), u.copy()
+    def h_rule(u, v) -> tuple:
+        return v, u
 
     @staticmethod
-    def sdgx_rule(u, v) -> tuple[np.ndarray, np.ndarray]:
-        u, v = gf2.as_vec(u), gf2.as_vec(v)
-        return u ^ v, v.copy()
+    def sdgx_rule(u, v) -> tuple:
+        return u ^ v, v
 
     @staticmethod
-    def cnot_rule(key_c, key_t):
-        uc, vc = (gf2.as_vec(x) for x in key_c)
-        ut, vt = (gf2.as_vec(x) for x in key_t)
-        return (uc ^ ut, vc.copy()), (ut.copy(), vc ^ vt)
+    def cnot_rule(key_c, key_t) -> tuple[tuple, tuple]:
+        (uc, vc), (ut, vt) = key_c, key_t
+        return (uc ^ ut, vc), (ut, vc ^ vt)

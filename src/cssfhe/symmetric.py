@@ -159,9 +159,10 @@ def evaluate(n: int, circuit: sim.LogicalCircuit, ct: SymCiphertext,
 
 
 class _KeyReplay:
-    """Each wire's current (u, v), replayed from a ciphertext's executed
-    gates and gadget outcomes and advanced from where the last call left
-    off, so a readout oracle that keeps one does O(1) rule calls per gate.
+    """Each wire's current (u, v) as int masks, replayed from a
+    ciphertext's executed gates and gadget outcomes and advanced from
+    where the last call left off, so a readout oracle that keeps one does
+    O(1) rule calls per gate.
 
     A T gadget's ancilla starts under the key itself; the transversal
     CNOT from it moves the data block to `measured` and the ancilla to
@@ -169,7 +170,7 @@ class _KeyReplay:
     A scrambled key, u = v = 0, is a fixed point of all three rules."""
 
     def __init__(self, code: CssCode, num_wires: int):
-        self.key = (code.u, code.v)
+        self.key = code.key_masks
         self.keys = [self.key] * num_wires
         self.done = 0       # executed gates applied to self.keys
         self.outcomes = 0   # gadget outcomes read
@@ -207,19 +208,22 @@ def make_readout(sk: SymKey, ct: SymCiphertext):
     record of the pending gadget, the last executed gate, to its logical
     bit. Only classical strings cross this callable; the replayed keys
     stay on Alice's side between calls."""
-    replay = _KeyReplay(sk.code, ct.num_wires)
+    code = sk.code
+    replay = _KeyReplay(code, ct.num_wires)
 
     def readout(bits: str) -> int:
         if not ct.executed or ct.executed[-1].kind != "T":
             raise ShapeError("no measurement to read out")
         y = gf2.as_vec(bits)
-        if y.shape[0] != sk.code.n:
-            raise ShapeError(
-                f"record length {y.shape[0]}, expected {sk.code.n}")
+        if y.shape[0] != code.n:
+            raise ShapeError(f"record length {y.shape[0]}, expected {code.n}")
         _, (_, v) = replay.advance(ct)
         # the record is under the measured key's v; logical_readout reads
         # only v, so shift the record to the key's own
-        return css.logical_readout(sk.code, y ^ v ^ sk.code.v)
+        shift = v ^ code.key_masks[1]
+        if shift:
+            y ^= gf2.as_vec(format(shift, f"0{code.n}b"))
+        return css.logical_readout(code, y)
 
     return readout
 
@@ -231,9 +235,11 @@ def decrypt(sk: SymKey, ct: SymCiphertext) -> sim.StateVector:
 
     A block keyed (u', v') is, up to a global phase, the key's own
     encoding under the Pauli frame X^(v' ^ v) Z^(u' ^ u), so every block
-    decodes under the key's cached isometry with that frame."""
+    decodes with that frame, as int masks, through the code-space support
+    that all keys of the presentation share."""
     code = sk.code
-    magic = css.magic_ancilla_sparse(code)
+    if ct.ancilla_pool:
+        magic = css.magic_ancilla_sparse(code)
     for a, (idx, vals) in enumerate(ct.ancilla_pool):
         lost = 1.0 - abs(sim.sparse_vdot(*magic, idx, vals)) ** 2
         if lost > ANCILLA_PRODUCT_TOL:
@@ -241,7 +247,8 @@ def decrypt(sk: SymKey, ct: SymCiphertext) -> sim.StateVector:
                 f"pending ancilla {a} is not the expected product state "
                 f"(weight {lost:.3e} lost)")
     keys, _ = _KeyReplay(code, ct.num_wires).advance(ct)
-    frames = [(v ^ code.v, u ^ code.u) for u, v in keys]
+    u0, v0 = code.key_masks
+    frames = [(v ^ v0, u ^ u0) for u, v in keys]
     return css.decode_blocks(code, ct.state, frames=frames)
 
 
@@ -272,7 +279,12 @@ def attack_ancilla_leak(copies: int, candidates: list[SymKey],
     Per candidate key the attacker measures each of `copies` leaked
     ancillas in the {magic, orthogonal} basis of that key; a candidate
     survives if every copy passes. The attacker guesses uniformly among
-    survivors. With 0 copies this is a uniform guess at 1/K."""
+    survivors. With 0 copies this is a uniform guess at 1/K.
+
+    Beside the sampled `success`, `exact` is the rate the trials sample:
+    E[1/(1+S)], with S the number of other candidates that survive, a
+    Poisson-binomial count in which candidate i survives with probability
+    overlap_i^copies."""
     if trials < 1:
         raise ParameterError(f"trials must be at least 1, got {trials}")
     if copies < 0:
@@ -293,9 +305,15 @@ def attack_ancilla_leak(copies: int, candidates: list[SymKey],
         pick = survivors[rng.integers(len(survivors))]
         if pick == true_idx:
             hits += 1
+    dist = np.ones(1)  # P(S = s) over the other candidates seen so far
+    for i, p in enumerate(overlaps):
+        if i != true_idx:
+            q = p ** copies
+            dist = np.append(dist * (1 - q), 0) + np.append(0, dist * q)
     return {
         "copies": copies,
         "trials": trials,
         "success": hits / trials,
+        "exact": float(dist @ (1 / np.arange(1, dist.size + 1))),
         "overlaps": overlaps,
     }

@@ -597,5 +597,5 @@ def test_golay_decrypts_add_no_cache_entries(golay_pair):
         carried = (x, z)
         out = asymmetric.decrypt(golay_pair.private, ct)
         assert sim.fidelity(out, psi) >= 1 - 1e-10
-    assert set(code._shared) == {"inner_words", "tables"}
+    assert set(code._shared) == {"inner_words", "tables", ("support", 1)}
     assert css.isometry(code) is iso

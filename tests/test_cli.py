@@ -445,3 +445,11 @@ def test_installed_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"base": "steane", "count": 64}
+
+
+def test_experiment_ancilla_leak_reports_exact_rate(capsys):
+    code, lines, _ = run_cli(["experiment", "ancilla-leak", "--copies", "1",
+                              "--trials", "50", "--seed", "23"], capsys)
+    assert code == 0
+    assert set(lines[0]) == {"kind", "copies", "trials", "success", "exact"}
+    assert lines[0]["exact"] == pytest.approx(0.75, abs=1e-12)

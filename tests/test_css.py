@@ -192,6 +192,58 @@ def test_codec_matches_per_block_path():
         assert sim.fidelity(out, psi) >= 1 - 1e-12
 
 
+def _reference_code(key):
+    """The key's code as build makes it from scratch: on the explicit
+    (u, v) of a family key, on the scrambled pair (S C1 P, C2 P) of a
+    scrambled one."""
+    c1, c2 = symmetric.base_pair(key.base_name)
+    if key.s is None:
+        return css.build(c1, c2, key.code.u, key.code.v)
+    zero = gf2.zeros_vec(c1.n)
+    return css.build(
+        codes.from_generator(gf2.mat_mul(gf2.mat_mul(key.s, c1.gen), key.p)),
+        codes.from_generator(gf2.mat_mul(c2.gen, key.p)), zero, zero)
+
+
+def test_key_view_matches_the_reference_isometry():
+    """Encoding and decoding through the presentation's shared support,
+    with the key folded into the frames, gives to 1e-12 the amplitudes of
+    the validated isometry of the key's code built from scratch, under
+    random frames given as int masks (encode) or bit vectors (decode). The
+    magic ancilla keeps the reference columns' order."""
+    g = rng(94)
+    cases = [(symmetric.keygen("steane", mode, g), m)
+             for mode in ("family", "scrambled") for m in (1, 2, 3)]
+    cases += [(symmetric.keygen("golay", mode, g), 1)
+              for mode in ("family", "scrambled")]
+    for key, m in cases:
+        code, iso = key.code, css.isometry(_reference_code(key))
+        n = code.n
+        frames = [(gf2.random_vector(n, g), gf2.random_vector(n, g))
+                  for _ in range(m)]
+        masks = [(sim.mask_of_bits(x), sim.mask_of_bits(z)) for x, z in frames]
+        psi = random_state(g, m)
+        want = psi.copy()
+        for i in range(m):
+            want = sim.apply_block_isometry(want, i * n, iso)
+        for i, (x, z) in enumerate(masks):
+            sim.apply_block_pauli(want, i * n, n, x, z)
+        got = css.encode_blocks(code, psi, masks)
+        np.subtract(got.amps, want.amps, out=got.amps)
+        assert np.abs(got.amps).max() <= 1e-12
+        del got
+        back = css.decode_blocks(code, want, frames)
+        for i, (x, z) in enumerate(masks):
+            want, leak = sim.contract_block_isometry(want, i, iso, x, z)
+            assert leak <= 1e-12
+        assert np.abs(back.amps - want.amps).max() <= 1e-12
+        idx, vals = css.magic_ancilla_sparse(code)
+        (i0, v0), (i1, v1) = iso.cols
+        assert np.array_equal(idx, np.concatenate([i0, i1]))
+        magic = np.concatenate([v0, css.MAGIC_PHASE * v1]) / np.sqrt(2)
+        assert np.abs(vals - magic).max() <= 1e-15
+
+
 def test_encode_under_frames_is_encode_then_pauli():
     """Encoding under frames gives exactly the amplitudes of encoding
     without them and then applying each block's Pauli: X^x Z^z scatters
@@ -435,17 +487,22 @@ def test_pauli_frame_is_key_shift_golay():
 
 
 def test_sibling_keys_leave_shared_cache_bounded(steane_pair):
-    # per-key isometries live on each sibling, never in the shared dict
+    # the shared dict holds one support per block count, however many
+    # siblings encode through it, and no sibling builds an isometry
     c1, c2 = steane_pair
     base = css.build(c1, c2, gf2.zeros_vec(7), gf2.zeros_vec(7))
     g = rng(90)
     psi = random_state(g, 1)
+    supports = set()
     for k in g.choice(1 << 14, size=256, replace=False):
         bits = [(int(k) >> (13 - j)) & 1 for j in range(14)]
         sib = base.with_key(bits[:7], bits[7:])
         css.logical_basis(sib)
         css.correct_errors(sib, css.encode_blocks(sib, psi), 0)
-    assert set(base._shared) == {"inner_words", "tables"}
+        supports.add(id(base._shared[("support", 1)]))
+        assert sib._iso is None
+    assert set(base._shared) == {"inner_words", "tables", ("support", 1)}
+    assert len(supports) == 1
     assert base._iso is None
 
 
@@ -523,15 +580,9 @@ def test_scrambled_key_is_a_view_of_the_base_code(pair, seeds):
     by P. It equals what build makes of the scrambled pair (S C1 P, C2 P):
     the same isometry columns in the same order, x1 and t, and the same
     coset leaders for every error of weight <= t."""
-    c1, c2 = symmetric.base_pair(pair)
-    zero = gf2.zeros_vec(c1.n)
     for seed in range(seeds):
         key = symmetric.keygen(pair, "scrambled", rng(300 + seed))
-        view = key.code
-        ref = css.build(
-            codes.from_generator(gf2.mat_mul(gf2.mat_mul(key.s, c1.gen),
-                                             key.p)),
-            codes.from_generator(gf2.mat_mul(c2.gen, key.p)), zero, zero)
+        view, ref = key.code, _reference_code(key)
         assert view.t == ref.t
         assert np.array_equal(view.x1, ref.x1)
         for (iv, wv), (ir, wr) in zip(css.isometry(view).cols,
@@ -574,6 +625,31 @@ def test_scrambled_keys_rebuild_nothing(monkeypatch):
     assert spies == [[], [], [], []]
 
 
+def test_key_paths_build_no_isometry(monkeypatch):
+    """Once the base code has validated its isometry, no keygen, encrypt,
+    evaluate, readout, decrypt, refresh or session builds one: every key
+    encodes and decodes through its presentation's shared support."""
+    symmetric.keygen("steane", "family", rng(460))
+    built = count_calls(monkeypatch, sim, "BlockIsometry")
+    psi = random_state(rng(461), 2)
+    circuit = sim.parse_circuit("H 0\nCNOT 0 1\nT 0\nT 1\nCNOT 1 0")
+    want = sim.run_circuit(psi.copy(), circuit)
+    for seed, mode in enumerate(("family", "scrambled")):
+        key = symmetric.keygen("steane", mode, rng(462 + seed))
+        ct = symmetric.encrypt(key, psi, 2, rng(464 + seed))
+        symmetric.evaluate(7, circuit, ct, symmetric.make_readout(key, ct))
+        assert sim.fidelity(symmetric.decrypt(key, ct), want) >= 1 - 1e-9
+    with pytest.warns(UserWarning):  # c * t = 0.5: the weight is set below
+        pair = asymmetric.keygen("steane", 0.5, rng(466))
+    ct = asymmetric.encrypt(pair.public, psi, rng(467), override_weight=1)
+    alice = asymmetric.make_refresh_authority(pair.private, rng(468))
+    ct, transcript = asymmetric.evaluate_session(pair.public, circuit, ct,
+                                                 alice, rng(469))
+    assert transcript.refresh_count > 0
+    assert sim.fidelity(asymmetric.decrypt(pair.private, ct), want) >= 1 - 1e-9
+    assert built == []
+
+
 def test_keygen_family_deterministic():
     a = symmetric.keygen("steane", "family", rng(5))
     b = symmetric.keygen("steane", "family", rng(5))
@@ -591,6 +667,7 @@ def test_family_keys_share_the_cached_base_code(pair, monkeypatch):
     calls = count_calls(monkeypatch, codes, "min_distance")
     base = css.base_code(c1, c2)
     assert not base.u.any() and not base.v.any()
+    built = dict(base._shared)  # earlier tests may have added supports
     for seed in range(93, 98):
         key = symmetric.keygen(pair, "family", rng(seed))
         want = rng(seed)  # the same draws as before: u, then v
@@ -598,9 +675,19 @@ def test_family_keys_share_the_cached_base_code(pair, monkeypatch):
         assert np.array_equal(key.code.v, gf2.random_vector(c1.n, want))
         assert key.code._shared is base._shared is first.code._shared
         assert key.code.t == base.t and key.code.x1 is base.x1
-        assert key.code._iso is None  # each key builds its own isometry
+        ct = symmetric.encrypt(key, random_state(rng(seed), 1), 1, rng(seed))
+        circuit = sim.parse_circuit("T 0")
+        symmetric.evaluate(c1.n, circuit, ct, symmetric.make_readout(key, ct))
+        out = symmetric.decrypt(key, ct)
+        assert sim.fidelity(out, sim.run_circuit(
+            random_state(rng(seed), 1), circuit)) >= 1 - 1e-10
+        assert key.code._iso is None  # no key builds an isometry
     assert calls == []
-    assert set(base._shared) == {"inner_words", "tables"}
+    # one entry per block count, built once, however many keys use it
+    assert set(base._shared) == set(built) | {("support", 1)}
+    assert all(base._shared[k] is built[k] for k in built)
+    assert all(k in ("inner_words", "tables") or k[0] == "support"
+               for k in base._shared)
 
 
 def test_keygen_family_zero_key_matches_plain(steane_pair, steane):

@@ -343,6 +343,15 @@ def test_contract_rejects_wide_masks():
                                     x_mask=4)
 
 
+def test_parity_matches_bit_count():
+    g = rng(61)
+    values = np.concatenate([np.arange(1 << 10), [(1 << 32) - 1],
+                             g.integers(0, 1 << 32, size=4096)])
+    want = [bin(int(a)).count("1") & 1 for a in values]
+    assert sim._parity(values).tolist() == want
+    assert sim._parity(values.reshape(-1, 3)).shape == (len(values) // 3, 3)
+
+
 def test_first_occupied_skips_rounding_residues():
     amps = np.full(1 << 16, 1e-17, dtype=np.complex128)
     amps[40000] = 0.6

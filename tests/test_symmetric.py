@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cssfhe import css, gf2, sim, symmetric
+from cssfhe import cli, css, gf2, sim, symmetric
 from cssfhe.errors import (
     AncillaExhaustedError,
     CapacityError,
@@ -555,3 +555,38 @@ def test_attack_ancilla_leak_overlap_spectrum():
     assert abs(overlaps[0] - 1.0) < 1e-12
     assert abs(overlaps[1] - 0.5) < 1e-12
     assert np.all(overlaps[2:] < 1e-12)
+
+
+def _exact_by_enumeration(overlaps, true_idx, copies) -> float:
+    """E[1/(1+S)] summed over every survivor set of the other candidates."""
+    q = np.array([p for i, p in enumerate(overlaps) if i != true_idx])
+    q = q ** copies
+    sets = (np.arange(1 << q.size)[:, None] >> np.arange(q.size)) & 1
+    probs = np.where(sets == 1, q, 1 - q).prod(axis=1)
+    return float(probs @ (1 / (1 + sets.sum(axis=1))))
+
+
+def test_attack_ancilla_leak_exact_rate():
+    """The exact rate is the survivor-set sum, and on this roster, whose
+    only partial overlap is the sibling's 1/2, 1/16 at 0 copies and
+    1 - 2^-(c+1) at c copies."""
+    key = family_key("1100110", "0011010")
+    roster = leak_roster(key)
+    for copies in range(5):
+        report = symmetric.attack_ancilla_leak(copies, roster, key,
+                                               rng(48), trials=1)
+        want = 1 / 16 if copies == 0 else 1 - 2.0 ** -(copies + 1)
+        assert report["exact"] == pytest.approx(want, abs=1e-12)
+        assert report["exact"] == pytest.approx(_exact_by_enumeration(
+            report["overlaps"], 0, copies), abs=1e-12)
+
+
+@pytest.mark.parametrize("size", [16, 65])
+def test_attack_ancilla_leak_samples_the_exact_rate(size):
+    key = symmetric.keygen("steane", "family", rng(49))
+    roster = cli._family_candidates("steane", size, key)
+    for copies in range(4):
+        report = symmetric.attack_ancilla_leak(copies, roster, key,
+                                               rng(50 + copies), trials=1000)
+        p = report["exact"]
+        assert abs(report["success"] - p) <= 3 * np.sqrt(p * (1 - p) / 1000)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -197,9 +196,10 @@ def _step(ct: AsymCiphertext, gate: sim.GateOp, code: CssCode,
         sim.transversal_cnot(ct.state, start, wt * ct.n, ct.n)
         ct.bounds[wc], ct.bounds[wt] = _predicted_bounds(ct, gate)
     else:
-        symmetric.ft_t_gadget(ct.state, start, ct.n,
-                              css.magic_ancilla_sparse(code),
-                              partial(css.logical_readout, code), rng)
+        symmetric.ft_t_gadget(
+            ct.state, start, ct.n, css.magic_ancilla_sparse(code),
+            lambda bits: css.logical_readout(code, css.parse_word(bits, code.n)),
+            rng)
 
 
 def evaluate_session(pk: PublicKey, circuit: sim.LogicalCircuit,

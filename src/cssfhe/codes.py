@@ -1,5 +1,5 @@
 """Classical binary linear codes: duals, containment, distance, syndrome
-decoding, and the built-in fixtures used throughout the package.
+tables, and the built-in fixtures used throughout the package.
 
 Distance and table construction are brute force, bounded at k <= 20 and
 t <= 3; everything here is desk scale by design.
@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gf2
-from .errors import CapacityError, DecodeFailureError, DegenerateCodeError, ShapeError
+from .errors import CapacityError, DegenerateCodeError, ShapeError
 
 BRUTE_FORCE_K = 20
 
@@ -77,10 +77,6 @@ class SyndromeTable:
     entries: dict[bytes, np.ndarray] = field(repr=False)
 
 
-def _syndrome_key(pchk: np.ndarray, e: np.ndarray) -> bytes:
-    return gf2.mat_mul(pchk, e).tobytes()
-
-
 def build_syndrome_table(c: LinearCode, t: int) -> SyndromeTable:
     """Coset-leader table for all error patterns of weight <= t.
 
@@ -92,26 +88,13 @@ def build_syndrome_table(c: LinearCode, t: int) -> SyndromeTable:
         for pos in itertools.combinations(range(c.n), w):
             e = np.zeros(c.n, dtype=np.uint8)
             e[list(pos)] = 1
-            key = _syndrome_key(c.pchk, e)
+            key = gf2.mat_mul(c.pchk, e).tobytes()
             if key in entries:
                 raise CapacityError(
                     f"syndrome collision at weight {w}: t={t} exceeds the "
                     f"correction radius of this [{c.n},{c.k}] code")
             entries[key] = e
     return SyndromeTable(radius=t, entries=entries)
-
-
-def syndrome_decode(c: LinearCode, table: SyndromeTable,
-                    y) -> tuple[np.ndarray, np.ndarray]:
-    """Split y into (codeword, error) with weight(error) <= radius."""
-    y = gf2.as_vec(y)
-    if y.shape[0] != c.n:
-        raise ShapeError(f"word length {y.shape[0]} vs n={c.n}")
-    leader = table.entries.get(_syndrome_key(c.pchk, y))
-    if leader is None:
-        raise DecodeFailureError(
-            f"syndrome outside radius {table.radius} for [{c.n},{c.k}] code")
-    return y ^ leader, leader
 
 
 _HAMMING74_GEN = [

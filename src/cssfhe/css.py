@@ -1,9 +1,14 @@
-"""CSS code objects keyed by a phase vector u and a shift vector v.
+"""CSS code objects keyed by a phase word u and a shift word v.
 
 A code instance encodes one logical qubit into n physical qubits. The
 logical zero is the superposition of the inner code's codewords, phased by
 u and shifted by v; the logical one uses the fixed coset representative x1
 (minimum weight, lexicographic tie break).
+
+Every n-bit word the key holder handles (u, v, x1, Pauli frames, coset
+leaders, measurement records) is a Python int mask, bit n-1-j for qubit j,
+as in sim.apply_block_pauli; the codes module's matrices and table
+leaders stay bit vectors, and _leader is where a leader becomes an int.
 
 A secret key (symmetric.SymKey) is a view of its pair's one base code:
 a McEliece-style scrambled presentation, the base code with its qubits
@@ -14,10 +19,9 @@ in KeyEvolver.
 The key (u, v) is exactly the Pauli frame X^v Z^u on the zero-key
 encoding, so every key of a qubit presentation encodes and decodes
 through that presentation's one code-space support (_block_support),
-with the key folded into the caller's frame. Frames and keys are block-
-local int masks there, bit n-1-j for qubit j, as in sim.apply_block_pauli.
-The sparse isometry (isometry) is the reference path: the base code
-validates it once, and the tests check the support against it.
+with the key folded into the caller's frame. The sparse isometry
+(isometry) is the reference path, for attack_key_guess and for the tests
+that check the support against it.
 """
 
 from __future__ import annotations
@@ -51,11 +55,11 @@ MAGIC_AMPS = np.array([1.0, MAGIC_PHASE], dtype=np.complex128) / math.sqrt(2.0)
 class CssCode:
     c1: LinearCode
     c2: LinearCode
-    u: np.ndarray
-    v: np.ndarray
+    u: int
+    v: int
     n: int
     t: int
-    x1: np.ndarray
+    x1: int
     # the qubit order of this code against the code whose syndrome tables
     # it shares: a table leader l reads l[perm] here (the identity unless
     # the code is a scrambled view)
@@ -64,22 +68,18 @@ class CssCode:
     # same qubit presentation: "inner_words", "tables", and the code-space
     # support ("support", m) of each block count m
     _shared: dict = field(default_factory=dict, repr=False)
-    # the key (u, v) as block-local int masks
-    key_masks: tuple[int, int] = field(init=False, repr=False)
-    # the reference isometry and correct_errors' syndrome masks, built on
-    # first use; with_key starts over
+    # the reference isometry, built on first use; with_key starts over
     _iso: sim.BlockIsometry | None = field(default=None, init=False,
                                            repr=False)
+    # the syndrome masks (_masks), built on first use; they do not depend
+    # on the key, so with_key siblings share them
     _masks: tuple | None = field(default=None, init=False, repr=False)
 
-    def __post_init__(self):
-        self.key_masks = (sim.mask_of_bits(self.u), sim.mask_of_bits(self.v))
-
-    def with_key(self, u, v) -> "CssCode":
-        u, v = gf2.as_vec(u), gf2.as_vec(v)
-        if u.shape[0] != self.n or v.shape[0] != self.n:
-            raise ShapeError(f"key vectors must have length {self.n}")
-        return replace(self, u=u, v=v)
+    def with_key(self, u: int, v: int) -> "CssCode":
+        sibling = replace(self, u=_frame_mask(u, self.n),
+                          v=_frame_mask(v, self.n))
+        sibling._masks = _masks(self)
+        return sibling
 
 
 def _vec_indices(rows: np.ndarray) -> np.ndarray:
@@ -89,7 +89,7 @@ def _vec_indices(rows: np.ndarray) -> np.ndarray:
     return rows.astype(np.int64) @ weights
 
 
-def build(c1: LinearCode, c2: LinearCode, u, v) -> CssCode:
+def build(c1: LinearCode, c2: LinearCode, u: int, v: int) -> CssCode:
     """Validate the pair and assemble a code with t = floor((d-1)/2)."""
     if c1.n != c2.n:
         raise InvalidPairError(f"length mismatch {c1.n} vs {c2.n}")
@@ -98,9 +98,7 @@ def build(c1: LinearCode, c2: LinearCode, u, v) -> CssCode:
     if c1.k - c2.k != 1:
         raise InvalidPairError(
             f"dimension gap {c1.k - c2.k}, need exactly 1 logical qubit")
-    u, v = gf2.as_vec(u), gf2.as_vec(v)
-    if u.shape[0] != c1.n or v.shape[0] != c1.n:
-        raise ShapeError(f"key vectors must have length {c1.n}")
+    u, v = _frame_mask(u, c1.n), _frame_mask(v, c1.n)
     d = min(codes_mod.min_distance(c1),
             codes_mod.min_distance(codes_mod.dual(c2)))
     t = (d - 1) // 2
@@ -110,9 +108,11 @@ def build(c1: LinearCode, c2: LinearCode, u, v) -> CssCode:
                    perm=np.arange(c1.n))
 
 
-def _lightest(words: np.ndarray) -> np.ndarray:
-    """The row of least weight, the lowest amplitude index among ties."""
-    return words[np.lexsort((_vec_indices(words), words.sum(axis=1)))[0]]
+def _lightest(words: np.ndarray) -> int:
+    """The row of least weight, the lowest amplitude index among ties, as
+    an int mask."""
+    idx = _vec_indices(words)
+    return int(idx[np.lexsort((idx, words.sum(axis=1)))[0]])
 
 
 def _inner_words(code: CssCode) -> np.ndarray:
@@ -122,15 +122,17 @@ def _inner_words(code: CssCode) -> np.ndarray:
 
 
 def _iso_columns(code: CssCode):
-    """Sparse logical-basis columns for the current (u, v)."""
-    w2 = _inner_words(code)
-    scale = 1.0 / math.sqrt(w2.shape[0])
+    """Sparse logical-basis columns for the current (u, v), one word at a
+    time: the reference that the code-space support is checked against."""
+    inner = _vec_indices(_inner_words(code)).tolist()
+    scale = 1.0 / math.sqrt(len(inner))
     cols = []
-    for rep in (np.zeros(code.n, dtype=np.uint8), code.x1):
-        words = w2 ^ rep
-        idx = _vec_indices(words ^ code.v)
-        signs = 1.0 - 2.0 * (gf2.mat_mul(words, code.u[:, None])[:, 0])
-        cols.append((idx, signs.astype(np.complex128) * scale))
+    for rep in (0, code.x1):
+        words = [w ^ rep for w in inner]
+        signs = [-scale if (w & code.u).bit_count() & 1 else scale
+                 for w in words]
+        cols.append((np.array(words) ^ code.v,
+                     np.array(signs, dtype=np.complex128)))
     return tuple(cols)
 
 
@@ -160,7 +162,7 @@ def _block_support(code: CssCode, m: int):
     if key not in code._shared:
         w2 = _inner_words(code)
         inner = _vec_indices(w2)
-        rows = np.array([inner, inner ^ sim.mask_of_bits(code.x1)])
+        rows = np.array([inner, inner ^ code.x1])
         scale = 1.0 / math.sqrt(w2.shape[0])
         support = np.zeros((), dtype=np.int64)
         weight = 1.0
@@ -171,17 +173,24 @@ def _block_support(code: CssCode, m: int):
     return code._shared[key]
 
 
-def _frame_mask(part, n: int) -> int:
-    """One part of a block frame as a block-local int mask: an int mask
-    as it is, or a bit vector of length n."""
-    if isinstance(part, np.ndarray):
-        if part.shape != (n,):
-            raise ShapeError(f"frame of shape {part.shape}, expected ({n},)")
-        return sim.mask_of_bits(part)
+def _frame_mask(part: int, n: int) -> int:
+    """An n-bit word (a key part or one part of a block frame) as a
+    block-local int mask, refused with ShapeError beyond n bits."""
     part = operator.index(part)
     if not 0 <= part < 1 << n:
-        raise ShapeError(f"frame mask {part:#x} exceeds {n} bits")
+        raise ShapeError(f"mask {part:#x} exceeds {n} bits")
     return part
+
+
+def parse_word(bits: str, n: int) -> int:
+    """An n-bit word recorded as n characters '0'/'1', qubit 0 first (a
+    measurement record, or u and v in a key file), as an int mask;
+    anything else raises ShapeError."""
+    if not isinstance(bits, str) or not set(bits) <= {"0", "1"}:
+        raise ShapeError(f"record {bits!r} holds a character other than 0/1")
+    if len(bits) != n:
+        raise ShapeError(f"record length {len(bits)}, expected {n}")
+    return int(bits, 2)
 
 
 def _z_signs(rows: np.ndarray, z: int) -> np.ndarray:
@@ -202,7 +211,7 @@ def _framed_support(code: CssCode, m: int, frames):
     elif len(frames) != m:
         raise ShapeError(f"need {m} frames, got {len(frames)}")
     n = code.n
-    u, v = code.key_masks
+    u, v = code.u, code.v
     support, weight, rows = _block_support(code, m)
     x_mask, factors = 0, []
     for i, (x, z) in enumerate(frames):
@@ -251,9 +260,9 @@ def decode_blocks(code: CssCode, physical_state: sim.StateVector,
                   frames: list[tuple] | None = None) -> sim.StateVector:
     """Inverse of encode_blocks, in one gather over the code-space support;
     the input is left as it is. With frames, block i carries the Pauli
-    X^x Z^z given by frames[i] = (x, z), int masks or bit vectors (the
-    coset leaders correct_errors returns, or the shift from this key to an
-    evolved one), and is decoded against that Pauli times the encoder.
+    X^x Z^z given by frames[i] = (x, z), int masks (the coset leaders
+    correct_errors returns, or the shift from this key to an evolved one),
+    and is decoded against that Pauli times the encoder.
     Raises LeakageError when the weight outside the code space exceeds
     DECODE_LEAKAGE_TOL."""
     n = code.n
@@ -277,15 +286,17 @@ def decode_blocks(code: CssCode, physical_state: sim.StateVector,
 
 @dataclass(frozen=True)
 class StabilizerSet:
-    x_type: tuple[tuple[np.ndarray, int], ...]
-    z_type: tuple[tuple[np.ndarray, int], ...]
+    x_type: tuple[tuple[int, int], ...]
+    z_type: tuple[tuple[int, int], ...]
 
 
 def stabilizers(code: CssCode) -> StabilizerSet:
-    """Signed generators: (-1)^(u.g) X^g for g spanning the inner code,
-    (-1)^(h.v) Z^h for h spanning the outer code's dual."""
-    xs = tuple((g.copy(), gf2.dot(code.u, g)) for g in code.c2.gen)
-    zs = tuple((h.copy(), gf2.dot(h, code.v)) for h in code.c1.pchk)
+    """Signed generators as (int mask, sign bit): (-1)^(u.g) X^g for g
+    spanning the inner code, (-1)^(h.v) Z^h for h spanning the outer
+    code's dual."""
+    pchk_masks, gen_masks, _ = _masks(code)
+    xs = tuple((g, (g & code.u).bit_count() & 1) for g in gen_masks)
+    zs = tuple((h, (h & code.v).bit_count() & 1) for h in pchk_masks)
     return StabilizerSet(x_type=xs, z_type=zs)
 
 
@@ -297,16 +308,37 @@ def _tables(code: CssCode) -> tuple[SyndromeTable, SyndromeTable]:
     return code._shared["tables"]
 
 
+def _masks(code: CssCode) -> tuple[list[int], list[int], int]:
+    """The int masks of the rows of c1.pchk and of c2.gen, and a row of
+    c2.pchk with odd parity on x1: a word of C1 lies in the x1 coset
+    exactly when its parity against that row is odd."""
+    if code._masks is None:
+        checks = _vec_indices(code.c2.pchk).tolist()
+        code._masks = (
+            _vec_indices(code.c1.pchk).tolist(),
+            _vec_indices(code.c2.gen).tolist(),
+            next(r for r in checks if (r & code.x1).bit_count() & 1))
+    return code._masks
+
+
+def _x_leader(code: CssCode, y: int) -> int | None:
+    """The bit-flip coset leader of the n-bit word y read under the key's
+    v, or None beyond the table's radius."""
+    y ^= code.v
+    syndrome = bytes((y & h).bit_count() & 1 for h in _masks(code)[0])
+    return _leader(code, _tables(code)[0], syndrome)
+
+
 def _leader(code: CssCode, table: SyndromeTable,
-            syndrome: bytes) -> np.ndarray | None:
+            syndrome: bytes) -> int | None:
     """The table's coset leader for a syndrome in the code's qubit order,
-    a new array, or None beyond the table's radius."""
+    as an int mask, or None beyond the table's radius."""
     leader = table.entries.get(syndrome)
-    return None if leader is None else leader[code.perm]
+    return None if leader is None else sim.mask_of_bits(leader[code.perm])
 
 
 def correct_errors(code: CssCode, state: sim.StateVector, block: int,
-                   index: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+                   index: int | None = None) -> tuple[int, int]:
     """Measure the signed stabilizers of one block and return its coset
     leaders (x_leader, z_leader): up to a stabilizer, the block carries
     the error X^x_leader Z^z_leader. The state is left as it is; decode
@@ -317,26 +349,17 @@ def correct_errors(code: CssCode, state: sim.StateVector, block: int,
     the bit-flip syndrome is read off one occupied basis index (`index`,
     or sim.first_occupied when None), the phase-flip syndrome off
     amplitude ratios within a coset, which an X error only permutes. Each
-    syndrome bit is the parity of a block-local int mask, cached on the
-    code: v, the rows of c1.pchk, and the rows of c2.gen with u.g."""
+    syndrome bit is the parity of a block-local int mask (_masks): the
+    block's bits under v against the rows of c1.pchk, and the sign of
+    X^g against u.g for the rows g of c2.gen."""
     n = code.n
     start = block * n
     if start < 0 or start + n > state.num_qubits:
         raise ShapeError(f"block {block} out of range")
-    x_table, z_table = _tables(code)
-    u_mask, v_mask = code.key_masks
-    if code._masks is None:
-        code._masks = (
-            [sim.mask_of_bits(h) for h in code.c1.pchk],
-            [(g, (g & u_mask).bit_count() & 1)
-             for g in map(sim.mask_of_bits, code.c2.gen)])
-    pchk_masks, gen_masks = code._masks
     post = state.num_qubits - start - n
 
     jidx = sim.first_occupied(state) if index is None else index
-    y = ((jidx >> post) & ((1 << n) - 1)) ^ v_mask
-    x_syn = bytes((y & h).bit_count() & 1 for h in pchk_masks)
-    x_leader = _leader(code, x_table, x_syn)
+    x_leader = _x_leader(code, (jidx >> post) & ((1 << n) - 1))
     if x_leader is None:
         raise DecodeFailureError(
             f"bit-flip syndrome outside radius t={code.t} on block {block}")
@@ -346,13 +369,13 @@ def correct_errors(code: CssCode, state: sim.StateVector, block: int,
     if ref == 0:
         raise ShapeError(f"basis index {jidx} is not occupied")
     z_syn = bytearray()
-    for g, ug in gen_masks:
+    for g in _masks(code)[1]:
         ratio = amps.item(jidx ^ (g << post)) / ref
         if abs(abs(ratio) - 1.0) > 1e-6 or abs(ratio.imag) > 1e-6:
             raise DecodeFailureError(
                 f"block {block} does not carry a definite Pauli error")
-        z_syn.append((ratio.real < 0) ^ ug)
-    z_leader = _leader(code, z_table, bytes(z_syn))
+        z_syn.append((ratio.real < 0) ^ (g & code.u).bit_count() & 1)
+    z_leader = _leader(code, _tables(code)[1], bytes(z_syn))
     if z_leader is None:
         raise DecodeFailureError(
             f"phase-flip syndrome outside radius t={code.t} on block {block}")
@@ -365,11 +388,7 @@ def base_code(c1: LinearCode, c2: LinearCode) -> CssCode:
     keeps the last few pairs, compared by identity). Family codes over the
     pair are its with_key siblings, so they share its t, x1 and caches;
     scrambled codes are its permuted views."""
-    zero = gf2.zeros_vec(c1.n)
-    code = build(c1, c2, zero, zero)
-    for vec in (code.u, code.v, code.x1):  # every caller gets this object
-        vec.setflags(write=False)
-    return code
+    return build(c1, c2, 0, 0)
 
 
 def scrambled(c1: LinearCode, c2: LinearCode, s: np.ndarray,
@@ -382,12 +401,13 @@ def scrambled(c1: LinearCode, c2: LinearCode, s: np.ndarray,
     base = base_code(c1, c2)
     perm = np.argmax(p, axis=0)  # (x P)[j] = x[perm[j]]
     inner = _inner_words(base)
+    x1 = (base.x1 >> np.arange(c1.n - 1, -1, -1)) & 1
     return CssCode(
         c1=LinearCode(c1.n, c1.k, gf2.mat_mul(s, c1.gen)[:, perm],
                       c1.pchk[:, perm]),
         c2=LinearCode(c2.n, c2.k, c2.gen[:, perm], c2.pchk[:, perm]),
         u=base.u, v=base.v, n=c1.n, t=base.t,
-        x1=_lightest((inner ^ base.x1)[:, perm]), perm=perm,
+        x1=_lightest((inner ^ x1)[:, perm]), perm=perm,
         _shared={"inner_words": inner[:, perm], "tables": _tables(base)})
 
 
@@ -410,22 +430,17 @@ def magic_ancilla_sparse(code: CssCode) -> tuple[np.ndarray, np.ndarray]:
     return index.reshape(-1), vals.reshape(-1)
 
 
-def logical_readout(code: CssCode, y) -> int:
-    """Classically correct an n-bit measurement record and return the
-    logical bit it encodes."""
-    y = gf2.as_vec(y)
-    if y.shape[0] != code.n:
-        raise ShapeError(f"record length {y.shape[0]}, expected {code.n}")
-    x_table, _ = _tables(code)
-    syn = gf2.mat_mul(code.c1.pchk, (y ^ code.v)[:, None])[:, 0]
-    leader = _leader(code, x_table, syn.tobytes())
+def logical_readout(code: CssCode, y: int) -> int:
+    """Classically correct an n-bit measurement record, an int mask read
+    under the key's v, and return the logical bit it encodes: the parity
+    of the corrected C1 word against the c2.pchk row that is odd on x1."""
+    y = _frame_mask(y, code.n)
+    leader = _x_leader(code, y)
     if leader is None:
         raise DecodeFailureError(
             f"measurement record outside radius t={code.t}")
     word = y ^ leader ^ code.v
-    in_inner = not gf2.mat_mul(code.c2.pchk, word[:, None]).any() \
-        if code.c2.pchk.shape[0] else True
-    return 0 if in_inner else 1
+    return (word & _masks(code)[2]).bit_count() & 1
 
 
 def _class_signature(idx_zero: np.ndarray, idx_one: np.ndarray,
@@ -447,12 +462,9 @@ def _class_signature(idx_zero: np.ndarray, idx_one: np.ndarray,
 def family_signature(code: CssCode) -> tuple:
     """Class signature of this code's (u, v); two keys span the same encoded
     code space iff signatures match."""
-    w2 = _inner_words(code)
-    w2x = w2 ^ code.x1
-    s0 = 1 - 2 * gf2.mat_mul(w2, code.u[:, None])[:, 0].astype(np.int64)
-    s1 = 1 - 2 * gf2.mat_mul(w2x, code.u[:, None])[:, 0].astype(np.int64)
-    return _class_signature(_vec_indices(w2 ^ code.v),
-                            _vec_indices(w2x ^ code.v), s0, s1)
+    zero, one = _block_support(code, 1)[2]
+    return _class_signature(zero ^ code.v, one ^ code.v,
+                            _z_signs(zero, code.u), _z_signs(one, code.u))
 
 
 def family_key_classes(c1: LinearCode, c2: LinearCode) -> dict[tuple, tuple]:
@@ -461,22 +473,14 @@ def family_key_classes(c1: LinearCode, c2: LinearCode) -> dict[tuple, tuple]:
     n = c1.n
     if n > ENUMERATION_LIMIT:
         raise CapacityError(f"n={n} exceeds enumeration bound {ENUMERATION_LIMIT}")
-    code0 = base_code(c1, c2)
-    w2 = _inner_words(code0)
-    w2x = w2 ^ code0.x1
-    idx_w2 = _vec_indices(w2)
-    idx_w2x = _vec_indices(w2x)
-    all_keys = ((np.arange(1 << n, dtype=np.int64)[:, None]
-                 >> np.arange(n - 1, -1, -1)) & 1).astype(np.uint8)
-    sign0 = 1 - 2 * gf2.mat_mul(all_keys, w2.T).astype(np.int64)
-    sign1 = 1 - 2 * gf2.mat_mul(all_keys, w2x.T).astype(np.int64)
+    zero, one = _block_support(base_code(c1, c2), 1)[2]
     classes: dict[tuple, tuple] = {}
-    for ui in range(1 << n):
-        for vi in range(1 << n):
-            sig = _class_signature(idx_w2 ^ vi, idx_w2x ^ vi,
-                                   sign0[ui], sign1[ui])
+    for u in range(1 << n):
+        s0, s1 = _z_signs(zero, u), _z_signs(one, u)
+        for v in range(1 << n):
+            sig = _class_signature(zero ^ v, one ^ v, s0, s1)
             if sig not in classes:
-                classes[sig] = (all_keys[ui].copy(), all_keys[vi].copy())
+                classes[sig] = (u, v)
     return classes
 
 
@@ -498,8 +502,7 @@ class KeyEvolver:
     to a global phase, the block keyed (u ^ z, v ^ x), so an error frame
     evolves as a key shift does.
 
-    The rules take u and v as int masks or as bit vectors, and return
-    the same kind; a returned part may be an input object.
+    The rules take u and v as int masks and return int masks.
     """
 
     @staticmethod

@@ -68,8 +68,8 @@ def key_record(key) -> dict:
                  "c1": code_fragment(c1), "c2": code_fragment(c2)},
         "S": matrix_fragment(key.s) if scrambled else None,
         "P": matrix_fragment(key.p) if scrambled else None,
-        "u": _bits_str(key.code.u),
-        "v": _bits_str(key.code.v),
+        "u": format(key.code.u, f"0{key.code.n}b"),
+        "v": format(key.code.v, f"0{key.code.n}b"),
         "n": key.code.n,
         "t": key.code.t,
     }
@@ -88,16 +88,23 @@ def parse_key_record(rec: dict):
         if not np.array_equal(parse_matrix(frag["gen"]), c.gen):
             raise ShapeError(f"key record base is not the {base_name} pair")
     if rec["kind"] == "family":
-        u, v = gf2.as_vec(rec["u"]), gf2.as_vec(rec["v"])
+        u, v = (css.parse_word(rec[k], c1.n) for k in ("u", "v"))
         code = css.base_code(c1, c2).with_key(u, v)
         return symmetric.SymKey(base_name, code)
-    s = parse_matrix(rec["S"])
-    p = parse_matrix(rec["P"])
-    if p.shape != (c1.n, c1.n) or not (
-            (p.sum(axis=0) == 1).all() and (p.sum(axis=1) == 1).all()):
-        raise ShapeError(f"P must be a {c1.n}x{c1.n} permutation matrix")
-    if s.shape != (c1.k, c1.k) or gf2.rank(s) < c1.k:
-        raise ShapeError(f"S must be a nonsingular {c1.k}x{c1.k} matrix")
+
+    def matrix(name, size, valid, what) -> np.ndarray:
+        """The record's S or P: a size x size bit matrix that is `what`."""
+        try:
+            m = parse_matrix(rec[name])
+            if m.shape == (size, size) and valid(m):
+                return m
+        except ShapeError:
+            pass
+        raise ShapeError(f"{name} must be a {size}x{size} {what} matrix")
+
+    p = matrix("P", c1.n, lambda m: (m.sum(axis=0) == 1).all()
+               and (m.sum(axis=1) == 1).all(), "permutation")
+    s = matrix("S", c1.k, lambda m: gf2.rank(m) == c1.k, "nonsingular")
     key = symmetric.SymKey(base_name, css.scrambled(c1, c2, s, p), s, p)
     if "ct" in rec:
         return asymmetric.AsymKeyPair(

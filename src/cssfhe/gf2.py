@@ -12,12 +12,19 @@ import numpy as np
 from .errors import ShapeError, SingularMatrixError
 
 
+def _string_bits(s: str) -> list[int]:
+    """The bits of a '0101' string; any other character raises ShapeError."""
+    if not set(s) <= {"0", "1"}:
+        raise ShapeError(f"bit string {s!r} holds a character other than 0/1")
+    return [ch == "1" for ch in s]
+
+
 def as_bits(rows) -> np.ndarray:
     """Coerce nested lists, arrays, or '0101' strings to a uint8 bit matrix."""
     if isinstance(rows, np.ndarray):
         arr = (rows % 2).astype(np.uint8)
     elif isinstance(rows, (list, tuple)) and rows and isinstance(rows[0], str):
-        arr = np.array([[int(ch) for ch in r] for r in rows], dtype=np.uint8)
+        arr = np.array([_string_bits(r) for r in rows], dtype=np.uint8)
     else:
         arr = (np.array(rows, dtype=np.int64) % 2).astype(np.uint8)
     if arr.ndim != 2:
@@ -28,7 +35,7 @@ def as_bits(rows) -> np.ndarray:
 def as_vec(bits) -> np.ndarray:
     """Coerce a list, array, or '0101' string to a uint8 bit vector."""
     if isinstance(bits, str):
-        arr = np.array([int(ch) for ch in bits], dtype=np.uint8)
+        arr = np.array(_string_bits(bits), dtype=np.uint8)
     elif isinstance(bits, np.ndarray):
         arr = (bits % 2).astype(np.uint8)
     else:

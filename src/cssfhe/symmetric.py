@@ -71,8 +71,8 @@ def keygen(base_name: str, mode: str, rng: np.random.Generator) -> SymKey:
         p = gf2.random_permutation(c1.n, rng)
         return SymKey(base_name, css.scrambled(c1, c2, s, p), s, p)
     if mode == "family":
-        u = gf2.random_vector(c1.n, rng)
-        v = gf2.random_vector(c1.n, rng)
+        u = sim.mask_of_bits(gf2.random_vector(c1.n, rng))
+        v = sim.mask_of_bits(gf2.random_vector(c1.n, rng))
         return SymKey(base_name, css.base_code(c1, c2).with_key(u, v))
     raise ParameterError(f"unknown key mode {mode!r}")
 
@@ -165,25 +165,22 @@ class _KeyReplay:
     O(1) rule calls per gate.
 
     A T gadget's ancilla starts under the key itself; the transversal
-    CNOT from it moves the data block to `measured` and the ancilla to
-    the wire's new key, and outcome 1 adds the X then S-dagger rule.
-    A scrambled key, u = v = 0, is a fixed point of all three rules."""
+    CNOT from it moves the ancilla to the wire's new key, and outcome 1
+    adds the X then S-dagger rule. A scrambled key, u = v = 0, is a fixed
+    point of all three rules."""
 
     def __init__(self, code: CssCode, num_wires: int):
-        self.key = code.key_masks
+        self.key = (code.u, code.v)
         self.keys = [self.key] * num_wires
         self.done = 0       # executed gates applied to self.keys
         self.outcomes = 0   # gadget outcomes read
-        self.measured = None
 
-    def advance(self, ct: SymCiphertext) -> tuple[list, tuple | None]:
-        """Return each wire's current (u, v), and the key a T gadget's
-        data block was measured under: the last gadget's, or the pending
-        one's when the last T has no outcome yet. A T with no outcome
-        counts as outcome 0 and is replayed on a copy, so that a later
-        call sees it again once its outcome is known."""
-        keys, live = self.keys, True
-        for g in ct.executed[self.done:]:
+    def advance(self, ct: SymCiphertext, stop: int) -> list:
+        """Replay ct.executed[:stop], every T of it with its outcome, and
+        return each wire's (u, v) after it."""
+        keys = self.keys
+        while self.done < stop:
+            g = ct.executed[self.done]
             w = g.wires[0]
             if g.kind == "H":
                 keys[w] = KeyEvolver.h_rule(*keys[w])
@@ -191,39 +188,33 @@ class _KeyReplay:
                 keys[w], keys[g.wires[1]] = KeyEvolver.cnot_rule(
                     keys[w], keys[g.wires[1]])
             else:
-                if live and self.outcomes == len(ct.gadget_outcomes):
-                    keys, live = list(keys), False  # the pending gadget
-                keys[w], self.measured = KeyEvolver.cnot_rule(self.key,
-                                                              keys[w])
-                if live:
-                    if ct.gadget_outcomes[self.outcomes] == 1:
-                        keys[w] = KeyEvolver.sdgx_rule(*keys[w])
-                    self.outcomes += 1
-            self.done += live
-        return list(keys), self.measured
+                keys[w], _ = KeyEvolver.cnot_rule(self.key, keys[w])
+                if ct.gadget_outcomes[self.outcomes] == 1:
+                    keys[w] = KeyEvolver.sdgx_rule(*keys[w])
+                self.outcomes += 1
+            self.done += 1
+        return keys
 
 
 def make_readout(sk: SymKey, ct: SymCiphertext):
     """Alice's side of the oracle boundary: maps the n-bit measurement
     record of the pending gadget, the last executed gate, to its logical
     bit. Only classical strings cross this callable; the replayed keys
-    stay on Alice's side between calls."""
+    stay on Alice's side between calls.
+
+    The gadget's CNOT from an ancilla under the key (u0, v0) leaves the
+    data block, keyed (u, v) before the T, under (u, v0 ^ v); the record
+    XOR v is therefore read under v0, the key's own v."""
     code = sk.code
     replay = _KeyReplay(code, ct.num_wires)
 
     def readout(bits: str) -> int:
         if not ct.executed or ct.executed[-1].kind != "T":
             raise ShapeError("no measurement to read out")
-        y = gf2.as_vec(bits)
-        if y.shape[0] != code.n:
-            raise ShapeError(f"record length {y.shape[0]}, expected {code.n}")
-        _, (_, v) = replay.advance(ct)
-        # the record is under the measured key's v; logical_readout reads
-        # only v, so shift the record to the key's own
-        shift = v ^ code.key_masks[1]
-        if shift:
-            y ^= gf2.as_vec(format(shift, f"0{code.n}b"))
-        return css.logical_readout(code, y)
+        y = css.parse_word(bits, code.n)
+        keys = replay.advance(ct, len(ct.executed) - 1)
+        _, v = keys[ct.executed[-1].wires[0]]
+        return css.logical_readout(code, y ^ v)
 
     return readout
 
@@ -246,9 +237,8 @@ def decrypt(sk: SymKey, ct: SymCiphertext) -> sim.StateVector:
             raise LeakageError(
                 f"pending ancilla {a} is not the expected product state "
                 f"(weight {lost:.3e} lost)")
-    keys, _ = _KeyReplay(code, ct.num_wires).advance(ct)
-    u0, v0 = code.key_masks
-    frames = [(v ^ v0, u ^ u0) for u, v in keys]
+    keys = _KeyReplay(code, ct.num_wires).advance(ct, len(ct.executed))
+    frames = [(v ^ code.v, u ^ code.u) for u, v in keys]
     return css.decode_blocks(code, ct.state, frames=frames)
 
 
@@ -294,8 +284,8 @@ def attack_ancilla_leak(copies: int, candidates: list[SymKey],
                 for c in candidates]
     true_idx = next(
         (i for i, c in enumerate(candidates)
-         if np.array_equal(c.code.u, true_key.code.u)
-         and np.array_equal(c.code.v, true_key.code.v)), None)
+         if (c.code.u, c.code.v) == (true_key.code.u, true_key.code.v)),
+        None)
     if true_idx is None:
         raise ParameterError("true key must be among the candidates")
     hits = 0

@@ -99,7 +99,8 @@ def random_circuit(gen: np.random.Generator, max_wires: int = 2,
 
 class FrameOracle:
     """Test-side Pauli frame of an asymmetric ciphertext: wire w's block
-    carries X^x Z^z with (x, z) = frames[w]. The ciphertext keeps no such
+    carries X^x Z^z with (x, z) = frames[w], block-local int masks. The
+    ciphertext keeps no such
     record, since only the key holder may know the errors. The frame
     starts from Paulis the test injected itself (`inject`) or from the
     syndromes read under the private key (`read`), and the gates move it
@@ -108,8 +109,7 @@ class FrameOracle:
     frame against the register itself (`undo`, or `read` after a gate)."""
 
     def __init__(self, frames):
-        self.frames = [(np.asarray(x, dtype=np.uint8),
-                        np.asarray(z, dtype=np.uint8)) for x, z in frames]
+        self.frames = list(frames)
 
     @classmethod
     def inject(cls, ct, frames) -> "FrameOracle":
@@ -118,8 +118,7 @@ class FrameOracle:
         oracle = cls(frames)
         for w, (x, z) in enumerate(oracle.frames):
             sim.apply_block_pauli(ct.state, w * ct.n, ct.n,
-                                  x_mask=sim.mask_of_bits(x),
-                                  z_mask=sim.mask_of_bits(z))
+                                  x_mask=x, z_mask=z)
         return oracle
 
     @classmethod
@@ -145,24 +144,20 @@ class FrameOracle:
         the data block's phase errors and none of its bit flips, which
         only perturb the corrected readout. X then S-dagger on outcome 1
         leaves a frame without bit flips as it is."""
-        n = self.frames[w][0].shape[0]
-        zero = np.zeros(n, dtype=np.uint8)
         x, z = self.frames[w]
-        (z, x), _ = css.KeyEvolver.cnot_rule((zero, zero), (z, x))
+        (z, x), _ = css.KeyEvolver.cnot_rule((0, 0), (z, x))
         self.frames[w] = (x, z)
 
     def weight(self, w: int) -> int:
         x, z = self.frames[w]
-        return int(np.count_nonzero(x | z))
+        return (x | z).bit_count()
 
     def undo(self, ct) -> sim.StateVector:
         """A copy of the register with every block's frame applied again,
         which removes it up to a global phase."""
         probe = ct.state.copy()
         for w, (x, z) in enumerate(self.frames):
-            sim.apply_block_pauli(probe, w * ct.n, ct.n,
-                                  x_mask=sim.mask_of_bits(x),
-                                  z_mask=sim.mask_of_bits(z))
+            sim.apply_block_pauli(probe, w * ct.n, ct.n, x_mask=x, z_mask=z)
         return probe
 
 

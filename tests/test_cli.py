@@ -1,6 +1,7 @@
 """Command-line interface: reports, files, determinism, and the exit-code
 contract (0 success, 1 usage, 2 validation, 3 decode failure)."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cssfhe import cli, files, sim, symmetric
@@ -453,3 +455,56 @@ def test_experiment_ancilla_leak_reports_exact_rate(capsys):
     assert code == 0
     assert set(lines[0]) == {"kind", "copies", "trials", "success", "exact"}
     assert lines[0]["exact"] == pytest.approx(0.75, abs=1e-12)
+
+
+# sha256 of stdout and of the --out file for seeded commands, recorded
+# before keys, frames and coset leaders became int masks: a change to how
+# key material is held must leave every byte the CLI writes as it is
+PINNED_CIRCUIT = "H 0\nCNOT 0 1\nT 1\nH 1\nCNOT 1 0\nT 0\n"
+PINNED_OUTPUTS = [
+    ("keygen --scheme sym --base steane --mode family --seed 7",
+     "47a2aa9fb344f63856e2b69b24d70d6dda742fc097a2577efed740c155a2c0aa",
+     "368daa86a43fa6920ec2435fc11a58aed765522d73ef4482c2861fb001f81540"),
+    ("keygen --scheme sym --base golay --mode family --seed 7",
+     "a7954bebf4736274aa80a81c606710ac48019d7d22df76c6c875f9ccd60b9fd9",
+     "baf0a8bdbaae3526e5f56efa194111ce65b27a50beb302afb46450e4112ad789"),
+    ("keygen --scheme sym --base steane --mode scrambled --seed 7",
+     "2bdb58942df1ed076fce06dd325bb224583e6d0f050a6dc9d7bfb49bbfc4e8f9",
+     "c9ba79fb3f0d40600cab6208c5ff00547fa7242f45da7092ff2a8f84a2647a25"),
+    ("keygen --scheme sym --base golay --mode scrambled --seed 7",
+     "e618091905c18ad6e52f00d3049869fc7d2d7df46efca8fdf7b059f6f9a76866",
+     "bbd2ac73a5fea33f55d14d917e0427ced98f5e0ae24a0e4f3794182d9b3d7e41"),
+    ("keygen --scheme asym --base steane --seed 7",
+     "70d6cc3917bad98dba8514d1e8c560a7fc237bb33a963348827407a086500e8d",
+     "6b45eb41feb8799820863475a1864b4e6e80b11d2f4ee14e6aeb902d6327568d"),
+    ("keygen --scheme asym --base golay --seed 7",
+     "11759615f7fb1fb09980acf34b53d6025f214ebd654bd22aa5a91c85cf3e2741",
+     "21aa512b389aebd2cb5b7e8692b67c9c324899e28c7bc15836c70d206983da53"),
+    ("session --seed 77 --weight 1 --circuit circuit.txt",
+     "fcf76ce68dc20e43ff1f70a80574d28483f1585cdaa1ff16b8adff4ec7cf2d0e",
+     "2d32de5e5f4ae25c92448abe7fd2433ad7ece744aa2df1665fee61bba25e49de"),
+    ("roundtrip --scheme sym --mode family --state state.json "
+     "--circuit circuit.txt --seed 7",
+     "973b45773be9fb60c57899a77919b6dc3baedf19bb43891dffba33fc6fc94082",
+     "973b45773be9fb60c57899a77919b6dc3baedf19bb43891dffba33fc6fc94082"),
+    ("roundtrip --scheme sym --mode scrambled --state state.json "
+     "--circuit circuit.txt --seed 7",
+     "973b45773be9fb60c57899a77919b6dc3baedf19bb43891dffba33fc6fc94082",
+     "973b45773be9fb60c57899a77919b6dc3baedf19bb43891dffba33fc6fc94082"),
+]
+
+
+@pytest.mark.parametrize("command, stdout_sha, out_sha", PINNED_OUTPUTS,
+                         ids=[c for c, _, _ in PINNED_OUTPUTS])
+def test_seeded_outputs_match_pinned_digests(tmp_path, monkeypatch, capsys,
+                                             command, stdout_sha, out_sha):
+    monkeypatch.chdir(tmp_path)
+    Path("circuit.txt").write_text(PINNED_CIRCUIT, encoding="utf-8")
+    files.write_json("state.json", files.state_record(
+        sim.StateVector(2, np.array([0.6, 0.0, 0.0, 0.8]))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        code, _, out = run_cli(command.split() + ["--out", "out.json"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha
+    assert hashlib.sha256(Path("out.json").read_bytes()).hexdigest() == out_sha

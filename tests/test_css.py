@@ -32,7 +32,7 @@ def steane_pair():
 @pytest.fixture(scope="module")
 def steane(steane_pair):
     c1, c2 = steane_pair
-    return css.build(c1, c2, gf2.zeros_vec(7), gf2.zeros_vec(7))
+    return css.build(c1, c2, 0, 0)
 
 
 @pytest.fixture(scope="module")
@@ -41,9 +41,14 @@ def toy_pair():
             codes.from_generator([[1, 1, 0]]))
 
 
+def as_mask(word) -> int:
+    """An int mask as it is; a bit vector or '0101' string as its mask."""
+    return word if isinstance(word, int) else bits_to_index(word)
+
+
 def keyed(steane_pair, u, v):
     c1, c2 = steane_pair
-    return css.build(c1, c2, gf2.as_vec(u), gf2.as_vec(v))
+    return css.build(c1, c2, as_mask(u), as_mask(v))
 
 
 def test_build_steane(steane):
@@ -54,13 +59,13 @@ def test_build_steane(steane):
     c1_words = span_brute(steane.c1.gen)
     c2_words = span_brute(steane.c2.gen)
     coset = sorted(c1_words - c2_words, key=lambda w: (sum(w), w))
-    assert tuple(steane.x1) == coset[0] == (0, 0, 1, 0, 0, 1, 1)
+    assert tuple(map(int, format(steane.x1, "07b"))) == coset[0] \
+        == (0, 0, 1, 0, 0, 1, 1)
 
 
 def test_build_golay():
     b = codes.builtin_codes()
-    code = css.build(b["golay2312"], codes.dual(b["golay2312"]),
-                     gf2.zeros_vec(23), gf2.zeros_vec(23))
+    code = css.build(b["golay2312"], codes.dual(b["golay2312"]), 0, 0)
     assert code.n == 23
     assert code.t == 3
 
@@ -68,9 +73,9 @@ def test_build_golay():
 def test_build_rejects_bad_pairs(steane_pair):
     c1, c2 = steane_pair
     with pytest.raises(InvalidPairError):
-        css.build(c1, c1, gf2.zeros_vec(7), gf2.zeros_vec(7))  # gap 0
+        css.build(c1, c1, 0, 0)  # gap 0
     with pytest.raises(InvalidPairError):
-        css.build(c2, c1, gf2.zeros_vec(7), gf2.zeros_vec(7))  # not nested
+        css.build(c2, c1, 0, 0)  # not nested
 
 
 def test_logical_basis_plain_steane(steane):
@@ -149,9 +154,8 @@ def decode_per_block_leaks(code, state, frames):
     under its own frame; returns the state and every block's leak."""
     iso, leaks = css.isometry(code), []
     for i, (x, z) in enumerate(frames):
-        state, leak = sim.contract_block_isometry(
-            state, i, iso, x_mask=sim.mask_of_bits(x),
-            z_mask=sim.mask_of_bits(z))
+        state, leak = sim.contract_block_isometry(state, i, iso,
+                                                  x_mask=x, z_mask=z)
         leaks.append(leak)
     return state, leaks
 
@@ -176,12 +180,11 @@ def test_codec_matches_per_block_path():
         ref = encode_per_block(code, psi)
         assert np.abs(enc.amps - ref.amps).max() <= 1e-12
         del ref
-        frames = [(g.integers(0, 2, code.n, dtype=np.uint8),
-                   g.integers(0, 2, code.n, dtype=np.uint8))
+        frames = [(sim.mask_of_bits(g.integers(0, 2, code.n, dtype=np.uint8)),
+                   sim.mask_of_bits(g.integers(0, 2, code.n, dtype=np.uint8)))
                   for _ in range(m)]
         for i, (x, z) in enumerate(frames):
-            sim.apply_block_pauli(enc, i * code.n, code.n,
-                                  sim.mask_of_bits(x), sim.mask_of_bits(z))
+            sim.apply_block_pauli(enc, i * code.n, code.n, x, z)
         before = enc.amps.copy()
         out = css.decode_blocks(code, enc, frames=frames)
         assert np.array_equal(enc.amps, before)
@@ -199,18 +202,17 @@ def _reference_code(key):
     c1, c2 = symmetric.base_pair(key.base_name)
     if key.s is None:
         return css.build(c1, c2, key.code.u, key.code.v)
-    zero = gf2.zeros_vec(c1.n)
     return css.build(
         codes.from_generator(gf2.mat_mul(gf2.mat_mul(key.s, c1.gen), key.p)),
-        codes.from_generator(gf2.mat_mul(c2.gen, key.p)), zero, zero)
+        codes.from_generator(gf2.mat_mul(c2.gen, key.p)), 0, 0)
 
 
 def test_key_view_matches_the_reference_isometry():
     """Encoding and decoding through the presentation's shared support,
     with the key folded into the frames, gives to 1e-12 the amplitudes of
     the validated isometry of the key's code built from scratch, under
-    random frames given as int masks (encode) or bit vectors (decode). The
-    magic ancilla keeps the reference columns' order."""
+    random frames given as int masks. The magic ancilla keeps the
+    reference columns' order."""
     g = rng(94)
     cases = [(symmetric.keygen("steane", mode, g), m)
              for mode in ("family", "scrambled") for m in (1, 2, 3)]
@@ -232,7 +234,7 @@ def test_key_view_matches_the_reference_isometry():
         np.subtract(got.amps, want.amps, out=got.amps)
         assert np.abs(got.amps).max() <= 1e-12
         del got
-        back = css.decode_blocks(code, want, frames)
+        back = css.decode_blocks(code, want, masks)
         for i, (x, z) in enumerate(masks):
             want, leak = sim.contract_block_isometry(want, i, iso, x, z)
             assert leak <= 1e-12
@@ -254,13 +256,12 @@ def test_encode_under_frames_is_encode_then_pauli():
     cases.append((symmetric.keygen("golay", "scrambled", g).code, 1))
     for code, m in cases:
         psi = random_state(g, m)
-        frames = [(g.integers(0, 2, code.n, dtype=np.uint8),
-                   g.integers(0, 2, code.n, dtype=np.uint8))
+        frames = [(sim.mask_of_bits(g.integers(0, 2, code.n, dtype=np.uint8)),
+                   sim.mask_of_bits(g.integers(0, 2, code.n, dtype=np.uint8)))
                   for _ in range(m)]
         want = css.encode_blocks(code, psi)
         for i, (x, z) in enumerate(frames):
-            sim.apply_block_pauli(want, i * code.n, code.n,
-                                  sim.mask_of_bits(x), sim.mask_of_bits(z))
+            sim.apply_block_pauli(want, i * code.n, code.n, x, z)
         got = css.encode_blocks(code, psi, frames)
         assert np.array_equal(got.amps, want.amps)
         del got, want
@@ -270,8 +271,8 @@ def test_encode_into_register_overwrites_it():
     g = rng(93)
     code = symmetric.keygen("steane", "scrambled", g).code
     psi = random_state(g, 2)
-    frames = [(gf2.random_vector(7, g), gf2.random_vector(7, g))
-              for _ in range(2)]
+    frames = [(sim.mask_of_bits(gf2.random_vector(7, g)),
+               sim.mask_of_bits(gf2.random_vector(7, g))) for _ in range(2)]
     out = random_state(g, 14)  # every entry non-zero
     got = css.encode_blocks(code, psi, frames, out=out)
     assert got is out
@@ -293,7 +294,7 @@ def test_codec_leakage_is_total_over_blocks():
         hit = g.integers(0, enc.amps.shape[0], size=32)
         enc.amps[hit] += 1e-3 * (g.normal(size=32) + 1j * g.normal(size=32))
         enc.amps /= np.linalg.norm(enc.amps)
-        frames = [(np.zeros(code.n, np.uint8),) * 2] * m
+        frames = [(0, 0)] * m
         _, leaks = decode_per_block_leaks(code, enc, frames)
         want = 1 - np.prod([1 - leak for leak in leaks])
         assert want > css.DECODE_LEAKAGE_TOL
@@ -308,11 +309,11 @@ def test_decode_21_qubits_allocates_no_register():
     code = symmetric.keygen("steane", "family", g).code
     psi = random_state(g, 3)
     enc = css.encode_blocks(code, psi)
-    frames = [(g.integers(0, 2, 7, dtype=np.uint8),
-               g.integers(0, 2, 7, dtype=np.uint8)) for _ in range(3)]
+    frames = [(sim.mask_of_bits(g.integers(0, 2, 7, dtype=np.uint8)),
+               sim.mask_of_bits(g.integers(0, 2, 7, dtype=np.uint8)))
+              for _ in range(3)]
     for i, (x, z) in enumerate(frames):
-        sim.apply_block_pauli(enc, 7 * i, 7, sim.mask_of_bits(x),
-                              sim.mask_of_bits(z))
+        sim.apply_block_pauli(enc, 7 * i, 7, x, z)
     tracemalloc.start()
     try:
         out = css.decode_blocks(code, enc, frames=frames)
@@ -343,7 +344,7 @@ def test_decode_wrong_key_full_sweep(steane_pair):
     g = rng(83)
     u = gf2.random_vector(7, g)
     v = gf2.random_vector(7, g)
-    code0 = css.build(c1, c2, u, v)
+    code0 = css.build(c1, c2, bits_to_index(u), bits_to_index(v))
     psi = random_state(g, 1)
     enc = css.encode_blocks(code0, psi)
 
@@ -358,7 +359,7 @@ def test_decode_wrong_key_full_sweep(steane_pair):
                           and not gf2.mat_mul(c1.pchk, dv[:, None]).any())
             same_encoder = (not gf2.mat_mul(c1.gen, du[:, None]).any()
                             and not gf2.mat_mul(c2.pchk, dv[:, None]).any())
-            cand = code0.with_key(u2, v2)
+            cand = code0.with_key(ui, vi)
             try:
                 out = css.decode_blocks(cand, enc)
             except LeakageError:
@@ -375,13 +376,11 @@ def test_decode_wrong_key_full_sweep(steane_pair):
     assert exact == 64
 
 
-def apply_leaders(state, block, leaders):
+def apply_leaders(state, block, leaders, n=7):
     """Undo the Pauli error that correct_errors reports, on a copy."""
     x, z = leaders
-    n = x.shape[0]
     return sim.apply_block_pauli(state.copy(), block * n, n,
-                                 x_mask=sim.mask_of_bits(x),
-                                 z_mask=sim.mask_of_bits(z))
+                                 x_mask=x, z_mask=z)
 
 
 def test_correct_errors_clean_block(steane_pair):
@@ -390,8 +389,8 @@ def test_correct_errors_clean_block(steane_pair):
     enc = css.encode_blocks(code, random_state(g, 1))
     reference = enc.copy()
     x_leader, z_leader = css.correct_errors(code, enc, 0)
-    assert not x_leader.any()
-    assert not z_leader.any()
+    assert x_leader == 0
+    assert z_leader == 0
     out = apply_leaders(enc, 0, (x_leader, z_leader))
     assert sim.fidelity(out, reference) >= 1 - 1e-12
     with pytest.raises(ShapeError):  # the syndrome needs an occupied index
@@ -412,8 +411,8 @@ def test_correct_errors_single_paulis_exhaustive(steane_pair):
             x_leader, z_leader = css.correct_errors(code, hurt, 0)
             fixed = apply_leaders(hurt, 0, (x_leader, z_leader))
             assert sim.fidelity(fixed, enc) >= 1 - 1e-10
-            assert x_leader.any() == (x != 0)
-            assert z_leader.any() == (z != 0)
+            assert (x_leader != 0) == (x != 0)
+            assert (z_leader != 0) == (z != 0)
             back = css.decode_blocks(code, fixed)
             assert sim.fidelity(back, psi) >= 1 - 1e-10
 
@@ -422,7 +421,7 @@ def test_correct_errors_weight2_misleads(steane_pair):
     # weight 2 exceeds t=1: the corrector either flags the block or lands
     # on the wrong coset leader, whose correction is a logical flip
     g = rng(86)
-    code = keyed(steane_pair, gf2.zeros_vec(7), gf2.zeros_vec(7))
+    code = keyed(steane_pair, 0, 0)
     enc = css.encode_blocks(code, random_state(g, 1))
     reference = enc.copy()
     hurt = enc.copy()
@@ -438,11 +437,10 @@ def _frame_checks(code, enc, psi, x, z):
     """The block enc carries X^x Z^z: its leaders are (x, z), and it decodes
     both under the shifted key (u ^ z, v ^ x) and under the frame."""
     leaders = css.correct_errors(code, enc, 0)
-    assert np.array_equal(leaders[0], x) and np.array_equal(leaders[1], z)
+    assert leaders[0] == x and leaders[1] == z
     shifted = code.with_key(code.u ^ z, code.v ^ x)
-    masks = (sim.mask_of_bits(x), sim.mask_of_bits(z))
     for iso, (xm, zm) in ((css.isometry(shifted), (0, 0)),
-                          (css.isometry(code), masks)):
+                          (css.isometry(code), (x, z))):
         back, leak = sim.contract_block_isometry(enc, 0, iso,
                                                  x_mask=xm, z_mask=zm)
         assert leak < 1e-12
@@ -461,9 +459,9 @@ def test_pauli_frame_is_key_shift_steane(steane_pair):
                 x, z = gf2.zeros_vec(7), gf2.zeros_vec(7)
                 x[pos] = kind in ("X", "Y")
                 z[pos] = kind in ("Y", "Z")
-                hurt = sim.apply_block_pauli(
-                    enc.copy(), 0, 7, x_mask=sim.mask_of_bits(x),
-                    z_mask=sim.mask_of_bits(z))
+                x, z = sim.mask_of_bits(x), sim.mask_of_bits(z)
+                hurt = sim.apply_block_pauli(enc.copy(), 0, 7,
+                                             x_mask=x, z_mask=z)
                 _frame_checks(code, hurt, psi, x, z)
 
 
@@ -471,7 +469,8 @@ def test_pauli_frame_is_key_shift_golay():
     b = codes.builtin_codes()
     g = rng(89)
     code = css.build(b["golay2312"], codes.dual(b["golay2312"]),
-                     gf2.random_vector(23, g), gf2.random_vector(23, g))
+                     bits_to_index(gf2.random_vector(23, g)),
+                     bits_to_index(gf2.random_vector(23, g)))
     psi = random_state(g, 1)
     enc = css.encode_blocks(code, psi)
     for _ in range(3):
@@ -480,23 +479,22 @@ def test_pauli_frame_is_key_shift_golay():
         x, z = gf2.zeros_vec(23), gf2.zeros_vec(23)
         x[pos[kinds != 2]] = 1
         z[pos[kinds != 0]] = 1
-        masks = (sim.mask_of_bits(x), sim.mask_of_bits(z))
-        sim.apply_block_pauli(enc, 0, 23, *masks)
+        x, z = sim.mask_of_bits(x), sim.mask_of_bits(z)
+        sim.apply_block_pauli(enc, 0, 23, x, z)
         _frame_checks(code, enc, psi, x, z)
-        sim.apply_block_pauli(enc, 0, 23, *masks)  # undone up to a sign
+        sim.apply_block_pauli(enc, 0, 23, x, z)  # undone up to a sign
 
 
 def test_sibling_keys_leave_shared_cache_bounded(steane_pair):
     # the shared dict holds one support per block count, however many
     # siblings encode through it, and no sibling builds an isometry
     c1, c2 = steane_pair
-    base = css.build(c1, c2, gf2.zeros_vec(7), gf2.zeros_vec(7))
+    base = css.build(c1, c2, 0, 0)
     g = rng(90)
     psi = random_state(g, 1)
     supports = set()
     for k in g.choice(1 << 14, size=256, replace=False):
-        bits = [(int(k) >> (13 - j)) & 1 for j in range(14)]
-        sib = base.with_key(bits[:7], bits[7:])
+        sib = base.with_key(int(k) >> 7, int(k) & 0x7F)
         css.logical_basis(sib)
         css.correct_errors(sib, css.encode_blocks(sib, psi), 0)
         supports.add(id(base._shared[("support", 1)]))
@@ -515,14 +513,12 @@ def test_stabilizers_fix_basis_states(steane_pair):
         for state in css.logical_basis(code):
             for support, sign in stab.x_type:
                 hit = state.copy()
-                sim.apply_block_pauli(hit, 0, 7, x_mask=sim.mask_of_bits(support),
-                                      z_mask=0)
+                sim.apply_block_pauli(hit, 0, 7, x_mask=support, z_mask=0)
                 assert np.allclose(hit.amps, (-1) ** int(sign) * state.amps,
                                    atol=1e-10)
             for support, sign in stab.z_type:
                 hit = state.copy()
-                sim.apply_block_pauli(hit, 0, 7, x_mask=0,
-                                      z_mask=sim.mask_of_bits(support))
+                sim.apply_block_pauli(hit, 0, 7, x_mask=0, z_mask=support)
                 assert np.allclose(hit.amps, (-1) ** int(sign) * state.amps,
                                    atol=1e-10)
 
@@ -533,7 +529,7 @@ def test_keygen_scrambled_valid_code(steane_pair):
         key = symmetric.keygen("steane", "scrambled", rng(seed))
         code = key.code
         assert (code.n, code.t) == (7, 1)
-        assert not code.u.any() and not code.v.any()
+        assert code.u == 0 and code.v == 0
         assert codes.is_subcode(code.c2, code.c1)
         # row space of the published generator is the permuted base space
         perm_words = {tuple(gf2.mat_mul(np.array(w, dtype=np.uint8)[None, :],
@@ -564,7 +560,7 @@ def _correctable_errors(n: int, t: int) -> np.ndarray:
 def _table_leaders(code, errors) -> list[np.ndarray]:
     """The (bit-flip, phase-flip) leaders the code's tables give each
     error, by the code's own checks (c1.pchk and the rows of c2.gen), in
-    the code's qubit order."""
+    the code's qubit order, as int masks."""
     x_table, z_table = css._tables(code)
     out = []
     for table, checks in ((x_table, code.c1.pchk), (z_table, code.c2.gen)):
@@ -584,7 +580,7 @@ def test_scrambled_key_is_a_view_of_the_base_code(pair, seeds):
         key = symmetric.keygen(pair, "scrambled", rng(300 + seed))
         view, ref = key.code, _reference_code(key)
         assert view.t == ref.t
-        assert np.array_equal(view.x1, ref.x1)
+        assert view.x1 == ref.x1
         for (iv, wv), (ir, wr) in zip(css.isometry(view).cols,
                                       css.isometry(ref).cols):
             assert np.array_equal(iv, ir) and np.array_equal(wv, wr)
@@ -592,7 +588,7 @@ def test_scrambled_key_is_a_view_of_the_base_code(pair, seeds):
         for mine, theirs in zip(_table_leaders(view, errors),
                                 _table_leaders(ref, errors)):
             assert np.array_equal(mine, theirs)
-            assert np.array_equal(mine, errors)
+            assert np.array_equal(mine, [bits_to_index(e) for e in errors])
 
 
 def test_scrambled_keys_rebuild_nothing(monkeypatch):
@@ -619,8 +615,7 @@ def test_scrambled_keys_rebuild_nothing(monkeypatch):
                              psi, rng(452))
     assert sim.fidelity(asymmetric.decrypt(key, act), psi) >= 1 - 1e-10
     for g in golay:
-        error = np.zeros(23, dtype=np.uint8)
-        error[:3] = 1
+        error = 0b111 << 20
         assert css.logical_readout(g.code, g.code.x1 ^ error) == 1
     assert spies == [[], [], [], []]
 
@@ -653,8 +648,8 @@ def test_key_paths_build_no_isometry(monkeypatch):
 def test_keygen_family_deterministic():
     a = symmetric.keygen("steane", "family", rng(5))
     b = symmetric.keygen("steane", "family", rng(5))
-    assert np.array_equal(a.code.u, b.code.u)
-    assert np.array_equal(a.code.v, b.code.v)
+    assert a.code.u == b.code.u
+    assert a.code.v == b.code.v
 
 
 @pytest.mark.parametrize("pair", ["steane", "golay"])
@@ -666,13 +661,13 @@ def test_family_keys_share_the_cached_base_code(pair, monkeypatch):
                        0)
     calls = count_calls(monkeypatch, codes, "min_distance")
     base = css.base_code(c1, c2)
-    assert not base.u.any() and not base.v.any()
+    assert base.u == 0 and base.v == 0
     built = dict(base._shared)  # earlier tests may have added supports
     for seed in range(93, 98):
         key = symmetric.keygen(pair, "family", rng(seed))
         want = rng(seed)  # the same draws as before: u, then v
-        assert np.array_equal(key.code.u, gf2.random_vector(c1.n, want))
-        assert np.array_equal(key.code.v, gf2.random_vector(c1.n, want))
+        assert key.code.u == bits_to_index(gf2.random_vector(c1.n, want))
+        assert key.code.v == bits_to_index(gf2.random_vector(c1.n, want))
         assert key.code._shared is base._shared is first.code._shared
         assert key.code.t == base.t and key.code.x1 is base.x1
         ct = symmetric.encrypt(key, random_state(rng(seed), 1), 1, rng(seed))
@@ -735,7 +730,7 @@ def test_magic_ancilla_overlap_values(steane_pair):
     anc = css.magic_ancilla(code)
     same = keyed(steane_pair, "1010110", "1111000")
     assert abs(sim.fidelity(css.magic_ancilla(same), anc) - 1) < 1e-12
-    sibling = keyed(steane_pair, "1010110", gf2.as_vec("1111000") ^ code.x1)
+    sibling = keyed(steane_pair, "1010110", 0b1111000 ^ code.x1)
     assert abs(sim.fidelity(css.magic_ancilla(sibling), anc) - 0.5) < 1e-12
     other = keyed(steane_pair, "1010111", "1111000")
     assert sim.fidelity(css.magic_ancilla(other), anc) < 1e-12
@@ -752,21 +747,20 @@ def test_logical_readout_exhaustive_weight1(steane_pair):
     code = keyed(steane_pair, "0110100", "1001011")
     c2_words = span_brute(code.c2.gen)
     for word in span_brute(code.c1.gen):
-        w = np.array(word, dtype=np.uint8)
+        w = bits_to_index(word)
         bit = 0 if word in c2_words else 1
         assert css.logical_readout(code, w ^ code.v) == bit
         for i in range(7):
-            e = np.zeros(7, dtype=np.uint8)
-            e[i] = 1
+            e = 1 << (6 - i)
             assert css.logical_readout(code, w ^ code.v ^ e) == bit
 
 
 def test_logical_readout_beyond_radius(toy_pair):
     # the toy pair has t=0, so any nonzero syndrome is out of range
-    code = css.build(*toy_pair, gf2.zeros_vec(3), gf2.zeros_vec(3))
+    code = css.build(*toy_pair, 0, 0)
     assert code.t == 0
     with pytest.raises(DecodeFailureError):
-        css.logical_readout(code, "100")
+        css.logical_readout(code, 0b100)
 
 
 def test_logical_readout_agrees_with_decode_then_measure(steane_pair):
@@ -781,11 +775,79 @@ def test_logical_readout_agrees_with_decode_then_measure(steane_pair):
         for q in range(7):
             b, shot = sim.measure_z(shot, q, g)
             bits += str(b)
-        counts[css.logical_readout(code, bits)] += 1
+        counts[css.logical_readout(code, int(bits, 2))] += 1
     p1 = abs(psi.amps[1]) ** 2
     # 4-sigma binomial envelope around the plaintext statistics
     sigma = np.sqrt(p1 * (1 - p1) / 1000)
     assert abs(counts[1] / 1000 - p1) < 4 * sigma + 1e-9
+
+
+@pytest.mark.parametrize("pair", ["steane", "golay"])
+def test_logical_readout_is_the_coset_bit(pair):
+    """The one-parity readout of every C1 word, clean and under each
+    correctable error, is the word's coset bit (0 in C2, 1 in x1 + C2)
+    by codes.codewords: on the base code and on three scrambled views.
+    Steane takes every word with every error; Golay every word clean and
+    once under an error, each error on two words."""
+    c1, c2 = symmetric.base_pair(pair)
+    views = [css.base_code(c1, c2)] + [
+        symmetric.keygen(pair, "scrambled", rng(470 + seed)).code
+        for seed in range(3)]
+    for code in views:
+        words = [bits_to_index(w) for w in codes.codewords(code.c1)]
+        inner = {bits_to_index(w) for w in codes.codewords(code.c2)}
+        errors = [bits_to_index(e) for e in _correctable_errors(code.n, code.t)]
+        assert len(words) == 2 * len(inner)
+        if pair == "steane":
+            cases = [(w, e) for w in words for e in errors]
+        else:
+            cases = [(w, 0) for w in words]
+            cases += [(w, errors[i % len(errors)]) for i, w in enumerate(words)]
+        for w, e in cases:
+            assert css.logical_readout(code, w ^ e) == (w not in inner)
+
+
+def test_x_leader_codeword_passthrough(steane):
+    word = 0b1000110
+    err = css._x_leader(steane, word)
+    cw = word ^ err
+    assert cw == word
+    assert err == 0
+
+
+def test_x_leader_hamming_exhaustive(steane):
+    for word in span_brute(steane.c1.gen):
+        cw = bits_to_index(word)
+        for i in range(7):
+            e = 1 << (6 - i)
+            got_e = css._x_leader(steane, cw ^ e)
+            got_cw = cw ^ e ^ got_e
+            assert got_cw == cw
+            assert got_e == e
+
+
+def test_x_leader_weight2_misbehaves(steane):
+    # beyond the radius the reader must fail or return a different codeword
+    e = 0b1100000
+    word = 0b1000110 ^ e
+    err = css._x_leader(steane, word)
+    if err is not None:
+        assert word ^ err != 0b1000110
+
+
+def test_x_leader_golay_randomized():
+    code = css.base_code(*symmetric.base_pair("golay"))
+    gen = rng(50)
+    for _ in range(1000):
+        msg = gf2.random_vector(12, gen)
+        cw = bits_to_index(gf2.mat_mul(msg[None, :], code.c1.gen)[0])
+        weight = int(gen.integers(0, 4))
+        e = sum(1 << (22 - int(p))
+                for p in gen.choice(23, size=weight, replace=False))
+        got_e = css._x_leader(code, cw ^ e)
+        got_cw = cw ^ e ^ got_e
+        assert got_cw == cw
+        assert got_e == e
 
 
 def test_family_classes_steane_count(steane_pair):
@@ -809,7 +871,7 @@ def test_family_signature_reflexive_sibling_distinct(steane_pair):
     assert css.family_signature(a) == css.family_signature(
         keyed(steane_pair, "1010110", "1111000"))
     # shifting v by the logical representative keeps the spanned space
-    sibling = keyed(steane_pair, "1010110", gf2.as_vec("1111000") ^ a.x1)
+    sibling = keyed(steane_pair, "1010110", 0b1111000 ^ a.x1)
     assert css.family_signature(a) == css.family_signature(sibling)
     other = keyed(steane_pair, "1010111", "1111000")
     assert css.family_signature(a) != css.family_signature(other)
@@ -866,7 +928,7 @@ def test_key_evolution_h_rule(steane_pair):
     c1, c2 = steane_pair
     g = rng(97)
     for _ in range(10):
-        u, v = gf2.random_vector(7, g), gf2.random_vector(7, g)
+        u, v = (bits_to_index(gf2.random_vector(7, g)) for _ in range(2))
         nu, nv = css.KeyEvolver.h_rule(u, v)
         assert np.array_equal(nu, v) and np.array_equal(nv, u)
         code = css.build(c1, c2, u, v)
@@ -883,7 +945,7 @@ def test_key_evolution_sdgx_rule(steane_pair):
     c1, c2 = steane_pair
     g = rng(98)
     for _ in range(10):
-        u, v = gf2.random_vector(7, g), gf2.random_vector(7, g)
+        u, v = (bits_to_index(gf2.random_vector(7, g)) for _ in range(2))
         nu, nv = css.KeyEvolver.sdgx_rule(u, v)
         assert np.array_equal(nu, u ^ v) and np.array_equal(nv, v)
         code = css.build(c1, c2, u, v)
@@ -903,8 +965,8 @@ def test_key_evolution_cnot_rule(steane_pair):
     c1, c2 = steane_pair
     g = rng(99)
     for _ in range(5):
-        uc, vc = gf2.random_vector(7, g), gf2.random_vector(7, g)
-        ut, vt = gf2.random_vector(7, g), gf2.random_vector(7, g)
+        uc, vc, ut, vt = (bits_to_index(gf2.random_vector(7, g))
+                          for _ in range(4))
         (nuc, nvc), (nut, nvt) = css.KeyEvolver.cnot_rule((uc, vc), (ut, vt))
         assert np.array_equal(nuc, uc ^ ut) and np.array_equal(nvc, vc)
         assert np.array_equal(nut, ut) and np.array_equal(nvt, vc ^ vt)
@@ -937,8 +999,8 @@ def steane_bases(steane_pair):
     """bases[ui, vi] is the 128 x 2 logical basis of the key whose u and v
     have amplitude indices ui and vi."""
     c1, c2 = steane_pair
-    code0 = css.build(c1, c2, gf2.zeros_vec(7), gf2.zeros_vec(7))
-    keys = [gf2.as_vec(format(i, "07b")) for i in range(128)]
+    code0 = css.build(c1, c2, 0, 0)
+    keys = list(range(128))
     bases = np.empty((128, 128, 128, 2), dtype=np.complex128)
     for ui, u in enumerate(keys):
         for vi, v in enumerate(keys):
@@ -970,7 +1032,7 @@ def test_key_rule_exhaustive_steane(steane_bases, gate, rule, logical):
     for ui, u in enumerate(keys):
         for vi, v in enumerate(keys):
             nu, nv = rule(u, v)
-            rule_idx[ui, vi] = bits_to_index(nu), bits_to_index(nv)
+            rule_idx[ui, vi] = nu, nv
     out = np.moveaxis(np.tensordot(op, bases, axes=(1, 2)), 0, 2)
     assert_maps_basis(out, bases[rule_idx[..., 0], rule_idx[..., 1]], logical)
 
@@ -979,8 +1041,7 @@ def test_key_rule_cnot_sampled_steane(steane_bases):
     keys, bases = steane_bases
 
     def pair_basis(key_c, key_t):
-        bc, bt = (bases[bits_to_index(u), bits_to_index(v)]
-                  for u, v in (key_c, key_t))
+        bc, bt = (bases[u, v] for u, v in (key_c, key_t))
         return np.einsum("ia,jb->ijab", bc, bt)
 
     g = rng(100)
@@ -1000,10 +1061,10 @@ def test_key_rule_sdgx_golay_transversal():
     b = codes.builtin_codes()
     c1 = b["golay2312"]
     c2 = codes.dual(c1)
-    code0 = css.build(c1, c2, gf2.zeros_vec(23), gf2.zeros_vec(23))
+    code0 = css.build(c1, c2, 0, 0)
     g = rng(101)
     for _ in range(2):
-        u, v = gf2.random_vector(23, g), gf2.random_vector(23, g)
+        u, v = (bits_to_index(gf2.random_vector(23, g)) for _ in range(2))
         psi = random_state(g, 1)
         enc = css.encode_blocks(code0.with_key(u, v), psi)
         sim.transversal_sdgx(enc, 0, 23)

@@ -62,8 +62,8 @@ def test_family_key_record_roundtrip():
     assert rec["kind"] == "family" and rec["S"] is None and rec["P"] is None
     back = files.parse_key_record(rec)
     assert back.variant == "family"
-    assert np.array_equal(back.code.u, key.code.u)
-    assert np.array_equal(back.code.v, key.code.v)
+    assert back.code.u == key.code.u
+    assert back.code.v == key.code.v
     assert files.dumps(files.key_record(back)) == files.dumps(rec)
 
 
@@ -118,6 +118,31 @@ def test_parse_key_record_rejects_a_non_bit_p_and_a_foreign_base():
     rec = _scrambled_record("steane", 59)
     rec["base"]["c1"] = files.code_fragment(codes.builtin_codes()["simplex73"])
     with pytest.raises(ShapeError, match="steane pair"):
+        files.parse_key_record(rec)
+
+
+# records that int("...", 2) alone would take, or that a digit-by-digit
+# read would reduce mod 2
+NON_BIT_WORDS = ["0000002", "2222222", "0000009", "000000a", "0b10101",
+                 "1_00000", " 000000", "000000 ", "000000", "00000000", ""]
+
+
+@pytest.mark.parametrize("part", ["u", "v"])
+@pytest.mark.parametrize("word", NON_BIT_WORDS)
+def test_parse_key_record_rejects_a_non_bit_u_or_v(part, word):
+    rec = files.key_record(symmetric.keygen("steane", "family", rng(60)))
+    rec[part] = word
+    with pytest.raises(ShapeError):
+        files.parse_key_record(rec)
+
+
+@pytest.mark.parametrize("part", ["S", "P"])
+@pytest.mark.parametrize("bad", ["2", "9", "a", " "])
+def test_parse_key_record_rejects_a_non_bit_s_or_p(part, bad):
+    rec = _scrambled_record("steane", 61)
+    row = rec[part]["data"][0]
+    rec[part]["data"][0] = bad + row[1:]
+    with pytest.raises(ShapeError, match=part):
         files.parse_key_record(rec)
 
 

@@ -251,3 +251,13 @@ def test_vector_helpers():
     assert gf2.weight(gf2.as_vec("01110")) == 3
     assert gf2.dot(gf2.as_vec("110"), gf2.as_vec("011")) == 1
     assert gf2.dot(gf2.as_vec("110"), gf2.as_vec("110")) == 0
+
+
+@pytest.mark.parametrize("word", ["0102", "0009", "01a1", "0b11", "1_01",
+                                  " 011", "-101"])
+def test_bit_strings_refuse_other_characters(word):
+    with pytest.raises(ShapeError):
+        gf2.as_vec(word)
+    with pytest.raises(ShapeError):
+        gf2.as_bits(["0110", word])
+    assert gf2.as_vec("0110").tolist() == [0, 1, 1, 0]

@@ -69,8 +69,7 @@ def session_record(seed: int) -> tuple[str, float]:
     fid = sim.fidelity(out, sim.run_circuit(psi.copy(), circuit))
     words = [KIND_LETTERS[m.kind] + "".join(map(str, m.bounds))
              for m in transcript.messages]
-    words += [f"{sim.mask_of_bits(x):02x}{sim.mask_of_bits(z):02x}"
-              for x, z in frames]
+    words += [f"{x:02x}{z:02x}" for x, z in frames]
     return f"{transcript.refresh_count}/{' '.join(words)}", fid
 
 

@@ -21,8 +21,9 @@ from helpers import count_calls, random_state, rng
 
 
 def family_key(u, v):
+    """A Steane family key; u and v as int masks or '0101' strings."""
     c1, c2 = symmetric.base_pair("steane")
-    u, v = gf2.as_vec(u), gf2.as_vec(v)
+    u, v = (w if isinstance(w, int) else int(w, 2) for w in (u, v))
     return symmetric.SymKey("steane", css.build(c1, c2, u, v))
 
 
@@ -37,8 +38,8 @@ def run_encrypted(key, plaintext, circuit_text, t_budget, seed):
 def test_keygen_deterministic_and_validated():
     a = symmetric.keygen("steane", "family", rng(7))
     b = symmetric.keygen("steane", "family", rng(7))
-    assert np.array_equal(a.code.u, b.code.u)
-    assert np.array_equal(a.code.v, b.code.v)
+    assert a.code.u == b.code.u
+    assert a.code.v == b.code.v
     with pytest.raises(ParameterError):
         symmetric.keygen("steane", "random", rng(0))
     with pytest.raises(ParameterError):
@@ -47,7 +48,7 @@ def test_keygen_deterministic_and_validated():
 
 def test_keygen_scrambled_has_zero_key():
     key = symmetric.keygen("steane", "scrambled", rng(3))
-    assert not key.code.u.any() and not key.code.v.any()
+    assert key.code.u == 0 and key.code.v == 0
 
 
 def test_encrypt_layout_and_capacity():
@@ -314,7 +315,8 @@ def full_replay_readout(key, ct):
                 keys[w], measured = css.KeyEvolver.cnot_rule(base, keys[w])
                 if next(outcomes, 0) == 1:
                     keys[w] = css.KeyEvolver.sdgx_rule(*keys[w])
-        return css.logical_readout(key.code.with_key(*measured), bits)
+        return css.logical_readout(key.code.with_key(*measured),
+                                   int(bits, 2))
     return readout
 
 
@@ -393,6 +395,26 @@ def test_readout_oracle_refuses_a_record_of_the_wrong_length():
             oracle(bits)
 
 
+@pytest.mark.parametrize("mode", ["family", "scrambled"])
+def test_readout_oracle_refuses_a_record_that_is_not_bits(mode):
+    """A record is exactly n characters 0/1: a digit that a read mod 2
+    would fold into 0 or 1, a letter, a 0b prefix, an underscore or a
+    space is refused with ShapeError, and the oracle still answers a
+    well-formed record afterwards."""
+    g = rng(44)
+    key = symmetric.keygen("steane", mode, g)
+    ct = symmetric.encrypt(key, random_state(g, 1), 1, g)
+    oracle = symmetric.make_readout(key, ct)
+    seen = []
+    symmetric.evaluate(7, sim.parse_circuit("T 0"), ct,
+                       lambda bits: seen.append(bits) or oracle(bits))
+    for bits in ("0000002", "2222222", "0000009", "000000a", "0b10101",
+                 "1_00000", " 000000", "000000 ", "０００００００"):
+        with pytest.raises(ShapeError):
+            oracle(bits)
+    assert oracle(seen[0]) == ct.gadget_outcomes[0]
+
+
 def test_decrypt_wrong_family_key_leaks():
     g = rng(33)
     key = family_key("1010110", "0110001")
@@ -409,7 +431,7 @@ def test_decrypt_sibling_key_flips_plaintext():
     key = family_key("1010110", "0110001")
     psi = random_state(g, 1)
     ct = symmetric.encrypt(key, psi, 0, g)
-    sibling = family_key("1010110", gf2.as_vec("0110001") ^ key.code.x1)
+    sibling = family_key("1010110", 0b0110001 ^ key.code.x1)
     out = symmetric.decrypt(sibling, ct)
     assert sim.fidelity(out, psi) < 0.99
     flipped = sim.apply_gate(psi.copy(), sim.GateOp("X", (0,)))
@@ -479,7 +501,7 @@ def test_attack_key_guess_sibling_blocks_identification():
     g = rng(37)
     key = family_key("0101101", "1110000")
     ct = symmetric.encrypt(key, random_state(g, 1), 0, g)
-    sibling = family_key("0101101", gf2.as_vec("1110000") ^ key.code.x1)
+    sibling = family_key("0101101", 0b1110000 ^ key.code.x1)
     stranger = family_key("0101100", "1110000")
     report = symmetric.attack_key_guess(ct, [key, sibling, stranger])
     assert report["clean"] == 2
@@ -500,13 +522,10 @@ def leak_roster(true_key):
     roster = [true_key,
               family_key(true_key.code.u,
                          true_key.code.v ^ true_key.code.x1)]
-    u = true_key.code.u.copy()
+    u = true_key.code.u
     for i in range(14):
-        e = np.zeros(7, dtype=np.uint8)
-        e[i % 7] = 1
-        shift = np.zeros(7, dtype=np.uint8)
-        if i >= 7:
-            shift[(i + 1) % 7] = 1
+        e = 1 << (6 - i % 7)
+        shift = 1 << (6 - (i + 1) % 7) if i >= 7 else 0
         roster.append(family_key(u ^ e ^ shift, true_key.code.v))
     return roster
 
@@ -519,7 +538,7 @@ def test_attack_ancilla_leak_single_candidate():
 
 def test_attack_ancilla_leak_requires_true_key():
     key = symmetric.keygen("steane", "family", rng(41))
-    other = family_key(key.code.u ^ gf2.as_vec("1000000"), key.code.v)
+    other = family_key(key.code.u ^ 0b1000000, key.code.v)
     with pytest.raises(ParameterError):
         symmetric.attack_ancilla_leak(1, [other], key, rng(42))
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import css, sim, symmetric
+from . import css, gf2, sim, symmetric
 from .css import CssCode
 from .errors import (
     ParameterError,
@@ -198,7 +198,7 @@ def _step(ct: AsymCiphertext, gate: sim.GateOp, code: CssCode,
     else:
         symmetric.ft_t_gadget(
             ct.state, start, ct.n, css.magic_ancilla_sparse(code),
-            lambda bits: css.logical_readout(code, css.parse_word(bits, code.n)),
+            lambda bits: css.logical_readout(code, gf2.parse_word(bits, code.n)),
             rng)
 
 

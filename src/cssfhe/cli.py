@@ -31,7 +31,6 @@ from .errors import (
     ParameterError,
     RefreshAuthorityError,
     ShapeError,
-    SingularMatrixError,
     WeightTooLargeError,
     WireError,
 )
@@ -41,7 +40,7 @@ FIDELITY_GATE = 1.0 - 1e-9
 _VALIDATION_ERRORS = (
     ParameterError, CapacityError, ShapeError, WireError, CircuitParseError,
     AncillaExhaustedError, WeightTooLargeError, InvalidPairError,
-    IsometryError, SingularMatrixError, DegenerateCodeError,
+    IsometryError, DegenerateCodeError,
 )
 _DECODE_ERRORS = (DecodeFailureError, LeakageError, RefreshAuthorityError)
 

@@ -1,14 +1,16 @@
 """Classical binary linear codes: duals, containment, distance, syndrome
 tables, and the built-in fixtures used throughout the package.
 
-Distance and table construction are brute force, bounded at k <= 20 and
-t <= 3; everything here is desk scale by design.
+Generator and parity-check rows, codewords, syndromes and coset leaders
+are int masks, bit n-1-j for column j (gf2). Distance and table
+construction are brute force, bounded at k <= 20, syndromes of at most
+20 bits and t <= 3; everything here is desk scale by design.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,28 +18,34 @@ from . import gf2
 from .errors import CapacityError, DegenerateCodeError, ShapeError
 
 BRUTE_FORCE_K = 20
+SYNDROME_BITS = 20
+
+# the set bits of every 16-bit value
+_WEIGHT16 = np.zeros(1, dtype=np.int8)
+for _ in range(16):
+    _WEIGHT16 = np.concatenate([_WEIGHT16, _WEIGHT16 + 1])
 
 
 @dataclass(frozen=True, eq=False)
 class LinearCode:
     n: int
     k: int
-    gen: np.ndarray   # k x n, full rank
-    pchk: np.ndarray  # (n - k) x n, rows orthogonal to gen
+    gen: tuple[int, ...]   # k rows, full rank
+    pchk: tuple[int, ...]  # n - k rows, orthogonal to gen
 
 
-def from_generator(g) -> LinearCode:
-    """Build a code from a generator matrix; derives the parity check as a
-    nullspace basis. Rank-deficient input is reduced to its row space."""
-    g = gf2.as_bits(g)
-    if g.size == 0 or not g.any():
+def from_generator(rows, n: int) -> LinearCode:
+    """Build a code from n-bit generator rows; derives the parity check as
+    a nullspace basis. Rank-deficient input is reduced to its row space."""
+    rows = tuple(rows)
+    if any(not 0 <= r < 1 << n for r in rows):
+        raise ShapeError(f"generator row exceeds {n} bits")
+    if not any(rows):
         raise DegenerateCodeError("generator has no nonzero rows")
-    red, rk, _ = gf2.rref(g)
-    if rk < g.shape[0]:
-        g = red[:rk]
-    n = g.shape[1]
-    pchk = gf2.nullspace(g)
-    return LinearCode(n=n, k=g.shape[0], gen=g, pchk=pchk)
+    red, pivots = gf2.row_echelon(rows, n)
+    if len(pivots) < len(rows):
+        rows = tuple(red)
+    return LinearCode(n=n, k=len(rows), gen=rows, pchk=gf2.nullspace(rows, n))
 
 
 def dual(c: LinearCode) -> LinearCode:
@@ -48,53 +56,67 @@ def is_subcode(c2: LinearCode, c1: LinearCode) -> bool:
     """True iff every codeword of c2 lies in c1."""
     if c2.n != c1.n:
         raise ShapeError(f"length mismatch {c2.n} vs {c1.n}")
-    if c2.k == 0:
-        return True
-    return not gf2.mat_mul(c2.gen, c1.pchk.T).any()
+    return not any((g & h).bit_count() & 1 for g in c2.gen for h in c1.pchk)
 
 
 def codewords(c: LinearCode) -> np.ndarray:
-    """All 2^k codewords as a (2^k, n) array; message 0 maps to row 0."""
+    """All 2^k codewords as an int64 array: entry i is the XOR of the gen
+    rows at the set bits of i, row 0 the most significant."""
     if c.k > BRUTE_FORCE_K:
         raise CapacityError(f"k={c.k} exceeds brute-force bound {BRUTE_FORCE_K}")
-    if c.k == 0:
-        return np.zeros((1, c.n), dtype=np.uint8)
-    msgs = ((np.arange(1 << c.k, dtype=np.uint32)[:, None]
-             >> np.arange(c.k - 1, -1, -1, dtype=np.uint32)) & 1).astype(np.uint8)
-    return gf2.mat_mul(msgs, c.gen)
+    words = np.zeros(1, dtype=np.int64)
+    for row in reversed(c.gen):
+        words = np.concatenate([words, words ^ row])
+    return words
+
+
+def weights(words: np.ndarray) -> np.ndarray:
+    """The number of set bits of each nonnegative int64 word."""
+    out = _WEIGHT16[words & 0xFFFF]
+    words = words >> 16
+    while words.any():
+        out = out + _WEIGHT16[words & 0xFFFF]
+        words = words >> 16
+    return out
 
 
 def min_distance(c: LinearCode) -> int:
     if c.k == 0:
         raise DegenerateCodeError("zero code has no nonzero codewords")
-    w = codewords(c).sum(axis=1)
+    w = weights(codewords(c))
     return int(w[w > 0].min())
 
 
-@dataclass(frozen=True)
-class SyndromeTable:
-    radius: int
-    entries: dict[bytes, np.ndarray] = field(repr=False)
-
-
-def build_syndrome_table(c: LinearCode, t: int) -> SyndromeTable:
-    """Coset-leader table for all error patterns of weight <= t.
+def build_syndrome_table(c: LinearCode, t: int) -> np.ndarray:
+    """Coset-leader table for all error patterns of weight <= t: an int64
+    array indexed by the syndrome (bit n-k-1-i the parity against pchk
+    row i), holding the leader, or -1 for a syndrome beyond the radius.
 
     A syndrome collision among the enumerated patterns means the radius is
     too large for this code and raises CapacityError.
     """
-    entries: dict[bytes, np.ndarray] = {}
+    r = len(c.pchk)
+    if r > SYNDROME_BITS:
+        raise CapacityError(
+            f"{r} syndrome bits exceed the table bound {SYNDROME_BITS}")
+    unit = 1 << np.arange(c.n - 1, -1, -1, dtype=np.int64)
+    column = np.zeros(c.n, dtype=np.int64)  # the syndrome of each unit error
+    for h in c.pchk:
+        column = (column << 1) | ((unit & h) != 0)
+    table = np.full(1 << r, -1, dtype=np.int64)
     for w in range(t + 1):
-        for pos in itertools.combinations(range(c.n), w):
-            e = np.zeros(c.n, dtype=np.uint8)
-            e[list(pos)] = 1
-            key = gf2.mat_mul(c.pchk, e).tobytes()
-            if key in entries:
-                raise CapacityError(
-                    f"syndrome collision at weight {w}: t={t} exceeds the "
-                    f"correction radius of this [{c.n},{c.k}] code")
-            entries[key] = e
-    return SyndromeTable(radius=t, entries=entries)
+        combos = list(itertools.combinations(range(c.n), w))
+        pos = np.array(combos, dtype=np.intp).reshape(len(combos), w)
+        syndromes = np.bitwise_xor.reduce(column[pos], axis=1)
+        leaders = np.bitwise_or.reduce(unit[pos], axis=1)
+        fresh = (table[syndromes] < 0).all()
+        table[syndromes] = leaders
+        # two patterns of this weight with one syndrome: one is overwritten
+        if not fresh or (table[syndromes] != leaders).any():
+            raise CapacityError(
+                f"syndrome collision at weight {w}: t={t} exceeds the "
+                f"correction radius of this [{c.n},{c.k}] code")
+    return table
 
 
 _HAMMING74_GEN = [
@@ -117,9 +139,11 @@ def _golay_gen() -> list[str]:
 
 
 def builtin_codes() -> dict[str, LinearCode]:
-    hamming74 = from_generator(_HAMMING74_GEN)
+    hamming74 = from_generator(
+        [gf2.parse_word(r, 7) for r in _HAMMING74_GEN], 7)
     return {
         "hamming74": hamming74,
         "simplex73": dual(hamming74),
-        "golay2312": from_generator(_golay_gen()),
+        "golay2312": from_generator(
+            [gf2.parse_word(r, 23) for r in _golay_gen()], 23),
     }

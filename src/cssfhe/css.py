@@ -5,10 +5,10 @@ logical zero is the superposition of the inner code's codewords, phased by
 u and shifted by v; the logical one uses the fixed coset representative x1
 (minimum weight, lexicographic tie break).
 
-Every n-bit word the key holder handles (u, v, x1, Pauli frames, coset
-leaders, measurement records) is a Python int mask, bit n-1-j for qubit j,
-as in sim.apply_block_pauli; the codes module's matrices and table
-leaders stay bit vectors, and _leader is where a leader becomes an int.
+Every n-bit word (u, v, x1, Pauli frames, check rows, inner codewords,
+coset leaders, measurement records) is a Python int mask or an int64
+array entry, bit n-1-j for qubit j, as in sim.apply_block_pauli and the
+codes module.
 
 A secret key (symmetric.SymKey) is a view of its pair's one base code:
 a McEliece-style scrambled presentation, the base code with its qubits
@@ -35,7 +35,7 @@ import numpy as np
 
 from . import codes as codes_mod
 from . import gf2, sim
-from .codes import LinearCode, SyndromeTable
+from .codes import LinearCode
 from .errors import (
     CapacityError,
     DecodeFailureError,
@@ -60,10 +60,9 @@ class CssCode:
     n: int
     t: int
     x1: int
-    # the qubit order of this code against the code whose syndrome tables
-    # it shares: a table leader l reads l[perm] here (the identity unless
-    # the code is a scrambled view)
-    perm: np.ndarray
+    # the readout row: a row of c2.pchk odd on x1, so a word of C1 lies in
+    # the x1 coset exactly when its parity against this row is odd
+    x1_check: int
     # key-independent caches shared between all (u, v) siblings over the
     # same qubit presentation: "inner_words", "tables", and the code-space
     # support ("support", m) of each block count m
@@ -71,22 +70,10 @@ class CssCode:
     # the reference isometry, built on first use; with_key starts over
     _iso: sim.BlockIsometry | None = field(default=None, init=False,
                                            repr=False)
-    # the syndrome masks (_masks), built on first use; they do not depend
-    # on the key, so with_key siblings share them
-    _masks: tuple | None = field(default=None, init=False, repr=False)
 
     def with_key(self, u: int, v: int) -> "CssCode":
-        sibling = replace(self, u=_frame_mask(u, self.n),
-                          v=_frame_mask(v, self.n))
-        sibling._masks = _masks(self)
-        return sibling
-
-
-def _vec_indices(rows: np.ndarray) -> np.ndarray:
-    """Bitstring rows -> amplitude indices (bit 0 most significant)."""
-    n = rows.shape[-1]
-    weights = (1 << np.arange(n - 1, -1, -1)).astype(np.int64)
-    return rows.astype(np.int64) @ weights
+        return replace(self, u=_frame_mask(u, self.n),
+                       v=_frame_mask(v, self.n))
 
 
 def build(c1: LinearCode, c2: LinearCode, u: int, v: int) -> CssCode:
@@ -102,17 +89,19 @@ def build(c1: LinearCode, c2: LinearCode, u: int, v: int) -> CssCode:
     d = min(codes_mod.min_distance(c1),
             codes_mod.min_distance(codes_mod.dual(c2)))
     t = (d - 1) // 2
+    # a check of C2 that C1 fails is odd on x1, as it is even on all of C2
+    check = next(h for h in c2.pchk
+                 if any((h & g).bit_count() & 1 for g in c1.gen))
     cw1 = codes_mod.codewords(c1)
-    x1 = _lightest(cw1[gf2.mat_mul(cw1, c2.pchk.T).any(axis=1)])
+    x1 = _lightest(cw1[codes_mod.weights(cw1 & check) & 1 == 1])
     return CssCode(c1=c1, c2=c2, u=u, v=v, n=c1.n, t=t, x1=x1,
-                   perm=np.arange(c1.n))
+                   x1_check=check)
 
 
 def _lightest(words: np.ndarray) -> int:
-    """The row of least weight, the lowest amplitude index among ties, as
-    an int mask."""
-    idx = _vec_indices(words)
-    return int(idx[np.lexsort((idx, words.sum(axis=1)))[0]])
+    """The word of least weight, the lowest among ties."""
+    w = codes_mod.weights(words)
+    return int(words[w == w.min()].min())
 
 
 def _inner_words(code: CssCode) -> np.ndarray:
@@ -124,7 +113,7 @@ def _inner_words(code: CssCode) -> np.ndarray:
 def _iso_columns(code: CssCode):
     """Sparse logical-basis columns for the current (u, v), one word at a
     time: the reference that the code-space support is checked against."""
-    inner = _vec_indices(_inner_words(code)).tolist()
+    inner = _inner_words(code).tolist()
     scale = 1.0 / math.sqrt(len(inner))
     cols = []
     for rep in (0, code.x1):
@@ -160,10 +149,9 @@ def _block_support(code: CssCode, m: int):
     as _iso_columns orders them: the support of one block."""
     key = ("support", m)
     if key not in code._shared:
-        w2 = _inner_words(code)
-        inner = _vec_indices(w2)
+        inner = _inner_words(code)
         rows = np.array([inner, inner ^ code.x1])
-        scale = 1.0 / math.sqrt(w2.shape[0])
+        scale = 1.0 / math.sqrt(inner.size)
         support = np.zeros((), dtype=np.int64)
         weight = 1.0
         for _ in range(m):
@@ -180,17 +168,6 @@ def _frame_mask(part: int, n: int) -> int:
     if not 0 <= part < 1 << n:
         raise ShapeError(f"mask {part:#x} exceeds {n} bits")
     return part
-
-
-def parse_word(bits: str, n: int) -> int:
-    """An n-bit word recorded as n characters '0'/'1', qubit 0 first (a
-    measurement record, or u and v in a key file), as an int mask;
-    anything else raises ShapeError."""
-    if not isinstance(bits, str) or not set(bits) <= {"0", "1"}:
-        raise ShapeError(f"record {bits!r} holds a character other than 0/1")
-    if len(bits) != n:
-        raise ShapeError(f"record length {len(bits)}, expected {n}")
-    return int(bits, 2)
 
 
 def _z_signs(rows: np.ndarray, z: int) -> np.ndarray:
@@ -294,13 +271,15 @@ def stabilizers(code: CssCode) -> StabilizerSet:
     """Signed generators as (int mask, sign bit): (-1)^(u.g) X^g for g
     spanning the inner code, (-1)^(h.v) Z^h for h spanning the outer
     code's dual."""
-    pchk_masks, gen_masks, _ = _masks(code)
-    xs = tuple((g, (g & code.u).bit_count() & 1) for g in gen_masks)
-    zs = tuple((h, (h & code.v).bit_count() & 1) for h in pchk_masks)
+    xs = tuple((g, (g & code.u).bit_count() & 1) for g in code.c2.gen)
+    zs = tuple((h, (h & code.v).bit_count() & 1) for h in code.c1.pchk)
     return StabilizerSet(x_type=xs, z_type=zs)
 
 
-def _tables(code: CssCode) -> tuple[SyndromeTable, SyndromeTable]:
+def _tables(code: CssCode) -> tuple[np.ndarray, np.ndarray]:
+    """The bit-flip and phase-flip leader tables (codes.build_syndrome_table)
+    of c1 and of the dual of c2: their syndromes are the parities against
+    the rows of c1.pchk and of c2.gen."""
     if "tables" not in code._shared:
         x_table = codes_mod.build_syndrome_table(code.c1, code.t)
         z_table = codes_mod.build_syndrome_table(codes_mod.dual(code.c2), code.t)
@@ -308,33 +287,15 @@ def _tables(code: CssCode) -> tuple[SyndromeTable, SyndromeTable]:
     return code._shared["tables"]
 
 
-def _masks(code: CssCode) -> tuple[list[int], list[int], int]:
-    """The int masks of the rows of c1.pchk and of c2.gen, and a row of
-    c2.pchk with odd parity on x1: a word of C1 lies in the x1 coset
-    exactly when its parity against that row is odd."""
-    if code._masks is None:
-        checks = _vec_indices(code.c2.pchk).tolist()
-        code._masks = (
-            _vec_indices(code.c1.pchk).tolist(),
-            _vec_indices(code.c2.gen).tolist(),
-            next(r for r in checks if (r & code.x1).bit_count() & 1))
-    return code._masks
-
-
 def _x_leader(code: CssCode, y: int) -> int | None:
     """The bit-flip coset leader of the n-bit word y read under the key's
     v, or None beyond the table's radius."""
     y ^= code.v
-    syndrome = bytes((y & h).bit_count() & 1 for h in _masks(code)[0])
-    return _leader(code, _tables(code)[0], syndrome)
-
-
-def _leader(code: CssCode, table: SyndromeTable,
-            syndrome: bytes) -> int | None:
-    """The table's coset leader for a syndrome in the code's qubit order,
-    as an int mask, or None beyond the table's radius."""
-    leader = table.entries.get(syndrome)
-    return None if leader is None else sim.mask_of_bits(leader[code.perm])
+    syndrome = 0
+    for h in code.c1.pchk:
+        syndrome = (syndrome << 1) | ((y & h).bit_count() & 1)
+    leader = int(_tables(code)[0][syndrome])
+    return None if leader < 0 else leader
 
 
 def correct_errors(code: CssCode, state: sim.StateVector, block: int,
@@ -349,9 +310,9 @@ def correct_errors(code: CssCode, state: sim.StateVector, block: int,
     the bit-flip syndrome is read off one occupied basis index (`index`,
     or sim.first_occupied when None), the phase-flip syndrome off
     amplitude ratios within a coset, which an X error only permutes. Each
-    syndrome bit is the parity of a block-local int mask (_masks): the
-    block's bits under v against the rows of c1.pchk, and the sign of
-    X^g against u.g for the rows g of c2.gen."""
+    syndrome bit is the parity of a block-local int mask: the block's bits
+    under v against the rows of c1.pchk, and the sign of X^g against u.g
+    for the rows g of c2.gen."""
     n = code.n
     start = block * n
     if start < 0 or start + n > state.num_qubits:
@@ -368,15 +329,16 @@ def correct_errors(code: CssCode, state: sim.StateVector, block: int,
     ref = amps.item(jidx)
     if ref == 0:
         raise ShapeError(f"basis index {jidx} is not occupied")
-    z_syn = bytearray()
-    for g in _masks(code)[1]:
+    z_syn = 0
+    for g in code.c2.gen:
         ratio = amps.item(jidx ^ (g << post)) / ref
         if abs(abs(ratio) - 1.0) > 1e-6 or abs(ratio.imag) > 1e-6:
             raise DecodeFailureError(
                 f"block {block} does not carry a definite Pauli error")
-        z_syn.append((ratio.real < 0) ^ (g & code.u).bit_count() & 1)
-    z_leader = _leader(code, _tables(code)[1], bytes(z_syn))
-    if z_leader is None:
+        bit = (ratio.real < 0) ^ (g & code.u).bit_count() & 1
+        z_syn = (z_syn << 1) | bit
+    z_leader = int(_tables(code)[1][z_syn])
+    if z_leader < 0:
         raise DecodeFailureError(
             f"phase-flip syndrome outside radius t={code.t} on block {block}")
     return x_leader, z_leader
@@ -391,24 +353,52 @@ def base_code(c1: LinearCode, c2: LinearCode) -> CssCode:
     return build(c1, c2, 0, 0)
 
 
-def scrambled(c1: LinearCode, c2: LinearCode, s: np.ndarray,
-              p: np.ndarray) -> CssCode:
+# bit b of every byte value, shape (256, 8)
+_BYTE_BITS = (np.arange(256)[:, None] >> np.arange(8)) & 1
+
+
+def _permuted(words: np.ndarray, p) -> np.ndarray:
+    """The int64 words times the permutation matrix P (int rows): bit
+    n-1-i becomes row i's one bit. Each byte of the words is looked up in
+    the table of its moved bits, the product of the byte's bits with its
+    rows of P. A -1 entry (no leader) stays -1."""
+    rows = np.array(p[::-1], dtype=np.int64)  # row n-1-b moves bit b
+    out = None
+    for lo in range(0, rows.size, 8):
+        part = rows[lo:lo + 8]
+        table = _BYTE_BITS[:1 << part.size, :part.size] @ part
+        moved = table[(words >> lo) & (table.size - 1)]
+        out = moved if out is None else out | moved
+    return np.where(words < 0, -1, out)
+
+
+def scrambled(c1: LinearCode, c2: LinearCode, s, p) -> CssCode:
     """The pair's base code with its qubits permuted by P: what build makes
     of the scrambled pair (S C1 P, C2 P) under u = v = 0, as S only changes
-    how the published c1.gen is written. The checks, the inner words and
-    x1 (the lightest permuted coset word) are moved by P; P keeps every
-    syndrome, so the base code's tables are shared and _leader moves them."""
+    how the published c1.gen is written. One permutation moves every word
+    of the base code: the check rows, the readout row, the inner words,
+    the x1 coset (whose lightest word is the view's x1) and the leaders of
+    both tables, which P keeps indexed by the same syndromes."""
     base = base_code(c1, c2)
-    perm = np.argmax(p, axis=0)  # (x P)[j] = x[perm[j]]
+    n, k1, k2 = c1.n, c1.k, c2.k
     inner = _inner_words(base)
-    x1 = (base.x1 >> np.arange(c1.n - 1, -1, -1)) & 1
+    x_table, z_table = _tables(base)
+    rows = (*gf2.mat_mul(s, c1.gen), *c1.pchk, *c2.gen, *c2.pchk,
+            base.x1_check)
+    moved = _permuted(np.concatenate([np.array(rows, dtype=np.int64), inner,
+                                      inner ^ base.x1, x_table, z_table]), p)
+    rows = moved[:2 * n + 1].tolist()
+    # where the inner words, the coset, the x table and the z table start
+    a = 2 * n + 1
+    b = a + inner.size
+    c = b + inner.size
+    d = c + x_table.size
     return CssCode(
-        c1=LinearCode(c1.n, c1.k, gf2.mat_mul(s, c1.gen)[:, perm],
-                      c1.pchk[:, perm]),
-        c2=LinearCode(c2.n, c2.k, c2.gen[:, perm], c2.pchk[:, perm]),
-        u=base.u, v=base.v, n=c1.n, t=base.t,
-        x1=_lightest((inner ^ x1)[:, perm]), perm=perm,
-        _shared={"inner_words": inner[:, perm], "tables": _tables(base)})
+        c1=LinearCode(n, k1, tuple(rows[:k1]), tuple(rows[k1:n])),
+        c2=LinearCode(n, k2, tuple(rows[n:n + k2]), tuple(rows[n + k2:2 * n])),
+        u=0, v=0, n=n, t=base.t, x1=_lightest(moved[b:c]),
+        x1_check=rows[2 * n],
+        _shared={"inner_words": moved[a:b], "tables": (moved[c:d], moved[d:])})
 
 
 def magic_ancilla(code: CssCode) -> sim.StateVector:
@@ -440,7 +430,7 @@ def logical_readout(code: CssCode, y: int) -> int:
         raise DecodeFailureError(
             f"measurement record outside radius t={code.t}")
     word = y ^ leader ^ code.v
-    return (word & _masks(code)[2]).bit_count() & 1
+    return (word & code.x1_check).bit_count() & 1
 
 
 def _class_signature(idx_zero: np.ndarray, idx_one: np.ndarray,

@@ -18,10 +18,6 @@ class ParameterError(CssFheError):
     """Bad scheme parameter (unknown base pair, c out of range, ...)."""
 
 
-class SingularMatrixError(CssFheError):
-    """Matrix has no inverse over GF(2)."""
-
-
 class DegenerateCodeError(CssFheError):
     """Code construction from a zero or empty generator."""
 

@@ -29,27 +29,22 @@ def read_json(path):
     return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
-def _bits_str(v: np.ndarray) -> str:
-    return "".join(str(int(b)) for b in v)
+def matrix_fragment(rows, cols: int) -> dict:
+    """A matrix of int rows (gf2) as its row count, width and rows."""
+    return {"rows": len(rows), "cols": cols,
+            "data": [format(r, f"0{cols}b") for r in rows]}
 
 
-def matrix_fragment(m: np.ndarray) -> dict:
-    m = gf2.as_bits(m)
-    return {"rows": int(m.shape[0]), "cols": int(m.shape[1]),
-            "data": [_bits_str(r) for r in m]}
-
-
-def parse_matrix(frag: dict) -> np.ndarray:
-    rows, cols = frag["rows"], frag["cols"]
-    if len(frag["data"]) != rows or any(len(r) != cols for r in frag["data"]):
+def parse_matrix(frag: dict) -> tuple[int, ...]:
+    """The int rows of a matrix fragment; a row count other than `rows`,
+    or a row other than `cols` characters 0/1, raises ShapeError."""
+    if len(frag["data"]) != frag["rows"]:
         raise ShapeError("matrix fragment shape mismatch")
-    if rows == 0:
-        return np.zeros((0, cols), dtype=np.uint8)
-    return gf2.as_bits(frag["data"])
+    return tuple(gf2.parse_word(r, frag["cols"]) for r in frag["data"])
 
 
 def code_fragment(c: codes_mod.LinearCode) -> dict:
-    return {"n": c.n, "k": c.k, "gen": matrix_fragment(c.gen)}
+    return {"n": c.n, "k": c.k, "gen": matrix_fragment(c.gen, c.n)}
 
 
 def key_record(key) -> dict:
@@ -66,8 +61,8 @@ def key_record(key) -> dict:
         "kind": key.variant,
         "base": {"name": key.base_name,
                  "c1": code_fragment(c1), "c2": code_fragment(c2)},
-        "S": matrix_fragment(key.s) if scrambled else None,
-        "P": matrix_fragment(key.p) if scrambled else None,
+        "S": matrix_fragment(key.s, c1.k) if scrambled else None,
+        "P": matrix_fragment(key.p, c1.n) if scrambled else None,
         "u": format(key.code.u, f"0{key.code.n}b"),
         "v": format(key.code.v, f"0{key.code.n}b"),
         "n": key.code.n,
@@ -81,36 +76,49 @@ def key_record(key) -> dict:
 def parse_key_record(rec: dict):
     """Rebuild a SymKey (or an AsymKeyPair when the record carries a public
     error count) from its file form. The record's base must be the named
-    pair, P an n x n permutation and S a nonsingular k x k mixer."""
+    pair as key_record writes it, n and t those of its code, P an n x n
+    permutation and S a nonsingular k x k mixer; a scrambled record has
+    u = v = 0, and only a scrambled record may carry the public error
+    count ct, an int in [0, t]."""
     base_name = rec["base"]["name"]
     c1, c2 = symmetric.base_pair(base_name)
-    for c, frag in ((c1, rec["base"]["c1"]), (c2, rec["base"]["c2"])):
-        if not np.array_equal(parse_matrix(frag["gen"]), c.gen):
-            raise ShapeError(f"key record base is not the {base_name} pair")
+    if (rec["base"]["c1"], rec["base"]["c2"]) != (code_fragment(c1),
+                                                  code_fragment(c2)):
+        raise ShapeError(f"key record base is not the {base_name} pair")
+    base = css.base_code(c1, c2)
+    if any(type(rec.get(k)) is not int or rec[k] != want
+           for k, want in (("n", base.n), ("t", base.t))):
+        raise ShapeError(
+            f"key record n and t must be {base.n} and {base.t}")
+    u, v = (gf2.parse_word(rec[k], base.n) for k in ("u", "v"))
     if rec["kind"] == "family":
-        u, v = (css.parse_word(rec[k], c1.n) for k in ("u", "v"))
-        code = css.base_code(c1, c2).with_key(u, v)
-        return symmetric.SymKey(base_name, code)
+        if "ct" in rec:
+            raise ShapeError("a family key record carries no ct")
+        return symmetric.SymKey(base_name, base.with_key(u, v))
+    if u or v:
+        raise ShapeError("a scrambled key record has u = v = 0")
 
-    def matrix(name, size, valid, what) -> np.ndarray:
-        """The record's S or P: a size x size bit matrix that is `what`."""
+    def matrix(name, size, valid, what) -> tuple[int, ...]:
+        """The record's S or P: a size x size matrix that is `what`."""
         try:
             m = parse_matrix(rec[name])
-            if m.shape == (size, size) and valid(m):
+            if rec[name]["cols"] == size and len(m) == size and valid(m):
                 return m
         except ShapeError:
             pass
         raise ShapeError(f"{name} must be a {size}x{size} {what} matrix")
 
-    p = matrix("P", c1.n, lambda m: (m.sum(axis=0) == 1).all()
-               and (m.sum(axis=1) == 1).all(), "permutation")
+    p = matrix("P", c1.n, lambda m: len(set(m)) == c1.n
+               and all(r.bit_count() == 1 for r in m), "permutation")
     s = matrix("S", c1.k, lambda m: gf2.rank(m) == c1.k, "nonsingular")
     key = symmetric.SymKey(base_name, css.scrambled(c1, c2, s, p), s, p)
-    if "ct" in rec:
-        return asymmetric.AsymKeyPair(
-            private=key,
-            public=asymmetric.PublicKey(code=key.code, ct_weight=rec["ct"]))
-    return key
+    if "ct" not in rec:
+        return key
+    ct = rec["ct"]
+    if type(ct) is not int or not 0 <= ct <= base.t:
+        raise ShapeError(f"ct must be an int in [0, {base.t}], got {ct!r}")
+    return asymmetric.AsymKeyPair(
+        private=key, public=asymmetric.PublicKey(code=key.code, ct_weight=ct))
 
 
 def state_record(state: sim.StateVector) -> dict:

@@ -1,105 +1,34 @@
-"""Dense linear algebra over GF(2).
+"""Linear algebra over GF(2) on int rows.
 
-Matrices are 2-D numpy uint8 arrays with entries in {0, 1}; vectors are 1-D.
-Everything is exact. All sampling takes an explicit numpy Generator so runs
-are reproducible from a single seed.
+A row of n bits is a Python int mask, bit n-1-j for column j, and a
+matrix is a tuple of such rows; its width is carried beside it. Everything
+is exact. All sampling takes an explicit numpy Generator so runs are
+reproducible from a single seed.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ShapeError, SingularMatrixError
+from .errors import ShapeError
 
 
-def _string_bits(s: str) -> list[int]:
-    """The bits of a '0101' string; any other character raises ShapeError."""
-    if not set(s) <= {"0", "1"}:
-        raise ShapeError(f"bit string {s!r} holds a character other than 0/1")
-    return [ch == "1" for ch in s]
+def parse_word(bits: str, n: int) -> int:
+    """An n-bit word written as n characters '0'/'1', column 0 first (a
+    generator row, a key-file row, a measurement record, or u and v in a
+    key file), as an int mask; anything else raises ShapeError."""
+    if not isinstance(bits, str) or not set(bits) <= {"0", "1"}:
+        raise ShapeError(f"record {bits!r} holds a character other than 0/1")
+    if len(bits) != n:
+        raise ShapeError(f"record length {len(bits)}, expected {n}")
+    return int(bits, 2)
 
 
-def as_bits(rows) -> np.ndarray:
-    """Coerce nested lists, arrays, or '0101' strings to a uint8 bit matrix."""
-    if isinstance(rows, np.ndarray):
-        arr = (rows % 2).astype(np.uint8)
-    elif isinstance(rows, (list, tuple)) and rows and isinstance(rows[0], str):
-        arr = np.array([_string_bits(r) for r in rows], dtype=np.uint8)
-    else:
-        arr = (np.array(rows, dtype=np.int64) % 2).astype(np.uint8)
-    if arr.ndim != 2:
-        raise ShapeError(f"expected a 2-D bit matrix, got ndim={arr.ndim}")
-    return arr
-
-
-def as_vec(bits) -> np.ndarray:
-    """Coerce a list, array, or '0101' string to a uint8 bit vector."""
-    if isinstance(bits, str):
-        arr = np.array(_string_bits(bits), dtype=np.uint8)
-    elif isinstance(bits, np.ndarray):
-        arr = (bits % 2).astype(np.uint8)
-    else:
-        arr = (np.array(bits, dtype=np.int64) % 2).astype(np.uint8)
-    if arr.ndim != 1:
-        raise ShapeError(f"expected a 1-D bit vector, got ndim={arr.ndim}")
-    return arr
-
-
-def identity(n: int) -> np.ndarray:
-    return np.eye(n, dtype=np.uint8)
-
-
-def zeros_vec(n: int) -> np.ndarray:
-    return np.zeros(n, dtype=np.uint8)
-
-
-def weight(v) -> int:
-    return int(as_vec(v).sum())
-
-
-def dot(a, b) -> int:
-    """Inner product mod 2."""
-    a, b = as_vec(a), as_vec(b)
-    if a.shape != b.shape:
-        raise ShapeError(f"dot length mismatch {a.shape} vs {b.shape}")
-    return int((a & b).sum() % 2)
-
-
-def rref(m) -> tuple[np.ndarray, int, list[int]]:
-    """Reduced row echelon form over GF(2).
-
-    Returns (reduced, rank, pivot column indices). Row space is preserved;
-    pivot columns have a single 1.
-    """
-    a = as_bits(m).copy()
-    rows, cols = a.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        hits = np.nonzero(a[r:, c])[0]
-        if hits.size == 0:
-            continue
-        p = r + int(hits[0])
-        if p != r:
-            a[[r, p]] = a[[p, r]]
-        # clear the pivot column everywhere else
-        for i in np.nonzero(a[:, c])[0]:
-            if i != r:
-                a[i] ^= a[r]
-        pivots.append(c)
-        r += 1
-    return a, r, pivots
-
-
-def rank(m) -> int:
-    """Rank by elimination on the rows packed into Python ints: each pivot
-    row is kept under its leading bit, and a row that reduces to 0 adds
-    nothing."""
+def rank(rows) -> int:
+    """Rank by elimination: each pivot row is kept under its leading bit,
+    and a row that reduces to 0 adds nothing."""
     pivots = {}
-    for packed in np.packbits(as_bits(m), axis=1):
-        row = int.from_bytes(packed.tobytes(), "big")
+    for row in rows:
         while row.bit_length() in pivots:
             row ^= pivots[row.bit_length()]
         if row:
@@ -107,76 +36,78 @@ def rank(m) -> int:
     return len(pivots)
 
 
-def mat_mul(a, b) -> np.ndarray:
-    """Matrix (or matrix-vector) product mod 2."""
-    a = np.asarray(a, dtype=np.uint8)
-    b = np.asarray(b, dtype=np.uint8)
-    a_cols = a.shape[-1] if a.ndim > 0 else 0
-    b_rows = b.shape[0] if b.ndim > 0 else 0
-    if a_cols != b_rows:
-        raise ShapeError(f"mat_mul shape mismatch {a.shape} x {b.shape}")
-    return ((a.astype(np.int64) @ b.astype(np.int64)) % 2).astype(np.uint8)
+def row_echelon(rows, cols: int) -> tuple[list[int], list[int]]:
+    """The reduced row echelon form of the rows as cols-bit words: its
+    nonzero rows, which span the same space, and their pivot columns;
+    each pivot column holds a single 1."""
+    rows = list(rows)
+    pivots: list[int] = []
+    for c in range(cols):
+        bit = 1 << (cols - 1 - c)
+        r = len(pivots)
+        hit = next((i for i in range(r, len(rows)) if rows[i] & bit), None)
+        if hit is None:
+            continue
+        rows[r], rows[hit] = rows[hit], rows[r]
+        rows = [row ^ rows[r] if i != r and row & bit else row
+                for i, row in enumerate(rows)]
+        pivots.append(c)
+    return rows[:len(pivots)], pivots
 
 
-def inverse(m) -> np.ndarray:
-    """Inverse over GF(2); raises SingularMatrixError if rank deficient."""
-    a = as_bits(m)
-    if a.shape[0] != a.shape[1]:
-        raise ShapeError(f"inverse needs a square matrix, got {a.shape}")
-    n = a.shape[0]
-    aug = np.concatenate([a, identity(n)], axis=1)
-    red, _, _ = rref(aug)
-    if not np.array_equal(red[:, :n], identity(n)):
-        raise SingularMatrixError(f"matrix of shape {a.shape} is singular")
-    return red[:, n:]
+def nullspace(rows, cols: int) -> tuple[int, ...]:
+    """Basis of {x : row . x = 0 mod 2 for every row}, one word per free
+    column of the echelon form."""
+    red, pivots = row_echelon(rows, cols)
+    basis = []
+    for f in range(cols):
+        if f in pivots:
+            continue
+        bit = 1 << (cols - 1 - f)
+        word = bit
+        for row, p in zip(red, pivots):
+            if row & bit:
+                word |= 1 << (cols - 1 - p)
+        basis.append(word)
+    return tuple(basis)
 
 
-def rowspace_contains(m, w) -> bool:
-    """True iff w is a GF(2) combination of rows of m."""
-    a = as_bits(m)
-    w = as_vec(w)
-    if w.shape[0] != a.shape[1]:
-        raise ShapeError(f"vector length {w.shape[0]} vs {a.shape[1]} columns")
-    red, _, pivots = rref(a)
-    r = w.copy()
-    for i, c in enumerate(pivots):
-        if r[c]:
-            r ^= red[i]
-    return not r.any()
+def mat_mul(a, b) -> tuple[int, ...]:
+    """The product A B of int-row matrices: row i is the XOR of the rows
+    of B at the set bits of a[i], its bit len(b)-1-j selecting b[j]."""
+    k = len(b)
+    out = []
+    for row in a:
+        if not 0 <= row < 1 << k:
+            raise ShapeError(f"row {row:#x} exceeds the {k} rows of B")
+        acc = 0
+        for j, brow in enumerate(b):
+            if row >> (k - 1 - j) & 1:
+                acc ^= brow
+        out.append(acc)
+    return tuple(out)
 
 
-def nullspace(m) -> np.ndarray:
-    """Basis (as rows) of {x : m @ x = 0 mod 2}; shape (cols - rank, cols)."""
-    a = as_bits(m)
-    cols = a.shape[1]
-    red, rk, pivots = rref(a)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((len(free), cols), dtype=np.uint8)
-    for i, f in enumerate(free):
-        basis[i, f] = 1
-        for row, p in enumerate(pivots):
-            basis[i, p] = red[row, f]
-    return basis
+def _pack(bits: np.ndarray) -> list[int]:
+    """The rows of a 0/1 array as int masks, column 0 most significant."""
+    cols = bits.shape[-1]
+    packed = np.packbits(bits.reshape(-1, cols), axis=1).tolist()
+    return [int.from_bytes(row, "big") >> (-cols % 8) for row in packed]
 
 
-def random_matrix(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
-    return rng.integers(0, 2, size=(rows, cols), dtype=np.uint8)
+def random_vector(n: int, rng: np.random.Generator) -> int:
+    return _pack(rng.integers(0, 2, size=n, dtype=np.uint8))[0]
 
 
-def random_vector(n: int, rng: np.random.Generator) -> np.ndarray:
-    return rng.integers(0, 2, size=n, dtype=np.uint8)
-
-
-def random_nonsingular(n: int, rng: np.random.Generator) -> np.ndarray:
+def random_nonsingular(n: int, rng: np.random.Generator) -> tuple[int, ...]:
     """Uniform draw-until-full-rank; expected under 4 attempts for any n."""
     while True:
-        m = random_matrix(n, n, rng)
+        m = _pack(rng.integers(0, 2, size=(n, n), dtype=np.uint8))
         if rank(m) == n:
-            return m
+            return tuple(m)
 
 
-def random_permutation(n: int, rng: np.random.Generator) -> np.ndarray:
-    perm = rng.permutation(n)
-    p = np.zeros((n, n), dtype=np.uint8)
-    p[np.arange(n), perm] = 1
-    return p
+def random_permutation(n: int, rng: np.random.Generator) -> tuple[int, ...]:
+    """A uniform n x n permutation matrix: row i has its one bit in column
+    perm[i]."""
+    return tuple(1 << (n - 1 - c) for c in rng.permutation(n).tolist())

@@ -31,8 +31,8 @@ ANCILLA_PRODUCT_TOL = 1e-9
 
 @functools.cache
 def base_pair(name: str) -> tuple[LinearCode, LinearCode]:
-    """The named (C1, C2) pair, built once per process. Every key over the
-    pair shares its matrices, so they are made read-only."""
+    """The named (C1, C2) pair, built once per process; every key over the
+    pair shares its rows."""
     builtins = codes_mod.builtin_codes()
     if name == "steane":
         pair = builtins["hamming74"], builtins["simplex73"]
@@ -41,9 +41,6 @@ def base_pair(name: str) -> tuple[LinearCode, LinearCode]:
         pair = g, codes_mod.dual(g)
     else:
         raise ParameterError(f"unknown base pair {name!r}")
-    for code in pair:
-        code.gen.setflags(write=False)
-        code.pchk.setflags(write=False)
     return pair
 
 
@@ -53,11 +50,11 @@ class SymKey:
     S and P that made its code from the pair (McEliece style, u = v = 0):
     the pair's code with its qubits permuted by P, published as S C1 P.
     A family key is a random (u, v) over the pair itself. The asymmetric
-    private key is a scrambled SymKey."""
+    private key is a scrambled SymKey. S and P are int rows (gf2)."""
     base_name: str
     code: CssCode
-    s: np.ndarray | None = None
-    p: np.ndarray | None = None
+    s: tuple[int, ...] | None = None
+    p: tuple[int, ...] | None = None
 
     @property
     def variant(self) -> str:
@@ -71,8 +68,8 @@ def keygen(base_name: str, mode: str, rng: np.random.Generator) -> SymKey:
         p = gf2.random_permutation(c1.n, rng)
         return SymKey(base_name, css.scrambled(c1, c2, s, p), s, p)
     if mode == "family":
-        u = sim.mask_of_bits(gf2.random_vector(c1.n, rng))
-        v = sim.mask_of_bits(gf2.random_vector(c1.n, rng))
+        u = gf2.random_vector(c1.n, rng)
+        v = gf2.random_vector(c1.n, rng)
         return SymKey(base_name, css.base_code(c1, c2).with_key(u, v))
     raise ParameterError(f"unknown key mode {mode!r}")
 
@@ -211,7 +208,7 @@ def make_readout(sk: SymKey, ct: SymCiphertext):
     def readout(bits: str) -> int:
         if not ct.executed or ct.executed[-1].kind != "T":
             raise ShapeError("no measurement to read out")
-        y = css.parse_word(bits, code.n)
+        y = gf2.parse_word(bits, code.n)
         keys = replay.advance(ct, len(ct.executed) - 1)
         _, v = keys[ct.executed[-1].wires[0]]
         return css.logical_readout(code, y ^ v)

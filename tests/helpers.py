@@ -46,22 +46,20 @@ def count_calls(monkeypatch, owner, name) -> list:
     return calls
 
 
-def span_brute(rows) -> set[tuple]:
-    """Every GF(2) combination of the given rows, by exhaustion."""
-    rows = [np.asarray(r, dtype=np.uint8) % 2 for r in rows]
-    k = len(rows)
+def span_brute(rows) -> set[int]:
+    """Every GF(2) combination of the given int rows, by exhaustion."""
     out = set()
-    for picks in itertools.product((0, 1), repeat=k):
-        acc = np.zeros_like(rows[0]) if rows else np.zeros(0, dtype=np.uint8)
+    for picks in itertools.product((0, 1), repeat=len(rows)):
+        acc = 0
         for p, r in zip(picks, rows):
             if p:
-                acc = acc ^ r
-        out.add(tuple(int(b) for b in acc))
+                acc ^= r
+        out.add(acc)
     return out
 
 
 def min_weight_brute(rows) -> int:
-    return min(sum(w) for w in span_brute(rows) if any(w))
+    return min(w.bit_count() for w in span_brute(rows) if w)
 
 
 def bits_to_index(bits) -> int:

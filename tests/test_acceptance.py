@@ -12,8 +12,8 @@ import numpy as np
 from cssfhe import asymmetric, cli, css, files, gf2, sim, symmetric
 from cssfhe.errors import DecodeFailureError
 
-from helpers import (bits_to_index, count_calls, decode_per_block,
-                     random_circuit, random_state)
+from helpers import (count_calls, decode_per_block, random_circuit,
+                     random_state)
 
 
 def seeded(*parts):
@@ -86,7 +86,7 @@ def test_criterion_03_transversal_identities():
 
     # transversal H with the swapped key
     for _ in range(5):
-        u, v = (bits_to_index(gf2.random_vector(7, gen)) for _ in range(2))
+        u, v = (gf2.random_vector(7, gen) for _ in range(2))
         code = css.build(c1, c2, u, v)
         psi = random_state(gen, 1)
         enc = css.encode_blocks(code, psi)
@@ -98,7 +98,7 @@ def test_criterion_03_transversal_identities():
 
     # transversal CNOT with the xor key rule
     for _ in range(3):
-        uc, vc, ut, vt = (bits_to_index(gf2.random_vector(7, gen))
+        uc, vc, ut, vt = (gf2.random_vector(7, gen)
                           for _ in range(4))
         psi = random_state(gen, 2)
         enc = sim.apply_block_isometry(psi.copy(), 0,
@@ -125,7 +125,7 @@ def test_criterion_03_transversal_identities():
 
     # the gadget correction pair: transversal X then S-dagger
     for _ in range(5):
-        u, v = (bits_to_index(gf2.random_vector(7, gen)) for _ in range(2))
+        u, v = (gf2.random_vector(7, gen) for _ in range(2))
         psi = random_state(gen, 1)
         enc = css.encode_blocks(css.build(c1, c2, u, v), psi)
         for q in range(7):

@@ -19,8 +19,8 @@ from cssfhe.errors import (
     ShapeError,
 )
 
-from helpers import (bits_to_index, count_calls, decode_per_block,
-                     random_state, rng, span_brute)
+from helpers import (count_calls, decode_per_block, random_state, rng,
+                     span_brute)
 
 
 @pytest.fixture(scope="module")
@@ -37,13 +37,17 @@ def steane(steane_pair):
 
 @pytest.fixture(scope="module")
 def toy_pair():
-    return (codes.from_generator([[1, 1, 0], [0, 1, 1]]),
-            codes.from_generator([[1, 1, 0]]))
+    return (codes.from_generator([0b110, 0b011], 3),
+            codes.from_generator([0b110], 3))
 
 
 def as_mask(word) -> int:
-    """An int mask as it is; a bit vector or '0101' string as its mask."""
-    return word if isinstance(word, int) else bits_to_index(word)
+    """An int mask as it is; a '0101' string as its mask."""
+    return word if isinstance(word, int) else int(word, 2)
+
+
+def parity(a: int, b: int) -> int:
+    return (a & b).bit_count() & 1
 
 
 def keyed(steane_pair, u, v):
@@ -58,9 +62,8 @@ def test_build_steane(steane):
     # minimum-weight word outside the inner code, ties broken by bit order
     c1_words = span_brute(steane.c1.gen)
     c2_words = span_brute(steane.c2.gen)
-    coset = sorted(c1_words - c2_words, key=lambda w: (sum(w), w))
-    assert tuple(map(int, format(steane.x1, "07b"))) == coset[0] \
-        == (0, 0, 1, 0, 0, 1, 1)
+    coset = sorted(c1_words - c2_words, key=lambda w: (w.bit_count(), w))
+    assert steane.x1 == coset[0] == 0b0010011
 
 
 def test_build_golay():
@@ -82,7 +85,7 @@ def test_logical_basis_plain_steane(steane):
     zero, one = css.logical_basis(steane)
     inner_words = span_brute(steane.c2.gen)
     for word in inner_words:
-        assert abs(zero.amps[bits_to_index(word)] - 1 / np.sqrt(8)) < 1e-12
+        assert abs(zero.amps[word] - 1 / np.sqrt(8)) < 1e-12
     assert np.count_nonzero(zero.amps) == 8
     assert abs(zero.norm() - 1) < 1e-12
     assert abs(one.norm() - 1) < 1e-12
@@ -99,10 +102,9 @@ def test_logical_basis_orthogonal_for_random_keys(steane_pair):
 def test_logical_basis_v_shift_moves_support(steane_pair):
     code = keyed(steane_pair, "0000000", "1000000")
     zero, _ = css.logical_basis(code)
-    shifted = {tuple(np.array(w, dtype=np.uint8) ^ gf2.as_vec("1000000"))
-               for w in span_brute(code.c2.gen)}
+    shifted = {w ^ 0b1000000 for w in span_brute(code.c2.gen)}
     support = {i for i in range(128) if abs(zero.amps[i]) > 1e-12}
-    assert support == {bits_to_index(w) for w in shifted}
+    assert support == shifted
 
 
 def test_logical_basis_u_twists_signs(steane_pair):
@@ -111,9 +113,10 @@ def test_logical_basis_u_twists_signs(steane_pair):
     zero, _ = css.logical_basis(code)
     ubits = [int(c) for c in u]
     for word in span_brute(code.c2.gen):
-        parity = sum(a * b for a, b in zip(ubits, word)) % 2
-        expect = (-1) ** parity / np.sqrt(8)
-        assert abs(zero.amps[bits_to_index(word)] - expect) < 1e-12
+        wbits = [int(c) for c in format(word, "07b")]
+        odd = sum(a * b for a, b in zip(ubits, wbits)) % 2
+        expect = (-1) ** odd / np.sqrt(8)
+        assert abs(zero.amps[word] - expect) < 1e-12
 
 
 def test_encode_zero_is_zero_state(steane):
@@ -203,8 +206,9 @@ def _reference_code(key):
     if key.s is None:
         return css.build(c1, c2, key.code.u, key.code.v)
     return css.build(
-        codes.from_generator(gf2.mat_mul(gf2.mat_mul(key.s, c1.gen), key.p)),
-        codes.from_generator(gf2.mat_mul(c2.gen, key.p)), 0, 0)
+        codes.from_generator(gf2.mat_mul(gf2.mat_mul(key.s, c1.gen), key.p),
+                             c1.n),
+        codes.from_generator(gf2.mat_mul(c2.gen, key.p), c2.n), 0, 0)
 
 
 def test_key_view_matches_the_reference_isometry():
@@ -221,9 +225,8 @@ def test_key_view_matches_the_reference_isometry():
     for key, m in cases:
         code, iso = key.code, css.isometry(_reference_code(key))
         n = code.n
-        frames = [(gf2.random_vector(n, g), gf2.random_vector(n, g))
-                  for _ in range(m)]
-        masks = [(sim.mask_of_bits(x), sim.mask_of_bits(z)) for x, z in frames]
+        masks = [(gf2.random_vector(n, g), gf2.random_vector(n, g))
+                 for _ in range(m)]
         psi = random_state(g, m)
         want = psi.copy()
         for i in range(m):
@@ -271,8 +274,8 @@ def test_encode_into_register_overwrites_it():
     g = rng(93)
     code = symmetric.keygen("steane", "scrambled", g).code
     psi = random_state(g, 2)
-    frames = [(sim.mask_of_bits(gf2.random_vector(7, g)),
-               sim.mask_of_bits(gf2.random_vector(7, g))) for _ in range(2)]
+    frames = [(gf2.random_vector(7, g),
+               gf2.random_vector(7, g)) for _ in range(2)]
     out = random_state(g, 14)  # every entry non-zero
     got = css.encode_blocks(code, psi, frames, out=out)
     assert got is out
@@ -344,21 +347,19 @@ def test_decode_wrong_key_full_sweep(steane_pair):
     g = rng(83)
     u = gf2.random_vector(7, g)
     v = gf2.random_vector(7, g)
-    code0 = css.build(c1, c2, bits_to_index(u), bits_to_index(v))
+    code0 = css.build(c1, c2, u, v)
     psi = random_state(g, 1)
     enc = css.encode_blocks(code0, psi)
 
     clean = 0
     exact = 0
     for ui in range(128):
-        u2 = np.array([(ui >> (6 - i)) & 1 for i in range(7)], dtype=np.uint8)
         for vi in range(128):
-            v2 = np.array([(vi >> (6 - i)) & 1 for i in range(7)], dtype=np.uint8)
-            du, dv = u ^ u2, v ^ v2
-            same_space = (not gf2.mat_mul(c2.gen, du[:, None]).any()
-                          and not gf2.mat_mul(c1.pchk, dv[:, None]).any())
-            same_encoder = (not gf2.mat_mul(c1.gen, du[:, None]).any()
-                            and not gf2.mat_mul(c2.pchk, dv[:, None]).any())
+            du, dv = u ^ ui, v ^ vi
+            same_space = (not any(parity(g, du) for g in c2.gen)
+                          and not any(parity(h, dv) for h in c1.pchk))
+            same_encoder = (not any(parity(g, du) for g in c1.gen)
+                            and not any(parity(h, dv) for h in c2.pchk))
             cand = code0.with_key(ui, vi)
             try:
                 out = css.decode_blocks(cand, enc)
@@ -456,10 +457,8 @@ def test_pauli_frame_is_key_shift_steane(steane_pair):
         enc = css.encode_blocks(code, psi)
         for pos in range(7):
             for kind in ("X", "Y", "Z"):
-                x, z = gf2.zeros_vec(7), gf2.zeros_vec(7)
-                x[pos] = kind in ("X", "Y")
-                z[pos] = kind in ("Y", "Z")
-                x, z = sim.mask_of_bits(x), sim.mask_of_bits(z)
+                x = int(kind in ("X", "Y")) << (6 - pos)
+                z = int(kind in ("Y", "Z")) << (6 - pos)
                 hurt = sim.apply_block_pauli(enc.copy(), 0, 7,
                                              x_mask=x, z_mask=z)
                 _frame_checks(code, hurt, psi, x, z)
@@ -469,17 +468,15 @@ def test_pauli_frame_is_key_shift_golay():
     b = codes.builtin_codes()
     g = rng(89)
     code = css.build(b["golay2312"], codes.dual(b["golay2312"]),
-                     bits_to_index(gf2.random_vector(23, g)),
-                     bits_to_index(gf2.random_vector(23, g)))
+                     gf2.random_vector(23, g),
+                     gf2.random_vector(23, g))
     psi = random_state(g, 1)
     enc = css.encode_blocks(code, psi)
     for _ in range(3):
         pos = g.choice(23, size=3, replace=False)
         kinds = g.integers(0, 3, size=3)  # 0 X, 1 Y, 2 Z
-        x, z = gf2.zeros_vec(23), gf2.zeros_vec(23)
-        x[pos[kinds != 2]] = 1
-        z[pos[kinds != 0]] = 1
-        x, z = sim.mask_of_bits(x), sim.mask_of_bits(z)
+        x = sum(1 << (22 - int(p)) for p in pos[kinds != 2])
+        z = sum(1 << (22 - int(p)) for p in pos[kinds != 0])
         sim.apply_block_pauli(enc, 0, 23, x, z)
         _frame_checks(code, enc, psi, x, z)
         sim.apply_block_pauli(enc, 0, 23, x, z)  # undone up to a sign
@@ -532,8 +529,7 @@ def test_keygen_scrambled_valid_code(steane_pair):
         assert code.u == 0 and code.v == 0
         assert codes.is_subcode(code.c2, code.c1)
         # row space of the published generator is the permuted base space
-        perm_words = {tuple(gf2.mat_mul(np.array(w, dtype=np.uint8)[None, :],
-                                        key.p)[0]) for w in span_brute(c1.gen)}
+        perm_words = {gf2.mat_mul([w], key.p)[0] for w in span_brute(c1.gen)}
         assert span_brute(code.c1.gen) == perm_words
         assert gf2.rank(key.s) == 4
 
@@ -546,27 +542,26 @@ def test_keygen_scrambled_distinct_permutations_differ():
     assert len(supports) > 1
 
 
-def _correctable_errors(n: int, t: int) -> np.ndarray:
-    """Every error of weight <= t, one per row."""
-    rows = []
-    for w in range(t + 1):
-        for pos in itertools.combinations(range(n), w):
-            e = np.zeros(n, dtype=np.uint8)
-            e[list(pos)] = 1
-            rows.append(e)
-    return np.array(rows)
+def _correctable_errors(n: int, t: int) -> list[int]:
+    """Every error of weight <= t, as int masks."""
+    return [sum(1 << (n - 1 - p) for p in pos)
+            for w in range(t + 1)
+            for pos in itertools.combinations(range(n), w)]
 
 
 def _table_leaders(code, errors) -> list[np.ndarray]:
     """The (bit-flip, phase-flip) leaders the code's tables give each
     error, by the code's own checks (c1.pchk and the rows of c2.gen), in
     the code's qubit order, as int masks."""
-    x_table, z_table = css._tables(code)
     out = []
-    for table, checks in ((x_table, code.c1.pchk), (z_table, code.c2.gen)):
-        syndromes = gf2.mat_mul(errors, checks.T)
-        out.append(np.array([css._leader(code, table, syn.tobytes())
-                             for syn in syndromes]))
+    for table, checks in zip(css._tables(code), (code.c1.pchk, code.c2.gen)):
+        leaders = []
+        for e in errors:
+            syndrome = 0
+            for h in checks:
+                syndrome = (syndrome << 1) | parity(h, e)
+            leaders.append(int(table[syndrome]))
+        out.append(np.array(leaders))
     return out
 
 
@@ -588,7 +583,7 @@ def test_scrambled_key_is_a_view_of_the_base_code(pair, seeds):
         for mine, theirs in zip(_table_leaders(view, errors),
                                 _table_leaders(ref, errors)):
             assert np.array_equal(mine, theirs)
-            assert np.array_equal(mine, [bits_to_index(e) for e in errors])
+            assert np.array_equal(mine, errors)
 
 
 def test_scrambled_keys_rebuild_nothing(monkeypatch):
@@ -666,8 +661,8 @@ def test_family_keys_share_the_cached_base_code(pair, monkeypatch):
     for seed in range(93, 98):
         key = symmetric.keygen(pair, "family", rng(seed))
         want = rng(seed)  # the same draws as before: u, then v
-        assert key.code.u == bits_to_index(gf2.random_vector(c1.n, want))
-        assert key.code.v == bits_to_index(gf2.random_vector(c1.n, want))
+        assert key.code.u == gf2.random_vector(c1.n, want)
+        assert key.code.v == gf2.random_vector(c1.n, want)
         assert key.code._shared is base._shared is first.code._shared
         assert key.code.t == base.t and key.code.x1 is base.x1
         ct = symmetric.encrypt(key, random_state(rng(seed), 1), 1, rng(seed))
@@ -746,9 +741,8 @@ def test_logical_readout_cosets(steane_pair):
 def test_logical_readout_exhaustive_weight1(steane_pair):
     code = keyed(steane_pair, "0110100", "1001011")
     c2_words = span_brute(code.c2.gen)
-    for word in span_brute(code.c1.gen):
-        w = bits_to_index(word)
-        bit = 0 if word in c2_words else 1
+    for w in span_brute(code.c1.gen):
+        bit = 0 if w in c2_words else 1
         assert css.logical_readout(code, w ^ code.v) == bit
         for i in range(7):
             e = 1 << (6 - i)
@@ -794,9 +788,9 @@ def test_logical_readout_is_the_coset_bit(pair):
         symmetric.keygen(pair, "scrambled", rng(470 + seed)).code
         for seed in range(3)]
     for code in views:
-        words = [bits_to_index(w) for w in codes.codewords(code.c1)]
-        inner = {bits_to_index(w) for w in codes.codewords(code.c2)}
-        errors = [bits_to_index(e) for e in _correctable_errors(code.n, code.t)]
+        words = codes.codewords(code.c1).tolist()
+        inner = set(codes.codewords(code.c2).tolist())
+        errors = _correctable_errors(code.n, code.t)
         assert len(words) == 2 * len(inner)
         if pair == "steane":
             cases = [(w, e) for w in words for e in errors]
@@ -816,8 +810,7 @@ def test_x_leader_codeword_passthrough(steane):
 
 
 def test_x_leader_hamming_exhaustive(steane):
-    for word in span_brute(steane.c1.gen):
-        cw = bits_to_index(word)
+    for cw in span_brute(steane.c1.gen):
         for i in range(7):
             e = 1 << (6 - i)
             got_e = css._x_leader(steane, cw ^ e)
@@ -840,7 +833,7 @@ def test_x_leader_golay_randomized():
     gen = rng(50)
     for _ in range(1000):
         msg = gf2.random_vector(12, gen)
-        cw = bits_to_index(gf2.mat_mul(msg[None, :], code.c1.gen)[0])
+        cw = gf2.mat_mul([msg], code.c1.gen)[0]
         weight = int(gen.integers(0, 4))
         e = sum(1 << (22 - int(p))
                 for p in gen.choice(23, size=weight, replace=False))
@@ -928,7 +921,7 @@ def test_key_evolution_h_rule(steane_pair):
     c1, c2 = steane_pair
     g = rng(97)
     for _ in range(10):
-        u, v = (bits_to_index(gf2.random_vector(7, g)) for _ in range(2))
+        u, v = (gf2.random_vector(7, g) for _ in range(2))
         nu, nv = css.KeyEvolver.h_rule(u, v)
         assert np.array_equal(nu, v) and np.array_equal(nv, u)
         code = css.build(c1, c2, u, v)
@@ -945,7 +938,7 @@ def test_key_evolution_sdgx_rule(steane_pair):
     c1, c2 = steane_pair
     g = rng(98)
     for _ in range(10):
-        u, v = (bits_to_index(gf2.random_vector(7, g)) for _ in range(2))
+        u, v = (gf2.random_vector(7, g) for _ in range(2))
         nu, nv = css.KeyEvolver.sdgx_rule(u, v)
         assert np.array_equal(nu, u ^ v) and np.array_equal(nv, v)
         code = css.build(c1, c2, u, v)
@@ -965,7 +958,7 @@ def test_key_evolution_cnot_rule(steane_pair):
     c1, c2 = steane_pair
     g = rng(99)
     for _ in range(5):
-        uc, vc, ut, vt = (bits_to_index(gf2.random_vector(7, g))
+        uc, vc, ut, vt = (gf2.random_vector(7, g)
                           for _ in range(4))
         (nuc, nvc), (nut, nvt) = css.KeyEvolver.cnot_rule((uc, vc), (ut, vt))
         assert np.array_equal(nuc, uc ^ ut) and np.array_equal(nvc, vc)
@@ -1064,7 +1057,7 @@ def test_key_rule_sdgx_golay_transversal():
     code0 = css.build(c1, c2, 0, 0)
     g = rng(101)
     for _ in range(2):
-        u, v = (bits_to_index(gf2.random_vector(23, g)) for _ in range(2))
+        u, v = (gf2.random_vector(23, g) for _ in range(2))
         psi = random_state(g, 1)
         enc = css.encode_blocks(code0.with_key(u, v), psi)
         sim.transversal_sdgx(enc, 0, 23)

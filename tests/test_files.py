@@ -7,7 +7,12 @@ import pytest
 from cssfhe import asymmetric, codes, files, gf2, sim, symmetric
 from cssfhe.errors import ShapeError
 
-from helpers import random_state, rng, span_brute
+from helpers import bits_to_index, random_state, rng, span_brute
+
+
+def rows_of(m: np.ndarray) -> list[int]:
+    """A 0/1 array's rows as int masks."""
+    return [bits_to_index(r) for r in m]
 
 
 def test_dumps_is_canonical():
@@ -28,15 +33,15 @@ def test_write_read_roundtrip(tmp_path):
 def test_matrix_fragment_roundtrip():
     b = codes.builtin_codes()
     for c in b.values():
-        frag = files.matrix_fragment(c.gen)
+        frag = files.matrix_fragment(c.gen, c.n)
         assert frag["rows"] == c.k and frag["cols"] == c.n
-        assert np.array_equal(files.parse_matrix(frag), c.gen)
+        assert files.parse_matrix(frag) == c.gen
 
 
 def test_matrix_fragment_empty_rows():
-    frag = files.matrix_fragment(np.zeros((0, 5), dtype=np.uint8))
+    frag = files.matrix_fragment((), 5)
     back = files.parse_matrix(frag)
-    assert back.shape == (0, 5)
+    assert back == () and (frag["rows"], frag["cols"]) == (0, 5)
 
 
 def test_parse_matrix_rejects_bad_shape():
@@ -49,8 +54,8 @@ def test_parse_matrix_rejects_bad_shape():
 def test_code_fragment_roundtrip():
     b = codes.builtin_codes()
     for name, c in b.items():
-        back = codes.from_generator(
-            files.parse_matrix(files.code_fragment(c)["gen"]))
+        frag = files.code_fragment(c)
+        back = codes.from_generator(files.parse_matrix(frag["gen"]), frag["n"])
         assert (back.n, back.k) == (c.n, c.k)
         assert np.array_equal(back.gen, c.gen)
         assert span_brute(back.gen) == span_brute(c.gen)
@@ -82,9 +87,9 @@ def _scrambled_record(name: str, seed: int, s=None, p=None) -> dict:
     """A scrambled key's record, with S or P replaced when given."""
     rec = files.key_record(symmetric.keygen(name, "scrambled", rng(seed)))
     if s is not None:
-        rec["S"] = files.matrix_fragment(s)
+        rec["S"] = files.matrix_fragment(rows_of(s), s.shape[1])
     if p is not None:
-        rec["P"] = files.matrix_fragment(p)
+        rec["P"] = files.matrix_fragment(rows_of(p), p.shape[1])
     return rec
 
 
@@ -93,7 +98,7 @@ def test_parse_key_record_rejects_a_p_that_is_not_a_permutation(name):
     n = symmetric.base_pair(name)[0].n
     sheared = np.eye(n, dtype=np.uint8)
     sheared[0, 1] = 1  # invertible, but it mixes two qubits
-    assert gf2.rank(sheared) == n
+    assert gf2.rank(rows_of(sheared)) == n
     for p in (sheared, np.eye(n - 1, dtype=np.uint8),
               np.zeros((n, n), dtype=np.uint8)):
         with pytest.raises(ShapeError, match="permutation"):
@@ -143,6 +148,44 @@ def test_parse_key_record_rejects_a_non_bit_s_or_p(part, bad):
     row = rec[part]["data"][0]
     rec[part]["data"][0] = bad + row[1:]
     with pytest.raises(ShapeError, match=part):
+        files.parse_key_record(rec)
+
+
+@pytest.mark.parametrize("part, word", [("u", "1111111"), ("v", "xyz")])
+def test_parse_key_record_rejects_a_scrambled_u_or_v(part, word):
+    """A scrambled key is its pair's code under u = v = 0."""
+    rec = _scrambled_record("steane", 62)
+    rec[part] = word
+    with pytest.raises(ShapeError):
+        files.parse_key_record(rec)
+
+
+@pytest.mark.parametrize("kind", ["family", "scrambled"])
+@pytest.mark.parametrize("field, value", [("n", 99), ("t", 5), ("n", "7"),
+                                          ("t", True)])
+def test_parse_key_record_rejects_a_foreign_n_or_t(kind, field, value):
+    rec = files.key_record(symmetric.keygen("steane", kind, rng(63)))
+    assert (rec["n"], rec["t"]) == (7, 1)
+    rec[field] = value
+    with pytest.raises(ShapeError, match="n and t"):
+        files.parse_key_record(rec)
+
+
+@pytest.mark.parametrize("ct", ["x", -4, 9, 1.0, None])
+def test_parse_key_record_rejects_a_ct_outside_the_radius(ct):
+    rec = files.key_record(asymmetric.keygen("golay", 0.5, rng(64)))
+    rec["ct"] = ct
+    with pytest.raises(ShapeError, match="ct"):
+        files.parse_key_record(rec)
+    for ok in (0, 3):
+        rec["ct"] = ok
+        assert files.parse_key_record(rec).public.ct_weight == ok
+
+
+def test_parse_key_record_rejects_a_family_record_with_ct():
+    rec = files.key_record(symmetric.keygen("steane", "family", rng(65)))
+    rec["ct"] = 0
+    with pytest.raises(ShapeError, match="ct"):
         files.parse_key_record(rec)
 
 

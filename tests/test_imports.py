@@ -1,5 +1,6 @@
 """Every import in the library and the tests is read: a name a module
-imports but never uses fails here, with no linter needed."""
+imports but never uses fails here, with no linter needed. The library
+also reads nothing of numpy that the oldest supported numpy lacks."""
 
 import ast
 from pathlib import Path
@@ -39,3 +40,29 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_read(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+# numpy attributes newer than the floor in pyproject.toml (numpy>=1.24)
+NEWER_THAN_FLOOR = {"bitwise_count": "2.0"}
+LIBRARY = sorted(ROOT.glob("src/cssfhe/*.py"))
+
+
+def numpy_reads_above_floor(source: str) -> list[str]:
+    """`np.<name>` or `numpy.<name>` reads of a name in NEWER_THAN_FLOOR."""
+    return sorted(
+        f"line {node.lineno}: {node.value.id}.{node.attr}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr in NEWER_THAN_FLOOR
+        and isinstance(node.value, ast.Name)
+        and node.value.id in ("np", "numpy"))
+
+
+def test_numpy_reads_above_floor_are_found():
+    source = ("import numpy as np\n"
+              "w = np.bitwise_count(a)\nv = np.bitwise_and(a, 1)\n")
+    assert numpy_reads_above_floor(source) == ["line 2: np.bitwise_count"]
+
+
+@pytest.mark.parametrize("path", LIBRARY, ids=lambda p: p.name)
+def test_library_runs_on_the_numpy_floor(path):
+    assert numpy_reads_above_floor(path.read_text(encoding="utf-8")) == []

@@ -598,8 +598,8 @@ def _sparse_ancilla(kind, n, g):
     if kind == "steane":
         b = codes.builtin_codes()
         code = css.build(b["hamming74"], b["simplex73"],
-                         bits_to_index(gf2.random_vector(7, g)),
-                         bits_to_index(gf2.random_vector(7, g)))
+                         gf2.random_vector(7, g),
+                         gf2.random_vector(7, g))
         return css.magic_ancilla_sparse(code)
     idx = g.choice(1 << n, size=5, replace=False).astype(np.int64)
     vals = g.normal(size=5) + 1j * g.normal(size=5)

@@ -470,8 +470,8 @@ def test_base_pairs_are_shared_and_read_only():
         assert symmetric.base_pair(name) is pair
         for code in pair:
             for mat in (code.gen, code.pchk):
-                with pytest.raises(ValueError):
-                    mat[0, 0] ^= 1
+                with pytest.raises(TypeError):
+                    mat[0] ^= 1
     c1, _ = symmetric.base_pair("steane")
     a = symmetric.keygen("steane", "family", rng(50))
     b = symmetric.keygen("steane", "scrambled", rng(51))

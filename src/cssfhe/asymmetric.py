@@ -28,7 +28,7 @@ from .errors import (
 
 @dataclass(eq=False)
 class PublicKey:
-    code: CssCode      # scrambled pair, u = v = 0
+    code: CssCode      # the private key's scrambled presentation
     ct_weight: int     # Pauli errors per block at encryption time
 
 
@@ -107,10 +107,8 @@ def encrypt(pk: PublicKey, plaintext: sim.StateVector,
 
 def decrypt(private: symmetric.SymKey, ct: AsymCiphertext) -> sim.StateVector:
     """Read each block's Pauli frame off its syndromes and decode every
-    block under its frame. X^x Z^z on a block encoded under (u, v) is, up
-    to a global phase, the encoding under (u ^ z, v ^ x), so the errors
-    never need to be undone: the ciphertext is left unchanged and no
-    register-sized array is made."""
+    block under its frame, so the errors never need to be undone: the
+    ciphertext is left unchanged and no register-sized array is made."""
     code = private.code
     index = sim.first_occupied(ct.state)
     frames = [css.correct_errors(code, ct.state, i, index)
@@ -197,7 +195,7 @@ def _step(ct: AsymCiphertext, gate: sim.GateOp, code: CssCode,
         ct.bounds[wc], ct.bounds[wt] = _predicted_bounds(ct, gate)
     else:
         symmetric.ft_t_gadget(
-            ct.state, start, ct.n, css.magic_ancilla_sparse(code),
+            ct.state, start, ct.n, css.magic_ancilla_sparse(code, (0, 0)),
             lambda bits: css.logical_readout(code, gf2.parse_word(bits, code.n)),
             rng)
 

@@ -110,21 +110,19 @@ def _family_candidates(base: str, count: int,
         raise ParameterError(f"candidates must be at least 1, got {count}")
     c1, c2 = symmetric.base_pair(base)
 
-    def family_key(u, v) -> symmetric.SymKey:
-        return symmetric.SymKey(base, css.base_code(c1, c2).with_key(u, v))
-
+    code = css.base_code(c1, c2)
     out = [true_key]
     if count > 1:
-        out.append(family_key(true_key.code.u,
-                              true_key.code.v ^ true_key.code.x1))
+        out.append(symmetric.SymKey(base, code, true_key.u,
+                                    true_key.v ^ code.x1))
     classes = css.family_key_classes(c1, c2)
-    true_sig = css.family_signature(true_key.code)
+    true_sig = css.family_signature(code, true_key.u, true_key.v)
     for sig, (u, v) in classes.items():
         if len(out) >= count:
             break
         if sig == true_sig:
             continue
-        out.append(family_key(u, v))
+        out.append(symmetric.SymKey(base, code, u, v))
     if len(out) < count:
         raise ParameterError(
             f"{base} has at most {len(out)} distinct candidates, got {count}")
@@ -150,6 +148,9 @@ def cmd_keygen(args) -> int:
 
 
 def _run_sym_roundtrip(args, plaintext, circuit):
+    if circuit.num_wires > plaintext.num_qubits:
+        raise WireError(f"circuit uses {circuit.num_wires} wires, plaintext "
+                        f"has {plaintext.num_qubits}")
     key = symmetric.keygen(args.base, args.mode, _rng(args.seed, STREAM_KEYGEN))
     tbudget = args.tbudget
     if tbudget is None:

@@ -36,9 +36,12 @@ def matrix_fragment(rows, cols: int) -> dict:
 
 
 def parse_matrix(frag: dict) -> tuple[int, ...]:
-    """The int rows of a matrix fragment; a row count other than `rows`,
-    or a row other than `cols` characters 0/1, raises ShapeError."""
-    if len(frag["data"]) != frag["rows"]:
+    """The int rows of a matrix fragment; a fragment that is not an object
+    with int `rows` and `cols` and a list of `rows` rows, or a row other
+    than `cols` characters 0/1, raises ShapeError."""
+    if not (isinstance(frag, dict) and isinstance(frag.get("data"), list)
+            and type(frag.get("rows")) is type(frag.get("cols")) is int
+            and len(frag["data"]) == frag["rows"]):
         raise ShapeError("matrix fragment shape mismatch")
     return tuple(gf2.parse_word(r, frag["cols"]) for r in frag["data"])
 
@@ -63,8 +66,8 @@ def key_record(key) -> dict:
                  "c1": code_fragment(c1), "c2": code_fragment(c2)},
         "S": matrix_fragment(key.s, c1.k) if scrambled else None,
         "P": matrix_fragment(key.p, c1.n) if scrambled else None,
-        "u": format(key.code.u, f"0{key.code.n}b"),
-        "v": format(key.code.v, f"0{key.code.n}b"),
+        "u": format(key.u, f"0{key.code.n}b"),
+        "v": format(key.v, f"0{key.code.n}b"),
         "n": key.code.n,
         "t": key.code.t,
     }
@@ -75,26 +78,42 @@ def key_record(key) -> dict:
 
 def parse_key_record(rec: dict):
     """Rebuild a SymKey (or an AsymKeyPair when the record carries a public
-    error count) from its file form. The record's base must be the named
-    pair as key_record writes it, n and t those of its code, P an n x n
-    permutation and S a nonsingular k x k mixer; a scrambled record has
-    u = v = 0, and only a scrambled record may carry the public error
-    count ct, an int in [0, t]."""
-    base_name = rec["base"]["name"]
-    c1, c2 = symmetric.base_pair(base_name)
-    if (rec["base"]["c1"], rec["base"]["c2"]) != (code_fragment(c1),
-                                                  code_fragment(c2)):
-        raise ShapeError(f"key record base is not the {base_name} pair")
-    base = css.base_code(c1, c2)
-    if any(type(rec.get(k)) is not int or rec[k] != want
-           for k, want in (("n", base.n), ("t", base.t))):
+    error count) from its file form. The record holds every field
+    key_record writes; its kind is "family" or "scrambled", its base the
+    named pair as key_record writes it, n and t those of its code, and u
+    and v n-bit words. A family record has S = P = null. A scrambled
+    record has u = v = 0, P an n x n permutation and S a nonsingular
+    k x k mixer, and only it may carry the public error count ct, an int
+    in [0, t]. Anything else raises ShapeError."""
+    if not isinstance(rec, dict):
+        raise ShapeError("key record must be a JSON object")
+    missing = [k for k in ("kind", "base", "S", "P", "u", "v", "n", "t")
+               if k not in rec]
+    if missing:
+        raise ShapeError(f"key record lacks {', '.join(missing)}")
+    if rec["kind"] not in ("family", "scrambled"):
         raise ShapeError(
-            f"key record n and t must be {base.n} and {base.t}")
-    u, v = (gf2.parse_word(rec[k], base.n) for k in ("u", "v"))
+            f"key record kind must be family or scrambled, got {rec['kind']!r}")
+    base = rec["base"]
+    if not isinstance(base, dict) or type(base.get("name")) is not str:
+        raise ShapeError("key record base must be an object with a name")
+    base_name = base["name"]
+    c1, c2 = symmetric.base_pair(base_name)
+    if (base.get("c1"), base.get("c2")) != (code_fragment(c1),
+                                            code_fragment(c2)):
+        raise ShapeError(f"key record base is not the {base_name} pair")
+    code = css.base_code(c1, c2)
+    if any(type(rec[k]) is not int or rec[k] != want
+           for k, want in (("n", code.n), ("t", code.t))):
+        raise ShapeError(
+            f"key record n and t must be {code.n} and {code.t}")
+    u, v = (gf2.parse_word(rec[k], code.n) for k in ("u", "v"))
     if rec["kind"] == "family":
+        if rec["S"] is not None or rec["P"] is not None:
+            raise ShapeError("a family key record has S = P = null")
         if "ct" in rec:
             raise ShapeError("a family key record carries no ct")
-        return symmetric.SymKey(base_name, base.with_key(u, v))
+        return symmetric.SymKey(base_name, code, u, v)
     if u or v:
         raise ShapeError("a scrambled key record has u = v = 0")
 
@@ -111,12 +130,12 @@ def parse_key_record(rec: dict):
     p = matrix("P", c1.n, lambda m: len(set(m)) == c1.n
                and all(r.bit_count() == 1 for r in m), "permutation")
     s = matrix("S", c1.k, lambda m: gf2.rank(m) == c1.k, "nonsingular")
-    key = symmetric.SymKey(base_name, css.scrambled(c1, c2, s, p), s, p)
+    key = symmetric.SymKey(base_name, css.scrambled(c1, c2, s, p), 0, 0, s, p)
     if "ct" not in rec:
         return key
     ct = rec["ct"]
-    if type(ct) is not int or not 0 <= ct <= base.t:
-        raise ShapeError(f"ct must be an int in [0, {base.t}], got {ct!r}")
+    if type(ct) is not int or not 0 <= ct <= code.t:
+        raise ShapeError(f"ct must be an int in [0, {code.t}], got {ct!r}")
     return asymmetric.AsymKeyPair(
         private=key, public=asymmetric.PublicKey(code=key.code, ct_weight=ct))
 

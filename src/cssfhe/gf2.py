@@ -21,7 +21,7 @@ def parse_word(bits: str, n: int) -> int:
         raise ShapeError(f"record {bits!r} holds a character other than 0/1")
     if len(bits) != n:
         raise ShapeError(f"record length {len(bits)}, expected {n}")
-    return int(bits, 2)
+    return int(bits or "0", 2)
 
 
 def rank(rows) -> int:

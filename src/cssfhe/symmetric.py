@@ -1,5 +1,6 @@
-"""Symmetric scheme: encrypt under a secret CSS code, evaluate H/CNOT/T
-blindly on the encoded blocks, decrypt with the secret key.
+"""Symmetric scheme: encrypt under a secret CSS code and Pauli frame,
+evaluate H/CNOT/T blindly on the encoded blocks, decrypt with the secret
+key.
 
 The evaluator sees only the block length n, the circuit, the ciphertext,
 and a classical readout oracle (n-bit string in, one bit out) that the key
@@ -27,6 +28,12 @@ from .errors import (
 )
 
 ANCILLA_PRODUCT_TOL = 1e-9
+# The largest T budget encrypt takes. The pool's entries share one array
+# pair at encryption, but the evaluator may replace any of them and decrypt
+# checks each one; 1024 distinct Golay ancillas (2 x 2^11 indices and
+# amplitudes, 96 KiB each) come to about 100 MiB, below one 23-qubit
+# register.
+MAX_T_BUDGET = 1024
 
 
 @functools.cache
@@ -46,13 +53,17 @@ def base_pair(name: str) -> tuple[LinearCode, LinearCode]:
 
 @dataclass(eq=False)
 class SymKey:
-    """A secret CSS code over a named base pair. A scrambled key holds the
-    S and P that made its code from the pair (McEliece style, u = v = 0):
-    the pair's code with its qubits permuted by P, published as S C1 P.
-    A family key is a random (u, v) over the pair itself. The asymmetric
-    private key is a scrambled SymKey. S and P are int rows (gf2)."""
+    """A secret key over a named base pair: a qubit presentation of the
+    pair's code, and the Pauli frame X^v Z^u that every block is encoded
+    under. A family key is a random (u, v) over the pair's own code. A
+    scrambled key holds the S and P that made its code from the pair
+    (McEliece style): the pair's code with its qubits permuted by P,
+    published as S C1 P, with u = v = 0. The asymmetric private key is a
+    scrambled SymKey. u and v are int masks, S and P int rows (gf2)."""
     base_name: str
     code: CssCode
+    u: int
+    v: int
     s: tuple[int, ...] | None = None
     p: tuple[int, ...] | None = None
 
@@ -60,17 +71,22 @@ class SymKey:
     def variant(self) -> str:
         return "family" if self.s is None else "scrambled"
 
+    @property
+    def frame(self) -> tuple[int, int]:
+        """The key as the block frame (x, z) = (v, u)."""
+        return self.v, self.u
+
 
 def keygen(base_name: str, mode: str, rng: np.random.Generator) -> SymKey:
     c1, c2 = base_pair(base_name)
     if mode == "scrambled":
         s = gf2.random_nonsingular(c1.k, rng)
         p = gf2.random_permutation(c1.n, rng)
-        return SymKey(base_name, css.scrambled(c1, c2, s, p), s, p)
+        return SymKey(base_name, css.scrambled(c1, c2, s, p), 0, 0, s, p)
     if mode == "family":
         u = gf2.random_vector(c1.n, rng)
         v = gf2.random_vector(c1.n, rng)
-        return SymKey(base_name, css.base_code(c1, c2).with_key(u, v))
+        return SymKey(base_name, css.base_code(c1, c2), u, v)
     raise ParameterError(f"unknown key mode {mode!r}")
 
 
@@ -95,14 +111,18 @@ class SymCiphertext:
 
 def encrypt(sk: SymKey, plaintext: sim.StateVector, t_budget: int,
             rng: np.random.Generator) -> SymCiphertext:
-    """Encode each wire into an n-qubit block and prepare t_budget encoded
-    magic ancillas. The ancillas stay sparse product factors beside the
-    m*n-qubit register until a T gadget splices one in."""
-    if t_budget < 0:
-        raise ParameterError(f"T budget must be at least 0, got {t_budget}")
+    """Encode each wire into an n-qubit block under the key's frame and
+    prepare t_budget encoded magic ancillas under the same frame, in
+    [0, MAX_T_BUDGET]. The ancillas stay sparse product factors beside the
+    m*n-qubit register until a T gadget splices one in; they are equal, so
+    the pool holds one pair of read-only arrays t_budget times."""
+    if not 0 <= t_budget <= MAX_T_BUDGET:
+        raise ParameterError(
+            f"T budget must be in [0, {MAX_T_BUDGET}], got {t_budget}")
     code = sk.code
-    state = css.encode_blocks(code, plaintext)
-    pool = [css.magic_ancilla_sparse(code) for _ in range(t_budget)]
+    state = css.encode_blocks(code, plaintext,
+                              [sk.frame] * plaintext.num_qubits)
+    pool = [css.magic_ancilla_sparse(code, sk.frame)] * t_budget
     return SymCiphertext(state=state, n=code.n, ancilla_pool=pool, rng=rng)
 
 
@@ -166,8 +186,8 @@ class _KeyReplay:
     adds the X then S-dagger rule. A scrambled key, u = v = 0, is a fixed
     point of all three rules."""
 
-    def __init__(self, code: CssCode, num_wires: int):
-        self.key = (code.u, code.v)
+    def __init__(self, sk: SymKey, num_wires: int):
+        self.key = (sk.u, sk.v)
         self.keys = [self.key] * num_wires
         self.done = 0       # executed gates applied to self.keys
         self.outcomes = 0   # gadget outcomes read
@@ -201,9 +221,9 @@ def make_readout(sk: SymKey, ct: SymCiphertext):
 
     The gadget's CNOT from an ancilla under the key (u0, v0) leaves the
     data block, keyed (u, v) before the T, under (u, v0 ^ v); the record
-    XOR v is therefore read under v0, the key's own v."""
+    XOR v XOR v0 is therefore read under the zero frame."""
     code = sk.code
-    replay = _KeyReplay(code, ct.num_wires)
+    replay = _KeyReplay(sk, ct.num_wires)
 
     def readout(bits: str) -> int:
         if not ct.executed or ct.executed[-1].kind != "T":
@@ -211,7 +231,7 @@ def make_readout(sk: SymKey, ct: SymCiphertext):
         y = gf2.parse_word(bits, code.n)
         keys = replay.advance(ct, len(ct.executed) - 1)
         _, v = keys[ct.executed[-1].wires[0]]
-        return css.logical_readout(code, y ^ v)
+        return css.logical_readout(code, y ^ v ^ sk.v)
 
     return readout
 
@@ -221,35 +241,38 @@ def decrypt(sk: SymKey, ct: SymCiphertext) -> sim.StateVector:
     replay the executed operations to recover each block's key, and
     decode the data blocks.
 
-    A block keyed (u', v') is, up to a global phase, the key's own
-    encoding under the Pauli frame X^(v' ^ v) Z^(u' ^ u), so every block
-    decodes with that frame, as int masks, through the code-space support
-    that all keys of the presentation share."""
+    A block keyed (u', v') is, up to a global phase, the zero-frame
+    encoding under the Pauli frame X^v' Z^u', so every block decodes with
+    its replayed key as its frame."""
     code = sk.code
     if ct.ancilla_pool:
-        magic = css.magic_ancilla_sparse(code)
+        magic = css.magic_ancilla_sparse(code, sk.frame)
     for a, (idx, vals) in enumerate(ct.ancilla_pool):
         lost = 1.0 - abs(sim.sparse_vdot(*magic, idx, vals)) ** 2
         if lost > ANCILLA_PRODUCT_TOL:
             raise LeakageError(
                 f"pending ancilla {a} is not the expected product state "
                 f"(weight {lost:.3e} lost)")
-    keys = _KeyReplay(code, ct.num_wires).advance(ct, len(ct.executed))
-    frames = [(v ^ code.v, u ^ code.u) for u, v in keys]
-    return css.decode_blocks(code, ct.state, frames=frames)
+    keys = _KeyReplay(sk, ct.num_wires).advance(ct, len(ct.executed))
+    return css.decode_blocks(code, ct.state, [(v, u) for u, v in keys])
 
 
 def attack_key_guess(ct: SymCiphertext, candidates: list[SymKey]) -> dict:
-    """Try to identify the key by decoding one data block under each
-    candidate. Reports how many candidates decode without leakage; clean
-    decode alone cannot single out the true key when several do."""
+    """Try to identify the key by decoding the data blocks under each
+    candidate's code and frame. Reports how many candidates decode without
+    leakage; clean decode alone cannot single out the true key when
+    several do."""
     if not ct.num_wires:
         raise ShapeError("ciphertext has no data blocks")
     clean = []
     for cand in candidates:
-        _, leak = sim.contract_block_isometry(ct.state, 0,
-                                              css.isometry(cand.code))
-        clean.append(bool(leak <= css.DECODE_LEAKAGE_TOL))
+        try:
+            css.decode_blocks(cand.code, ct.state,
+                              [cand.frame] * ct.num_wires)
+        except LeakageError:
+            clean.append(False)
+        else:
+            clean.append(True)
     return {
         "candidates": len(candidates),
         "clean": int(sum(clean)),
@@ -276,13 +299,11 @@ def attack_ancilla_leak(copies: int, candidates: list[SymKey],
         raise ParameterError(f"trials must be at least 1, got {trials}")
     if copies < 0:
         raise ParameterError(f"copies must be at least 0, got {copies}")
-    true_anc = css.magic_ancilla(true_key.code)
-    overlaps = [sim.fidelity(css.magic_ancilla(c.code), true_anc)
+    true_anc = css.magic_ancilla(true_key.code, true_key.frame)
+    overlaps = [sim.fidelity(css.magic_ancilla(c.code, c.frame), true_anc)
                 for c in candidates]
-    true_idx = next(
-        (i for i, c in enumerate(candidates)
-         if (c.code.u, c.code.v) == (true_key.code.u, true_key.code.v)),
-        None)
+    true_idx = next((i for i, c in enumerate(candidates)
+                     if c.frame == true_key.frame), None)
     if true_idx is None:
         raise ParameterError("true key must be among the candidates")
     hits = 0

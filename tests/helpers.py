@@ -1,15 +1,18 @@
 """Shared test utilities: independent oracles and random generators.
 
 Oracles here deliberately avoid the library's own routines (span
-enumeration by exhaustive combination, distances by scanning) so test
-expectations are derived from first principles rather than echoed back.
+enumeration by exhaustive combination, distances by scanning, the
+encoding isometry of a key word by word) so test expectations are derived
+from first principles rather than echoed back.
 """
 
 import itertools
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from cssfhe import css, sim
+from cssfhe import codes, css, sim
 
 
 def rng(seed: int) -> np.random.Generator:
@@ -22,11 +25,60 @@ def random_state(gen: np.random.Generator, m: int) -> sim.StateVector:
     return sim.StateVector(m, amps)
 
 
-def decode_per_block(state: sim.StateVector, block_codes) -> sim.StateVector:
-    """Decode block i under block_codes[i]'s own isometry, asserting that
-    each block lies in that code space."""
-    for i, code in enumerate(block_codes):
-        state, leak = sim.contract_block_isometry(state, i, css.isometry(code))
+def iso_columns(code, u: int, v: int):
+    """The sparse logical-basis columns of the code under the key (u, v),
+    one word at a time: logical b is the uniform superposition of the
+    words w of b*x1 + C2, each signed (-1)^(u.w) and shifted by v, in
+    codes.codewords order. The reference that the library's code-space
+    support is checked against."""
+    inner = codes.codewords(code.c2).tolist()
+    scale = 1.0 / math.sqrt(len(inner))
+    cols = []
+    for rep in (0, code.x1):
+        words = [w ^ rep for w in inner]
+        signs = [-scale if (w & u).bit_count() & 1 else scale
+                 for w in words]
+        cols.append((np.array(words) ^ v,
+                     np.array(signs, dtype=np.complex128)))
+    return tuple(cols)
+
+
+def isometry(code, u: int, v: int) -> sim.BlockIsometry:
+    """The validated reference isometry of the code under (u, v)."""
+    return sim.BlockIsometry(code.n, iso_columns(code, u, v))
+
+
+def logical_basis(code, u: int, v: int):
+    """The code's logical |0> and |1> under (u, v) as dense n-qubit states."""
+    out = []
+    for idx, vals in iso_columns(code, u, v):
+        amps = np.zeros(1 << code.n, dtype=np.complex128)
+        amps[idx] = vals
+        out.append(sim.StateVector(code.n, amps, check=False))
+    return out[0], out[1]
+
+
+@dataclass(frozen=True)
+class StabilizerSet:
+    x_type: tuple[tuple[int, int], ...]
+    z_type: tuple[tuple[int, int], ...]
+
+
+def stabilizers(code, u: int, v: int) -> StabilizerSet:
+    """Signed generators under (u, v) as (int mask, sign bit): (-1)^(u.g)
+    X^g for g spanning the inner code, (-1)^(h.v) Z^h for h spanning the
+    outer code's dual."""
+    xs = tuple((g, (g & u).bit_count() & 1) for g in code.c2.gen)
+    zs = tuple((h, (h & v).bit_count() & 1) for h in code.c1.pchk)
+    return StabilizerSet(x_type=xs, z_type=zs)
+
+
+def decode_per_block(state: sim.StateVector, code, keys) -> sim.StateVector:
+    """Decode block i under the reference isometry of keys[i] = (u, v),
+    asserting that each block lies in that code space."""
+    for i, (u, v) in enumerate(keys):
+        state, leak = sim.contract_block_isometry(state, i,
+                                                  isometry(code, u, v))
         assert leak <= css.DECODE_LEAKAGE_TOL
     return state
 

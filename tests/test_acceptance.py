@@ -12,7 +12,7 @@ import numpy as np
 from cssfhe import asymmetric, cli, css, files, gf2, sim, symmetric
 from cssfhe.errors import DecodeFailureError
 
-from helpers import (count_calls, decode_per_block, random_circuit,
+from helpers import (count_calls, decode_per_block, isometry, random_circuit,
                      random_state)
 
 
@@ -80,19 +80,17 @@ def test_criterion_02_homomorphism():
 
 def test_criterion_03_transversal_identities():
     t0 = time.perf_counter()
-    b = symmetric.base_pair("steane")
-    c1, c2 = b
+    code = css.build(*symmetric.base_pair("steane"))
     gen = seeded(3, 0)
 
-    # transversal H with the swapped key
+    # transversal H with the swapped key; the key (u, v) is the frame (v, u)
     for _ in range(5):
         u, v = (gf2.random_vector(7, gen) for _ in range(2))
-        code = css.build(c1, c2, u, v)
         psi = random_state(gen, 1)
-        enc = css.encode_blocks(code, psi)
+        enc = css.encode_blocks(code, psi, [(v, u)])
         for q in range(7):
             sim.apply_gate(enc, sim.GateOp("H", (q,)))
-        out = css.decode_blocks(css.build(c1, c2, v, u), enc)
+        out = css.decode_blocks(code, enc, [(u, v)])
         ref = sim.apply_gate(psi.copy(), sim.GateOp("H", (0,)))
         assert sim.fidelity(out, ref) >= 1 - 1e-10
 
@@ -101,14 +99,11 @@ def test_criterion_03_transversal_identities():
         uc, vc, ut, vt = (gf2.random_vector(7, gen)
                           for _ in range(4))
         psi = random_state(gen, 2)
-        enc = sim.apply_block_isometry(psi.copy(), 0,
-                                       css.isometry(css.build(c1, c2, uc, vc)))
-        enc = sim.apply_block_isometry(enc, 7,
-                                       css.isometry(css.build(c1, c2, ut, vt)))
+        enc = sim.apply_block_isometry(psi.copy(), 0, isometry(code, uc, vc))
+        enc = sim.apply_block_isometry(enc, 7, isometry(code, ut, vt))
         for q in range(7):
             sim.apply_gate(enc, sim.GateOp("CNOT", (q, 7 + q)))
-        out = decode_per_block(enc, [css.build(c1, c2, uc ^ ut, vc),
-                                     css.build(c1, c2, ut, vc ^ vt)])
+        out = decode_per_block(enc, code, [(uc ^ ut, vc), (ut, vc ^ vt)])
         ref = sim.apply_gate(psi.copy(), sim.GateOp("CNOT", (0, 1)))
         assert sim.fidelity(out, ref) >= 1 - 1e-10
 
@@ -127,12 +122,12 @@ def test_criterion_03_transversal_identities():
     for _ in range(5):
         u, v = (gf2.random_vector(7, gen) for _ in range(2))
         psi = random_state(gen, 1)
-        enc = css.encode_blocks(css.build(c1, c2, u, v), psi)
+        enc = css.encode_blocks(code, psi, [(v, u)])
         for q in range(7):
             sim.apply_gate(enc, sim.GateOp("X", (q,)))
         for q in range(7):
             sim.apply_gate(enc, sim.GateOp("Sdg", (q,)))
-        out = css.decode_blocks(css.build(c1, c2, u ^ v, v), enc)
+        out = css.decode_blocks(code, enc, [(v, u ^ v)])
         ref = sim.apply_gate(sim.apply_gate(psi.copy(), sim.GateOp("X", (0,))),
                              sim.GateOp("S", (0,)))
         assert sim.fidelity(out, ref) >= 1 - 1e-10

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -14,6 +15,8 @@ import pytest
 
 from cssfhe import cli, files, sim, symmetric
 from cssfhe.errors import DecodeFailureError
+
+from helpers import count_calls
 
 
 def run_cli(argv, capsys):
@@ -195,6 +198,32 @@ def test_out_of_range_counts_are_validation_errors(tmp_path, zero_state, argv,
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert "invalid request:" in proc.stderr
+
+
+def test_roundtrip_refuses_a_huge_t_budget_at_once(tmp_path, zero_state):
+    """A T budget above symmetric.MAX_T_BUDGET is refused before any
+    ancilla is built (a budget of 10^6 once ran for 34 s and exited 0)."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "cssfhe.cli", "roundtrip", "--state",
+         zero_state, "--circuit", circuit_file(tmp_path, "t.circ", "T 0\n"),
+         "--tbudget", "1000000", "--seed", "0"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert time.perf_counter() - t0 < 10.0
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "T budget" in proc.stderr
+
+
+def test_roundtrip_checks_wires_before_encrypting(tmp_path, zero_state,
+                                                  monkeypatch, capsys):
+    encrypts = count_calls(monkeypatch, symmetric, "encrypt")
+    circ = circuit_file(tmp_path, "cnot.circ", "CNOT 0 1\n")
+    assert cli.main(["roundtrip", "--state", zero_state, "--circuit", circ,
+                     "--tbudget", "1000", "--seed", "0"]) == 2
+    assert "plaintext has 1" in capsys.readouterr().err
+    assert encrypts == []
 
 
 # runs each argv through cli.main in one process; an exception that

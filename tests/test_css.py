@@ -1,8 +1,10 @@
-"""CSS codes keyed by (u, v): isometries, stabilizers, correction,
-ancillas, readout, key enumeration, and key evolution under transversal
-gates."""
+"""CSS codes and the Pauli frames beside them: encoding against the
+reference isometry of a key (u, v), the frame (v, u), stabilizers,
+correction, ancillas, readout, key enumeration, and key evolution under
+transversal gates."""
 
 import itertools
+import math
 import re
 import tracemalloc
 from functools import reduce
@@ -19,8 +21,9 @@ from cssfhe.errors import (
     ShapeError,
 )
 
-from helpers import (count_calls, decode_per_block, random_state, rng,
-                     span_brute)
+from helpers import (count_calls, decode_per_block, iso_columns, isometry,
+                     logical_basis, random_state, rng, span_brute,
+                     stabilizers)
 
 
 @pytest.fixture(scope="module")
@@ -32,7 +35,7 @@ def steane_pair():
 @pytest.fixture(scope="module")
 def steane(steane_pair):
     c1, c2 = steane_pair
-    return css.build(c1, c2, 0, 0)
+    return css.build(c1, c2)
 
 
 @pytest.fixture(scope="module")
@@ -50,9 +53,21 @@ def parity(a: int, b: int) -> int:
     return (a & b).bit_count() & 1
 
 
-def keyed(steane_pair, u, v):
-    c1, c2 = steane_pair
-    return css.build(c1, c2, as_mask(u), as_mask(v))
+def encoded_basis(code, u, v):
+    """The library's logical |0> and |1> under the key (u, v): encoded
+    under the frame (v, u)."""
+    return tuple(css.encode_blocks(code, sim.basis_state(1, b), [(v, u)])
+                 for b in "01")
+
+
+def composed(u, v, frames):
+    """Each frame X^x Z^z after the key's frame X^v Z^u, as one frame per
+    block and the sign they pick up: X^x Z^z X^v Z^u is
+    (-1)^(z.v) X^(x^v) Z^(z^u)."""
+    sign = 1
+    for _, z in frames:
+        sign *= -1 if parity(z, v) else 1
+    return [(x ^ v, z ^ u) for x, z in frames], sign
 
 
 def test_build_steane(steane):
@@ -68,7 +83,7 @@ def test_build_steane(steane):
 
 def test_build_golay():
     b = codes.builtin_codes()
-    code = css.build(b["golay2312"], codes.dual(b["golay2312"]), 0, 0)
+    code = css.build(b["golay2312"], codes.dual(b["golay2312"]))
     assert code.n == 23
     assert code.t == 3
 
@@ -76,51 +91,54 @@ def test_build_golay():
 def test_build_rejects_bad_pairs(steane_pair):
     c1, c2 = steane_pair
     with pytest.raises(InvalidPairError):
-        css.build(c1, c1, 0, 0)  # gap 0
+        css.build(c1, c1)  # gap 0
     with pytest.raises(InvalidPairError):
-        css.build(c2, c1, 0, 0)  # not nested
+        css.build(c2, c1)  # not nested
+
+
+def bases(code, u, v):
+    """The reference logical basis of the key (u, v) and the library's."""
+    return logical_basis(code, u, v), encoded_basis(code, u, v)
 
 
 def test_logical_basis_plain_steane(steane):
-    zero, one = css.logical_basis(steane)
-    inner_words = span_brute(steane.c2.gen)
-    for word in inner_words:
-        assert abs(zero.amps[word] - 1 / np.sqrt(8)) < 1e-12
-    assert np.count_nonzero(zero.amps) == 8
-    assert abs(zero.norm() - 1) < 1e-12
-    assert abs(one.norm() - 1) < 1e-12
+    for zero, one in bases(steane, 0, 0):
+        inner_words = span_brute(steane.c2.gen)
+        for word in inner_words:
+            assert abs(zero.amps[word] - 1 / np.sqrt(8)) < 1e-12
+        assert np.count_nonzero(zero.amps) == 8
+        assert abs(zero.norm() - 1) < 1e-12
+        assert abs(one.norm() - 1) < 1e-12
 
 
-def test_logical_basis_orthogonal_for_random_keys(steane_pair):
+def test_logical_basis_orthogonal_for_random_keys(steane):
     g = rng(80)
     for _ in range(20):
-        code = keyed(steane_pair, gf2.random_vector(7, g), gf2.random_vector(7, g))
-        zero, one = css.logical_basis(code)
-        assert abs(np.vdot(zero.amps, one.amps)) < 1e-12
+        u, v = gf2.random_vector(7, g), gf2.random_vector(7, g)
+        for zero, one in bases(steane, u, v):
+            assert abs(np.vdot(zero.amps, one.amps)) < 1e-12
 
 
-def test_logical_basis_v_shift_moves_support(steane_pair):
-    code = keyed(steane_pair, "0000000", "1000000")
-    zero, _ = css.logical_basis(code)
-    shifted = {w ^ 0b1000000 for w in span_brute(code.c2.gen)}
-    support = {i for i in range(128) if abs(zero.amps[i]) > 1e-12}
-    assert support == shifted
+def test_logical_basis_v_shift_moves_support(steane):
+    for zero, _ in bases(steane, 0, 0b1000000):
+        shifted = {w ^ 0b1000000 for w in span_brute(steane.c2.gen)}
+        support = {i for i in range(128) if abs(zero.amps[i]) > 1e-12}
+        assert support == shifted
 
 
-def test_logical_basis_u_twists_signs(steane_pair):
+def test_logical_basis_u_twists_signs(steane):
     u = "1100101"
-    code = keyed(steane_pair, u, "0000000")
-    zero, _ = css.logical_basis(code)
-    ubits = [int(c) for c in u]
-    for word in span_brute(code.c2.gen):
-        wbits = [int(c) for c in format(word, "07b")]
-        odd = sum(a * b for a, b in zip(ubits, wbits)) % 2
-        expect = (-1) ** odd / np.sqrt(8)
-        assert abs(zero.amps[word] - expect) < 1e-12
+    for zero, _ in bases(steane, as_mask(u), 0):
+        ubits = [int(c) for c in u]
+        for word in span_brute(steane.c2.gen):
+            wbits = [int(c) for c in format(word, "07b")]
+            odd = sum(a * b for a, b in zip(ubits, wbits)) % 2
+            expect = (-1) ** odd / np.sqrt(8)
+            assert abs(zero.amps[word] - expect) < 1e-12
 
 
 def test_encode_zero_is_zero_state(steane):
-    zero, _ = css.logical_basis(steane)
+    zero, _ = logical_basis(steane, 0, 0)
     enc = css.encode_blocks(steane, sim.basis_state(1, "0"))
     assert sim.fidelity(enc, zero) >= 1 - 1e-12
 
@@ -130,32 +148,35 @@ def test_encode_bell_block_structure(steane):
     enc = css.encode_blocks(steane, bell)
     assert enc.num_qubits == 14
     assert abs(enc.norm() - 1) < 1e-12
-    zero, one = css.logical_basis(steane)
+    zero, one = logical_basis(steane, 0, 0)
     oracle = (np.kron(zero.amps, zero.amps) + np.kron(one.amps, one.amps)) / np.sqrt(2)
     assert np.allclose(enc.amps, oracle, atol=1e-12)
 
 
-def test_encode_decode_roundtrip(steane_pair):
+def test_encode_decode_roundtrip(steane):
     g = rng(81)
     for m in (1, 2):
-        code = keyed(steane_pair, gf2.random_vector(7, g), gf2.random_vector(7, g))
+        u, v = gf2.random_vector(7, g), gf2.random_vector(7, g)
         psi = random_state(g, m)
-        back = css.decode_blocks(code, css.encode_blocks(code, psi))
+        frames = [(v, u)] * m
+        back = css.decode_blocks(steane, css.encode_blocks(steane, psi, frames),
+                                 frames)
         assert sim.fidelity(back, psi) >= 1 - 1e-10
 
 
-def encode_per_block(code, psi):
+def encode_per_block(key, psi):
     """The reference encoder: one apply_block_isometry per wire."""
-    state, iso = psi.copy(), css.isometry(code)
+    state, iso = psi.copy(), isometry(key.code, key.u, key.v)
     for w in range(psi.num_qubits):
-        state = sim.apply_block_isometry(state, w * code.n, iso)
+        state = sim.apply_block_isometry(state, w * key.code.n, iso)
     return state
 
 
-def decode_per_block_leaks(code, state, frames):
+def decode_per_block_leaks(key, state, frames):
     """The reference decoder: one contract_block_isometry per block, each
-    under its own frame; returns the state and every block's leak."""
-    iso, leaks = css.isometry(code), []
+    under its own frame on top of the key's; returns the state and every
+    block's leak."""
+    iso, leaks = isometry(key.code, key.u, key.v), []
     for i, (x, z) in enumerate(frames):
         state, leak = sim.contract_block_isometry(state, i, iso,
                                                   x_mask=x, z_mask=z)
@@ -164,23 +185,24 @@ def decode_per_block_leaks(code, state, frames):
 
 
 def codec_cases():
-    """(code, blocks, generator): Steane family and scrambled keys with
+    """(key, blocks, generator): Steane family and scrambled keys with
     0..3 blocks, and one Golay block."""
     g = rng(90)
     for mode in ("family", "scrambled"):
         for m in range(4):
-            yield symmetric.keygen("steane", mode, g).code, m, g
-    yield symmetric.keygen("golay", "family", g).code, 1, g
+            yield symmetric.keygen("steane", mode, g), m, g
+    yield symmetric.keygen("golay", "family", g), 1, g
 
 
 def test_codec_matches_per_block_path():
     """One pass over the code-space support gives the amplitudes of the
-    per-block isometry chain, under random frames, and never writes to
-    the register it decodes."""
-    for code, m, g in codec_cases():
+    per-block isometry chain, under the key's frame and random frames on
+    top of it, and never writes to the register it decodes."""
+    for key, m, g in codec_cases():
+        code, u, v = key.code, key.u, key.v
         psi = random_state(g, m)
-        enc = css.encode_blocks(code, psi)
-        ref = encode_per_block(code, psi)
+        enc = css.encode_blocks(code, psi, [(v, u)] * m)
+        ref = encode_per_block(key, psi)
         assert np.abs(enc.amps - ref.amps).max() <= 1e-12
         del ref
         frames = [(sim.mask_of_bits(g.integers(0, 2, code.n, dtype=np.uint8)),
@@ -189,60 +211,62 @@ def test_codec_matches_per_block_path():
         for i, (x, z) in enumerate(frames):
             sim.apply_block_pauli(enc, i * code.n, code.n, x, z)
         before = enc.amps.copy()
-        out = css.decode_blocks(code, enc, frames=frames)
+        total, sign = composed(u, v, frames)
+        out = css.decode_blocks(code, enc, frames=total)
         assert np.array_equal(enc.amps, before)
         del before
-        want, leaks = decode_per_block_leaks(code, enc, frames)
+        want, leaks = decode_per_block_leaks(key, enc, frames)
         assert max(leaks, default=0.0) <= 1e-12
-        assert np.abs(out.amps - want.amps).max() <= 1e-12
+        assert np.abs(sign * out.amps - want.amps).max() <= 1e-12
         assert sim.fidelity(out, psi) >= 1 - 1e-12
 
 
 def _reference_code(key):
-    """The key's code as build makes it from scratch: on the explicit
-    (u, v) of a family key, on the scrambled pair (S C1 P, C2 P) of a
-    scrambled one."""
+    """The key's code as build makes it from scratch: on the pair of a
+    family key, on the scrambled pair (S C1 P, C2 P) of a scrambled one."""
     c1, c2 = symmetric.base_pair(key.base_name)
     if key.s is None:
-        return css.build(c1, c2, key.code.u, key.code.v)
+        return css.build(c1, c2)
     return css.build(
         codes.from_generator(gf2.mat_mul(gf2.mat_mul(key.s, c1.gen), key.p),
                              c1.n),
-        codes.from_generator(gf2.mat_mul(c2.gen, key.p), c2.n), 0, 0)
+        codes.from_generator(gf2.mat_mul(c2.gen, key.p), c2.n))
 
 
 def test_key_view_matches_the_reference_isometry():
-    """Encoding and decoding through the presentation's shared support,
-    with the key folded into the frames, gives to 1e-12 the amplitudes of
-    the validated isometry of the key's code built from scratch, under
-    random frames given as int masks. The magic ancilla keeps the
-    reference columns' order."""
+    """Encoding and decoding through the presentation's support, with the
+    key's frame composed with random frames given as int masks, gives to
+    1e-12 the amplitudes of the validated isometry of the key (u, v) over
+    its code built from scratch. The magic ancilla keeps the reference
+    columns' order."""
     g = rng(94)
     cases = [(symmetric.keygen("steane", mode, g), m)
              for mode in ("family", "scrambled") for m in (1, 2, 3)]
     cases += [(symmetric.keygen("golay", mode, g), 1)
               for mode in ("family", "scrambled")]
     for key, m in cases:
-        code, iso = key.code, css.isometry(_reference_code(key))
+        code, iso = key.code, isometry(_reference_code(key), key.u, key.v)
         n = code.n
         masks = [(gf2.random_vector(n, g), gf2.random_vector(n, g))
                  for _ in range(m)]
+        total, sign = composed(key.u, key.v, masks)
         psi = random_state(g, m)
         want = psi.copy()
         for i in range(m):
             want = sim.apply_block_isometry(want, i * n, iso)
         for i, (x, z) in enumerate(masks):
             sim.apply_block_pauli(want, i * n, n, x, z)
-        got = css.encode_blocks(code, psi, masks)
+        got = css.encode_blocks(code, psi, total)
+        got.amps *= sign
         np.subtract(got.amps, want.amps, out=got.amps)
         assert np.abs(got.amps).max() <= 1e-12
         del got
-        back = css.decode_blocks(code, want, masks)
+        back = css.decode_blocks(code, want, total)
         for i, (x, z) in enumerate(masks):
             want, leak = sim.contract_block_isometry(want, i, iso, x, z)
             assert leak <= 1e-12
-        assert np.abs(back.amps - want.amps).max() <= 1e-12
-        idx, vals = css.magic_ancilla_sparse(code)
+        assert np.abs(sign * back.amps - want.amps).max() <= 1e-12
+        idx, vals = css.magic_ancilla_sparse(code, (key.v, key.u))
         (i0, v0), (i1, v1) = iso.cols
         assert np.array_equal(idx, np.concatenate([i0, i1]))
         magic = np.concatenate([v0, css.MAGIC_PHASE * v1]) / np.sqrt(2)
@@ -250,23 +274,27 @@ def test_key_view_matches_the_reference_isometry():
 
 
 def test_encode_under_frames_is_encode_then_pauli():
-    """Encoding under frames gives exactly the amplitudes of encoding
-    without them and then applying each block's Pauli: X^x Z^z scatters
-    at the support ^ X and negates the entries s where s.z is odd."""
+    """Encoding under the key's frame composed with frames gives exactly
+    the amplitudes of encoding under the key's frame alone and then
+    applying each block's Pauli, up to the sign the composition picks up:
+    X^x Z^z scatters at the support ^ X and negates the entries s where
+    s.z is odd."""
     g = rng(92)
-    cases = [(symmetric.keygen("steane", mode, g).code, m)
+    cases = [(symmetric.keygen("steane", mode, g), m)
              for mode in ("family", "scrambled") for m in (1, 2, 3)]
-    cases.append((symmetric.keygen("golay", "scrambled", g).code, 1))
-    for code, m in cases:
+    cases.append((symmetric.keygen("golay", "scrambled", g), 1))
+    for key, m in cases:
+        code = key.code
         psi = random_state(g, m)
         frames = [(sim.mask_of_bits(g.integers(0, 2, code.n, dtype=np.uint8)),
                    sim.mask_of_bits(g.integers(0, 2, code.n, dtype=np.uint8)))
                   for _ in range(m)]
-        want = css.encode_blocks(code, psi)
+        want = css.encode_blocks(code, psi, [(key.v, key.u)] * m)
         for i, (x, z) in enumerate(frames):
             sim.apply_block_pauli(want, i * code.n, code.n, x, z)
-        got = css.encode_blocks(code, psi, frames)
-        assert np.array_equal(got.amps, want.amps)
+        total, sign = composed(key.u, key.v, frames)
+        got = css.encode_blocks(code, psi, total)
+        assert np.array_equal(sign * got.amps, want.amps)
         del got, want
 
 
@@ -290,33 +318,35 @@ def test_codec_leakage_is_total_over_blocks():
     """The leak decode_blocks reports is the weight outside the code space
     of all blocks at once, 1 - prod(1 - leak_i) over the per-block leaks,
     so it refuses whatever the per-block path refuses."""
-    for code, m, g in codec_cases():
+    for key, m, g in codec_cases():
         if not m:
             continue
-        enc = css.encode_blocks(code, random_state(g, m))
+        code, frames = key.code, [(key.v, key.u)] * m
+        enc = css.encode_blocks(code, random_state(g, m), frames)
         hit = g.integers(0, enc.amps.shape[0], size=32)
         enc.amps[hit] += 1e-3 * (g.normal(size=32) + 1j * g.normal(size=32))
         enc.amps /= np.linalg.norm(enc.amps)
-        frames = [(0, 0)] * m
-        _, leaks = decode_per_block_leaks(code, enc, frames)
+        _, leaks = decode_per_block_leaks(key, enc, [(0, 0)] * m)
         want = 1 - np.prod([1 - leak for leak in leaks])
         assert want > css.DECODE_LEAKAGE_TOL
         with pytest.raises(LeakageError) as info:
-            css.decode_blocks(code, enc)
+            css.decode_blocks(code, enc, frames)
         got = float(re.search(r"weight (\S+)", str(info.value)).group(1))
         assert got == pytest.approx(want, rel=5e-3)
 
 
 def test_decode_21_qubits_allocates_no_register():
     g = rng(91)
-    code = symmetric.keygen("steane", "family", g).code
+    key = symmetric.keygen("steane", "family", g)
+    code = key.code
     psi = random_state(g, 3)
-    enc = css.encode_blocks(code, psi)
-    frames = [(sim.mask_of_bits(g.integers(0, 2, 7, dtype=np.uint8)),
+    enc = css.encode_blocks(code, psi, [(key.v, key.u)] * 3)
+    errors = [(sim.mask_of_bits(g.integers(0, 2, 7, dtype=np.uint8)),
                sim.mask_of_bits(g.integers(0, 2, 7, dtype=np.uint8)))
               for _ in range(3)]
-    for i, (x, z) in enumerate(frames):
+    for i, (x, z) in enumerate(errors):
         sim.apply_block_pauli(enc, 7 * i, 7, x, z)
+    frames, _ = composed(key.u, key.v, errors)
     tracemalloc.start()
     try:
         out = css.decode_blocks(code, enc, frames=frames)
@@ -327,12 +357,12 @@ def test_decode_21_qubits_allocates_no_register():
     assert peak < 2**20
 
 
-def test_encode_norm_preservation(steane_pair):
+def test_encode_norm_preservation(steane):
     g = rng(82)
     for _ in range(100):
-        code = keyed(steane_pair, gf2.random_vector(7, g), gf2.random_vector(7, g))
+        u, v = gf2.random_vector(7, g), gf2.random_vector(7, g)
         psi = random_state(g, 1)
-        assert abs(css.encode_blocks(code, psi).norm() - 1) < 1e-12
+        assert abs(css.encode_blocks(steane, psi, [(v, u)]).norm() - 1) < 1e-12
 
 
 def test_decode_wrong_key_full_sweep(steane_pair):
@@ -347,9 +377,9 @@ def test_decode_wrong_key_full_sweep(steane_pair):
     g = rng(83)
     u = gf2.random_vector(7, g)
     v = gf2.random_vector(7, g)
-    code0 = css.build(c1, c2, u, v)
+    code0 = css.build(c1, c2)
     psi = random_state(g, 1)
-    enc = css.encode_blocks(code0, psi)
+    enc = css.encode_blocks(code0, psi, [(v, u)])
 
     clean = 0
     exact = 0
@@ -360,9 +390,8 @@ def test_decode_wrong_key_full_sweep(steane_pair):
                           and not any(parity(h, dv) for h in c1.pchk))
             same_encoder = (not any(parity(g, du) for g in c1.gen)
                             and not any(parity(h, dv) for h in c2.pchk))
-            cand = code0.with_key(ui, vi)
             try:
-                out = css.decode_blocks(cand, enc)
+                out = css.decode_blocks(code0, enc, [(vi, ui)])
             except LeakageError:
                 assert not same_space
                 continue
@@ -384,9 +413,9 @@ def apply_leaders(state, block, leaders, n=7):
                                  x_mask=x, z_mask=z)
 
 
-def test_correct_errors_clean_block(steane_pair):
+def test_correct_errors_clean_block(steane):
     g = rng(84)
-    code = keyed(steane_pair, gf2.random_vector(7, g), gf2.random_vector(7, g))
+    code = steane
     enc = css.encode_blocks(code, random_state(g, 1))
     reference = enc.copy()
     x_leader, z_leader = css.correct_errors(code, enc, 0)
@@ -398,9 +427,9 @@ def test_correct_errors_clean_block(steane_pair):
         css.correct_errors(code, enc, 0, int(np.flatnonzero(enc.amps == 0)[0]))
 
 
-def test_correct_errors_single_paulis_exhaustive(steane_pair):
+def test_correct_errors_single_paulis_exhaustive(steane):
     g = rng(85)
-    code = keyed(steane_pair, gf2.random_vector(7, g), gf2.random_vector(7, g))
+    code = steane
     psi = random_state(g, 1)
     enc = css.encode_blocks(code, psi)
     for pos in range(7):
@@ -418,11 +447,11 @@ def test_correct_errors_single_paulis_exhaustive(steane_pair):
             assert sim.fidelity(back, psi) >= 1 - 1e-10
 
 
-def test_correct_errors_weight2_misleads(steane_pair):
+def test_correct_errors_weight2_misleads(steane):
     # weight 2 exceeds t=1: the corrector either flags the block or lands
     # on the wrong coset leader, whose correction is a logical flip
     g = rng(86)
-    code = keyed(steane_pair, 0, 0)
+    code = steane
     enc = css.encode_blocks(code, random_state(g, 1))
     reference = enc.copy()
     hurt = enc.copy()
@@ -435,24 +464,25 @@ def test_correct_errors_weight2_misleads(steane_pair):
 
 
 def _frame_checks(code, enc, psi, x, z):
-    """The block enc carries X^x Z^z: its leaders are (x, z), and it decodes
-    both under the shifted key (u ^ z, v ^ x) and under the frame."""
+    """The zero-frame block enc carries X^x Z^z: its leaders are (x, z),
+    and it decodes under the key (z, x), under the reference isometry
+    with the frame, and through the library under the frame."""
     leaders = css.correct_errors(code, enc, 0)
     assert leaders[0] == x and leaders[1] == z
-    shifted = code.with_key(code.u ^ z, code.v ^ x)
-    for iso, (xm, zm) in ((css.isometry(shifted), (0, 0)),
-                          (css.isometry(code), (x, z))):
+    for iso, (xm, zm) in ((isometry(code, z, x), (0, 0)),
+                          (isometry(code, 0, 0), (x, z))):
         back, leak = sim.contract_block_isometry(enc, 0, iso,
                                                  x_mask=xm, z_mask=zm)
         assert leak < 1e-12
         assert sim.fidelity(back, psi) >= 1 - 1e-12
+    back = css.decode_blocks(code, enc, [leaders])
+    assert sim.fidelity(back, psi) >= 1 - 1e-12
 
 
-def test_pauli_frame_is_key_shift_steane(steane_pair):
+def test_pauli_frame_is_key_shift_steane(steane):
     g = rng(88)
+    code = steane
     for _ in range(8):
-        code = keyed(steane_pair, gf2.random_vector(7, g),
-                     gf2.random_vector(7, g))
         psi = random_state(g, 1)
         enc = css.encode_blocks(code, psi)
         for pos in range(7):
@@ -467,9 +497,7 @@ def test_pauli_frame_is_key_shift_steane(steane_pair):
 def test_pauli_frame_is_key_shift_golay():
     b = codes.builtin_codes()
     g = rng(89)
-    code = css.build(b["golay2312"], codes.dual(b["golay2312"]),
-                     gf2.random_vector(23, g),
-                     gf2.random_vector(23, g))
+    code = css.build(b["golay2312"], codes.dual(b["golay2312"]))
     psi = random_state(g, 1)
     enc = css.encode_blocks(code, psi)
     for _ in range(3):
@@ -482,32 +510,32 @@ def test_pauli_frame_is_key_shift_golay():
         sim.apply_block_pauli(enc, 0, 23, x, z)  # undone up to a sign
 
 
-def test_sibling_keys_leave_shared_cache_bounded(steane_pair):
-    # the shared dict holds one support per block count, however many
-    # siblings encode through it, and no sibling builds an isometry
+def test_frames_leave_the_cache_bounded(steane_pair):
+    # the cache holds one support per block count, however many frames
+    # encode and decode through it
     c1, c2 = steane_pair
-    base = css.build(c1, c2, 0, 0)
+    base = css.build(c1, c2)
     g = rng(90)
     psi = random_state(g, 1)
     supports = set()
     for k in g.choice(1 << 14, size=256, replace=False):
-        sib = base.with_key(int(k) >> 7, int(k) & 0x7F)
-        css.logical_basis(sib)
-        css.correct_errors(sib, css.encode_blocks(sib, psi), 0)
-        supports.add(id(base._shared[("support", 1)]))
-        assert sib._iso is None
-    assert set(base._shared) == {"inner_words", "tables", ("support", 1)}
+        frame = (int(k) & 0x7F, int(k) >> 7)
+        css.decode_blocks(base, css.encode_blocks(base, psi, [frame]), [frame])
+        css.correct_errors(base, css.encode_blocks(base, psi), 0)
+        supports.add(id(base._cache[("support", 1)]))
+    assert set(base._cache) == {"inner_words", "tables", ("support", 1)}
     assert len(supports) == 1
-    assert base._iso is None
 
 
-def test_stabilizers_fix_basis_states(steane_pair):
+def test_stabilizers_fix_basis_states(steane):
+    """The signed stabilizers of the key (u, v) fix the library's
+    encoding under the frame (v, u)."""
     g = rng(87)
     for _ in range(10):
-        code = keyed(steane_pair, gf2.random_vector(7, g), gf2.random_vector(7, g))
-        stab = css.stabilizers(code)
+        u, v = gf2.random_vector(7, g), gf2.random_vector(7, g)
+        stab = stabilizers(steane, u, v)
         assert len(stab.x_type) == 3 and len(stab.z_type) == 3
-        for state in css.logical_basis(code):
+        for state in encoded_basis(steane, u, v):
             for support, sign in stab.x_type:
                 hit = state.copy()
                 sim.apply_block_pauli(hit, 0, 7, x_mask=support, z_mask=0)
@@ -526,7 +554,7 @@ def test_keygen_scrambled_valid_code(steane_pair):
         key = symmetric.keygen("steane", "scrambled", rng(seed))
         code = key.code
         assert (code.n, code.t) == (7, 1)
-        assert code.u == 0 and code.v == 0
+        assert key.u == 0 and key.v == 0
         assert codes.is_subcode(code.c2, code.c1)
         # row space of the published generator is the permuted base space
         perm_words = {gf2.mat_mul([w], key.p)[0] for w in span_brute(c1.gen)}
@@ -569,16 +597,19 @@ def _table_leaders(code, errors) -> list[np.ndarray]:
 def test_scrambled_key_is_a_view_of_the_base_code(pair, seeds):
     """A scrambled key's code is the base code with its qubits permuted
     by P. It equals what build makes of the scrambled pair (S C1 P, C2 P):
-    the same isometry columns in the same order, x1 and t, and the same
-    coset leaders for every error of weight <= t."""
+    the same isometry columns in the same order, on the view's own
+    support too, x1 and t, and the same coset leaders for every error of
+    weight <= t."""
     for seed in range(seeds):
         key = symmetric.keygen(pair, "scrambled", rng(300 + seed))
         view, ref = key.code, _reference_code(key)
         assert view.t == ref.t
         assert view.x1 == ref.x1
-        for (iv, wv), (ir, wr) in zip(css.isometry(view).cols,
-                                      css.isometry(ref).cols):
+        ref_cols = iso_columns(ref, 0, 0)
+        for (iv, wv), (ir, wr) in zip(iso_columns(view, 0, 0), ref_cols):
             assert np.array_equal(iv, ir) and np.array_equal(wv, wr)
+        idx, _ = css.magic_ancilla_sparse(view, (0, 0))
+        assert np.array_equal(idx, np.concatenate([ir for ir, _ in ref_cols]))
         errors = _correctable_errors(view.n, view.t)
         for mine, theirs in zip(_table_leaders(view, errors),
                                 _table_leaders(ref, errors)):
@@ -616,9 +647,9 @@ def test_scrambled_keys_rebuild_nothing(monkeypatch):
 
 
 def test_key_paths_build_no_isometry(monkeypatch):
-    """Once the base code has validated its isometry, no keygen, encrypt,
-    evaluate, readout, decrypt, refresh or session builds one: every key
-    encodes and decodes through its presentation's shared support."""
+    """No keygen, encrypt, evaluate, readout, decrypt, refresh or session
+    builds an isometry: every key encodes and decodes through its
+    presentation's support."""
     symmetric.keygen("steane", "family", rng(460))
     built = count_calls(monkeypatch, sim, "BlockIsometry")
     psi = random_state(rng(461), 2)
@@ -643,8 +674,8 @@ def test_key_paths_build_no_isometry(monkeypatch):
 def test_keygen_family_deterministic():
     a = symmetric.keygen("steane", "family", rng(5))
     b = symmetric.keygen("steane", "family", rng(5))
-    assert a.code.u == b.code.u
-    assert a.code.v == b.code.v
+    assert a.u == b.u
+    assert a.v == b.v
 
 
 @pytest.mark.parametrize("pair", ["steane", "golay"])
@@ -656,112 +687,111 @@ def test_family_keys_share_the_cached_base_code(pair, monkeypatch):
                        0)
     calls = count_calls(monkeypatch, codes, "min_distance")
     base = css.base_code(c1, c2)
-    assert base.u == 0 and base.v == 0
-    built = dict(base._shared)  # earlier tests may have added supports
+    built = dict(base._cache)  # earlier tests may have added supports
     for seed in range(93, 98):
         key = symmetric.keygen(pair, "family", rng(seed))
         want = rng(seed)  # the same draws as before: u, then v
-        assert key.code.u == gf2.random_vector(c1.n, want)
-        assert key.code.v == gf2.random_vector(c1.n, want)
-        assert key.code._shared is base._shared is first.code._shared
-        assert key.code.t == base.t and key.code.x1 is base.x1
+        assert key.u == gf2.random_vector(c1.n, want)
+        assert key.v == gf2.random_vector(c1.n, want)
+        assert key.code is base is first.code
         ct = symmetric.encrypt(key, random_state(rng(seed), 1), 1, rng(seed))
         circuit = sim.parse_circuit("T 0")
         symmetric.evaluate(c1.n, circuit, ct, symmetric.make_readout(key, ct))
         out = symmetric.decrypt(key, ct)
         assert sim.fidelity(out, sim.run_circuit(
             random_state(rng(seed), 1), circuit)) >= 1 - 1e-10
-        assert key.code._iso is None  # no key builds an isometry
     assert calls == []
     # one entry per block count, built once, however many keys use it
-    assert set(base._shared) == set(built) | {("support", 1)}
-    assert all(base._shared[k] is built[k] for k in built)
+    assert set(base._cache) == set(built) | {("support", 1)}
+    assert all(base._cache[k] is built[k] for k in built)
     assert all(k in ("inner_words", "tables") or k[0] == "support"
-               for k in base._shared)
+               for k in base._cache)
 
 
-def test_keygen_family_zero_key_matches_plain(steane_pair, steane):
-    code = keyed(steane_pair, "0000000", "0000000")
-    for mine, plain in zip(css.logical_basis(code), css.logical_basis(steane)):
+def test_keygen_family_zero_key_matches_plain(steane):
+    for mine, plain in zip(encoded_basis(steane, 0, 0),
+                           logical_basis(steane, 0, 0)):
         assert sim.fidelity(mine, plain) >= 1 - 1e-12
 
 
-def test_keygen_family_random_key_usually_differs(steane_pair, steane):
+def test_keygen_family_random_key_usually_differs(steane):
     g = rng(88)
-    zero_plain, _ = css.logical_basis(steane)
+    zero_plain, _ = logical_basis(steane, 0, 0)
     differing = 0
     for _ in range(10):
         key = symmetric.keygen("steane", "family", g)
-        zero, _ = css.logical_basis(key.code)
+        zero, _ = encoded_basis(key.code, key.u, key.v)
         differing += sim.fidelity(zero, zero_plain) < 1 - 1e-12
     assert differing >= 8
 
 
-def test_magic_ancilla_decodes_to_magic_state(steane_pair):
+def test_magic_ancilla_decodes_to_magic_state(steane):
     g = rng(89)
-    code = keyed(steane_pair, gf2.random_vector(7, g), gf2.random_vector(7, g))
-    anc = css.magic_ancilla(code)
+    u, v = gf2.random_vector(7, g), gf2.random_vector(7, g)
+    anc = css.magic_ancilla(steane, (v, u))
     assert abs(anc.norm() - 1) < 1e-12
-    out = css.decode_blocks(code, anc)
+    out = css.decode_blocks(steane, anc, [(v, u)])
     oracle = sim.StateVector(
         1, np.array([1, np.exp(1j * np.pi / 4)]) / np.sqrt(2), check=False)
     assert sim.fidelity(out, oracle) >= 1 - 1e-12
 
 
-def test_magic_ancilla_sparse_matches_dense(steane_pair):
+def test_magic_ancilla_sparse_matches_dense(steane):
     g = rng(90)
-    code = keyed(steane_pair, gf2.random_vector(7, g), gf2.random_vector(7, g))
-    idx, vals = css.magic_ancilla_sparse(code)
+    u, v = gf2.random_vector(7, g), gf2.random_vector(7, g)
+    idx, vals = css.magic_ancilla_sparse(steane, (v, u))
     dense = np.zeros(128, dtype=complex)
     dense[idx] = vals
-    assert np.allclose(dense, css.magic_ancilla(code).amps, atol=1e-12)
+    assert np.allclose(dense, css.magic_ancilla(steane, (v, u)).amps,
+                       atol=1e-12)
 
 
-def test_magic_ancilla_overlap_values(steane_pair):
+def test_magic_ancilla_overlap_values(steane):
     """Candidate keys covering the three geometric cases: same key
     (fidelity 1), same space with v shifted by the logical representative
     (fidelity 1/2), different space (fidelity 0)."""
-    code = keyed(steane_pair, "1010110", "1111000")
-    anc = css.magic_ancilla(code)
-    same = keyed(steane_pair, "1010110", "1111000")
-    assert abs(sim.fidelity(css.magic_ancilla(same), anc) - 1) < 1e-12
-    sibling = keyed(steane_pair, "1010110", 0b1111000 ^ code.x1)
-    assert abs(sim.fidelity(css.magic_ancilla(sibling), anc) - 0.5) < 1e-12
-    other = keyed(steane_pair, "1010111", "1111000")
-    assert sim.fidelity(css.magic_ancilla(other), anc) < 1e-12
+    u, v = 0b1010110, 0b1111000
+    anc = css.magic_ancilla(steane, (v, u))
+    same = css.magic_ancilla(steane, (v, u))
+    assert abs(sim.fidelity(same, anc) - 1) < 1e-12
+    sibling = css.magic_ancilla(steane, (v ^ steane.x1, u))
+    assert abs(sim.fidelity(sibling, anc) - 0.5) < 1e-12
+    other = css.magic_ancilla(steane, (v, 0b1010111))
+    assert sim.fidelity(other, anc) < 1e-12
 
 
-def test_logical_readout_cosets(steane_pair):
-    g = rng(91)
-    code = keyed(steane_pair, gf2.random_vector(7, g), gf2.random_vector(7, g))
-    assert css.logical_readout(code, code.v) == 0
-    assert css.logical_readout(code, code.x1 ^ code.v) == 1
+def test_logical_readout_cosets(steane):
+    assert css.logical_readout(steane, 0) == 0
+    assert css.logical_readout(steane, steane.x1) == 1
 
 
-def test_logical_readout_exhaustive_weight1(steane_pair):
-    code = keyed(steane_pair, "0110100", "1001011")
+def test_logical_readout_exhaustive_weight1(steane):
+    code = steane
     c2_words = span_brute(code.c2.gen)
     for w in span_brute(code.c1.gen):
         bit = 0 if w in c2_words else 1
-        assert css.logical_readout(code, w ^ code.v) == bit
+        assert css.logical_readout(code, w) == bit
         for i in range(7):
             e = 1 << (6 - i)
-            assert css.logical_readout(code, w ^ code.v ^ e) == bit
+            assert css.logical_readout(code, w ^ e) == bit
 
 
 def test_logical_readout_beyond_radius(toy_pair):
     # the toy pair has t=0, so any nonzero syndrome is out of range
-    code = css.build(*toy_pair, 0, 0)
+    code = css.build(*toy_pair)
     assert code.t == 0
     with pytest.raises(DecodeFailureError):
         css.logical_readout(code, 0b100)
 
 
-def test_logical_readout_agrees_with_decode_then_measure(steane_pair):
+def test_logical_readout_agrees_with_decode_then_measure(steane):
+    """A record measured under the key (u, v) XOR v is read under the
+    zero frame with the plaintext's statistics."""
     g = rng(92)
-    code = keyed(steane_pair, gf2.random_vector(7, g), gf2.random_vector(7, g))
+    code = steane
+    u, v = gf2.random_vector(7, g), gf2.random_vector(7, g)
     psi = random_state(g, 1)
-    enc = css.encode_blocks(code, psi)
+    enc = css.encode_blocks(code, psi, [(v, u)])
     counts = {0: 0, 1: 0}
     for _ in range(1000):
         shot = enc.copy()
@@ -769,7 +799,7 @@ def test_logical_readout_agrees_with_decode_then_measure(steane_pair):
         for q in range(7):
             b, shot = sim.measure_z(shot, q, g)
             bits += str(b)
-        counts[css.logical_readout(code, int(bits, 2))] += 1
+        counts[css.logical_readout(code, int(bits, 2) ^ v)] += 1
     p1 = abs(psi.amps[1]) ** 2
     # 4-sigma binomial envelope around the plaintext statistics
     sigma = np.sqrt(p1 * (1 - p1) / 1000)
@@ -859,15 +889,13 @@ def test_family_classes_golay_rejected():
         css.family_key_classes(b["golay2312"], codes.dual(b["golay2312"]))
 
 
-def test_family_signature_reflexive_sibling_distinct(steane_pair):
-    a = keyed(steane_pair, "1010110", "1111000")
-    assert css.family_signature(a) == css.family_signature(
-        keyed(steane_pair, "1010110", "1111000"))
+def test_family_signature_reflexive_sibling_distinct(steane):
+    u, v = 0b1010110, 0b1111000
+    a = css.family_signature(steane, u, v)
+    assert a == css.family_signature(steane, u, v)
     # shifting v by the logical representative keeps the spanned space
-    sibling = keyed(steane_pair, "1010110", 0b1111000 ^ a.x1)
-    assert css.family_signature(a) == css.family_signature(sibling)
-    other = keyed(steane_pair, "1010111", "1111000")
-    assert css.family_signature(a) != css.family_signature(other)
+    assert a == css.family_signature(steane, u, v ^ steane.x1)
+    assert a != css.family_signature(steane, 0b1010111, v)
 
 
 def test_family_class_representatives_pairwise_distinct(steane_pair):
@@ -877,10 +905,24 @@ def test_family_class_representatives_pairwise_distinct(steane_pair):
     g = rng(93)
     classes = list(css.family_key_classes(c1, c2).values())
     picks = [classes[int(i)] for i in g.choice(len(classes), size=6, replace=False)]
+    code = css.build(c1, c2)
     for (u1, v1), (u2, v2) in itertools.combinations(picks, 2):
-        s1 = css.family_signature(css.build(c1, c2, u1, v1))
-        s2 = css.family_signature(css.build(c1, c2, u2, v2))
+        s1 = css.family_signature(code, u1, v1)
+        s2 = css.family_signature(code, u2, v2)
         assert s1 != s2
+
+
+def test_steane_permutations_give_30_code_spaces(steane_pair):
+    """The 7! qubit permutations of Steane give 7!/168 = 30 distinct code
+    spaces: P matters only up to the Hamming code's automorphism group,
+    GL(3,2) of order 168."""
+    c1, c2 = steane_pair
+    s = tuple(1 << (c1.k - 1 - i) for i in range(c1.k))  # the identity
+    spaces = set()
+    for perm in itertools.permutations(range(7)):
+        p = tuple(1 << (6 - j) for j in perm)
+        spaces.add(css.family_signature(css.scrambled(c1, c2, s, p), 0, 0))
+    assert len(spaces) == math.factorial(7) // 168 == 30
 
 
 def test_transversal_h_scrambled_commutation():
@@ -917,45 +959,40 @@ def test_transversal_sdg_is_logical_s_scrambled():
     assert sim.fidelity(enc, ref) >= 1 - 1e-10
 
 
-def test_key_evolution_h_rule(steane_pair):
-    c1, c2 = steane_pair
+def test_key_evolution_h_rule(steane):
     g = rng(97)
     for _ in range(10):
         u, v = (gf2.random_vector(7, g) for _ in range(2))
         nu, nv = css.KeyEvolver.h_rule(u, v)
         assert np.array_equal(nu, v) and np.array_equal(nv, u)
-        code = css.build(c1, c2, u, v)
         psi = random_state(g, 1)
-        enc = css.encode_blocks(code, psi)
+        enc = css.encode_blocks(steane, psi, [(v, u)])
         for q in range(7):
             enc = sim.apply_gate(enc, sim.GateOp("H", (q,)))
-        out = css.decode_blocks(css.build(c1, c2, nu, nv), enc)
+        out = css.decode_blocks(steane, enc, [(nv, nu)])
         ref = sim.apply_gate(psi.copy(), sim.GateOp("H", (0,)))
         assert sim.fidelity(out, ref) >= 1 - 1e-10
 
 
-def test_key_evolution_sdgx_rule(steane_pair):
-    c1, c2 = steane_pair
+def test_key_evolution_sdgx_rule(steane):
     g = rng(98)
     for _ in range(10):
         u, v = (gf2.random_vector(7, g) for _ in range(2))
         nu, nv = css.KeyEvolver.sdgx_rule(u, v)
         assert np.array_equal(nu, u ^ v) and np.array_equal(nv, v)
-        code = css.build(c1, c2, u, v)
         psi = random_state(g, 1)
-        enc = css.encode_blocks(code, psi)
+        enc = css.encode_blocks(steane, psi, [(v, u)])
         for q in range(7):
             enc = sim.apply_gate(enc, sim.GateOp("X", (q,)))
         for q in range(7):
             enc = sim.apply_gate(enc, sim.GateOp("Sdg", (q,)))
-        out = css.decode_blocks(css.build(c1, c2, nu, nv), enc)
+        out = css.decode_blocks(steane, enc, [(nv, nu)])
         ref = sim.apply_gate(sim.apply_gate(psi.copy(), sim.GateOp("X", (0,))),
                              sim.GateOp("S", (0,)))
         assert sim.fidelity(out, ref) >= 1 - 1e-10
 
 
-def test_key_evolution_cnot_rule(steane_pair):
-    c1, c2 = steane_pair
+def test_key_evolution_cnot_rule(steane):
     g = rng(99)
     for _ in range(5):
         uc, vc, ut, vt = (gf2.random_vector(7, g)
@@ -964,14 +1001,12 @@ def test_key_evolution_cnot_rule(steane_pair):
         assert np.array_equal(nuc, uc ^ ut) and np.array_equal(nvc, vc)
         assert np.array_equal(nut, ut) and np.array_equal(nvt, vc ^ vt)
         psi = random_state(g, 2)
-        code_c = css.build(c1, c2, uc, vc)
-        code_t = css.build(c1, c2, ut, vt)
-        enc = sim.apply_block_isometry(psi.copy(), 0, css.isometry(code_c))
-        enc = sim.apply_block_isometry(enc, 7, css.isometry(code_t))
+        enc = sim.apply_block_isometry(psi.copy(), 0,
+                                       isometry(steane, uc, vc))
+        enc = sim.apply_block_isometry(enc, 7, isometry(steane, ut, vt))
         for q in range(7):
             enc = sim.apply_gate(enc, sim.GateOp("CNOT", (q, 7 + q)))
-        out = decode_per_block(enc, [css.build(c1, c2, nuc, nvc),
-                                     css.build(c1, c2, nut, nvt)])
+        out = decode_per_block(enc, steane, [(nuc, nvc), (nut, nvt)])
         ref = sim.apply_gate(psi.copy(), sim.GateOp("CNOT", (0, 1)))
         assert sim.fidelity(out, ref) >= 1 - 1e-10
 
@@ -988,16 +1023,14 @@ TRANSVERSAL_1Q = {
 
 
 @pytest.fixture(scope="module")
-def steane_bases(steane_pair):
+def steane_bases(steane):
     """bases[ui, vi] is the 128 x 2 logical basis of the key whose u and v
     have amplitude indices ui and vi."""
-    c1, c2 = steane_pair
-    code0 = css.build(c1, c2, 0, 0)
     keys = list(range(128))
     bases = np.empty((128, 128, 128, 2), dtype=np.complex128)
     for ui, u in enumerate(keys):
         for vi, v in enumerate(keys):
-            zero, one = css.logical_basis(code0.with_key(u, v))
+            zero, one = logical_basis(steane, u, v)
             bases[ui, vi, :, 0] = zero.amps
             bases[ui, vi, :, 1] = one.amps
     return keys, bases
@@ -1054,15 +1087,15 @@ def test_key_rule_sdgx_golay_transversal():
     b = codes.builtin_codes()
     c1 = b["golay2312"]
     c2 = codes.dual(c1)
-    code0 = css.build(c1, c2, 0, 0)
+    code0 = css.build(c1, c2)
     g = rng(101)
     for _ in range(2):
         u, v = (gf2.random_vector(23, g) for _ in range(2))
         psi = random_state(g, 1)
-        enc = css.encode_blocks(code0.with_key(u, v), psi)
+        enc = css.encode_blocks(code0, psi, [(v, u)])
         sim.transversal_sdgx(enc, 0, 23)
-        out = css.decode_blocks(
-            code0.with_key(*css.KeyEvolver.sdgx_rule(u, v)), enc)
+        nu, nv = css.KeyEvolver.sdgx_rule(u, v)
+        out = css.decode_blocks(code0, enc, [(nv, nu)])
         ref = sim.apply_gate(sim.apply_gate(psi.copy(), sim.GateOp("X", (0,))),
                              sim.GateOp("S", (0,)))
         assert sim.fidelity(out, ref) >= 1 - 1e-10

@@ -67,8 +67,8 @@ def test_family_key_record_roundtrip():
     assert rec["kind"] == "family" and rec["S"] is None and rec["P"] is None
     back = files.parse_key_record(rec)
     assert back.variant == "family"
-    assert back.code.u == key.code.u
-    assert back.code.v == key.code.v
+    assert back.u == key.u
+    assert back.v == key.v
     assert files.dumps(files.key_record(back)) == files.dumps(rec)
 
 
@@ -187,6 +187,46 @@ def test_parse_key_record_rejects_a_family_record_with_ct():
     rec["ct"] = 0
     with pytest.raises(ShapeError, match="ct"):
         files.parse_key_record(rec)
+
+
+def _without(rec: dict, field: str) -> dict:
+    return {k: v for k, v in rec.items() if k != field}
+
+
+@pytest.mark.parametrize("make", [
+    lambda fam, scr: dict(fam, kind="bogus"),
+    lambda fam, scr: dict(scr, kind="bogus"),
+    lambda fam, scr: dict(fam, kind=["family"]),
+    lambda fam, scr: _without(fam, "u"),
+    lambda fam, scr: _without(scr, "v"),
+    lambda fam, scr: dict(scr, S=None),
+    lambda fam, scr: dict(scr, P=None),
+    lambda fam, scr: dict(scr, P=[]),
+    lambda fam, scr: dict(scr, P={"rows": 1, "cols": 0, "data": [""]}),
+    lambda fam, scr: dict(fam, S=scr["S"]),
+    lambda fam, scr: _without(fam, "P"),
+    lambda fam, scr: _without(fam, "base"),
+    lambda fam, scr: _without(scr, "t"),
+    lambda fam, scr: dict(fam, base=None),
+    lambda fam, scr: dict(fam, base=dict(fam["base"], name=["steane"])),
+    lambda fam, scr: dict(fam, u=None),
+    lambda fam, scr: dict(scr, v=7),
+    lambda fam, scr: [fam],
+], ids=["family-kind-bogus", "scrambled-kind-bogus", "kind-list",
+        "family-no-u", "scrambled-no-v", "scrambled-S-null",
+        "scrambled-P-null", "scrambled-P-list", "scrambled-P-no-columns",
+        "family-with-S",
+        "family-no-P", "no-base", "no-t", "base-null", "base-name-list",
+        "u-null", "v-int", "not-an-object"])
+def test_parse_key_record_rejects_a_malformed_record(make):
+    """A kind other than family or scrambled, and a missing or ill-typed
+    base, u, v, n, t, S or P, raise ShapeError: a record of kind "bogus"
+    once loaded as a scrambled key, one without u raised KeyError and one
+    with S null TypeError."""
+    fam = files.key_record(symmetric.keygen("steane", "family", rng(66)))
+    scr = files.key_record(symmetric.keygen("steane", "scrambled", rng(67)))
+    with pytest.raises(ShapeError):
+        files.parse_key_record(make(fam, scr))
 
 
 def test_sym_key_record_interoperates():

@@ -66,3 +66,40 @@ def test_numpy_reads_above_floor_are_found():
 @pytest.mark.parametrize("path", LIBRARY, ids=lambda p: p.name)
 def test_library_runs_on_the_numpy_floor(path):
     assert numpy_reads_above_floor(path.read_text(encoding="utf-8")) == []
+
+
+def private_library_reads(source: str) -> list[str]:
+    """Reads of an underscore-prefixed attribute of a cssfhe module, by
+    any name the source binds to one (`from cssfhe import css`, `import
+    cssfhe.sim as sim`, `import cssfhe`)."""
+    tree = ast.parse(source)
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "cssfhe":
+            modules |= {a.asname or a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            modules |= {a.asname or a.name.split(".")[0] for a in node.names
+                        if a.name.split(".")[0] == "cssfhe"}
+    return sorted(
+        f"line {node.lineno}: {ast.unparse(node)}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+        and ast.unparse(node.value).split(".")[0] in modules)
+
+
+def test_private_library_reads_are_found():
+    source = ("from cssfhe import css, sim as s\nimport cssfhe.gf2\n"
+              "import numpy as np\n"
+              "a = css._block_support(c, 1)\nb = s._parity\n"
+              "c = cssfhe.gf2._x\nd = css.encode_blocks\ne = np._private\n"
+              "f = code._cache\n")
+    assert private_library_reads(source) == [
+        "line 4: css._block_support", "line 5: s._parity",
+        "line 6: cssfhe.gf2._x"]
+
+
+def test_helpers_read_nothing_private_of_the_library():
+    """The test oracles in helpers.py (the reference isometry among them)
+    check the library's support code, so they must not read it."""
+    source = (ROOT / "tests" / "helpers.py").read_text(encoding="utf-8")
+    assert private_library_reads(source) == []

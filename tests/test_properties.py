@@ -73,9 +73,9 @@ def test_symmetric_scheme_follows_the_key_rules(mode, circuit, seed):
     symmetric.evaluate(7, circuit, ct, symmetric.make_readout(key, ct))
     want = sim.run_circuit(psi.copy(), circuit)
     assert sim.fidelity(symmetric.decrypt(key, ct), want) >= FIDELITY
-    replay = symmetric._KeyReplay(key.code, circuit.num_wires)
+    replay = symmetric._KeyReplay(key, circuit.num_wires)
     got = replay.advance(ct, len(ct.executed))
-    assert got == replayed_keys((key.code.u, key.code.v), circuit.num_wires,
+    assert got == replayed_keys((key.u, key.v), circuit.num_wires,
                                 ct.executed, ct.gadget_outcomes)
 
 

@@ -497,7 +497,7 @@ def test_block_kernels_take_numpy_integers():
         lambda s, c: sim.transversal_cnot(s, c(7), c(0), c(7)),
         lambda s, c: sim.splice_ancilla(
             s, c(0), c(7), *css.magic_ancilla_sparse(
-                css.base_code(*symmetric.base_pair("steane"))),
+                css.base_code(*symmetric.base_pair("steane")), (0, 0)),
             rng(75))[1],
     ]
     for call in calls:
@@ -597,10 +597,10 @@ def _sparse_ancilla(kind, n, g):
     normalized state on five distinct n-bit block indices."""
     if kind == "steane":
         b = codes.builtin_codes()
-        code = css.build(b["hamming74"], b["simplex73"],
-                         gf2.random_vector(7, g),
-                         gf2.random_vector(7, g))
-        return css.magic_ancilla_sparse(code)
+        code = css.build(b["hamming74"], b["simplex73"])
+        u = gf2.random_vector(7, g)
+        v = gf2.random_vector(7, g)
+        return css.magic_ancilla_sparse(code, (v, u))
     idx = g.choice(1 << n, size=5, replace=False).astype(np.int64)
     vals = g.normal(size=5) + 1j * g.normal(size=5)
     return idx, vals / np.linalg.norm(vals)

@@ -17,14 +17,14 @@ from cssfhe.errors import (
     WireError,
 )
 
-from helpers import count_calls, random_state, rng
+from helpers import count_calls, iso_columns, random_state, rng
 
 
 def family_key(u, v):
     """A Steane family key; u and v as int masks or '0101' strings."""
     c1, c2 = symmetric.base_pair("steane")
     u, v = (w if isinstance(w, int) else int(w, 2) for w in (u, v))
-    return symmetric.SymKey("steane", css.build(c1, c2, u, v))
+    return symmetric.SymKey("steane", css.base_code(c1, c2), u, v)
 
 
 def run_encrypted(key, plaintext, circuit_text, t_budget, seed):
@@ -38,8 +38,8 @@ def run_encrypted(key, plaintext, circuit_text, t_budget, seed):
 def test_keygen_deterministic_and_validated():
     a = symmetric.keygen("steane", "family", rng(7))
     b = symmetric.keygen("steane", "family", rng(7))
-    assert a.code.u == b.code.u
-    assert a.code.v == b.code.v
+    assert a.u == b.u
+    assert a.v == b.v
     with pytest.raises(ParameterError):
         symmetric.keygen("steane", "random", rng(0))
     with pytest.raises(ParameterError):
@@ -48,7 +48,7 @@ def test_keygen_deterministic_and_validated():
 
 def test_keygen_scrambled_has_zero_key():
     key = symmetric.keygen("steane", "scrambled", rng(3))
-    assert key.code.u == 0 and key.code.v == 0
+    assert key.u == 0 and key.v == 0
 
 
 def test_encrypt_layout_and_capacity():
@@ -64,12 +64,30 @@ def test_encrypt_layout_and_capacity():
     assert ct.state.num_qubits == 7
     assert len(ct.ancilla_pool) == 1
     idx, vals = ct.ancilla_pool[0]
-    want_idx, want_vals = css.magic_ancilla_sparse(key.code)
+    want_idx, want_vals = css.magic_ancilla_sparse(key.code, (key.v, key.u))
     assert np.array_equal(idx, want_idx) and np.array_equal(vals, want_vals)
-    # ancillas take no register space: only the wires count
-    assert symmetric.encrypt(key, psi, 3, g).state.num_qubits == 7
+    # ancillas take no register space: only the wires count; the equal
+    # entries of a pool are one pair of arrays
+    ct = symmetric.encrypt(key, psi, 3, g)
+    assert ct.state.num_qubits == 7
+    assert all(entry is ct.ancilla_pool[0] for entry in ct.ancilla_pool)
     with pytest.raises(CapacityError):
         symmetric.encrypt(key, random_state(g, 4), 0, g)  # 4*7 = 28
+
+
+def test_encrypt_refuses_a_t_budget_out_of_range(monkeypatch):
+    """A budget below 0 or above MAX_T_BUDGET raises ParameterError before
+    anything is encoded; MAX_T_BUDGET itself is taken."""
+    g = rng(12)
+    key = symmetric.keygen("steane", "family", g)
+    psi = random_state(g, 1)
+    encodes = count_calls(monkeypatch, css, "encode_blocks")
+    for budget in (-1, symmetric.MAX_T_BUDGET + 1, 10**6):
+        with pytest.raises(ParameterError, match="T budget"):
+            symmetric.encrypt(key, psi, budget, g)
+    assert encodes == []
+    ct = symmetric.encrypt(key, psi, symmetric.MAX_T_BUDGET, g)
+    assert len(ct.ancilla_pool) == symmetric.MAX_T_BUDGET
 
 
 def test_encrypt_decrypt_roundtrip():
@@ -300,7 +318,7 @@ def full_replay_readout(key, ct):
     """A readout oracle that replays every executed gate from the key on
     each call, by the key rules alone: the reference for make_readout."""
     def readout(bits):
-        base = (key.code.u, key.code.v)
+        base = (key.u, key.v)
         keys = [base] * ct.num_wires
         outcomes = iter(ct.gadget_outcomes)
         measured = None
@@ -315,8 +333,8 @@ def full_replay_readout(key, ct):
                 keys[w], measured = css.KeyEvolver.cnot_rule(base, keys[w])
                 if next(outcomes, 0) == 1:
                     keys[w] = css.KeyEvolver.sdgx_rule(*keys[w])
-        return css.logical_readout(key.code.with_key(*measured),
-                                   int(bits, 2))
+        # the record is a word under the frame of the measured key's v
+        return css.logical_readout(key.code, int(bits, 2) ^ measured[1])
     return readout
 
 
@@ -448,9 +466,10 @@ def test_decrypt_rejects_tampered_pending_ancilla(mode):
     psi = random_state(g, 1)
     ct = symmetric.encrypt(key, psi, 1, g)
     assert sim.fidelity(symmetric.decrypt(key, ct), psi) >= 1 - 1e-10
-    sibling = key.code.with_key(key.code.u, key.code.v ^ key.code.x1)
-    logical_zero = css.isometry(key.code).cols[0]
-    for idx, vals in (css.magic_ancilla_sparse(sibling), logical_zero):
+    sibling = (key.v ^ key.code.x1, key.u)
+    logical_zero = iso_columns(key.code, key.u, key.v)[0]
+    for idx, vals in (css.magic_ancilla_sparse(key.code, sibling),
+                      logical_zero):
         ct.ancilla_pool[0] = (idx, vals)
         with pytest.raises(LeakageError):
             symmetric.decrypt(key, ct)
@@ -520,13 +539,12 @@ def test_attack_key_guess_empty_roster():
 def leak_roster(true_key):
     """True key, its half-overlap sibling, and span-distinct fillers."""
     roster = [true_key,
-              family_key(true_key.code.u,
-                         true_key.code.v ^ true_key.code.x1)]
-    u = true_key.code.u
+              family_key(true_key.u, true_key.v ^ true_key.code.x1)]
+    u = true_key.u
     for i in range(14):
         e = 1 << (6 - i % 7)
         shift = 1 << (6 - (i + 1) % 7) if i >= 7 else 0
-        roster.append(family_key(u ^ e ^ shift, true_key.code.v))
+        roster.append(family_key(u ^ e ^ shift, true_key.v))
     return roster
 
 
@@ -538,7 +556,7 @@ def test_attack_ancilla_leak_single_candidate():
 
 def test_attack_ancilla_leak_requires_true_key():
     key = symmetric.keygen("steane", "family", rng(41))
-    other = family_key(key.code.u ^ 0b1000000, key.code.v)
+    other = family_key(key.u ^ 0b1000000, key.v)
     with pytest.raises(ParameterError):
         symmetric.attack_ancilla_leak(1, [other], key, rng(42))
 

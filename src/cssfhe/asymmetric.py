@@ -4,8 +4,13 @@ bound per block and asks the key holder to refresh the ciphertext before
 any gate would push a bound past the correction radius.
 
 Bob can decode T-gadget measurement records himself with the public code's
-syndrome table; the hardness of doing so for a scrambled code at real sizes
-is exactly what this desk-scale model does not test.
+syndrome table. Nothing here is hidden from him: PublicKey.code is the
+private CssCode itself, and the published S C1 P rows alone, built into a
+code with their own dual inside, decrypt every ciphertext. At real sizes,
+recovering P from S C1 P is the code-equivalence problem, which the
+support-splitting algorithm solves for most codes (Sendrier, IEEE Trans.
+Inf. Theory 46(4), 2000); on Golay the scrambled presentations number
+23!/|M23|, with |M23| = 10200960.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from .errors import (
 
 @dataclass(eq=False)
 class PublicKey:
-    code: CssCode      # the private key's scrambled presentation
+    code: CssCode      # the private key's CssCode object itself
     ct_weight: int     # Pauli errors per block at encryption time
 
 

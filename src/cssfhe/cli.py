@@ -104,25 +104,20 @@ def _family_candidates(base: str, count: int,
                        true_key: symmetric.SymKey) -> list[symmetric.SymKey]:
     """A roster of keys with pairwise distinct encodings: the true key, its
     same-space sibling (v shifted by the coset representative, so its ancilla
-    overlaps the true one partially rather than 0 or 1), then representatives
-    of other code-space classes."""
-    if count < 1:
-        raise ParameterError(f"candidates must be at least 1, got {count}")
+    overlaps the true one partially rather than 0 or 1), then the lowest key
+    of each other code-space class."""
     c1, c2 = symmetric.base_pair(base)
-
     code = css.base_code(c1, c2)
     out = [true_key]
     if count > 1:
         out.append(symmetric.SymKey(base, code, true_key.u,
                                     true_key.v ^ code.x1))
-    classes = css.family_key_classes(c1, c2)
-    true_sig = css.family_signature(code, true_key.u, true_key.v)
-    for sig, (u, v) in classes.items():
+    true_class = css.frame_class(code, true_key.frame)
+    for u, v in css.family_key_classes(c1, c2):
         if len(out) >= count:
             break
-        if sig == true_sig:
-            continue
-        out.append(symmetric.SymKey(base, code, u, v))
+        if css.frame_class(code, (v, u)) != true_class:
+            out.append(symmetric.SymKey(base, code, u, v))
     if len(out) < count:
         raise ParameterError(
             f"{base} has at most {len(out)} distinct candidates, got {count}")
@@ -212,30 +207,26 @@ def cmd_session(args) -> int:
 
 
 def cmd_experiment(args) -> int:
+    if args.kind not in ("key-guess", "ancilla-leak"):
+        sys.stderr.write(f"unknown experiment kind {args.kind!r}\n")
+        return 1
+    symmetric.check_attack_sizes(args.candidates, args.trials, args.copies)
+    key = symmetric.keygen(args.base, "family", _rng(args.seed, STREAM_KEYGEN))
+    rng = _rng(args.seed, STREAM_EXPERIMENT)
+    candidates = _family_candidates(args.base, args.candidates, key)
     if args.kind == "key-guess":
-        key = symmetric.keygen(args.base, "family",
-                               _rng(args.seed, STREAM_KEYGEN))
-        rng = _rng(args.seed, STREAM_EXPERIMENT)
-        candidates = _family_candidates(args.base, args.candidates, key)
         plain = sim.StateVector(1, np.array([0.6, 0.8]), check=False)
         ct = symmetric.encrypt(key, plain, 0, rng)
         stats = symmetric.attack_key_guess(ct, candidates)
         _emit({"kind": "key-guess", "candidates": stats["candidates"],
                "clean": stats["clean"], "identified": stats["identified"]})
-        return 0
-    if args.kind == "ancilla-leak":
-        key = symmetric.keygen(args.base, "family",
-                               _rng(args.seed, STREAM_KEYGEN))
-        rng = _rng(args.seed, STREAM_EXPERIMENT)
-        candidates = _family_candidates(args.base, args.candidates, key)
+    else:
         stats = symmetric.attack_ancilla_leak(
             args.copies, candidates, key, rng, trials=args.trials)
         _emit({"kind": "ancilla-leak", "copies": stats["copies"],
                "trials": stats["trials"], "success": stats["success"],
                "exact": stats["exact"]})
-        return 0
-    sys.stderr.write(f"unknown experiment kind {args.kind!r}\n")
-    return 1
+    return 0
 
 
 def cmd_enumerate(args) -> int:

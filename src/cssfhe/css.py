@@ -19,13 +19,19 @@ logical_readout reads a record under the zero frame. A symmetric family
 key (u, v) is the frame (v, u), so the caller passes it like any other
 frame; KeyEvolver's closed-form rules move frames and keys alike through
 the transversal operations.
+
+The code space a frame moves the code onto is named by the frame's
+syndrome pair (frame_class), so a pair has 2^(len(c1.pchk) + len(c2.gen))
+key classes, counted and listed in closed form at every n.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,7 +48,6 @@ from .errors import (
 )
 
 DECODE_LEAKAGE_TOL = 1e-9
-ENUMERATION_LIMIT = 7
 
 MAGIC_PHASE = np.exp(1j * np.pi / 4)
 MAGIC_AMPS = np.array([1.0, MAGIC_PHASE], dtype=np.complex128) / math.sqrt(2.0)
@@ -219,13 +224,19 @@ def _tables(code: CssCode) -> tuple[np.ndarray, np.ndarray]:
     return code._cache["tables"]
 
 
+def _syndrome(word: int, rows) -> int:
+    """The parities of the n-bit word against the rows, the first row's
+    the most significant bit."""
+    syndrome = 0
+    for h in rows:
+        syndrome = (syndrome << 1) | ((word & h).bit_count() & 1)
+    return syndrome
+
+
 def _x_leader(code: CssCode, y: int) -> int | None:
     """The bit-flip coset leader of the n-bit word y, or None beyond the
     table's radius."""
-    syndrome = 0
-    for h in code.c1.pchk:
-        syndrome = (syndrome << 1) | ((y & h).bit_count() & 1)
-    leader = int(_tables(code)[0][syndrome])
+    leader = int(_tables(code)[0][_syndrome(y, code.c1.pchk)])
     return None if leader < 0 else leader
 
 
@@ -329,12 +340,6 @@ def scrambled(c1: LinearCode, c2: LinearCode, s, p) -> CssCode:
         _cache={"inner_words": moved[a:b], "tables": (moved[c:d], moved[d:])})
 
 
-def magic_ancilla(code: CssCode, frame: tuple) -> sim.StateVector:
-    """Encoded (|0> + e^{i pi/4} |1>)/sqrt(2) under the frame (x, z)."""
-    plain = sim.StateVector(1, MAGIC_AMPS.copy(), check=False)
-    return encode_blocks(code, plain, [frame])
-
-
 def magic_ancilla_sparse(code: CssCode,
                          frame: tuple) -> tuple[np.ndarray, np.ndarray]:
     """Encoded (|0> + e^{i pi/4} |1>)/sqrt(2) under the frame (x, z) as
@@ -362,49 +367,41 @@ def logical_readout(code: CssCode, y: int) -> int:
     return ((y ^ leader) & code.x1_check).bit_count() & 1
 
 
-def _class_signature(idx_zero: np.ndarray, idx_one: np.ndarray,
-                     s0: np.ndarray, s1: np.ndarray) -> tuple:
-    """Canonical form of the encoded code space: each basis state is reduced
-    to (sorted support, signs with the first forced positive), then the two
-    reduced states are sorted. Quotients out per-state global sign and the
-    zero/one labelling, leaving exactly the 2-dim subspace."""
-    parts = []
-    for idx, signs in ((idx_zero, s0), (idx_one, s1)):
-        order = np.argsort(idx)
-        sg = signs[order]
-        sg = sg * sg[0]
-        parts.append((tuple(idx[order].tolist()), tuple(sg.tolist())))
-    parts.sort()
-    return tuple(parts)
+def frame_class(code: CssCode, frame: tuple) -> tuple[int, int]:
+    """The code space a frame X^x Z^z moves the code onto, as its syndrome
+    pair (x against c1.pchk, z against c2.gen). A Pauli maps the code space
+    onto itself iff it commutes with every stabilizer, so two frames give
+    the same code space iff their syndrome pairs match."""
+    x, z = frame
+    return _syndrome(x, code.c1.pchk), _syndrome(z, code.c2.gen)
 
 
-def family_signature(code: CssCode, u: int, v: int) -> tuple:
-    """Class signature of the code under the key (u, v), the frame (v, u);
-    two keys span the same encoded code space iff signatures match."""
-    zero, one = _block_support(code, 1)[2]
-    return _class_signature(zero ^ v, one ^ v, _z_signs(zero, u),
-                            _z_signs(one, u))
+def _coset_floors(rows, n: int) -> list[int]:
+    """The lowest word of each coset of the span of the n-bit rows,
+    ascending: the words that are 0 at every pivot column of the span's
+    echelon form. Any other word of a coset is larger, at the highest pivot
+    where the two differ."""
+    _, pivots = gf2.row_echelon(rows, n)
+    words = [0]
+    for c in reversed(range(n)):  # bits in ascending order
+        if c not in pivots:
+            words += [w | 1 << (n - 1 - c) for w in words]
+    return words
 
 
-def family_key_classes(c1: LinearCode, c2: LinearCode) -> dict[tuple, tuple]:
-    """Map class signature -> first (u, v) reaching it, scanning keys in
-    lexicographic order. Brute force, n <= 7 only."""
-    n = c1.n
-    if n > ENUMERATION_LIMIT:
-        raise CapacityError(f"n={n} exceeds enumeration bound {ENUMERATION_LIMIT}")
-    zero, one = _block_support(base_code(c1, c2), 1)[2]
-    classes: dict[tuple, tuple] = {}
-    for u in range(1 << n):
-        s0, s1 = _z_signs(zero, u), _z_signs(one, u)
-        for v in range(1 << n):
-            sig = _class_signature(zero ^ v, one ^ v, s0, s1)
-            if sig not in classes:
-                classes[sig] = (u, v)
-    return classes
+def family_key_classes(c1: LinearCode,
+                       c2: LinearCode) -> Iterator[tuple[int, int]]:
+    """The lowest key (u, v) of each code-space class of the pair, lazily,
+    in lexicographic (u, v) order: the lowest u of each z-syndrome (a coset
+    of C2's dual) crossed with the lowest v of each x-syndrome (a coset of
+    C1), u-major."""
+    return itertools.product(_coset_floors(c2.pchk, c2.n),
+                             _coset_floors(c1.gen, c1.n))
 
 
 def count_distinct_family_codes(c1: LinearCode, c2: LinearCode) -> int:
-    return len(family_key_classes(c1, c2))
+    """The number of code-space classes of the pair: its syndrome pairs."""
+    return 1 << (len(c1.pchk) + len(c2.gen))
 
 
 class KeyEvolver:

@@ -34,6 +34,18 @@ ANCILLA_PRODUCT_TOL = 1e-9
 # amplitudes, 96 KiB each) come to about 100 MiB, below one 23-qubit
 # register.
 MAX_T_BUDGET = 1024
+# The largest roster the attack experiments take. Each candidate costs a
+# decode or an ancilla overlap, and a pair's key classes grow as 2^(n-1):
+# Golay has 2^22, so without a bound a roster could run for hours. 256 holds
+# a full Steane roster (65 keys) with room to spare.
+MAX_CANDIDATES = 256
+# ancilla-leak draws its survival tests one by one for each trial and
+# candidate; at this bound the largest accepted run takes a few seconds.
+MAX_TRIALS = 10_000
+# A candidate's ancilla overlaps the true one at 0, 1/2 or 1, so past 64
+# copies a rival at 1/2 survives with probability below 2^-64: more copies
+# change nothing but the run time.
+MAX_COPIES = 64
 
 
 @functools.cache
@@ -257,6 +269,19 @@ def decrypt(sk: SymKey, ct: SymCiphertext) -> sim.StateVector:
     return css.decode_blocks(code, ct.state, [(v, u) for u, v in keys])
 
 
+def check_attack_sizes(candidates: int, trials: int, copies: int) -> None:
+    """Refuse an attack experiment's sizes outside [1, MAX_CANDIDATES],
+    [1, MAX_TRIALS] and [0, MAX_COPIES] with ParameterError, before any
+    work is done."""
+    for name, value, low, high in (
+            ("candidates", candidates, 1, MAX_CANDIDATES),
+            ("trials", trials, 1, MAX_TRIALS),
+            ("copies", copies, 0, MAX_COPIES)):
+        if not low <= value <= high:
+            raise ParameterError(
+                f"{name} must be in [{low}, {high}], got {value}")
+
+
 def attack_key_guess(ct: SymCiphertext, candidates: list[SymKey]) -> dict:
     """Try to identify the key by decoding the data blocks under each
     candidate's code and frame. Reports how many candidates decode without
@@ -295,13 +320,11 @@ def attack_ancilla_leak(copies: int, candidates: list[SymKey],
     E[1/(1+S)], with S the number of other candidates that survive, a
     Poisson-binomial count in which candidate i survives with probability
     overlap_i^copies."""
-    if trials < 1:
-        raise ParameterError(f"trials must be at least 1, got {trials}")
-    if copies < 0:
-        raise ParameterError(f"copies must be at least 0, got {copies}")
-    true_anc = css.magic_ancilla(true_key.code, true_key.frame)
-    overlaps = [sim.fidelity(css.magic_ancilla(c.code, c.frame), true_anc)
-                for c in candidates]
+    check_attack_sizes(len(candidates), trials, copies)
+    true_anc = css.magic_ancilla_sparse(true_key.code, true_key.frame)
+    overlaps = [abs(sim.sparse_vdot(
+        *css.magic_ancilla_sparse(c.code, c.frame), *true_anc)) ** 2
+        for c in candidates]
     true_idx = next((i for i, c in enumerate(candidates)
                      if c.frame == true_key.frame), None)
     if true_idx is None:

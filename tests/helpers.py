@@ -43,6 +43,23 @@ def iso_columns(code, u: int, v: int):
     return tuple(cols)
 
 
+def family_signature(code, u: int, v: int) -> tuple:
+    """The code space of the code under the key (u, v), by brute force
+    over its basis states: each logical basis state reduced to (sorted
+    support, signs with the first forced positive), then the two reduced
+    states sorted. That quotients out each state's global sign and the
+    zero/one labelling, so two keys have equal signatures iff they span
+    the same code space. The oracle that css.frame_class is checked
+    against."""
+    parts = []
+    for idx, vals in iso_columns(code, u, v):
+        order = np.argsort(idx)
+        negative = vals.real[order] < 0
+        parts.append((tuple(idx[order].tolist()),
+                      tuple((negative ^ negative[0]).tolist())))
+    return tuple(sorted(parts))
+
+
 def isometry(code, u: int, v: int) -> sim.BlockIsometry:
     """The validated reference isometry of the code under (u, v)."""
     return sim.BlockIsometry(code.n, iso_columns(code, u, v))

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from cssfhe import asymmetric, css, sim, symmetric
+from cssfhe import asymmetric, codes, css, sim, symmetric
 from cssfhe.errors import (
     CapacityError,
     DecodeFailureError,
@@ -457,6 +457,22 @@ def test_golay_weight_three_roundtrip(golay_pair):
     ct = asymmetric.encrypt(golay_pair.public, psi, g, override_weight=3)
     out = asymmetric.decrypt(golay_pair.private, ct)
     assert sim.fidelity(out, psi) >= 1 - 1e-10
+
+
+@pytest.mark.parametrize("base, weight", [("steane", 1), ("golay", 3)])
+def test_published_rows_alone_decrypt(base, weight, golay_pair):
+    """No secret is needed to decrypt: the code built from the published
+    S C1 P rows alone, as the outer code with its own dual inside, reads
+    every block's frame and decodes the plaintext."""
+    kp = golay_pair if base == "golay" else steane_pair(32)
+    rows = kp.public.code.c1.gen
+    c1 = codes.from_generator(rows, kp.public.code.n)
+    attacker = symmetric.SymKey(base, css.build(c1, codes.dual(c1)), 0, 0)
+    g = rng(33)
+    psi = random_state(g, 1)
+    ct = asymmetric.encrypt(kp.public, psi, g, override_weight=weight)
+    out = asymmetric.decrypt(attacker, ct)
+    assert sim.fidelity(out, psi) >= 1 - 1e-9
 
 
 def test_golay_weight_four_rejected_or_corrupted(golay_pair):

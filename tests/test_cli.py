@@ -1,8 +1,11 @@
 """Command-line interface: reports, files, determinism, and the exit-code
 contract (0 success, 1 usage, 2 validation, 3 decode failure)."""
 
+import contextlib
 import hashlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,8 +15,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cssfhe import cli, files, sim, symmetric
+from cssfhe import cli, css, files, sim, symmetric
 from cssfhe.errors import DecodeFailureError
 
 from helpers import count_calls
@@ -214,6 +218,31 @@ def test_roundtrip_refuses_a_huge_t_budget_at_once(tmp_path, zero_state):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert "T budget" in proc.stderr
+
+
+@pytest.mark.parametrize("kind, option, value", [
+    ("ancilla-leak", "--candidates", symmetric.MAX_CANDIDATES + 1),
+    ("ancilla-leak", "--trials", symmetric.MAX_TRIALS + 1),
+    ("ancilla-leak", "--copies", symmetric.MAX_COPIES + 1),
+    ("key-guess", "--candidates", 10**6),
+    ("ancilla-leak", "--trials", 10**6),
+    ("ancilla-leak", "--copies", 10**6),
+])
+def test_experiment_refuses_sizes_over_their_bounds_at_once(kind, option,
+                                                            value):
+    """An experiment larger than symmetric's bounds is refused before
+    keygen (copies 10^4 x trials 10^3 once ran for 10 s and exited 0; a
+    Golay roster could hold 2^22 keys)."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "cssfhe.cli", "experiment", kind, "--base",
+         "golay", option, str(value), "--seed", "0"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert time.perf_counter() - t0 < 2.0
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert f"{option[2:]} must be in" in proc.stderr
 
 
 def test_roundtrip_checks_wires_before_encrypting(tmp_path, zero_state,
@@ -430,6 +459,31 @@ def test_enumerate_counts_family_classes(capsys):
     assert code == 0 and lines[0] == {"base": "steane", "count": 64}
 
 
+def test_enumerate_counts_golay_in_closed_form(capsys):
+    code, lines, _ = run_cli(["enumerate", "--base", "golay", "--seed", "0"],
+                             capsys)
+    assert code == 0 and lines[0] == {"base": "golay", "count": 4194304}
+
+
+@pytest.mark.parametrize("base, seed, count", [
+    ("steane", 21, 16), ("steane", 3, 65), ("golay", 3, 16),
+    ("golay", 4, 40)])
+def test_key_guess_clean_count_is_the_true_class(base, seed, count, capsys):
+    """key-guess reports as clean exactly the roster keys that share the
+    true key's frame_class: a key decodes the block cleanly iff its frame
+    moves the code onto the code space the block lies in."""
+    code, lines, _ = run_cli(["experiment", "key-guess", "--base", base,
+                              "--seed", str(seed), "--candidates",
+                              str(count)], capsys)
+    assert code == 0
+    key = symmetric.keygen(base, "family", cli._rng(seed, cli.STREAM_KEYGEN))
+    roster = cli._family_candidates(base, count, key)
+    same = sum(css.frame_class(c.code, c.frame)
+               == css.frame_class(key.code, key.frame) for c in roster)
+    assert lines[0]["candidates"] == count
+    assert lines[0]["clean"] == same == 2
+
+
 def test_experiment_key_guess(capsys):
     code, lines, _ = run_cli(["experiment", "key-guess", "--seed", "21"],
                              capsys)
@@ -537,3 +591,83 @@ def test_seeded_outputs_match_pinned_digests(tmp_path, monkeypatch, capsys,
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha
     assert hashlib.sha256(Path("out.json").read_bytes()).hexdigest() == out_sha
+
+
+# the size options whose bounds the argv property probes beyond
+_SIZES = ("tbudget", "trials", "copies", "candidates")
+
+
+@pytest.fixture(scope="module")
+def argv_paths(tmp_path_factory):
+    """Files the argv property may name, valid ones first and most often:
+    states, circuits (one of each kind of fault among them), and --out
+    targets that can and cannot be written."""
+    root = tmp_path_factory.mktemp("argv")
+    files.write_json(root / "zero.json",
+                     files.state_record(sim.basis_state(1, "0")))
+    (root / "bad.json").write_text("{not json", encoding="utf-8")
+    (root / "dir").mkdir()
+    for name, text in (("h.circ", "H 0\n"), ("t.circ", "T 0\nH 0\n"),
+                       ("cnot.circ", "CNOT 0 1\nT 1\n"),
+                       ("far.circ", "H 40\n"), ("bad.circ", "X 0\n")):
+        (root / name).write_text(text, encoding="utf-8")
+    return {name: [str(root / f) for f in names] for name, names in (
+        ("state", ["zero.json"] * 4 + ["bad.json", "dir", "missing",
+                                       "h.circ"]),
+        ("circuit", ["h.circ", "t.circ", "cnot.circ"] * 2
+         + ["far.circ", "bad.circ", "dir", "missing", "zero.json"]),
+        ("out", ["out.json", "dir"]))}
+
+
+def _option_values(name: str, paths: dict):
+    """Values for one option, valid ones most often: choices (Steane only,
+    and one that argparse refuses), paths, and numbers that reach past
+    every bound."""
+    spec = cli._OPTIONS[name]
+    if "choices" in spec:
+        valid = [c for c in spec["choices"] if c != "golay"]
+        return st.sampled_from(valid * 4 + ["bogus"])
+    if name in paths:
+        return st.sampled_from(paths[name])
+    if spec["type"] is float:
+        return st.one_of(st.floats(-1.0, 2.0),
+                         st.sampled_from([math.nan, math.inf])).map(repr)
+    if name in _SIZES:
+        return st.one_of(st.integers(-2, 70),
+                         st.integers(71, 10**6)).map(str)
+    return st.integers(-2, 100).map(str)  # seed, weight
+
+
+@st.composite
+def cli_argvs(draw, paths: dict) -> list[str]:
+    """An argv for one subcommand: each of its options given or not (the
+    required ones nearly always), sometimes an option it does not take,
+    with values drawn from cli._OPTIONS."""
+    command = draw(st.sampled_from(sorted(cli._COMMAND_OPTIONS)))
+    argv = [command]
+    if command == "experiment":
+        argv.append(draw(st.sampled_from(["key-guess", "ancilla-leak"] * 4
+                                         + ["bogus"])))
+    names = [n for n in cli._COMMAND_OPTIONS[command]
+             if draw(st.booleans()) or (cli._OPTIONS[n].get("required")
+                                        and draw(st.integers(0, 9)))]
+    if draw(st.integers(0, 9)) == 0:
+        names.append(draw(st.sampled_from(sorted(cli._OPTIONS))))
+    for name in names:
+        argv += [f"--{name}", draw(_option_values(name, paths))]
+    return argv
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(data=st.data())
+def test_every_argv_exits_with_a_documented_code(argv_paths, data):
+    """Any argv built from cli._OPTIONS, sizes far beyond their bounds
+    among them, exits 0, 1, 2 or 3 without a traceback."""
+    argv = data.draw(cli_argvs(argv_paths), label="argv")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        code = cli.main(argv)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()

@@ -1,6 +1,6 @@
 """CSS codes and the Pauli frames beside them: encoding against the
 reference isometry of a key (u, v), the frame (v, u), stabilizers,
-correction, ancillas, readout, key enumeration, and key evolution under
+correction, ancillas, readout, key classes, and key evolution under
 transversal gates."""
 
 import itertools
@@ -14,16 +14,15 @@ import pytest
 
 from cssfhe import asymmetric, codes, css, gf2, sim, symmetric
 from cssfhe.errors import (
-    CapacityError,
     DecodeFailureError,
     InvalidPairError,
     LeakageError,
     ShapeError,
 )
 
-from helpers import (count_calls, decode_per_block, iso_columns, isometry,
-                     logical_basis, random_state, rng, span_brute,
-                     stabilizers)
+from helpers import (count_calls, decode_per_block, family_signature,
+                     iso_columns, isometry, logical_basis, random_state, rng,
+                     span_brute, stabilizers)
 
 
 @pytest.fixture(scope="module")
@@ -725,10 +724,17 @@ def test_keygen_family_random_key_usually_differs(steane):
     assert differing >= 8
 
 
+def dense_magic_ancilla(code, frame) -> sim.StateVector:
+    """The encoded magic state under the frame as a dense block, encoded
+    from css.MAGIC_AMPS by encode_blocks."""
+    plain = sim.StateVector(1, css.MAGIC_AMPS.copy(), check=False)
+    return css.encode_blocks(code, plain, [frame])
+
+
 def test_magic_ancilla_decodes_to_magic_state(steane):
     g = rng(89)
     u, v = gf2.random_vector(7, g), gf2.random_vector(7, g)
-    anc = css.magic_ancilla(steane, (v, u))
+    anc = dense_magic_ancilla(steane, (v, u))
     assert abs(anc.norm() - 1) < 1e-12
     out = css.decode_blocks(steane, anc, [(v, u)])
     oracle = sim.StateVector(
@@ -742,7 +748,7 @@ def test_magic_ancilla_sparse_matches_dense(steane):
     idx, vals = css.magic_ancilla_sparse(steane, (v, u))
     dense = np.zeros(128, dtype=complex)
     dense[idx] = vals
-    assert np.allclose(dense, css.magic_ancilla(steane, (v, u)).amps,
+    assert np.allclose(dense, dense_magic_ancilla(steane, (v, u)).amps,
                        atol=1e-12)
 
 
@@ -751,12 +757,12 @@ def test_magic_ancilla_overlap_values(steane):
     (fidelity 1), same space with v shifted by the logical representative
     (fidelity 1/2), different space (fidelity 0)."""
     u, v = 0b1010110, 0b1111000
-    anc = css.magic_ancilla(steane, (v, u))
-    same = css.magic_ancilla(steane, (v, u))
+    anc = dense_magic_ancilla(steane, (v, u))
+    same = dense_magic_ancilla(steane, (v, u))
     assert abs(sim.fidelity(same, anc) - 1) < 1e-12
-    sibling = css.magic_ancilla(steane, (v ^ steane.x1, u))
+    sibling = dense_magic_ancilla(steane, (v ^ steane.x1, u))
     assert abs(sim.fidelity(sibling, anc) - 0.5) < 1e-12
-    other = css.magic_ancilla(steane, (v, 0b1010111))
+    other = dense_magic_ancilla(steane, (v, 0b1010111))
     assert sim.fidelity(other, anc) < 1e-12
 
 
@@ -874,7 +880,7 @@ def test_x_leader_golay_randomized():
 
 
 def test_family_classes_steane_count(steane_pair):
-    classes = css.family_key_classes(*steane_pair)
+    classes = list(css.family_key_classes(*steane_pair))
     assert len(classes) == 64  # 2^(n-1) at n=7
     assert css.count_distinct_family_codes(*steane_pair) == 64
 
@@ -883,19 +889,27 @@ def test_family_classes_toy_count(toy_pair):
     assert css.count_distinct_family_codes(*toy_pair) == 4  # 2^(n-1) at n=3
 
 
-def test_family_classes_golay_rejected():
-    b = codes.builtin_codes()
-    with pytest.raises(CapacityError):
-        css.family_key_classes(b["golay2312"], codes.dual(b["golay2312"]))
+def test_family_classes_golay_count():
+    """The closed form holds past the old brute-force cap (n <= 7): 11
+    checks of C1 and 11 rows of C2 give 2^22 classes, listed lazily."""
+    c1, c2 = symmetric.base_pair("golay")
+    assert css.count_distinct_family_codes(c1, c2) == 1 << 22 == 4194304
+    code = css.base_code(c1, c2)
+    first = list(itertools.islice(css.family_key_classes(c1, c2), 4096))
+    assert first[:3] == [(0, 0), (0, 1), (0, 2)]
+    assert len({css.frame_class(code, (v, u)) for u, v in first}) == 4096
 
 
 def test_family_signature_reflexive_sibling_distinct(steane):
     u, v = 0b1010110, 0b1111000
-    a = css.family_signature(steane, u, v)
-    assert a == css.family_signature(steane, u, v)
+    a = family_signature(steane, u, v)
+    assert a == family_signature(steane, u, v)
     # shifting v by the logical representative keeps the spanned space
-    assert a == css.family_signature(steane, u, v ^ steane.x1)
-    assert a != css.family_signature(steane, 0b1010111, v)
+    assert a == family_signature(steane, u, v ^ steane.x1)
+    assert a != family_signature(steane, 0b1010111, v)
+    cls = css.frame_class(steane, (v, u))
+    assert cls == css.frame_class(steane, (v ^ steane.x1, u))
+    assert cls != css.frame_class(steane, (v, 0b1010111))
 
 
 def test_family_class_representatives_pairwise_distinct(steane_pair):
@@ -903,13 +917,41 @@ def test_family_class_representatives_pairwise_distinct(steane_pair):
     each must land in its own class."""
     c1, c2 = steane_pair
     g = rng(93)
-    classes = list(css.family_key_classes(c1, c2).values())
+    classes = list(css.family_key_classes(c1, c2))
     picks = [classes[int(i)] for i in g.choice(len(classes), size=6, replace=False)]
     code = css.build(c1, c2)
     for (u1, v1), (u2, v2) in itertools.combinations(picks, 2):
-        s1 = css.family_signature(code, u1, v1)
-        s2 = css.family_signature(code, u2, v2)
+        s1 = family_signature(code, u1, v1)
+        s2 = family_signature(code, u2, v2)
         assert s1 != s2
+
+
+@pytest.mark.parametrize("name", ["steane", "scrambled-5", "scrambled-6",
+                                  "toy"])
+def test_frame_class_names_the_code_space(name, steane, toy_pair):
+    """Over every key (u, v) of the code: equal frame_class iff equal
+    brute-force signature, so the syndrome pairs name exactly the code
+    spaces the keys reach, and family_key_classes lists the lowest key of
+    each class in the order a lexicographic scan first reaches it."""
+    if name == "steane":
+        code = steane
+    elif name == "toy":
+        code = css.build(*toy_pair)
+    else:  # two scrambled views of Steane
+        code = symmetric.keygen("steane", "scrambled",
+                                rng(int(name[-1]))).code
+    first_reach = {}
+    pairs = set()
+    for u in range(1 << code.n):
+        for v in range(1 << code.n):
+            sig = family_signature(code, u, v)
+            first_reach.setdefault(sig, (u, v))
+            pairs.add((sig, css.frame_class(code, (v, u))))
+    assert len(pairs) == len(first_reach) == len({c for _, c in pairs})
+    assert len(pairs) == css.count_distinct_family_codes(code.c1, code.c2)
+    if name in ("steane", "toy"):
+        assert list(css.family_key_classes(code.c1, code.c2)) == list(
+            first_reach.values())
 
 
 def test_steane_permutations_give_30_code_spaces(steane_pair):
@@ -921,8 +963,23 @@ def test_steane_permutations_give_30_code_spaces(steane_pair):
     spaces = set()
     for perm in itertools.permutations(range(7)):
         p = tuple(1 << (6 - j) for j in perm)
-        spaces.add(css.family_signature(css.scrambled(c1, c2, s, p), 0, 0))
+        spaces.add(family_signature(css.scrambled(c1, c2, s, p), 0, 0))
     assert len(spaces) == math.factorial(7) // 168 == 30
+
+
+@pytest.mark.parametrize("shift", [1, 5])
+def test_golay_cyclic_shift_keeps_the_code_space(shift):
+    """The builtin Golay code is cyclic, so scrambling it by a cyclic shift
+    of its qubits gives back the base code's own code space: P matters
+    only up to the code's automorphism group, M23, and there are
+    23!/|M23| = 23!/10200960 scrambled presentations in all."""
+    c1, c2 = symmetric.base_pair("golay")
+    s = tuple(1 << (c1.k - 1 - i) for i in range(c1.k))  # the identity
+    p = tuple(1 << (22 - (j + shift) % 23) for j in range(23))
+    view = css.scrambled(c1, c2, s, p)
+    assert view.c1.gen != c1.gen
+    assert family_signature(view, 0, 0) == family_signature(
+        css.base_code(c1, c2), 0, 0)
 
 
 def test_transversal_h_scrambled_commutation():

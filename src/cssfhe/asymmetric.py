@@ -200,7 +200,7 @@ def _step(ct: AsymCiphertext, gate: sim.GateOp, code: CssCode,
         ct.bounds[wc], ct.bounds[wt] = _predicted_bounds(ct, gate)
     else:
         symmetric.ft_t_gadget(
-            ct.state, start, ct.n, css.magic_ancilla_sparse(code, (0, 0)),
+            ct.state, start, ct.n, css.zero_frame_magic(code),
             lambda bits: css.logical_readout(code, gf2.parse_word(bits, code.n)),
             rng)
 

@@ -63,8 +63,9 @@ class CssCode:
     # the readout row: a row of c2.pchk odd on x1, so a word of C1 lies in
     # the x1 coset exactly when its parity against this row is odd
     x1_check: int
-    # "inner_words", "tables", and the code-space support ("support", m)
-    # of each block count m, built on first use
+    # "inner_words", "tables", the zero frame's magic ancilla ("magic"),
+    # and the code-space support ("support", m) of each block count m,
+    # built on first use
     _cache: dict = field(default_factory=dict, repr=False)
 
 
@@ -352,6 +353,18 @@ def magic_ancilla_sparse(code: CssCode,
     vals[1] *= MAGIC_PHASE
     vals /= math.sqrt(2.0)
     return index.reshape(-1), vals.reshape(-1)
+
+
+def zero_frame_magic(code: CssCode) -> tuple[np.ndarray, np.ndarray]:
+    """magic_ancilla_sparse(code, (0, 0)), built once per code: the
+    asymmetric scheme's evaluator makes this ancilla for every T gadget.
+    Every gadget shares the arrays, so they are read-only."""
+    if "magic" not in code._cache:
+        pair = magic_ancilla_sparse(code, (0, 0))
+        for a in pair:
+            a.setflags(write=False)
+        code._cache["magic"] = pair
+    return code._cache["magic"]
 
 
 def logical_readout(code: CssCode, y: int) -> int:

@@ -12,17 +12,25 @@ Conventions, fixed once:
     pages in no fresh memory. Each kernel keeps to fixed rows of the
     arena (see _ARENA), so a kernel that calls another never shares
     scratch with it. The kernels are therefore not reentrant: the
-    package is single-threaded;
+    package is single-threaded. Besides the arena, transversal_h and
+    transversal_cnot keep plans: what a call works out from its shape
+    alone (H's factor schedule, the CNOT tile's row index), built on the
+    first call of a shape and kept in an lru_cache of at most _PLANS
+    entries each. A plan holds at most a chunk of intp (128 KiB), so the
+    plans hold at most 2 * _PLANS chunks;
   - `amps` is always C-contiguous, so reshapes are views.
 
 The per-qubit `apply_gate` and `measure_z` are the reference path; the
 block kernels (`transversal_h`, `transversal_cnot`, `transversal_sdgx`,
 `splice_ancilla`, `apply_block_pauli`) act on a whole n-qubit block at
-once and are tested against that path.
+once and are tested against that path. `splice_ancilla` runs the whole T
+gadget, its X.Sdg correction folded into its scatter; the dense
+`transversal_sdgx` is the reference that scatter is tested against.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -50,13 +58,14 @@ _INDEX = np.arange(_CHUNK, dtype=np.intp)  # gather index of a chunk
 # each kernel stages in rows 0-1 (first_occupied puts its moduli in row
 # 0), and _xor_phase puts its phase tables, one per value of the scalar
 # exponent, in the rows after its one or two staging rows, so that a
-# pass that needs fewer rows touches fewer pages. Row 6 gives two rows of
-# gather indices (_INDICES). sample_block, which splice_ancilla calls,
-# takes none of it.
+# pass that needs fewer rows touches fewer pages; splice_ancilla puts its
+# correction phases in row 2. Row 6 gives two rows of gather indices
+# (_INDICES). sample_block, which splice_ancilla calls, takes none of it.
 _ARENA = np.empty((7, _CHUNK), dtype=np.complex128)
 _STAGE = _ARENA[:6]
 _INDICES = _ARENA[6:].view(np.intp).reshape(2, _CHUNK)
 _SQRT2 = math.sqrt(2.0)
+_PLANS = 8  # plans each of transversal_h and transversal_cnot keeps
 
 GATE_1Q = {
     "H": np.array([[1, 1], [1, -1]], dtype=np.complex128) / _SQRT2,
@@ -390,6 +399,23 @@ def _h_factor(src: np.ndarray, out: np.ndarray) -> None:
         np.matmul(_H_DENSE[k], src, out=out)
 
 
+@functools.lru_cache(maxsize=_PLANS)
+def _h_plan(pre: int, size: int, inner: int):
+    """transversal_h's schedule for a (pre, 2^n, inner) float cube: the
+    floats of scratch, the (rows, 2^k, floats per index) axes of each
+    factor that makes its own pass, then the fiber length and the factor
+    axes of the pass that runs the rest together (no factors when none
+    is left for it)."""
+    n = size.bit_length() - 1
+    cap = min(2 * _CHUNK, pre * size * inner)
+    factors = [(o, min(_H_CHUNK, n - o)) for o in range(0, n, _H_CHUNK)]
+    split = next((i for i, (o, _) in enumerate(factors)
+                  if (size >> o) * inner <= cap), len(factors))
+    axes = [(-1, 1 << k, (size >> (o + k)) * inner) for o, k in factors]
+    fiber = size >> factors[split][0] if split < len(factors) else 0
+    return cap, tuple(axes[:split]), fiber, tuple(axes[split:])
+
+
 def transversal_h(state: StateVector, start: int, n: int) -> StateVector:
     """H on every qubit of the block at [start, start+n).
 
@@ -400,35 +426,41 @@ def transversal_h(state: StateVector, start: int, n: int) -> StateVector:
     after the block) fit in the scratch runs together with the later
     factors: each slab of whole fibers goes through all of them in turn,
     alternating between the slab and the scratch. Each earlier factor
-    makes its own pass and copies every slab back."""
+    makes its own pass and copies every slab back. The schedule depends
+    on the shape alone and is planned once per shape (_h_plan)."""
     start, n = map(operator.index, (start, n))
     cube = _block_cube(state, start, n).view(np.float64)
-    _, size, inner = cube.shape
-    cap = min(2 * _CHUNK, cube.size)  # floats of scratch
+    cap, passes, fiber, fused = _h_plan(*cube.shape)
     buf = _STAGE[0].view(np.float64)[:cap]
-    factors = [(o, min(_H_CHUNK, n - o)) for o in range(0, n, _H_CHUNK)]
-    split = next((i for i, (o, _) in enumerate(factors)
-                  if (size >> o) * inner <= cap), len(factors))
-
-    def axes(o, k):  # (rows, 2^k, floats per index) of the factor at o
-        return -1, 1 << k, (size >> (o + k)) * inner
-
-    for o, k in factors[:split]:
-        for slab in _slabs(cube.reshape(axes(o, k)), 1 << k, cap):
+    for axes in passes:
+        for slab in _slabs(cube.reshape(axes), axes[1], cap):
             out = buf[:slab.size].reshape(slab.shape)
             _h_factor(slab, out)
             np.copyto(slab, out)
-    if split < len(factors):
-        o0 = factors[split][0]
-        fibers = cube.reshape(-1, size >> o0, inner)
-        for slab in _slabs(fibers, size >> o0, cap):
+    if fused:
+        fibers = cube.reshape(-1, fiber, cube.shape[2])
+        for slab in _slabs(fibers, fiber, cap):
             src, dst = slab, buf[:slab.size].reshape(slab.shape)
-            for o, k in factors[split:]:
-                _h_factor(src.reshape(axes(o, k)), dst.reshape(axes(o, k)))
+            for axes in fused:
+                _h_factor(src.reshape(axes), dst.reshape(axes))
                 src, dst = dst, src
             if src is not slab:
                 np.copyto(slab, src)
     return state
+
+
+@functools.lru_cache(maxsize=_PLANS)
+def _cnot_rows(n: int, group: int, forward: bool) -> np.ndarray:
+    """The row index of transversal_cnot's first tile, of control values
+    [0, group) and the whole n-qubit target block: row f reads row
+    f ^ (control value << the target's bits). Writeable, as np.take
+    copies a read-only index, and at most a chunk of intp."""
+    rows = np.arange(group << n, dtype=np.intp)
+    if forward:   # tile (control i, target b): f = i*size + b reads b ^ i
+        base = rows >> n
+    else:         # tile (target a, control j): f = a*group + j reads a ^ j
+        base = (rows & (group - 1)) << (group.bit_length() - 1)
+    return np.bitwise_xor(base, rows, out=base)
 
 
 def transversal_cnot(state: StateVector, c0: int, t0: int,
@@ -440,9 +472,9 @@ def transversal_cnot(state: StateVector, c0: int, t0: int,
     of the wires after them, at most a chunk in all. The map keeps the
     control value, so it permutes the rows of each tile: one np.take
     gathers them into the stage (from a staged copy of the tile when the
-    tile is not contiguous), and the stage is copied back. The row index
-    is built once per call; for a range of control values starting at o
-    it is the first range's index XOR a multiple of o."""
+    tile is not contiguous), and the stage is copied back. The first
+    range's row index is planned once per shape (_cnot_rows); for a range
+    of control values starting at o it is that index XOR a multiple of o."""
     c0, t0, n = map(operator.index, (c0, t0, n))
     _block_cube(state, c0, n)
     _block_cube(state, t0, n)
@@ -455,16 +487,9 @@ def transversal_cnot(state: StateVector, c0: int, t0: int,
     width = min(post, max(1, _CHUNK >> n))  # amplitudes per row
     group = min(size, max(1, _CHUNK // (size * width)))  # control values
     rows = group * size
-    base, shifted = _INDICES[0, :rows], _INDICES[1, :rows]
-    # row f of a tile reads row f ^ (control value << the target's bits)
-    if c0 < t0:   # tile (control i, target b): f = i*size + b reads b ^ i
-        np.right_shift(_INDEX[:rows], n, out=base)
-        step = 1
-    else:         # tile (target a, control j): f = a*group + j reads a ^ j
-        np.bitwise_and(_INDEX[:rows], group - 1, out=base)
-        np.left_shift(base, group.bit_length() - 1, out=base)
-        step = group
-    np.bitwise_xor(base, _INDEX[:rows], out=base)
+    base = _cnot_rows(n, group, c0 < t0)
+    step = 1 if c0 < t0 else group
+    shifted = _INDICES[1, :rows]
     out = _STAGE[0, :rows * width].reshape(rows, width)
     staged = _STAGE[1, :rows * width]
     for p, q, o, r in itertools.product(range(pre), range(mid),
@@ -600,14 +625,15 @@ def sample_block(state: StateVector, start: int, n: int,
     The marginal is summed over ranges of a chunk of block indices. Only
     the last range's marginal is kept, and the range the draw falls in is
     summed again if it is another one, so a 23-qubit block holds no
-    register-sized marginal. With one range this is a plain cumsum and
-    searchsorted."""
+    register-sized marginal. The last range's cumulative sums are kept
+    too, so with one range this is a plain cumsum and searchsorted."""
     cube = _block_cube(state, start, n)
     starts = range(0, 1 << n, _CHUNK)
     ends = []
     for j0 in starts:
         weights = _marginal(cube[:, j0:j0 + _CHUNK])
-        ends.append(np.cumsum(weights)[-1])
+        sums = np.cumsum(weights)
+        ends.append(sums[-1])
     ends = np.cumsum(ends)
     if abs(ends[-1] - 1.0) > 1e-9:
         raise ShapeError(f"state norm {ends[-1]} is not 1")
@@ -615,37 +641,54 @@ def sample_block(state: StateVector, start: int, n: int,
     i = int(np.searchsorted(ends, target, side="right"))
     if i != len(starts) - 1:
         weights = _marginal(cube[:, starts[i]:starts[i] + _CHUNK])
-    cum = (ends[i - 1] if i else 0.0) + np.cumsum(weights)
+        sums = np.cumsum(weights)
+    cum = sums + ends[i - 1] if i else sums
     j = int(np.searchsorted(cum, target, side="right"))
     return starts[i] + j, float(weights[j])
 
 
 def splice_ancilla(state: StateVector, start: int, n: int, a_idx, a_val,
-                   rng: np.random.Generator) -> tuple[str, StateVector]:
-    """Transversal CNOT from a product-factor ancilla onto the data block
-    at [start, start+n), then a Z measurement of the data block, without
-    building the joint register. The ancilla is the normalized
-    sum_a a_val[a] |a_idx[a]> over at most _CHUNK distinct block indices
-    (CapacityError otherwise).
+                   readout, rng: np.random.Generator
+                   ) -> tuple[str, int, StateVector]:
+    """The T gadget on the data block at [start, start+n) in one kernel
+    call, without building the joint register: a transversal CNOT from a
+    product-factor ancilla onto the block, a Z measurement of the block,
+    the readout of its record, and the X then Sdg correction on outcome
+    1. The ancilla is the normalized sum_a a_val[a] |a_idx[a]> over at
+    most _CHUNK distinct block indices (CapacityError otherwise).
 
     With record y the state is sum_a alpha_a |a> (x) |rest at y xor a>: the
     ancilla takes the data block's place. y is one draw from the XOR
     convolution of the two marginals, y = a xor d, with a drawn from
-    |a_val|^2 and then d from the data block (sample_block). The update
-    is in place, slab by slab: the slices at y xor a_idx are gathered into
-    at most a chunk of the stage, by one np.take along the block axis, and
-    weighted by the ancilla; the slab is zeroed, and they are scattered
-    back to a_idx. A first pass over the same slices, read only, gives the
-    norm. Returns the n-bit record (block qubit 0 first) and the state."""
+    |a_val|^2 as Generator.choice draws it (its cdf searched at one
+    random double) and then d from the data block (sample_block).
+    `readout` maps the n-bit record (block qubit 0 first) to the outcome
+    before the register is touched, so a readout that raises leaves it
+    as it was.
+
+    The update is in place, slab by slab: the slices at y xor a_idx are
+    gathered into at most a chunk of the stage, by one np.take along the
+    block axis, weighted by the ancilla and normalized; the slab is
+    zeroed, and they are scattered to a_idx on outcome 0, and on outcome
+    1 to a_idx ^ (2^n - 1) times (-i)^popcount of that index: bit for
+    bit the splice followed by transversal_sdgx, the dense reference,
+    since the phase comes after the norm. With one slab its gather
+    serves both the norm and the scatter; more slabs take a read-only
+    first pass for the norm. Returns the record, the outcome and the
+    state."""
     start, n = map(operator.index, (start, n))
     cube = _block_cube(state, start, n)
     per = a_idx.shape[0]
     if per > _CHUNK:
         raise CapacityError(f"{per} ancilla terms exceed {_CHUNK}")
     probs = np.abs(a_val) ** 2
-    j = int(rng.choice(per, p=probs / probs.sum()))
+    cdf = np.cumsum(probs / probs.sum())
+    cdf /= cdf[-1]
+    j = int(cdf.searchsorted(rng.random(), "right"))
     d, _ = sample_block(state, start, n, rng)
     y = int(a_idx[j]) ^ d
+    bits = format(y, f"0{n}b")
+    outcome = int(readout(bits))
 
     pre, size, post = cube.shape
     fit = 1 << ((_CHUNK // per).bit_length() - 1)  # a power of two
@@ -659,6 +702,13 @@ def splice_ancilla(state: StateVector, start: int, n: int, a_idx, a_val,
     got = _STAGE[0, :rows * per * width].reshape(rows, per, width)
     weights = _STAGE[1, :got.size].reshape(got.shape)
     np.copyto(weights, a_val[:, None])  # so that the weighting is flat
+    dest = a_idx
+    if outcome == 1:
+        dest = a_idx ^ (size - 1)
+        # popcount mod 4 of indices below 2^24 by two lookups in _POP4
+        pop4 = (_POP4[dest & (_CHUNK - 1)] + _POP4[dest >> _CHUNK_BITS]) & 3
+        phase = _STAGE[2, :got.size].reshape(got.shape)
+        np.copyto(phase, _CYCLES[-1j, 1][pop4][:, None])
     slabs = [(p, q) for p in range(0, pre, rows) for q in range(pieces)]
 
     def gather(p, q):  # the slab's slices at y xor a_idx, weighted
@@ -669,12 +719,15 @@ def splice_ancilla(state: StateVector, start: int, n: int, a_idx, a_val,
     scale = 1 / math.sqrt(sum(float(np.vdot(g, g).real)
                               for g in itertools.starmap(gather, slabs)))
     for p, q in slabs:
-        gather(p, q)
+        if len(slabs) > 1:  # else the stage still holds the one gather
+            gather(p, q)
         got *= scale
+        if outcome == 1:
+            np.multiply(got, phase, out=got)
         slab = cube[p:p + rows, :, q * width:(q + 1) * width]
         slab[...] = 0
-        slab[:, a_idx, :] = got
-    return format(y, f"0{n}b"), state
+        slab[:, dest, :] = got
+    return bits, outcome, state
 
 
 def apply_block_pauli(state: StateVector, start: int, n: int,

@@ -148,14 +148,13 @@ def ft_t_gadget(state: sim.StateVector, start: int, n: int, ancilla,
 
     Transversal CNOTs with the ancilla block as control write the data onto
     the ancilla, and measuring the data block yields an n-bit record whose
-    logical bit `readout` reports; sim.splice_ancilla does both, and the
-    ancilla takes the data block's place. Outcome 1 takes the transversal
-    X then S-dagger correction. Returns the outcome.
+    logical bit `readout` reports; the ancilla takes the data block's
+    place, and outcome 1 takes the transversal X then S-dagger
+    correction. sim.splice_ancilla does all of it in one kernel call, the
+    correction folded into its scatter. Returns the outcome.
     """
-    bits, _ = sim.splice_ancilla(state, start, n, *ancilla, rng)
-    outcome = int(readout(bits))
-    if outcome == 1:
-        sim.transversal_sdgx(state, start, n)
+    _, outcome, _ = sim.splice_ancilla(state, start, n, *ancilla, readout,
+                                       rng)
     return outcome
 
 

@@ -139,19 +139,38 @@ def test_criterion_04_gadget_both_branches(monkeypatch):
     want = sim.apply_gate(plus.copy(), sim.GateOp("T", (0,)))
     key = symmetric.keygen("steane", "family", seeded(4, 0))
     circuit = sim.parse_circuit("T 0")
-    corrections = count_calls(monkeypatch, sim, "transversal_sdgx")
+    splices = []
+    real = sim.splice_ancilla
+
+    def spy(state, start, n, a_idx, a_val, readout, rng):
+        before = state.amps.copy()
+        bits, outcome, state = real(state, start, n, a_idx, a_val, readout,
+                                    rng)
+        splices.append((before, start, n, a_idx, a_val, int(bits, 2),
+                        outcome, state.amps.copy()))
+        return bits, outcome, state
+
+    monkeypatch.setattr(sim, "splice_ancilla", spy)
     found = {}
     for seed in range(60):
         if len(found) == 2:
             break
-        corrections.clear()
+        splices.clear()
         out, ct = sym_run(key, plus, circuit, 1, seeded(4, 1, seed))
         outcome = ct.gadget_outcomes[0]
         if outcome in found:
             continue
         assert sim.fidelity(out, want) >= 1 - 1e-9
-        # the correction path fires, on the wire's block, exactly on 1
-        assert [args[1:] for args in corrections] == [(0, 7)] * outcome
+        # the wire's block holds the spliced ancilla at a_idx on outcome 0
+        # and, corrected by X then Sdg, at a_idx ^ 127 on outcome 1
+        [(before, start, n, a_idx, a_val, y, spliced, after)] = splices
+        assert (start, n, spliced) == (0, 7, outcome)
+        dest = a_idx ^ (127 * outcome)
+        ref = np.zeros_like(before)
+        ref[dest] = a_val * before[y ^ a_idx]
+        if outcome:
+            ref[dest] *= (-1j) ** np.array([int(d).bit_count() for d in dest])
+        assert np.allclose(after, ref / np.linalg.norm(ref), atol=1e-12)
         found[outcome] = seed
     assert sorted(found) == [0, 1]
 

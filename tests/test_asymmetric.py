@@ -594,6 +594,7 @@ def test_golay_decrypts_add_no_cache_entries(golay_pair):
     g = rng(35)
     psi = random_state(g, 1)
     ct = asymmetric.encrypt(golay_pair.public, psi, g, override_weight=0)
+    before = set(code._cache)  # with what earlier tests on the pair built
     errors = set()
     carried = (0, 0)
     while len(errors) < 20:
@@ -611,4 +612,5 @@ def test_golay_decrypts_add_no_cache_entries(golay_pair):
         carried = (x, z)
         out = asymmetric.decrypt(golay_pair.private, ct)
         assert sim.fidelity(out, psi) >= 1 - 1e-10
-    assert set(code._cache) == {"inner_words", "tables", ("support", 1)}
+    # the decrypts add at most the syndrome tables they read
+    assert set(code._cache) <= before | {"tables"}

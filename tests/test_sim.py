@@ -457,6 +457,10 @@ def test_transversal_cnot_matches_gate_loop(m, c0, t0, n):
     for q in range(n):
         slow = sim.apply_gate(slow, sim.GateOp("CNOT", (c0 + q, t0 + q)))
     assert np.array_equal(fast.amps, slow.amps)
+    # a second call reads the shape's cached plan, which the first left
+    # as it was: the two CNOTs are the identity
+    assert np.array_equal(sim.transversal_cnot(fast, c0, t0, n).amps,
+                          psi.amps)
 
 
 @pytest.mark.parametrize("m,start,n", BLOCKS)
@@ -498,7 +502,7 @@ def test_block_kernels_take_numpy_integers():
         lambda s, c: sim.splice_ancilla(
             s, c(0), c(7), *css.magic_ancilla_sparse(
                 css.base_code(*symmetric.base_pair("steane")), (0, 0)),
-            rng(75))[1],
+            _corrected, rng(75))[2],
     ]
     for call in calls:
         psi = random_state(rng(76), 14)
@@ -533,7 +537,7 @@ def test_block_kernels_leave_input_arrays_usable():
                  lambda: sim.transversal_sdgx(s, 4, 4),
                  lambda: sim.apply_block_pauli(s, 0, 8, 0b10110101, 0b1),
                  lambda: sim.splice_ancilla(s, 2, 4, a_idx, a_val,
-                                            rng(1))[1]):
+                                            _corrected, rng(1))[2]):
         assert step() is s
         assert s.amps is before
         assert abs(s.norm() - 1) < 1e-12
@@ -576,20 +580,28 @@ def test_block_marginal_matches_sequential_measure_z(m, start, n):
 
 
 class _Forced:
-    """Generator stand-in for splice_ancilla: choice() checks the weights
-    it is given and returns a preset ancilla term, random() returns a
-    preset value; each may be called once."""
+    """Generator stand-in for splice_ancilla: the first random() is the
+    midpoint of a preset ancilla term's interval of the cdf of the weights
+    `probs`, so that the term is drawn, and the second returns a preset
+    value; a third call raises."""
 
     def __init__(self, term, value, probs):
-        self.terms, self.values, self.probs = [term], [value], probs
-
-    def choice(self, size, p):
-        assert size == len(self.probs)
-        assert np.allclose(p, self.probs / self.probs.sum(), atol=1e-15)
-        return self.terms.pop()
+        cdf = np.cumsum(probs / probs.sum())
+        lower = cdf[term - 1] if term else 0.0
+        self.values = [value, (lower + cdf[term]) / 2]
 
     def random(self):
         return self.values.pop()
+
+
+def _uncorrected(bits):
+    """A readout that reports outcome 0 for every record."""
+    return 0
+
+
+def _corrected(bits):
+    """A readout that reports outcome 1 for every record."""
+    return 1
 
 
 def _sparse_ancilla(kind, n, g):
@@ -638,9 +650,10 @@ def test_splice_ancilla_forced_record_matches_joint_register(m, start, n,
         for d in (0, (1 << n) - 1, int(g.integers(1 << n))):
             lower = cum[d - 1] if d else 0.0
             forced = _Forced(term, (lower + cum[d]) / 2, np.abs(a_val) ** 2)
-            bits, post = sim.splice_ancilla(psi.copy(), start, n, a_idx,
-                                            a_val, forced)
-            assert not forced.terms and not forced.values
+            bits, outcome, post = sim.splice_ancilla(
+                psi.copy(), start, n, a_idx, a_val, _uncorrected, forced)
+            assert not forced.values
+            assert outcome == 0
             y = int(a_idx[term]) ^ d
             assert bits == format(y, f"0{n}b")
             ref = cube[:, y].transpose(0, 2, 1).reshape(-1)
@@ -673,11 +686,12 @@ def test_splice_ancilla_uses_two_draws_and_checks_norm():
     psi = random_state(rng(87), 8)
     a_idx, a_val = _sparse_ancilla("random", 4, rng(0))
     # a third draw raises
-    sim.splice_ancilla(psi.copy(), 2, 4, a_idx, a_val,
+    sim.splice_ancilla(psi.copy(), 2, 4, a_idx, a_val, _corrected,
                        _Forced(1, 0.5, np.abs(a_val) ** 2))
     unnormalized = sim.StateVector(8, 2 * psi.amps, check=False)
     with pytest.raises(ShapeError):
-        sim.splice_ancilla(unnormalized, 2, 4, a_idx, a_val, rng(0))
+        sim.splice_ancilla(unnormalized, 2, 4, a_idx, a_val, _corrected,
+                           rng(0))
 
 
 @pytest.mark.parametrize("call", [
@@ -688,9 +702,9 @@ def test_splice_ancilla_uses_two_draws_and_checks_norm():
     lambda s: sim.transversal_cnot(s, 0, 2, 4),
     lambda s: sim.transversal_cnot(s, 4, 4, 4),
     lambda s: sim.splice_ancilla(s, 6, 3, np.array([0]), np.array([1.0]),
-                                 rng(0)),
+                                 _uncorrected, rng(0)),
     lambda s: sim.splice_ancilla(s, 0, 0, np.array([0]), np.array([1.0]),
-                                 rng(0)),
+                                 _uncorrected, rng(0)),
     lambda s: sim.block_marginal(s, -2, 3),
     lambda s: sim.apply_block_pauli(s, 7, 2, 1, 0),
 ])
@@ -712,14 +726,73 @@ def test_splice_ancilla_across_chunks_matches_dense_splice(m, start, n):
                     (1, int(g.integers(1 << n)))):
         lower = cum[d - 1] if d else 0.0
         forced = _Forced(term, (lower + cum[d]) / 2, np.abs(a_val) ** 2)
-        bits, post = sim.splice_ancilla(psi.copy(), start, n, a_idx, a_val,
-                                        forced)
+        bits, _, post = sim.splice_ancilla(psi.copy(), start, n, a_idx,
+                                           a_val, _uncorrected, forced)
         y = int(a_idx[term]) ^ d
         assert bits == format(y, f"0{n}b")
         ref = np.zeros_like(cube)
         ref[:, a_idx, :] = a_val[None, :, None] * cube[:, y ^ a_idx, :]
         ref = ref.reshape(-1) / np.linalg.norm(ref)
         assert np.allclose(post.amps, ref, atol=1e-12)
+
+
+@pytest.mark.parametrize("m,start,n", [(14, 0, 7), (14, 7, 7), *WIDE_BLOCKS])
+def test_fused_splice_matches_splice_then_dense_sdgx(m, start, n):
+    """The correction folded into the scatter is bit for bit the splice
+    followed by the dense X.Sdg on outcome 1, at the same record, and is
+    the splice alone on outcome 0."""
+    g = rng(113 + start)
+    psi = random_state(g, m)
+    a_idx, a_val = _sparse_ancilla("steane" if n == 7 else "random", n, g)
+    for seed in (114, 115):
+        want = psi.copy()
+        want_bits, _, _ = sim.splice_ancilla(want, start, n, a_idx, a_val,
+                                             _uncorrected, rng(seed))
+        for outcome, readout in enumerate((_uncorrected, _corrected)):
+            if outcome:
+                sim.transversal_sdgx(want, start, n)
+            got = psi.copy()
+            bits, got_outcome, _ = sim.splice_ancilla(
+                got, start, n, a_idx, a_val, readout, rng(seed))
+            assert (bits, got_outcome) == (want_bits, outcome)
+            assert np.array_equal(got.amps, want.amps)
+
+
+def test_splice_ancilla_readout_that_raises_leaves_register_untouched():
+    psi = random_state(rng(116), 14)
+    a_idx, a_val = _sparse_ancilla("steane", 7, rng(117))
+    for start in (0, 7):
+        s = psi.copy()
+        records = []
+
+        def readout(bits):
+            records.append(bits)
+            raise RuntimeError("no answer")
+
+        with pytest.raises(RuntimeError):
+            sim.splice_ancilla(s, start, 7, a_idx, a_val, readout, rng(118))
+        assert len(records) == 1
+        assert np.array_equal(s.amps, psi.amps)
+
+
+def test_splice_ancilla_draws_its_term_as_generator_choice():
+    """On a data block in |0...0> the record is the drawn ancilla index,
+    which is the term Generator.choice draws from the ancilla's weights,
+    and the draw takes one double from the generator."""
+    g = rng(119)
+    zero = sim.basis_state(9, "0" * 9)
+    for _ in range(20):
+        a_idx, a_val = _sparse_ancilla("random", 6, g)
+        probs = np.abs(a_val) ** 2
+        seed = int(g.integers(1 << 30))
+        want = rng(seed)
+        term = int(want.choice(a_idx.size, p=probs / probs.sum()))
+        want.random()  # the data block's draw
+        got = rng(seed)
+        bits, _, _ = sim.splice_ancilla(zero.copy(), 1, 6, a_idx, a_val,
+                                        _uncorrected, got)
+        assert int(bits, 2) == a_idx[term]
+        assert got.random() == want.random()
 
 
 def test_sample_block_draws_across_ranges_like_full_marginal():
@@ -756,7 +829,9 @@ def test_block_kernels_scratch_stays_within_chunks():
                 lambda: sim.transversal_h(s, start, 7),
                 lambda: sim.transversal_sdgx(s, start, 7),
                 lambda: sim.splice_ancilla(s, start, 7, a_idx, a_val,
-                                           rng(107))):
+                                           _uncorrected, rng(107)),
+                lambda: sim.splice_ancilla(s, start, 7, a_idx, a_val,
+                                           _corrected, rng(107))):
             assert _peak(call) < 4 * 2**20
     for c0 in (0, 7, 14):
         for t0 in (0, 7, 14):
@@ -779,7 +854,9 @@ def test_block_kernels_take_their_scratch_from_the_arena():
             "h": lambda: sim.transversal_h(s, start, 7),
             "cnot": lambda: sim.transversal_cnot(s, start, other, 7),
             "splice": lambda: sim.splice_ancilla(s, start, 7, a_idx, a_val,
-                                                 rng(110)),
+                                                 _uncorrected, rng(110)),
+            "splice, corrected": lambda: sim.splice_ancilla(
+                s, start, 7, a_idx, a_val, _corrected, rng(110)),
         }
         for call in calls.values():  # warm up
             call()
@@ -787,11 +864,41 @@ def test_block_kernels_take_their_scratch_from_the_arena():
             assert _peak(call) < 64 * 2**10, name
 
 
+@pytest.mark.parametrize("m", [14, 21])
+def test_h_and_cnot_plans_make_a_second_call_allocate_nothing(m):
+    """Once a shape's plan is built, H and CNOT on it allocate no more
+    than a few Python objects: the row index and the factor schedule come
+    from the plans, the scratch from the arena."""
+    s = random_state(rng(120), m)
+    starts = range(0, m, 7)
+    for a in starts:
+        for b in starts:
+            call = (lambda: sim.transversal_h(s, a, 7)) if a == b else (
+                lambda: sim.transversal_cnot(s, a, b, 7))
+            call()
+            assert _peak(call) < 4 * 2**10, (a, b)
+
+
+def test_plans_stay_within_their_bound_and_keep_a_writeable_index():
+    for m, c0, t0, n in CNOT_PAIRS:
+        sim.transversal_cnot(random_state(rng(121), m), c0, t0, n)
+    for m, start, n in BLOCKS:
+        sim.transversal_h(random_state(rng(122), m), start, n)
+    for plan in (sim._cnot_rows, sim._h_plan):
+        info = plan.cache_info()
+        assert info.maxsize == sim._PLANS
+        assert 0 < info.currsize <= sim._PLANS
+    index = sim._cnot_rows(7, 128, True)
+    assert index.flags.writeable  # np.take would copy a read-only index
+    assert index.dtype == np.intp and index.size <= sim._CHUNK
+
+
 def test_block_kernels_reuse_the_arena_without_stale_scratch():
     """Kernels interleaved on a one-chunk 14-qubit register and a 18-qubit
     register of 16 chunks, so that each call finds the arena as a call of
     another shape left it. Every result matches the per-qubit path (the
-    splice: the dense splice at the record it drew)."""
+    splice: the dense splice at the record it drew, then on outcome 1 the
+    dense X.Sdg)."""
     g = rng(111)
     a_idx, a_val = _sparse_ancilla("steane", 7, rng(112))
     registers = [(random_state(g, 14), (0, 7)), (random_state(g, 18), (1, 10))]
@@ -830,12 +937,17 @@ def test_block_kernels_reuse_the_arena_without_stale_scratch():
         assert np.allclose(state.amps, want.amps, atol=1e-12)
         if i % 3 == 0:  # a splice, against the dense one at its record
             cube = state.amps.reshape(1 << b, 1 << 7, -1).copy()
-            bits, _ = sim.splice_ancilla(state, b, 7, a_idx, a_val, g)
+            readout = _corrected if i % 2 else _uncorrected
+            bits, outcome, _ = sim.splice_ancilla(state, b, 7, a_idx, a_val,
+                                                  readout, g)
             y = int(bits, 2)
             ref = np.zeros_like(cube)
             ref[:, a_idx, :] = a_val[None, :, None] * cube[:, y ^ a_idx, :]
-            assert np.allclose(state.amps, ref.reshape(-1)
-                               / np.linalg.norm(ref), atol=1e-12)
+            want = sim.StateVector(state.num_qubits, ref.reshape(-1)
+                                   / np.linalg.norm(ref), check=False)
+            if outcome:
+                sim.transversal_sdgx(want, b, 7)
+            assert np.allclose(state.amps, want.amps, atol=1e-12)
 
 
 def test_parse_circuit_basic():

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
-import stat
 from pathlib import Path
 
 import numpy as np
@@ -24,19 +22,7 @@ def dumps(obj) -> str:
 
 
 def write_json(path, obj) -> None:
-    """Write dumps(obj) to path, rewriting an existing file in place: it
-    is opened without truncation, written, and then cut to the new
-    length, so no close of a file truncated to zero starts writeback
-    (which ext4 does under auto_da_alloc). A new file gets the mode open
-    gives it, and a target that is not a regular file, such as
-    /dev/null, is written without the cut. A crash mid-write can leave
-    old bytes past the new end, where a truncating write left an empty
-    file."""
-    data = dumps(obj).encode("utf-8")
-    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
-        f.write(data)
-        if stat.S_ISREG(os.fstat(f.fileno()).st_mode):
-            f.truncate()
+    Path(path).write_text(dumps(obj), encoding="utf-8")
 
 
 def read_json(path):

@@ -12,12 +12,11 @@ Conventions, fixed once:
     pages in no fresh memory. Each kernel keeps to fixed rows of the
     arena (see _ARENA), so a kernel that calls another never shares
     scratch with it. The kernels are therefore not reentrant: the
-    package is single-threaded. Besides the arena, transversal_h and
-    transversal_cnot keep plans: what a call works out from its shape
-    alone (H's factor schedule, the CNOT tile's row index), built on the
-    first call of a shape and kept in an lru_cache of at most _PLANS
-    entries each. A plan holds at most a chunk of intp (128 KiB), so the
-    plans hold at most 2 * _PLANS chunks;
+    package is single-threaded. Besides the arena, transversal_cnot
+    keeps plans: the row index of its tile, which depends on the shape
+    alone, built on the first call of a shape and kept in an lru_cache
+    of at most _PLANS entries. A plan is at most a chunk of intp
+    (128 KiB), so the plans hold at most _PLANS chunks (1 MiB);
   - `amps` is always C-contiguous, so reshapes are views.
 
 The per-qubit `apply_gate` and `measure_z` are the reference path; the
@@ -65,7 +64,7 @@ _ARENA = np.empty((7, _CHUNK), dtype=np.complex128)
 _STAGE = _ARENA[:6]
 _INDICES = _ARENA[6:].view(np.intp).reshape(2, _CHUNK)
 _SQRT2 = math.sqrt(2.0)
-_PLANS = 8  # plans each of transversal_h and transversal_cnot keeps
+_PLANS = 8  # row-index plans transversal_cnot keeps
 
 GATE_1Q = {
     "H": np.array([[1, 1], [1, -1]], dtype=np.complex128) / _SQRT2,
@@ -399,23 +398,6 @@ def _h_factor(src: np.ndarray, out: np.ndarray) -> None:
         np.matmul(_H_DENSE[k], src, out=out)
 
 
-@functools.lru_cache(maxsize=_PLANS)
-def _h_plan(pre: int, size: int, inner: int):
-    """transversal_h's schedule for a (pre, 2^n, inner) float cube: the
-    floats of scratch, the (rows, 2^k, floats per index) axes of each
-    factor that makes its own pass, then the fiber length and the factor
-    axes of the pass that runs the rest together (no factors when none
-    is left for it)."""
-    n = size.bit_length() - 1
-    cap = min(2 * _CHUNK, pre * size * inner)
-    factors = [(o, min(_H_CHUNK, n - o)) for o in range(0, n, _H_CHUNK)]
-    split = next((i for i, (o, _) in enumerate(factors)
-                  if (size >> o) * inner <= cap), len(factors))
-    axes = [(-1, 1 << k, (size >> (o + k)) * inner) for o, k in factors]
-    fiber = size >> factors[split][0] if split < len(factors) else 0
-    return cap, tuple(axes[:split]), fiber, tuple(axes[split:])
-
-
 def transversal_h(state: StateVector, start: int, n: int) -> StateVector:
     """H on every qubit of the block at [start, start+n).
 
@@ -426,23 +408,31 @@ def transversal_h(state: StateVector, start: int, n: int) -> StateVector:
     after the block) fit in the scratch runs together with the later
     factors: each slab of whole fibers goes through all of them in turn,
     alternating between the slab and the scratch. Each earlier factor
-    makes its own pass and copies every slab back. The schedule depends
-    on the shape alone and is planned once per shape (_h_plan)."""
+    makes its own pass and copies every slab back."""
     start, n = map(operator.index, (start, n))
     cube = _block_cube(state, start, n).view(np.float64)
-    cap, passes, fiber, fused = _h_plan(*cube.shape)
+    _, size, inner = cube.shape
+    cap = min(2 * _CHUNK, cube.size)  # floats of scratch
     buf = _STAGE[0].view(np.float64)[:cap]
-    for axes in passes:
-        for slab in _slabs(cube.reshape(axes), axes[1], cap):
+    factors = [(o, min(_H_CHUNK, n - o)) for o in range(0, n, _H_CHUNK)]
+    split = next((i for i, (o, _) in enumerate(factors)
+                  if (size >> o) * inner <= cap), len(factors))
+
+    def axes(o, k):  # (rows, 2^k, floats per index) of the factor at o
+        return -1, 1 << k, (size >> (o + k)) * inner
+
+    for o, k in factors[:split]:
+        for slab in _slabs(cube.reshape(axes(o, k)), 1 << k, cap):
             out = buf[:slab.size].reshape(slab.shape)
             _h_factor(slab, out)
             np.copyto(slab, out)
-    if fused:
-        fibers = cube.reshape(-1, fiber, cube.shape[2])
-        for slab in _slabs(fibers, fiber, cap):
+    if split < len(factors):
+        o0 = factors[split][0]
+        fibers = cube.reshape(-1, size >> o0, inner)
+        for slab in _slabs(fibers, size >> o0, cap):
             src, dst = slab, buf[:slab.size].reshape(slab.shape)
-            for axes in fused:
-                _h_factor(src.reshape(axes), dst.reshape(axes))
+            for o, k in factors[split:]:
+                _h_factor(src.reshape(axes(o, k)), dst.reshape(axes(o, k)))
                 src, dst = dst, src
             if src is not slab:
                 np.copyto(slab, src)

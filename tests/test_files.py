@@ -30,30 +30,6 @@ def test_write_read_roundtrip(tmp_path):
     assert path.read_text().endswith("\n")
 
 
-def test_write_json_rewrites_a_longer_file_to_the_new_bytes(tmp_path):
-    path = tmp_path / "obj.json"
-    files.write_json(path, {"x": list(range(200))})
-    short = {"x": [0]}
-    files.write_json(path, short)
-    assert path.read_bytes() == files.dumps(short).encode()
-
-
-def test_write_json_new_file_gets_the_mode_open_gives(tmp_path):
-    files.write_json(tmp_path / "new.json", {})
-    (tmp_path / "ref.json").write_text("")
-    assert ((tmp_path / "new.json").stat().st_mode
-            == (tmp_path / "ref.json").stat().st_mode)
-
-
-def test_write_json_writes_to_a_device_without_cutting_it():
-    files.write_json("/dev/null", {"x": list(range(200))})
-
-
-def test_write_json_refuses_a_directory(tmp_path):
-    with pytest.raises(IsADirectoryError):
-        files.write_json(tmp_path, {})
-
-
 def test_matrix_fragment_roundtrip():
     b = codes.builtin_codes()
     for c in b.values():

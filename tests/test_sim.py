@@ -865,10 +865,11 @@ def test_block_kernels_take_their_scratch_from_the_arena():
 
 
 @pytest.mark.parametrize("m", [14, 21])
-def test_h_and_cnot_plans_make_a_second_call_allocate_nothing(m):
-    """Once a shape's plan is built, H and CNOT on it allocate no more
-    than a few Python objects: the row index and the factor schedule come
-    from the plans, the scratch from the arena."""
+def test_a_second_h_or_cnot_call_allocates_nothing(m):
+    """Once a shape's CNOT plan is built, H and CNOT on it allocate no
+    more than a few Python objects: the row index comes from the plan,
+    H's factor schedule is a few small lists, and the scratch comes from
+    the arena."""
     s = random_state(rng(120), m)
     starts = range(0, m, 7)
     for a in starts:
@@ -882,12 +883,9 @@ def test_h_and_cnot_plans_make_a_second_call_allocate_nothing(m):
 def test_plans_stay_within_their_bound_and_keep_a_writeable_index():
     for m, c0, t0, n in CNOT_PAIRS:
         sim.transversal_cnot(random_state(rng(121), m), c0, t0, n)
-    for m, start, n in BLOCKS:
-        sim.transversal_h(random_state(rng(122), m), start, n)
-    for plan in (sim._cnot_rows, sim._h_plan):
-        info = plan.cache_info()
-        assert info.maxsize == sim._PLANS
-        assert 0 < info.currsize <= sim._PLANS
+    info = sim._cnot_rows.cache_info()
+    assert info.maxsize == sim._PLANS
+    assert 0 < info.currsize <= sim._PLANS
     index = sim._cnot_rows(7, 128, True)
     assert index.flags.writeable  # np.take would copy a read-only index
     assert index.dtype == np.intp and index.size <= sim._CHUNK

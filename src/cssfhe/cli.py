@@ -4,7 +4,8 @@ Commands: keygen, roundtrip, session, experiment, enumerate. All randomness
 flows from --seed through named substreams, so identical invocations write
 byte-identical files. Reports are one JSON object per line.
 
-Exit codes: 0 success, 1 usage, 2 validation failure, 3 decode failure.
+Exit codes: 0 success, 1 usage, 2 validation failure, 3 decode failure (any
+errors.DecodeError) or a missed fidelity gate.
 """
 
 from __future__ import annotations
@@ -18,31 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from . import asymmetric, css, files, sim, symmetric
-from .errors import (
-    AncillaExhaustedError,
-    CapacityError,
-    CircuitParseError,
-    CssFheError,
-    DecodeFailureError,
-    DegenerateCodeError,
-    InvalidPairError,
-    IsometryError,
-    LeakageError,
-    ParameterError,
-    RefreshAuthorityError,
-    ShapeError,
-    WeightTooLargeError,
-    WireError,
-)
+from .errors import CssFheError, DecodeError, ParameterError, WireError
 
 FIDELITY_GATE = 1.0 - 1e-9
-
-_VALIDATION_ERRORS = (
-    ParameterError, CapacityError, ShapeError, WireError, CircuitParseError,
-    AncillaExhaustedError, WeightTooLargeError, InvalidPairError,
-    IsometryError, DegenerateCodeError,
-)
-_DECODE_ERRORS = (DecodeFailureError, LeakageError, RefreshAuthorityError)
 
 # named substreams hanging off --seed
 STREAM_KEYGEN = 0
@@ -60,7 +39,7 @@ def _emit(obj) -> None:
     sys.stdout.write(files.dumps(obj))
 
 
-# every option a subcommand may take; each subcommand lists the ones it reads
+# every option a subcommand may take; _COMMANDS lists the ones each reads
 _OPTIONS = {
     "scheme": {"choices": ["sym", "asym"], "default": "sym"},
     "base": {"choices": ["steane", "golay"], "default": "steane"},
@@ -76,30 +55,6 @@ _OPTIONS = {
     "copies": {"type": int, "default": 1},
     "candidates": {"type": int, "default": 16},
 }
-_COMMAND_OPTIONS = {
-    "keygen": ("scheme", "base", "mode", "c", "seed", "out"),
-    "roundtrip": ("scheme", "base", "mode", "c", "seed", "out", "state",
-                  "circuit", "tbudget", "weight"),
-    "session": ("base", "c", "seed", "out", "circuit", "weight"),
-    "experiment": ("base", "seed", "trials", "copies", "candidates"),
-    "enumerate": ("base", "seed"),
-}
-
-
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The parser, built once per process: parse_args leaves it as it is."""
-    parser = argparse.ArgumentParser(prog="cssfhe")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command, names in _COMMAND_OPTIONS.items():
-        p = sub.add_parser(command)
-        if command == "experiment":
-            p.add_argument("kind")
-        for name in names:
-            p.add_argument(f"--{name}", **_OPTIONS[name])
-    return parser
-
-
 def _family_candidates(base: str, count: int,
                        true_key: symmetric.SymKey) -> list[symmetric.SymKey]:
     """A roster of keys with pairwise distinct encodings: the true key, its
@@ -207,9 +162,6 @@ def cmd_session(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    if args.kind not in ("key-guess", "ancilla-leak"):
-        sys.stderr.write(f"unknown experiment kind {args.kind!r}\n")
-        return 1
     symmetric.check_attack_sizes(args.candidates, args.trials, args.copies)
     key = symmetric.keygen(args.base, "family", _rng(args.seed, STREAM_KEYGEN))
     rng = _rng(args.seed, STREAM_EXPERIMENT)
@@ -236,28 +188,47 @@ def cmd_enumerate(args) -> int:
     return 0
 
 
+# each subcommand: its handler and the options it reads
+_COMMANDS = {
+    "keygen": (cmd_keygen, ("scheme", "base", "mode", "c", "seed", "out")),
+    "roundtrip": (cmd_roundtrip, ("scheme", "base", "mode", "c", "seed", "out",
+                                  "state", "circuit", "tbudget", "weight")),
+    "session": (cmd_session, ("base", "c", "seed", "out", "circuit", "weight")),
+    "experiment": (cmd_experiment, ("base", "seed", "trials", "copies",
+                                    "candidates")),
+    "enumerate": (cmd_enumerate, ("base", "seed")),
+}
+
+
+@functools.cache
+def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parse_args leaves it as it is."""
+    parser = argparse.ArgumentParser(prog="cssfhe")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (handler, names) in _COMMANDS.items():
+        p = sub.add_parser(command)
+        p.set_defaults(handler=handler)
+        if command == "experiment":
+            p.add_argument("kind", choices=("key-guess", "ancilla-leak"))
+        for name in names:
+            p.add_argument(f"--{name}", **_OPTIONS[name])
+    return parser
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
-    handlers = {
-        "keygen": cmd_keygen,
-        "roundtrip": cmd_roundtrip,
-        "session": cmd_session,
-        "experiment": cmd_experiment,
-        "enumerate": cmd_enumerate,
-    }
     try:
-        return handlers[args.command](args)
-    except _DECODE_ERRORS as exc:
+        return args.handler(args)
+    except DecodeError as exc:
         sys.stderr.write(f"decode failure: {exc}\n")
         return 3
-    except _VALIDATION_ERRORS as exc:
+    except CssFheError as exc:
         sys.stderr.write(f"invalid request: {exc}\n")
         return 2
-    except (CssFheError, OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

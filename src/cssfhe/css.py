@@ -345,25 +345,25 @@ def magic_ancilla_sparse(code: CssCode,
                          frame: tuple) -> tuple[np.ndarray, np.ndarray]:
     """Encoded (|0> + e^{i pi/4} |1>)/sqrt(2) under the frame (x, z) as
     block indices and amplitudes, the logical zero's support first, each
-    in codes.codewords order: the order splice_ancilla's draw indexes."""
+    in codes.codewords order: the order splice_ancilla's draw indexes.
+    Both arrays are read-only, since ancilla pools share them."""
     index, weight, factors = _framed_support(code, 1, [frame])
     vals = np.full(index.shape, weight, dtype=np.complex128)
     for f in factors:
         vals *= f
     vals[1] *= MAGIC_PHASE
     vals /= math.sqrt(2.0)
-    return index.reshape(-1), vals.reshape(-1)
+    pair = index.reshape(-1), vals.reshape(-1)
+    for a in pair:
+        a.setflags(write=False)
+    return pair
 
 
 def zero_frame_magic(code: CssCode) -> tuple[np.ndarray, np.ndarray]:
     """magic_ancilla_sparse(code, (0, 0)), built once per code: the
-    asymmetric scheme's evaluator makes this ancilla for every T gadget.
-    Every gadget shares the arrays, so they are read-only."""
+    asymmetric scheme's evaluator makes this ancilla for every T gadget."""
     if "magic" not in code._cache:
-        pair = magic_ancilla_sparse(code, (0, 0))
-        for a in pair:
-            a.setflags(write=False)
-        code._cache["magic"] = pair
+        code._cache["magic"] = magic_ancilla_sparse(code, (0, 0))
     return code._cache["magic"]
 
 

@@ -1,8 +1,10 @@
 """Exception types shared across the package.
 
-Validation problems (bad shapes, bad parameters, capacity) and protocol-level
-failures (decode failure, leakage) are kept distinct so callers can map them
-to different exit codes.
+Every error is a CssFheError. The protocol-level failures, where a
+ciphertext does not decode (syndrome outside the radius, leakage out of the
+code space, a refresh that leaves the bounds above t), are DecodeErrors; the
+rest are validation problems (bad shapes, parameters, circuits, capacity).
+The CLI maps the two to exit codes 3 and 2 by this hierarchy alone.
 """
 
 
@@ -30,11 +32,16 @@ class InvalidPairError(CssFheError):
     """(C1, C2) pair unsuitable for a one-logical-qubit CSS construction."""
 
 
-class DecodeFailureError(CssFheError):
+class DecodeError(CssFheError):
+    """A ciphertext that does not decode: the base of the protocol-level
+    failures."""
+
+
+class DecodeFailureError(DecodeError):
     """Syndrome outside the correctable radius."""
 
 
-class LeakageError(CssFheError):
+class LeakageError(DecodeError):
     """State has weight outside the expected code space (wrong key or
     uncorrected errors)."""
 
@@ -67,5 +74,5 @@ class WeightTooLargeError(CssFheError):
     """Requested encryption error weight exceeds the correction radius."""
 
 
-class RefreshAuthorityError(CssFheError):
+class RefreshAuthorityError(DecodeError):
     """The refresh callback failed or left the ciphertext undecryptable."""

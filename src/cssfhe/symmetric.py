@@ -324,6 +324,10 @@ def attack_ancilla_leak(copies: int, candidates: list[SymKey],
     overlaps = [abs(sim.sparse_vdot(
         *css.magic_ancilla_sparse(c.code, c.frame), *true_anc)) ** 2
         for c in candidates]
+    # a family roster's overlaps are exactly 0, 1/2 or 1, but the sums that
+    # give them land a few ulps off, which `exact` would carry
+    overlaps = [next((q for q in (0.0, 0.5, 1.0) if abs(p - q) <= 1e-9), p)
+                for p in overlaps]
     true_idx = next((i for i, c in enumerate(candidates)
                      if c.frame == true_key.frame), None)
     if true_idx is None:

@@ -17,8 +17,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cssfhe import cli, css, files, sim, symmetric
-from cssfhe.errors import DecodeFailureError
+from cssfhe import cli, css, errors, files, sim, symmetric
+from cssfhe.errors import CircuitParseError, DecodeFailureError
 
 from helpers import count_calls
 
@@ -540,6 +540,50 @@ def test_experiment_ancilla_leak_reports_exact_rate(capsys):
     assert lines[0]["exact"] == pytest.approx(0.75, abs=1e-12)
 
 
+@pytest.mark.parametrize("base", ["steane", "golay"])
+def test_experiment_ancilla_leak_exact_rate_is_exact(base, capsys):
+    """A family roster's overlaps are 0, 1/2 and 1 exactly, so one copy
+    against the true key, its half-overlap sibling and 14 orthogonal keys
+    gives 3/4 to the last bit."""
+    code, lines, _ = run_cli(["experiment", "ancilla-leak", "--base", base,
+                              "--copies", "1", "--trials", "10",
+                              "--seed", "0"], capsys)
+    assert code == 0
+    assert lines[0]["exact"] == 0.75
+
+
+_ERROR_CLASSES = [c for c in vars(errors).values()
+                  if isinstance(c, type) and issubclass(c, errors.CssFheError)]
+
+
+def test_decode_errors_are_the_protocol_failures():
+    assert {c.__name__ for c in _ERROR_CLASSES
+            if issubclass(c, errors.DecodeError)} == {
+        "DecodeError", "DecodeFailureError", "LeakageError",
+        "RefreshAuthorityError"}
+
+
+@pytest.mark.parametrize("error", _ERROR_CLASSES,
+                         ids=[c.__name__ for c in _ERROR_CLASSES])
+def test_every_error_class_exits_with_its_code(error, monkeypatch, capsys):
+    """Each package error, raised from inside a command, exits 3 with
+    "decode failure:" if it is a DecodeError and 2 with "invalid request:"
+    otherwise, with no traceback."""
+    def broken(c1, c2):
+        if issubclass(error, CircuitParseError):
+            raise error("boom", 1)
+        raise error("boom")
+
+    monkeypatch.setattr(css, "count_distinct_family_codes", broken)
+    code = cli.main(["enumerate", "--seed", "0"])
+    captured = capsys.readouterr()
+    if issubclass(error, errors.DecodeError):
+        assert code == 3 and captured.err.startswith("decode failure: ")
+    else:
+        assert code == 2 and captured.err.startswith("invalid request: ")
+    assert captured.out == "" and "Traceback" not in captured.err
+
+
 # sha256 of stdout and of the --out file for seeded commands, recorded
 # before keys, frames and coset leaders became int masks: a change to how
 # key material is held must leave every byte the CLI writes as it is
@@ -643,12 +687,12 @@ def cli_argvs(draw, paths: dict) -> list[str]:
     """An argv for one subcommand: each of its options given or not (the
     required ones nearly always), sometimes an option it does not take,
     with values drawn from cli._OPTIONS."""
-    command = draw(st.sampled_from(sorted(cli._COMMAND_OPTIONS)))
+    command = draw(st.sampled_from(sorted(cli._COMMANDS)))
     argv = [command]
     if command == "experiment":
         argv.append(draw(st.sampled_from(["key-guess", "ancilla-leak"] * 4
                                          + ["bogus"])))
-    names = [n for n in cli._COMMAND_OPTIONS[command]
+    names = [n for n in cli._COMMANDS[command][1]
              if draw(st.booleans()) or (cli._OPTIONS[n].get("required")
                                         and draw(st.integers(0, 9)))]
     if draw(st.integers(0, 9)) == 0:

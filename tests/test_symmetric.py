@@ -75,6 +75,17 @@ def test_encrypt_layout_and_capacity():
         symmetric.encrypt(key, random_state(g, 4), 0, g)  # 4*7 = 28
 
 
+def test_ancilla_pool_entries_are_read_only():
+    """The pool repeats one pair of arrays, so a write into one entry would
+    change every pending ancilla: both arrays refuse it."""
+    g = rng(11)
+    key = symmetric.keygen("steane", "family", g)
+    ct = symmetric.encrypt(key, random_state(g, 1), 2, g)
+    for array in ct.ancilla_pool[0]:
+        with pytest.raises(ValueError):
+            array[0] = 0
+
+
 def test_encrypt_refuses_a_t_budget_out_of_range(monkeypatch):
     """A budget below 0 or above MAX_T_BUDGET raises ParameterError before
     anything is encoded; MAX_T_BUDGET itself is taken."""

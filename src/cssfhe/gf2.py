@@ -15,8 +15,8 @@ from .errors import ShapeError
 
 def parse_word(bits: str, n: int) -> int:
     """An n-bit word written as n characters '0'/'1', column 0 first (a
-    generator row, a key-file row, a measurement record, or u and v in a
-    key file), as an int mask; anything else raises ShapeError."""
+    built-in generator row or a measurement record), as an int mask;
+    anything else raises ShapeError."""
     if not isinstance(bits, str) or not set(bits) <= {"0", "1"}:
         raise ShapeError(f"record {bits!r} holds a character other than 0/1")
     if len(bits) != n:

@@ -599,12 +599,6 @@ def _marginal(cube: np.ndarray) -> np.ndarray:
     return np.einsum("pk,pk->k", flat, flat).reshape(f.shape[1], -1).sum(1)
 
 
-def block_marginal(state: StateVector, start: int, n: int) -> np.ndarray:
-    """Probability weight of each basis index of the block at
-    [start, start+n), summed over the rest of the register."""
-    return _marginal(_block_cube(state, start, n))
-
-
 def sample_block(state: StateVector, start: int, n: int,
                  rng: np.random.Generator) -> tuple[int, float]:
     """Draw one basis index of the block at [start, start+n) from its
@@ -828,11 +822,6 @@ def parse_circuit(text: str) -> LogicalCircuit:
             raise CircuitParseError(str(exc), lineno)
         max_wire = max(max_wire, *wires)
     return LogicalCircuit(num_wires=max_wire + 1, gates=tuple(gates))
-
-
-def circuit_to_text(c: LogicalCircuit) -> str:
-    return "\n".join(f"{g.kind} {' '.join(str(w) for w in g.wires)}"
-                     for g in c.gates)
 
 
 def count_t_gates(c: LogicalCircuit) -> int:

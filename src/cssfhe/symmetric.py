@@ -39,8 +39,8 @@ MAX_T_BUDGET = 1024
 # Golay has 2^22, so without a bound a roster could run for hours. 256 holds
 # a full Steane roster (65 keys) with room to spare.
 MAX_CANDIDATES = 256
-# ancilla-leak draws its survival tests one by one for each trial and
-# candidate; at this bound the largest accepted run takes a few seconds.
+# ancilla-leak draws every candidate's survival at once per trial; at this
+# bound the largest accepted run takes under a second.
 MAX_TRIALS = 10_000
 # A candidate's ancilla overlaps the true one at 0, 1/2 or 1, so past 64
 # copies a rival at 1/2 survives with probability below 2^-64: more copies
@@ -332,17 +332,17 @@ def attack_ancilla_leak(copies: int, candidates: list[SymKey],
                      if c.frame == true_key.frame), None)
     if true_idx is None:
         raise ParameterError("true key must be among the candidates")
+    # passing all `copies` tests is one draw below p^copies, which is 1
+    # for the true key, so it always survives
+    survive = np.array(overlaps) ** copies
     hits = 0
     for _ in range(trials):
-        survivors = [i for i, p in enumerate(overlaps)
-                     if all(rng.random() < p for _ in range(copies))]
-        pick = survivors[rng.integers(len(survivors))]
-        if pick == true_idx:
+        survivors = np.flatnonzero(rng.random(survive.size) < survive)
+        if survivors[rng.integers(survivors.size)] == true_idx:
             hits += 1
     dist = np.ones(1)  # P(S = s) over the other candidates seen so far
-    for i, p in enumerate(overlaps):
+    for i, q in enumerate(survive):
         if i != true_idx:
-            q = p ** copies
             dist = np.append(dist * (1 - q), 0) + np.append(0, dist * q)
     return {
         "copies": copies,

@@ -25,6 +25,26 @@ def random_state(gen: np.random.Generator, m: int) -> sim.StateVector:
     return sim.StateVector(m, amps)
 
 
+def state_record(state: sim.StateVector) -> dict:
+    """A state as the record that files.parse_state reads."""
+    return {"qubits": state.num_qubits,
+            "amps": [[float(a.real), float(a.imag)] for a in state.amps]}
+
+
+def circuit_to_text(c: sim.LogicalCircuit) -> str:
+    """A circuit in the text form that sim.parse_circuit reads."""
+    return "\n".join(f"{g.kind} {' '.join(str(w) for w in g.wires)}"
+                     for g in c.gates)
+
+
+def block_marginal(state: sim.StateVector, start: int, n: int) -> np.ndarray:
+    """Probability weight of each basis index of the block at
+    [start, start+n), |amp|^2 summed over the rest of the register: the
+    oracle that sample_block and splice_ancilla draw against."""
+    cube = state.amps.reshape(1 << start, 1 << n, -1)
+    return (np.abs(cube) ** 2).sum(axis=(0, 2))
+
+
 def iso_columns(code, u: int, v: int):
     """The sparse logical-basis columns of the code under the key (u, v),
     one word at a time: logical b is the uniform superposition of the

@@ -17,10 +17,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cssfhe import cli, css, errors, files, sim, symmetric
+from cssfhe import cli, css, errors, files, gf2, sim, symmetric
 from cssfhe.errors import CircuitParseError, DecodeFailureError
 
-from helpers import count_calls
+from helpers import count_calls, state_record
 
 
 def run_cli(argv, capsys):
@@ -33,7 +33,7 @@ def run_cli(argv, capsys):
 @pytest.fixture()
 def zero_state(tmp_path):
     path = tmp_path / "zero.json"
-    files.write_json(path, files.state_record(sim.basis_state(1, "0")))
+    files.write_json(path, state_record(sim.basis_state(1, "0")))
     return str(path)
 
 
@@ -50,8 +50,12 @@ def test_keygen_sym_report_and_file(tmp_path, capsys):
     assert code == 0
     assert lines[0]["kind"] == "family"
     assert lines[0]["n"] == 7 and lines[0]["t"] == 1
-    key = files.parse_key_record(files.read_json(out_path))
-    assert key.variant == "family"
+    rec = files.read_json(out_path)
+    assert set(rec) == {"kind", "base", "S", "P", "u", "v", "n", "t"}
+    assert rec["kind"] == "family" and rec["S"] is rec["P"] is None
+    assert (rec["base"]["name"], rec["n"], rec["t"]) == ("steane", 7, 1)
+    for word in (rec["u"], rec["v"]):
+        gf2.parse_word(word, 7)  # a 7-bit word, else ShapeError
 
 
 def test_keygen_asym_golay_report(capsys):
@@ -627,7 +631,7 @@ def test_seeded_outputs_match_pinned_digests(tmp_path, monkeypatch, capsys,
                                              command, stdout_sha, out_sha):
     monkeypatch.chdir(tmp_path)
     Path("circuit.txt").write_text(PINNED_CIRCUIT, encoding="utf-8")
-    files.write_json("state.json", files.state_record(
+    files.write_json("state.json", state_record(
         sim.StateVector(2, np.array([0.6, 0.0, 0.0, 0.8]))))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
@@ -648,7 +652,7 @@ def argv_paths(tmp_path_factory):
     targets that can and cannot be written."""
     root = tmp_path_factory.mktemp("argv")
     files.write_json(root / "zero.json",
-                     files.state_record(sim.basis_state(1, "0")))
+                     state_record(sim.basis_state(1, "0")))
     (root / "bad.json").write_text("{not json", encoding="utf-8")
     (root / "dir").mkdir()
     for name, text in (("h.circ", "H 0\n"), ("t.circ", "T 0\nH 0\n"),

@@ -306,7 +306,7 @@ def test_vector_helpers():
 
 
 @pytest.mark.parametrize("word", ["0102", "0009", "01a1", "0b11", "1_01",
-                                  " 011", "-101"])
+                                  " 011", "011 ", "-101", ""])
 def test_bit_strings_refuse_other_characters(word):
     with pytest.raises(ShapeError):
         gf2.parse_word(word, 4)

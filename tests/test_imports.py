@@ -1,8 +1,10 @@
 """Every import in the library and the tests is read: a name a module
 imports but never uses fails here, with no linter needed. The library
-also reads nothing of numpy that the oldest supported numpy lacks."""
+also reads nothing of numpy that the oldest supported numpy lacks, and
+defines nothing that only the tests reach."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -103,3 +105,67 @@ def test_helpers_read_nothing_private_of_the_library():
     check the library's support code, so they must not read it."""
     source = (ROOT / "tests" / "helpers.py").read_text(encoding="utf-8")
     assert private_library_reads(source) == []
+
+
+# Library definitions that no command, scheme or benchmark reaches, kept as
+# the reference a test checks a fast path against, each with its reason.
+REFERENCES = {
+    "sim.transversal_sdgx": "the dense X then Sdg that splice_ancilla's "
+                            "fused scatter is checked against",
+}
+BENCH = sorted(ROOT.glob("bench/*.py"))
+
+
+def public_definitions(path: Path) -> list[str]:
+    """`module.name` of each module-level def or class whose name has no
+    leading underscore."""
+    return [f"{path.stem}.{node.name}"
+            for node in ast.parse(path.read_text(encoding="utf-8")).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
+
+
+def names_read(source: str, strings: bool = False) -> set[str]:
+    """The names the source reads, bare or as an attribute, and with
+    `strings` every identifier inside a string constant too (the
+    benchmark names the functions it wraps by string)."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif (strings and isinstance(node, ast.Constant)
+              and isinstance(node.value, str)):
+            out |= set(re.findall(r"[A-Za-z_]\w*", node.value))
+    return out
+
+
+def unreached(library: list[Path], bench: list[Path]) -> list[str]:
+    """Public library definitions that no library code and no benchmark
+    file names."""
+    read = set().union(
+        *(names_read(p.read_text(encoding="utf-8")) for p in library),
+        *(names_read(p.read_text(encoding="utf-8"), strings=True)
+          for p in bench))
+    return sorted(d for p in library for d in public_definitions(p)
+                  if d.split(".")[1] not in read)
+
+
+def test_unreached_definitions_are_found(tmp_path):
+    (tmp_path / "lib.py").write_text(
+        "def used(): pass\ndef wrapped(): pass\ndef by_bench(): pass\n"
+        "def unused(): pass\nclass Unused: pass\ndef _private(): pass\n"
+        "def caller():\n    used()\n", encoding="utf-8")
+    (tmp_path / "bench.py").write_text(
+        "FUNCS = ('wrapped.H',)\nlib.by_bench()\nunused = 1\n",
+        encoding="utf-8")
+    assert unreached([tmp_path / "lib.py"], [tmp_path / "bench.py"]) == [
+        "lib.Unused", "lib.caller", "lib.unused"]
+
+
+def test_every_library_definition_is_reached():
+    """A def or class that only tests call belongs in tests/helpers.py;
+    one that nothing calls goes. Only a REFERENCES entry stays unreached,
+    and every entry must still be one."""
+    assert unreached(LIBRARY, BENCH) == sorted(REFERENCES)

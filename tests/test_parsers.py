@@ -13,6 +13,8 @@ from hypothesis import given, settings, strategies as st
 from cssfhe import files, sim
 from cssfhe.errors import CircuitParseError, ShapeError, UnknownGateError
 
+from helpers import circuit_to_text
+
 
 def fuzz(examples):
     return settings(derandomize=True, database=None, max_examples=examples,
@@ -103,4 +105,4 @@ def test_parse_circuit_takes_any_text(text):
     for g in circuit.gates:
         assert g.kind in sim.LOGICAL_GATES
         assert all(0 <= w < circuit.num_wires for w in g.wires)
-    assert sim.parse_circuit(sim.circuit_to_text(circuit)) == circuit
+    assert sim.parse_circuit(circuit_to_text(circuit)) == circuit

@@ -15,7 +15,8 @@ from cssfhe.errors import (
     WireError,
 )
 
-from helpers import bits_to_index, random_circuit, random_state, rng
+from helpers import (bits_to_index, block_marginal, circuit_to_text,
+                     random_circuit, random_state, rng)
 
 
 def test_basis_state_single():
@@ -573,7 +574,7 @@ def _reference_measure(state, start, n, bits):
                                        (10, 2, 5), (8, 7, 1)])
 def test_block_marginal_matches_sequential_measure_z(m, start, n):
     psi = random_state(rng(85 + start), m)
-    marginal = sim.block_marginal(psi, start, n)
+    marginal = block_marginal(psi, start, n)
     for j in range(1 << n):
         want, _ = _reference_measure(psi.copy(), start, n, format(j, f"0{n}b"))
         assert abs(marginal[j] - want) < 1e-12
@@ -645,7 +646,7 @@ def test_splice_ancilla_forced_record_matches_joint_register(m, start, n,
     a_idx, a_val = _sparse_ancilla(kind, n, g)
     joint = _joint_after_cnots(psi, start, n, a_idx, a_val)
     cube = joint.amps.reshape(1 << start, 1 << n, -1, 1 << n)
-    cum = np.cumsum(sim.block_marginal(psi, start, n))
+    cum = np.cumsum(block_marginal(psi, start, n))
     for term in (0, a_idx.size - 1):
         for d in (0, (1 << n) - 1, int(g.integers(1 << n))):
             lower = cum[d - 1] if d else 0.0
@@ -673,9 +674,9 @@ def test_splice_ancilla_record_distribution_is_joint_marginal():
                               (14, 0, 7, "random"), (12, 4, 4, "random")):
         psi = random_state(g, m)
         a_idx, a_val = _sparse_ancilla(kind, n, g)
-        want = sim.block_marginal(_joint_after_cnots(psi, start, n, a_idx,
-                                                     a_val), start, n)
-        marginal = sim.block_marginal(psi, start, n)
+        want = block_marginal(_joint_after_cnots(psi, start, n, a_idx,
+                                                 a_val), start, n)
+        marginal = block_marginal(psi, start, n)
         got = np.zeros(1 << n)
         for a, p in zip(a_idx, np.abs(a_val) ** 2):
             got += p * marginal[np.arange(1 << n) ^ a]
@@ -705,7 +706,7 @@ def test_splice_ancilla_uses_two_draws_and_checks_norm():
                                  _uncorrected, rng(0)),
     lambda s: sim.splice_ancilla(s, 0, 0, np.array([0]), np.array([1.0]),
                                  _uncorrected, rng(0)),
-    lambda s: sim.block_marginal(s, -2, 3),
+    lambda s: sim.sample_block(s, -2, 3, rng(0)),
     lambda s: sim.apply_block_pauli(s, 7, 2, 1, 0),
 ])
 def test_block_kernels_reject_bad_blocks(call):
@@ -721,7 +722,7 @@ def test_splice_ancilla_across_chunks_matches_dense_splice(m, start, n):
     psi = random_state(g, m)
     a_idx, a_val = _sparse_ancilla("steane" if n == 7 else "random", n, g)
     cube = psi.amps.reshape(1 << start, 1 << n, -1)
-    cum = np.cumsum(sim.block_marginal(psi, start, n))
+    cum = np.cumsum(block_marginal(psi, start, n))
     for term, d in ((0, 0), (a_idx.size - 1, (1 << n) - 1),
                     (1, int(g.integers(1 << n)))):
         lower = cum[d - 1] if d else 0.0
@@ -798,7 +799,7 @@ def test_splice_ancilla_draws_its_term_as_generator_choice():
 def test_sample_block_draws_across_ranges_like_full_marginal():
     # a 16-qubit block has two ranges of a chunk of block indices each
     psi = random_state(rng(103), 17)
-    cum = np.cumsum(sim.block_marginal(psi, 1, 16))
+    cum = np.cumsum(block_marginal(psi, 1, 16))
     for r in (0.0, 0.25, 0.5, 0.75, np.nextafter(1.0, 0.0),
               *rng(104).random(20)):
         j, weight = sim.sample_block(psi, 1, 16, _Fixed(r))
@@ -979,7 +980,7 @@ def test_parse_circuit_reports_line_numbers():
 
 def test_circuit_text_roundtrip():
     text = "H 0\nCNOT 0 1\nT 1"
-    assert sim.circuit_to_text(sim.parse_circuit(text)) == text
+    assert circuit_to_text(sim.parse_circuit(text)) == text
 
 
 def test_count_t_gates():

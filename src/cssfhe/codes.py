@@ -20,11 +20,6 @@ from .errors import CapacityError, DegenerateCodeError, ShapeError
 BRUTE_FORCE_K = 20
 SYNDROME_BITS = 20
 
-# the set bits of every 16-bit value
-_WEIGHT16 = np.zeros(1, dtype=np.int8)
-for _ in range(16):
-    _WEIGHT16 = np.concatenate([_WEIGHT16, _WEIGHT16 + 1])
-
 
 @dataclass(frozen=True, eq=False)
 class LinearCode:
@@ -70,20 +65,10 @@ def codewords(c: LinearCode) -> np.ndarray:
     return words
 
 
-def weights(words: np.ndarray) -> np.ndarray:
-    """The number of set bits of each nonnegative int64 word."""
-    out = _WEIGHT16[words & 0xFFFF]
-    words = words >> 16
-    while words.any():
-        out = out + _WEIGHT16[words & 0xFFFF]
-        words = words >> 16
-    return out
-
-
 def min_distance(c: LinearCode) -> int:
     if c.k == 0:
         raise DegenerateCodeError("zero code has no nonzero codewords")
-    w = weights(codewords(c))
+    w = gf2.weights(codewords(c))
     return int(w[w > 0].min())
 
 

@@ -85,13 +85,13 @@ def build(c1: LinearCode, c2: LinearCode) -> CssCode:
     check = next(h for h in c2.pchk
                  if any((h & g).bit_count() & 1 for g in c1.gen))
     cw1 = codes_mod.codewords(c1)
-    x1 = _lightest(cw1[codes_mod.weights(cw1 & check) & 1 == 1])
+    x1 = _lightest(cw1[gf2.weights(cw1 & check) & 1 == 1])
     return CssCode(c1=c1, c2=c2, n=c1.n, t=t, x1=x1, x1_check=check)
 
 
 def _lightest(words: np.ndarray) -> int:
     """The word of least weight, the lowest among ties."""
-    w = codes_mod.weights(words)
+    w = gf2.weights(words)
     return int(words[w == w.min()].min())
 
 
@@ -132,7 +132,7 @@ def _frame_mask(part: int, n: int) -> int:
 
 def _z_signs(rows: np.ndarray, z: int) -> np.ndarray:
     """(-1)^(s.z) over the block rows s."""
-    return 1 - 2 * sim._parity(rows & z)
+    return 1 - 2 * (gf2.weights(rows & z) & 1)
 
 
 def _framed_support(code: CssCode, m: int, frames):

@@ -20,11 +20,10 @@ Conventions, fixed once:
   - `amps` is always C-contiguous, so reshapes are views.
 
 The per-qubit `apply_gate` and `measure_z` are the reference path; the
-block kernels (`transversal_h`, `transversal_cnot`, `transversal_sdgx`,
-`splice_ancilla`, `apply_block_pauli`) act on a whole n-qubit block at
-once and are tested against that path. `splice_ancilla` runs the whole T
-gadget, its X.Sdg correction folded into its scatter; the dense
-`transversal_sdgx` is the reference that scatter is tested against.
+block kernels (`transversal_h`, `transversal_cnot`, `splice_ancilla`,
+`apply_block_pauli`) act on a whole n-qubit block at once and are tested
+against that path. `splice_ancilla` runs the whole T gadget, its X.Sdg
+correction folded into its scatter.
 """
 
 from __future__ import annotations
@@ -37,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import gf2
 from .errors import (
     CapacityError,
     CircuitParseError,
@@ -49,20 +49,16 @@ from .errors import (
 MAX_QUBITS = 24
 _CHUNK_BITS = 14
 _CHUNK = 1 << _CHUNK_BITS  # amplitudes per step of the in-place kernels
-_POP4 = np.zeros(1, dtype=np.intp)  # set bits of every index < _CHUNK, mod 4
-for _ in range(_CHUNK_BITS):
-    _POP4 = np.concatenate((_POP4, (_POP4 + 1) & 3))
 _INDEX = np.arange(_CHUNK, dtype=np.intp)  # gather index of a chunk
-# The block kernels' scratch arena. Rows 0-5 hold amplitudes (_STAGE):
-# each kernel stages in rows 0-1 (first_occupied puts its moduli in row
-# 0), and _xor_phase puts its phase tables, one per value of the scalar
-# exponent, in the rows after its one or two staging rows, so that a
-# pass that needs fewer rows touches fewer pages; splice_ancilla puts its
-# correction phases in row 2. Row 6 gives two rows of gather indices
-# (_INDICES). sample_block, which splice_ancilla calls, takes none of it.
-_ARENA = np.empty((7, _CHUNK), dtype=np.complex128)
-_STAGE = _ARENA[:6]
-_INDICES = _ARENA[6:].view(np.intp).reshape(2, _CHUNK)
+# The block kernels' scratch arena: rows 0-3 hold amplitudes (_STAGE) and
+# row 4 two rows of gather indices (_INDICES). transversal_h and
+# first_occupied take stage 0; transversal_cnot stage 0-1 and indices 1;
+# apply_block_pauli stage 0-1, its Z sign table and the negated table in
+# stage 2-3, and indices 0; splice_ancilla stage 0-2 (gather, weights,
+# phases) and indices 0-1; sample_block, which splice_ancilla calls, none.
+_ARENA = np.empty((5, _CHUNK), dtype=np.complex128)
+_STAGE = _ARENA[:4]
+_INDICES = _ARENA[4:].view(np.intp).reshape(2, _CHUNK)
 _SQRT2 = math.sqrt(2.0)
 _PLANS = 8  # row-index plans transversal_cnot keeps
 
@@ -282,25 +278,6 @@ def apply_block_isometry(state: StateVector, wire: int,
     return StateVector(m2, out.reshape(-1), check=False)
 
 
-def _parity_table(bits: int) -> np.ndarray:
-    """The parity of every integer below 2^bits, as int8: the upper half
-    of each doubling is the lower half with one more bit set."""
-    table = np.zeros(1, dtype=np.int8)
-    for _ in range(bits):
-        table = np.concatenate([table, table ^ 1])
-    return table
-
-
-_PARITY16 = _parity_table(16)
-
-
-def _parity(a: np.ndarray) -> np.ndarray:
-    """Parity of the set bits of each entry (entries below 2^32), as int8,
-    by two lookups in a table of 16-bit parities: on the short arrays of
-    a code-space support, the numpy calls cost more than the data."""
-    return _PARITY16[a & 0xFFFF] ^ _PARITY16[a >> 16]
-
-
 def contract_block_isometry(state: StateVector, start: int,
                             iso: BlockIsometry, x_mask: int = 0,
                             z_mask: int = 0) -> tuple[StateVector, float]:
@@ -322,7 +299,7 @@ def contract_block_isometry(state: StateVector, start: int,
     out = np.empty((1 << start, 2, view.shape[2]), dtype=np.complex128)
     for b in range(2):
         idx, vals = iso.cols[b]
-        weights = vals.conj() * (1 - 2 * _parity(idx & z_mask))
+        weights = vals.conj() * (1 - 2 * (gf2.weights(idx & z_mask) & 1))
         out[:, b, :] = np.einsum("j,ajb->ab", weights, view[:, idx ^ x_mask, :])
     kept = float(np.sum(np.abs(out) ** 2))
     leakage = max(0.0, 1.0 - kept)
@@ -499,96 +476,6 @@ def transversal_cnot(state: StateVector, c0: int, t0: int,
     return state
 
 
-# sign * omega^e for e < 8, so that the powers from e on are a slice: the
-# (omega, sign) pairs of block Pauli and of X.Sdg
-_CYCLES = {(omega, sign): np.array([sign * omega**e for e in range(8)],
-                                   dtype=np.complex128)
-           for omega, sign in ((-1, 1), (-1, -1), (-1j, 1))}
-
-
-def _xor_phase(state: StateVector, start: int, n: int, x_mask: int,
-               p_mask: int, omega: complex, sign: complex) -> None:
-    """In place, new[j] = sign * omega^popcount(j & P) * old[j ^ X] with X
-    and P the block-local masks moved to the register bits of the block
-    at [start, start+n); (omega, sign) is one of the pairs in _CYCLES.
-
-    The register goes chunk by chunk: chunk k pairs with chunk
-    k ^ (X >> _CHUNK_BITS). Each chunk of a pair is staged, a sequential
-    pass that copies it into scratch times the phase its amplitudes take
-    at their destination. Once both are staged, the low bits of X are one
-    np.take from the scratch straight into the register chunk, in rows as
-    wide as the lowest set bit of X allows (mode "clip", whose indices are
-    all in range anyway, writes straight into `out`, which the default
-    mode buffers). So the register is read once and written once, and the
-    gather reads from cache. The phase at destination j is a scalar per
-    chunk (from the high bits of j & P) times a table over the block bits
-    inside the chunk, which the staging reads at source index j ^ X; each
-    value of the scalar gets one flat table over the whole chunk, built
-    before the pass, so that the multiply broadcasts nothing (a
-    broadcasting ufunc takes a buffer from malloc on every call)."""
-    m = state.num_qubits
-    shift = m - start - n
-    big_x, big_p = x_mask << shift, p_mask << shift
-    cbits = min(m, _CHUNK_BITS)
-    chunks = state.amps.reshape(-1, 1 << cbits)
-    x_hi, x_lo = big_x >> cbits, big_x & ((1 << cbits) - 1)
-    p_hi, p_lo = big_p >> cbits, big_p & ((1 << cbits) - 1)
-    cycle = _CYCLES[omega, sign]
-    period = 2 if omega == -1 else 4  # of the scalar exponent e
-    stage = _STAGE[:2 if x_hi else 1, :1 << cbits]
-    tables = _STAGE[len(stage):]
-    if p_lo:  # a flat table per scalar exponent e, over the whole chunk
-        size = 1 << (min(cbits, shift + n) - shift)  # block bits in a chunk
-        exps = _INDICES[0, :size]  # table exponent of each row, at i ^ X
-        np.bitwise_xor(_INDEX[:size], x_lo >> shift, out=exps)
-        np.bitwise_and(exps, p_lo >> shift, out=exps)
-        np.take(_POP4, exps, out=_INDICES[1, :size], mode="clip")
-        for e in range(min(period, p_hi.bit_count() + 1)):
-            row = np.take(cycle[e:e + 4], _INDICES[1, :size], mode="clip",
-                          out=stage[0, :size])
-            np.copyto(tables[e, :chunks.shape[1]].reshape(
-                -1, size, 1 << min(shift, cbits)), row[:, None])
-
-    def put(dst, src, k):
-        """dst = (phase of destination chunk k) * src, for whole chunks."""
-        e = (k & p_hi).bit_count() % period
-        if p_lo:
-            np.multiply(src, tables[e, :len(src)], out=dst)
-        elif cycle[e] != 1:
-            np.multiply(src, cycle[e], out=dst)
-        elif src is not dst:
-            np.copyto(dst, src)
-
-    if not big_x:
-        for k, chunk in enumerate(chunks):
-            put(chunk, chunk, k)
-        return
-    r = ((x_lo & -x_lo) or 1 << cbits).bit_length() - 1  # row width 2^r
-    src_of = np.bitwise_xor(_INDEX[:1 << (cbits - r)], x_lo >> r,
-                            out=_INDICES[0, :1 << (cbits - r)])
-    rows = chunks.reshape(len(chunks), -1, 1 << r)
-    stage_rows = stage.reshape(len(stage), -1, 1 << r)
-    for k in range(len(chunks)):
-        k2 = k ^ x_hi
-        if k2 < k:
-            continue
-        put(stage[0], chunks[k2], k)
-        if k2 != k:
-            put(stage[1], chunks[k], k2)
-            np.take(stage_rows[1], src_of, axis=0, out=rows[k2], mode="clip")
-        np.take(stage_rows[0], src_of, axis=0, out=rows[k], mode="clip")
-
-
-def transversal_sdgx(state: StateVector, start: int, n: int) -> StateVector:
-    """X then Sdg on every qubit of the block at [start, start+n):
-    new[j] = (-i)^popcount(j) * old[j XOR (2^n - 1)], one in-place pass."""
-    start, n = map(operator.index, (start, n))
-    _block_cube(state, start, n)
-    ones = (1 << n) - 1
-    _xor_phase(state, start, n, ones, ones, -1j, 1)
-    return state
-
-
 def _marginal(cube: np.ndarray) -> np.ndarray:
     """Probability weight of each index of axis 1 of the (pre, k, post)
     array cube, summed over the other two axes."""
@@ -631,6 +518,9 @@ def sample_block(state: StateVector, start: int, n: int,
     return starts[i] + j, float(weights[j])
 
 
+_MINUS_I_POWERS = np.array([1, -1j, -1, 1j])  # (-i)^k, the Sdg phase of k ones
+
+
 def splice_ancilla(state: StateVector, start: int, n: int, a_idx, a_val,
                    readout, rng: np.random.Generator
                    ) -> tuple[str, int, StateVector]:
@@ -655,11 +545,10 @@ def splice_ancilla(state: StateVector, start: int, n: int, a_idx, a_val,
     block axis, weighted by the ancilla and normalized; the slab is
     zeroed, and they are scattered to a_idx on outcome 0, and on outcome
     1 to a_idx ^ (2^n - 1) times (-i)^popcount of that index: bit for
-    bit the splice followed by transversal_sdgx, the dense reference,
-    since the phase comes after the norm. With one slab its gather
-    serves both the norm and the scatter; more slabs take a read-only
-    first pass for the norm. Returns the record, the outcome and the
-    state."""
+    bit the splice followed by a dense transversal X then Sdg, since the
+    phase comes after the norm. With one slab its gather serves both the
+    norm and the scatter; more slabs take a read-only first pass for the
+    norm. Returns the record, the outcome and the state."""
     start, n = map(operator.index, (start, n))
     cube = _block_cube(state, start, n)
     per = a_idx.shape[0]
@@ -689,10 +578,9 @@ def splice_ancilla(state: StateVector, start: int, n: int, a_idx, a_val,
     dest = a_idx
     if outcome == 1:
         dest = a_idx ^ (size - 1)
-        # popcount mod 4 of indices below 2^24 by two lookups in _POP4
-        pop4 = (_POP4[dest & (_CHUNK - 1)] + _POP4[dest >> _CHUNK_BITS]) & 3
+        pop = gf2.weights(dest) & 3
         phase = _STAGE[2, :got.size].reshape(got.shape)
-        np.copyto(phase, _CYCLES[-1j, 1][pop4][:, None])
+        np.copyto(phase, _MINUS_I_POWERS[pop][:, None])
     slabs = [(p, q) for p in range(0, pre, rows) for q in range(pieces)]
 
     def gather(p, q):  # the slab's slices at y xor a_idx, weighted
@@ -720,15 +608,70 @@ def apply_block_pauli(state: StateVector, start: int, n: int,
     masks given as block-local integers (bit n-1-j of the mask acts on the
     j-th qubit of the block, matching index arithmetic).
 
-    new[j] = (-1)^popcount((j ^ x) & z) * old[j ^ x]: one in-place pass
-    that permutes and signs together."""
+    new[i ^ x] = (-1)^popcount(i & z) * old[i]: the sign belongs to the
+    source index. One in-place pass, chunk by chunk, with X and Z the
+    masks moved to the register bits: chunk k pairs with chunk
+    k ^ (X >> _CHUNK_BITS), and each chunk of a pair is staged, copied
+    into scratch times the Z signs of its own indices: the parity of
+    k & (Z >> _CHUNK_BITS) times one flat table for Z's bits inside a
+    chunk, built by doubling before the pass and negated once if Z has
+    bits above the chunk, so that no multiply broadcasts (a broadcasting
+    ufunc takes a buffer from malloc on every call). Then the low bits
+    of X are one np.take from the stage straight into the partner chunk,
+    in rows as wide as X's lowest set bit allows (mode "clip" writes
+    straight into `out`, which the default mode buffers). So the register
+    is read once and written once, and the gather reads from cache.
+    Without X the chunks are signed in place; the identity makes no
+    pass."""
     start, n, x_mask, z_mask = map(operator.index, (start, n, x_mask, z_mask))
     cube = _block_cube(state, start, n)
     if not (0 <= x_mask < cube.shape[1] and 0 <= z_mask < cube.shape[1]):
         raise ShapeError(f"masks {x_mask:#x}, {z_mask:#x} exceed {n} bits")
-    if x_mask or z_mask:
-        sign = -1 if bin(x_mask & z_mask).count("1") & 1 else 1
-        _xor_phase(state, start, n, x_mask, z_mask, -1, sign)
+    if not (x_mask or z_mask):
+        return state
+    shift = state.num_qubits - start - n  # register bits after the block
+    cbits = min(state.num_qubits, _CHUNK_BITS)
+    chunks = state.amps.reshape(-1, 1 << cbits)
+    x_hi, x_lo = divmod(x_mask << shift, 1 << cbits)
+    z_hi, z_lo = divmod(z_mask << shift, 1 << cbits)
+    signs = _STAGE[2:4, :1 << cbits]  # Z's table over a chunk, and negated
+    if z_lo:
+        signs[0, 0] = 1
+        for b in range(cbits):  # indices with bit b set: flipped by z bit b
+            np.multiply(signs[0, :1 << b], -1 if z_lo >> b & 1 else 1,
+                        out=signs[0, 1 << b:2 << b])
+        if z_hi:
+            np.multiply(signs[0], -1, out=signs[1])
+
+    def signed(dst, src, k):
+        """dst = src, the amplitudes of chunk k, times their Z signs."""
+        odd = (k & z_hi).bit_count() & 1
+        if z_lo:
+            np.multiply(src, signs[odd], out=dst)
+        elif odd:
+            np.multiply(src, -1, out=dst)  # np.negative: 4x slower on complex
+        elif src is not dst:
+            np.copyto(dst, src)
+
+    if not x_mask:
+        for k, chunk in enumerate(chunks):
+            signed(chunk, chunk, k)
+        return state
+    r = ((x_lo & -x_lo) or 1 << cbits).bit_length() - 1  # row width 2^r
+    src_of = np.bitwise_xor(_INDEX[:1 << (cbits - r)], x_lo >> r,
+                            out=_INDICES[0, :1 << (cbits - r)])
+    stage = _STAGE[:2, :1 << cbits]
+    rows = chunks.reshape(len(chunks), -1, 1 << r)
+    stage_rows = stage.reshape(2, -1, 1 << r)
+    for k in range(len(chunks)):
+        k2 = k ^ x_hi
+        if k2 < k:
+            continue
+        signed(stage[0], chunks[k2], k2)
+        if k2 != k:
+            signed(stage[1], chunks[k], k)
+            np.take(stage_rows[1], src_of, axis=0, out=rows[k2], mode="clip")
+        np.take(stage_rows[0], src_of, axis=0, out=rows[k], mode="clip")
     return state
 
 

@@ -45,6 +45,21 @@ def block_marginal(state: sim.StateVector, start: int, n: int) -> np.ndarray:
     return (np.abs(cube) ** 2).sum(axis=(0, 2))
 
 
+def transversal_sdgx(state: sim.StateVector, start: int,
+                     n: int) -> sim.StateVector:
+    """X then Sdg on every qubit of the block at [start, start+n), densely:
+    new[j] = (-i)^popcount(j) * old[j ^ (2^n - 1)], the block axis
+    reversed and then phased. The reference that splice_ancilla's fused
+    correction is checked against."""
+    cube = state.amps.reshape(1 << start, 1 << n, -1)
+    pop = np.zeros(1, dtype=np.int8)
+    for _ in range(n):  # the upper half of each doubling has one more bit
+        pop = np.concatenate([pop, pop + 1])
+    phase = np.array([1, -1j, -1, 1j])[pop & 3]
+    cube[...] = cube[:, ::-1] * phase[:, None]
+    return state
+
+
 def iso_columns(code, u: int, v: int):
     """The sparse logical-basis columns of the code under the key (u, v),
     one word at a time: logical b is the uniform superposition of the

@@ -22,7 +22,7 @@ from cssfhe.errors import (
 
 from helpers import (count_calls, decode_per_block, family_signature,
                      iso_columns, isometry, logical_basis, random_state, rng,
-                     span_brute, stabilizers)
+                     span_brute, stabilizers, transversal_sdgx)
 
 
 @pytest.fixture(scope="module")
@@ -1150,7 +1150,7 @@ def test_key_rule_sdgx_golay_transversal():
         u, v = (gf2.random_vector(23, g) for _ in range(2))
         psi = random_state(g, 1)
         enc = css.encode_blocks(code0, psi, [(v, u)])
-        sim.transversal_sdgx(enc, 0, 23)
+        transversal_sdgx(enc, 0, 23)
         nu, nv = css.KeyEvolver.sdgx_rule(u, v)
         out = css.decode_blocks(code0, enc, [(nv, nu)])
         ref = sim.apply_gate(sim.apply_gate(psi.copy(), sim.GateOp("X", (0,))),

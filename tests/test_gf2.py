@@ -53,6 +53,24 @@ def rowspace_contains(m, w) -> bool:
     return w == 0
 
 
+def test_weights_match_bit_count():
+    """The popcount, and its parity and value mod 4 as the sign and phase
+    tables read them, on int64 words up to 2^62: every small word, each
+    16-bit boundary from both sides, and random words of every width."""
+    g = rng(61)
+    edges = [(1 << b) + d for b in (16, 32, 48) for d in (-1, 0, 1)]
+    words = np.concatenate([
+        np.arange(1 << 10), edges, [(1 << 62) - 1, 1 << 62],
+        *(g.integers(0, 1 << b, size=1024) for b in (16, 17, 32, 33, 48, 49,
+                                                     62))]).astype(np.int64)
+    want = np.array([int(w).bit_count() for w in words])
+    got = gf2.weights(words)
+    assert got.tolist() == want.tolist()
+    assert (got & 1).tolist() == (want % 2).tolist()
+    assert (got & 3).tolist() == (want % 4).tolist()
+    assert gf2.weights(words[:1023].reshape(-1, 3)).shape == (341, 3)
+
+
 def test_rref_identity_is_fixed_point():
     red, pivots = gf2.row_echelon(eye(3), 3)
     assert red == eye(3)

@@ -1,7 +1,8 @@
 """Every import in the library and the tests is read: a name a module
 imports but never uses fails here, with no linter needed. The library
-also reads nothing of numpy that the oldest supported numpy lacks, and
-defines nothing that only the tests reach."""
+also reads nothing of numpy that the oldest supported numpy lacks,
+defines nothing that only the tests reach, and reads no module's private
+names from another."""
 
 import ast
 import re
@@ -73,11 +74,14 @@ def test_library_runs_on_the_numpy_floor(path):
 def private_library_reads(source: str) -> list[str]:
     """Reads of an underscore-prefixed attribute of a cssfhe module, by
     any name the source binds to one (`from cssfhe import css`, `import
-    cssfhe.sim as sim`, `import cssfhe`)."""
+    cssfhe.sim as sim`, `import cssfhe`, and inside the package `from .
+    import sim` or `from . import codes as codes_mod`)."""
     tree = ast.parse(source)
     modules = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module == "cssfhe":
+        if isinstance(node, ast.ImportFrom) and (
+                node.module == "cssfhe"
+                or node.level == 1 and node.module is None):
             modules |= {a.asname or a.name for a in node.names}
         elif isinstance(node, ast.Import):
             modules |= {a.asname or a.name.split(".")[0] for a in node.names
@@ -98,6 +102,12 @@ def test_private_library_reads_are_found():
     assert private_library_reads(source) == [
         "line 4: css._block_support", "line 5: s._parity",
         "line 6: cssfhe.gf2._x"]
+    inside = ("from . import sim\nfrom . import codes as codes_mod\n"
+              "from .codes import LinearCode\n"
+              "a = sim._parity(w)\nb = codes_mod._WEIGHT16\n"
+              "c = LinearCode._x\nd = sim.apply_gate\n")
+    assert private_library_reads(inside) == [
+        "line 4: sim._parity", "line 5: codes_mod._WEIGHT16"]
 
 
 def test_helpers_read_nothing_private_of_the_library():
@@ -107,12 +117,14 @@ def test_helpers_read_nothing_private_of_the_library():
     assert private_library_reads(source) == []
 
 
-# Library definitions that no command, scheme or benchmark reaches, kept as
-# the reference a test checks a fast path against, each with its reason.
-REFERENCES = {
-    "sim.transversal_sdgx": "the dense X then Sdg that splice_ancilla's "
-                            "fused scatter is checked against",
-}
+def test_library_modules_read_nothing_private_of_each_other():
+    """An underscore name belongs to its module: another module that
+    needs it reads a public name instead."""
+    reads = [f"{p.name}: {read.split(': ', 1)[1]}" for p in LIBRARY
+             for read in private_library_reads(p.read_text(encoding="utf-8"))]
+    assert reads == []
+
+
 BENCH = sorted(ROOT.glob("bench/*.py"))
 
 
@@ -166,6 +178,5 @@ def test_unreached_definitions_are_found(tmp_path):
 
 def test_every_library_definition_is_reached():
     """A def or class that only tests call belongs in tests/helpers.py;
-    one that nothing calls goes. Only a REFERENCES entry stays unreached,
-    and every entry must still be one."""
-    assert unreached(LIBRARY, BENCH) == sorted(REFERENCES)
+    one that nothing calls goes."""
+    assert unreached(LIBRARY, BENCH) == []

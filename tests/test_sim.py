@@ -16,7 +16,7 @@ from cssfhe.errors import (
 )
 
 from helpers import (bits_to_index, block_marginal, circuit_to_text,
-                     random_circuit, random_state, rng)
+                     random_circuit, random_state, rng, transversal_sdgx)
 
 
 def test_basis_state_single():
@@ -344,15 +344,6 @@ def test_contract_rejects_wide_masks():
                                     x_mask=4)
 
 
-def test_parity_matches_bit_count():
-    g = rng(61)
-    values = np.concatenate([np.arange(1 << 10), [(1 << 32) - 1],
-                             g.integers(0, 1 << 32, size=4096)])
-    want = [bin(int(a)).count("1") & 1 for a in values]
-    assert sim._parity(values).tolist() == want
-    assert sim._parity(values.reshape(-1, 3)).shape == (len(values) // 3, 3)
-
-
 def test_first_occupied_skips_rounding_residues():
     amps = np.full(1 << 16, 1e-17, dtype=np.complex128)
     amps[40000] = 0.6
@@ -408,7 +399,7 @@ def test_apply_block_pauli_matches_gate_loop():
 # head, middle and tail of 8-14 qubit registers, including positions that
 # are not multiples of the block length. Registers of 17-18 qubits span
 # 8-16 chunks of the in-place kernels, so the chunk pairing, the staging,
-# the per-chunk phase scalar and the phase table inside a chunk all act:
+# the per-chunk sign scalar and the sign table inside a chunk all act:
 # their blocks lie entirely above the chunk bits (18, 0, 3), across them,
 # or below them, and the 16-qubit blocks have more indices than one chunk.
 WIDE_BLOCKS = [(17, 0, 7), (18, 1, 7), (18, 5, 7), (17, 10, 7), (18, 0, 3),
@@ -466,8 +457,9 @@ def test_transversal_cnot_matches_gate_loop(m, c0, t0, n):
 
 @pytest.mark.parametrize("m,start,n", BLOCKS)
 def test_transversal_sdgx_matches_gate_loop(m, start, n):
+    """The dense reference for the splice's fused correction."""
     psi = random_state(rng(82 + start), m)
-    fast = sim.transversal_sdgx(psi.copy(), start, n)
+    fast = transversal_sdgx(psi.copy(), start, n)
     slow = _per_qubit(_per_qubit(psi.copy(), "X", start, n), "Sdg", start, n)
     assert np.allclose(fast.amps, slow.amps, atol=1e-12)
 
@@ -497,7 +489,6 @@ def test_block_kernels_take_numpy_integers():
     calls = [
         lambda s, c: sim.apply_block_pauli(s, c(7), c(7), c(0b1010011),
                                            c(0b0110101)),
-        lambda s, c: sim.transversal_sdgx(s, c(0), c(7)),
         lambda s, c: sim.transversal_h(s, c(7), c(7)),
         lambda s, c: sim.transversal_cnot(s, c(7), c(0), c(7)),
         lambda s, c: sim.splice_ancilla(
@@ -535,7 +526,6 @@ def test_block_kernels_leave_input_arrays_usable():
     a_idx, a_val = _sparse_ancilla("random", 4, rng(0))
     for step in (lambda: sim.transversal_h(s, 0, 4),
                  lambda: sim.transversal_cnot(s, 4, 0, 4),
-                 lambda: sim.transversal_sdgx(s, 4, 4),
                  lambda: sim.apply_block_pauli(s, 0, 8, 0b10110101, 0b1),
                  lambda: sim.splice_ancilla(s, 2, 4, a_idx, a_val,
                                             _corrected, rng(1))[2]):
@@ -698,7 +688,7 @@ def test_splice_ancilla_uses_two_draws_and_checks_norm():
 @pytest.mark.parametrize("call", [
     lambda s: sim.transversal_h(s, 5, 4),
     lambda s: sim.transversal_h(s, -1, 4),
-    lambda s: sim.transversal_sdgx(s, 6, 3),
+    lambda s: sim.apply_block_pauli(s, 6, 3, 0, 0),
     lambda s: sim.transversal_cnot(s, 0, 6, 4),
     lambda s: sim.transversal_cnot(s, 0, 2, 4),
     lambda s: sim.transversal_cnot(s, 4, 4, 4),
@@ -751,7 +741,7 @@ def test_fused_splice_matches_splice_then_dense_sdgx(m, start, n):
                                              _uncorrected, rng(seed))
         for outcome, readout in enumerate((_uncorrected, _corrected)):
             if outcome:
-                sim.transversal_sdgx(want, start, n)
+                transversal_sdgx(want, start, n)
             got = psi.copy()
             bits, got_outcome, _ = sim.splice_ancilla(
                 got, start, n, a_idx, a_val, readout, rng(seed))
@@ -828,7 +818,6 @@ def test_block_kernels_scratch_stays_within_chunks():
                 lambda: sim.apply_block_pauli(s, start, 7, 0b1010011,
                                               0b0110101),
                 lambda: sim.transversal_h(s, start, 7),
-                lambda: sim.transversal_sdgx(s, start, 7),
                 lambda: sim.splice_ancilla(s, start, 7, a_idx, a_val,
                                            _uncorrected, rng(107)),
                 lambda: sim.splice_ancilla(s, start, 7, a_idx, a_val,
@@ -851,7 +840,6 @@ def test_block_kernels_take_their_scratch_from_the_arena():
         calls = {
             "pauli": lambda: sim.apply_block_pauli(s, start, 7, 0b1010011,
                                                    0b0110101),
-            "sdgx": lambda: sim.transversal_sdgx(s, start, 7),
             "h": lambda: sim.transversal_h(s, start, 7),
             "cnot": lambda: sim.transversal_cnot(s, start, other, 7),
             "splice": lambda: sim.splice_ancilla(s, start, 7, a_idx, a_val,
@@ -921,8 +909,6 @@ def test_block_kernels_reuse_the_arena_without_stale_scratch():
          lambda s, b, o: pauli(s, b, o, 0b1010011, 0b0110101)),
         (lambda s, b, o: sim.apply_block_pauli(s, b, 7, 0, 0b1000001),
          lambda s, b, o: pauli(s, b, o, 0, 0b1000001)),
-        (lambda s, b, o: sim.transversal_sdgx(s, b, 7),
-         lambda s, b, o: _per_qubit(_per_qubit(s, "X", b, 7), "Sdg", b, 7)),
         (lambda s, b, o: sim.transversal_h(s, b, 7),
          lambda s, b, o: _per_qubit(s, "H", b, 7)),
         (lambda s, b, o: sim.transversal_cnot(s, b, o, 7), cnot),
@@ -945,7 +931,7 @@ def test_block_kernels_reuse_the_arena_without_stale_scratch():
             want = sim.StateVector(state.num_qubits, ref.reshape(-1)
                                    / np.linalg.norm(ref), check=False)
             if outcome:
-                sim.transversal_sdgx(want, b, 7)
+                transversal_sdgx(want, b, 7)
             assert np.allclose(state.amps, want.amps, atol=1e-12)
 
 

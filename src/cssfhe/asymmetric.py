@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -153,26 +153,6 @@ def make_refresh_authority(private: symmetric.SymKey,
     return authority
 
 
-@dataclass(frozen=True)
-class ProtocolMessage:
-    kind: str                 # Cipher | RefreshRequest | RefreshResponse | Result
-    seq: int
-    bounds: tuple[int, ...]
-
-
-@dataclass
-class Transcript:
-    messages: list[ProtocolMessage] = field(default_factory=list)
-
-    @property
-    def refresh_count(self) -> int:
-        return sum(1 for m in self.messages if m.kind == "RefreshRequest")
-
-    def append(self, kind: str, bounds) -> None:
-        self.messages.append(ProtocolMessage(
-            kind=kind, seq=len(self.messages), bounds=tuple(bounds)))
-
-
 def _predicted_bounds(ct: AsymCiphertext, gate: sim.GateOp) -> list[int]:
     if gate.kind == "H":
         return []
@@ -207,29 +187,29 @@ def _step(ct: AsymCiphertext, gate: sim.GateOp, code: CssCode,
 
 def evaluate_session(pk: PublicKey, circuit: sim.LogicalCircuit,
                      ct: AsymCiphertext, alice,
-                     rng: np.random.Generator) -> tuple[AsymCiphertext, Transcript]:
+                     rng: np.random.Generator) -> tuple[AsymCiphertext, list]:
     """Run the circuit, interleaving refresh round trips with the key
     holder whenever the next gate would push a tracked bound past t.
-    Each transcript message records the bounds at that point; the final
-    ciphertext is returned, and no superseded register stays alive."""
+    Returns the final ciphertext, no superseded register left alive, and
+    the transcript: (kind, bounds) per message, kind one of Cipher,
+    RefreshRequest, RefreshResponse and Result."""
     if circuit.num_wires > ct.num_wires:
         raise WireError(
             f"circuit uses {circuit.num_wires} wires, ciphertext has "
             f"{ct.num_wires}")
-    transcript = Transcript()
-    transcript.append("Cipher", ct.bounds)
+    transcript = [("Cipher", tuple(ct.bounds))]
     for gate in circuit.gates:
         if any(b > ct.t for b in _predicted_bounds(ct, gate)):
-            transcript.append("RefreshRequest", ct.bounds)
+            transcript.append(("RefreshRequest", tuple(ct.bounds)))
             try:
                 ct = alice(ct)
             except Exception as exc:
                 raise RefreshAuthorityError(f"refresh failed: {exc}") from exc
-            transcript.append("RefreshResponse", ct.bounds)
+            transcript.append(("RefreshResponse", tuple(ct.bounds)))
             if any(b > ct.t for b in _predicted_bounds(ct, gate)):
                 raise RefreshAuthorityError(
                     f"bounds {ct.bounds} still exceed t={ct.t} after "
                     f"a refresh; gate {gate.kind} cannot run")
         _step(ct, gate, pk.code, rng)
-    transcript.append("Result", ct.bounds)
+    transcript.append(("Result", tuple(ct.bounds)))
     return ct, transcript

@@ -42,7 +42,7 @@ def _emit(obj) -> None:
 # every option a subcommand may take; _COMMANDS lists the ones each reads
 _OPTIONS = {
     "scheme": {"choices": ["sym", "asym"], "default": "sym"},
-    "base": {"choices": ["steane", "golay"], "default": "steane"},
+    "base": {"choices": list(css.BASE_PAIRS), "default": "steane"},
     "mode": {"choices": ["scrambled", "family"], "default": "scrambled"},
     "c": {"type": float, "default": 0.5},
     "seed": {"type": int, "required": True},
@@ -61,14 +61,13 @@ def _family_candidates(base: str, count: int,
     same-space sibling (v shifted by the coset representative, so its ancilla
     overlaps the true one partially rather than 0 or 1), then the lowest key
     of each other code-space class."""
-    c1, c2 = symmetric.base_pair(base)
-    code = css.base_code(c1, c2)
+    code = css.base_code(base)
     out = [true_key]
     if count > 1:
         out.append(symmetric.SymKey(base, code, true_key.u,
                                     true_key.v ^ code.x1))
     true_class = css.frame_class(code, true_key.frame)
-    for u, v in css.family_key_classes(c1, c2):
+    for u, v in css.family_key_classes(code):
         if len(out) >= count:
             break
         if css.frame_class(code, (v, u)) != true_class:
@@ -155,7 +154,8 @@ def cmd_session(args) -> int:
         args, sim.basis_state(m, "0" * m), circuit)
     if args.out:
         files.write_json(args.out, files.transcript_records(transcript))
-    _emit({"refreshes": transcript.refresh_count,
+    _emit({"refreshes": sum(kind == "RefreshRequest"
+                            for kind, _ in transcript),
            "gates": len(circuit.gates),
            "final_fidelity": fidelity})
     return 0 if fidelity >= FIDELITY_GATE else 3
@@ -182,9 +182,9 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    c1, c2 = symmetric.base_pair(args.base)
     _emit({"base": args.base,
-           "count": css.count_distinct_family_codes(c1, c2)})
+           "count": css.count_distinct_family_codes(
+               css.base_code(args.base))})
     return 0
 
 
@@ -196,7 +196,7 @@ _COMMANDS = {
     "session": (cmd_session, ("base", "c", "seed", "out", "circuit", "weight")),
     "experiment": (cmd_experiment, ("base", "seed", "trials", "copies",
                                     "candidates")),
-    "enumerate": (cmd_enumerate, ("base", "seed")),
+    "enumerate": (cmd_enumerate, ("base",)),
 }
 
 

@@ -23,6 +23,10 @@ the transversal operations.
 The code space a frame moves the code onto is named by the frame's
 syndrome pair (frame_class), so a pair has 2^(len(c1.pchk) + len(c2.gen))
 key classes, counted and listed in closed form at every n.
+
+base_code builds each named pair's code once, whole (rows, t, x1, inner
+words, both leader tables); scrambled views move it by P. CssCode._cache
+holds only what use builds: a support per block count, the magic ancilla.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ from .errors import (
     DecodeFailureError,
     InvalidPairError,
     LeakageError,
+    ParameterError,
     ShapeError,
 )
 
@@ -63,9 +68,14 @@ class CssCode:
     # the readout row: a row of c2.pchk odd on x1, so a word of C1 lies in
     # the x1 coset exactly when its parity against this row is odd
     x1_check: int
-    # "inner_words", "tables", the zero frame's magic ancilla ("magic"),
-    # and the code-space support ("support", m) of each block count m,
-    # built on first use
+    # the inner codewords (codes.codewords order) and the leader tables
+    # (codes.build_syndrome_table) of c1 and of c2's dual, indexed by the
+    # parities against c1.pchk and against c2.gen
+    inner: np.ndarray = field(repr=False)
+    x_table: np.ndarray = field(repr=False)
+    z_table: np.ndarray = field(repr=False)
+    # the zero frame's magic ancilla ("magic") and the code-space support
+    # ("support", m) of each block count m, built on first use
     _cache: dict = field(default_factory=dict, repr=False)
 
 
@@ -86,19 +96,17 @@ def build(c1: LinearCode, c2: LinearCode) -> CssCode:
                  if any((h & g).bit_count() & 1 for g in c1.gen))
     cw1 = codes_mod.codewords(c1)
     x1 = _lightest(cw1[gf2.weights(cw1 & check) & 1 == 1])
-    return CssCode(c1=c1, c2=c2, n=c1.n, t=t, x1=x1, x1_check=check)
+    return CssCode(
+        c1=c1, c2=c2, n=c1.n, t=t, x1=x1, x1_check=check,
+        inner=codes_mod.codewords(c2),
+        x_table=codes_mod.build_syndrome_table(c1, t),
+        z_table=codes_mod.build_syndrome_table(codes_mod.dual(c2), t))
 
 
 def _lightest(words: np.ndarray) -> int:
     """The word of least weight, the lowest among ties."""
     w = gf2.weights(words)
     return int(words[w == w.min()].min())
-
-
-def _inner_words(code: CssCode) -> np.ndarray:
-    if "inner_words" not in code._cache:
-        code._cache["inner_words"] = codes_mod.codewords(code.c2)
-    return code._cache["inner_words"]
 
 
 def _block_support(code: CssCode, m: int):
@@ -109,7 +117,7 @@ def _block_support(code: CssCode, m: int):
     codes.codewords order: the support of one block."""
     key = ("support", m)
     if key not in code._cache:
-        inner = _inner_words(code)
+        inner = code.inner
         rows = np.array([inner, inner ^ code.x1])
         scale = 1.0 / math.sqrt(inner.size)
         support = np.zeros((), dtype=np.int64)
@@ -214,17 +222,6 @@ def decode_blocks(code: CssCode, physical_state: sim.StateVector,
     return sim.StateVector(m, logical, check=False)
 
 
-def _tables(code: CssCode) -> tuple[np.ndarray, np.ndarray]:
-    """The bit-flip and phase-flip leader tables (codes.build_syndrome_table)
-    of c1 and of the dual of c2: their syndromes are the parities against
-    the rows of c1.pchk and of c2.gen."""
-    if "tables" not in code._cache:
-        x_table = codes_mod.build_syndrome_table(code.c1, code.t)
-        z_table = codes_mod.build_syndrome_table(codes_mod.dual(code.c2), code.t)
-        code._cache["tables"] = (x_table, z_table)
-    return code._cache["tables"]
-
-
 def _syndrome(word: int, rows) -> int:
     """The parities of the n-bit word against the rows, the first row's
     the most significant bit."""
@@ -237,7 +234,7 @@ def _syndrome(word: int, rows) -> int:
 def _x_leader(code: CssCode, y: int) -> int | None:
     """The bit-flip coset leader of the n-bit word y, or None beyond the
     table's radius."""
-    leader = int(_tables(code)[0][_syndrome(y, code.c1.pchk)])
+    leader = int(code.x_table[_syndrome(y, code.c1.pchk)])
     return None if leader < 0 else leader
 
 
@@ -279,19 +276,27 @@ def correct_errors(code: CssCode, state: sim.StateVector, block: int,
             raise DecodeFailureError(
                 f"block {block} does not carry a definite Pauli error")
         z_syn = (z_syn << 1) | (ratio.real < 0)
-    z_leader = int(_tables(code)[1][z_syn])
+    z_leader = int(code.z_table[z_syn])
     if z_leader < 0:
         raise DecodeFailureError(
             f"phase-flip syndrome outside radius t={code.t} on block {block}")
     return x_leader, z_leader
 
 
-@functools.lru_cache(maxsize=8)
-def base_code(c1: LinearCode, c2: LinearCode) -> CssCode:
-    """The pair's code, built once per pair (the cache keeps the last few
-    pairs, compared by identity). Every family key over the pair uses it;
-    scrambled codes are its permuted views."""
-    return build(c1, c2)
+# each named base pair's outer code (codes.builtin_codes); its inner code
+# is the outer code's dual
+BASE_PAIRS = {"steane": "hamming74", "golay": "golay2312"}
+
+
+@functools.cache
+def base_code(name: str) -> CssCode:
+    """The named pair's code (C1, C1^perp), built once per process. Every
+    family key over the pair uses it; scrambled codes are its permuted
+    views."""
+    if name not in BASE_PAIRS:
+        raise ParameterError(f"unknown base pair {name!r}")
+    c1 = codes_mod.builtin_codes()[BASE_PAIRS[name]]
+    return build(c1, codes_mod.dual(c1))
 
 
 # bit b of every byte value, shape (256, 8)
@@ -313,32 +318,31 @@ def _permuted(words: np.ndarray, p) -> np.ndarray:
     return np.where(words < 0, -1, out)
 
 
-def scrambled(c1: LinearCode, c2: LinearCode, s, p) -> CssCode:
-    """The pair's base code with its qubits permuted by P: what build makes
-    of the scrambled pair (S C1 P, C2 P), as S only changes
-    how the published c1.gen is written. One permutation moves every word
-    of the base code: the check rows, the readout row, the inner words,
-    the x1 coset (whose lightest word is the view's x1) and the leaders of
-    both tables, which P keeps indexed by the same syndromes."""
-    base = base_code(c1, c2)
-    n, k1, k2 = c1.n, c1.k, c2.k
-    inner = _inner_words(base)
-    x_table, z_table = _tables(base)
+def scrambled(base: CssCode, s, p) -> CssCode:
+    """The base code with its qubits permuted by P: what build makes of
+    the scrambled pair (S C1 P, C2 P), as S only changes how the published
+    c1.gen is written. One permutation moves every word of the base code:
+    the check rows, the readout row, the inner words, the x1 coset (whose
+    lightest word is the view's x1) and the leaders of both tables, which
+    P keeps indexed by the same syndromes."""
+    c1, c2, inner = base.c1, base.c2, base.inner
+    n, k1, k2 = base.n, c1.k, c2.k
     rows = (*gf2.mat_mul(s, c1.gen), *c1.pchk, *c2.gen, *c2.pchk,
             base.x1_check)
     moved = _permuted(np.concatenate([np.array(rows, dtype=np.int64), inner,
-                                      inner ^ base.x1, x_table, z_table]), p)
+                                      inner ^ base.x1, base.x_table,
+                                      base.z_table]), p)
     rows = moved[:2 * n + 1].tolist()
     # where the inner words, the coset, the x table and the z table start
     a = 2 * n + 1
     b = a + inner.size
     c = b + inner.size
-    d = c + x_table.size
+    d = c + base.x_table.size
     return CssCode(
         c1=LinearCode(n, k1, tuple(rows[:k1]), tuple(rows[k1:n])),
         c2=LinearCode(n, k2, tuple(rows[n:n + k2]), tuple(rows[n + k2:2 * n])),
         n=n, t=base.t, x1=_lightest(moved[b:c]), x1_check=rows[2 * n],
-        _cache={"inner_words": moved[a:b], "tables": (moved[c:d], moved[d:])})
+        inner=moved[a:b], x_table=moved[c:d], z_table=moved[d:])
 
 
 def magic_ancilla_sparse(code: CssCode,
@@ -402,26 +406,25 @@ def _coset_floors(rows, n: int) -> list[int]:
     return words
 
 
-def family_key_classes(c1: LinearCode,
-                       c2: LinearCode) -> Iterator[tuple[int, int]]:
-    """The lowest key (u, v) of each code-space class of the pair, lazily,
+def family_key_classes(code: CssCode) -> Iterator[tuple[int, int]]:
+    """The lowest key (u, v) of each code-space class of the code, lazily,
     in lexicographic (u, v) order: the lowest u of each z-syndrome (a coset
     of C2's dual) crossed with the lowest v of each x-syndrome (a coset of
     C1), u-major."""
-    return itertools.product(_coset_floors(c2.pchk, c2.n),
-                             _coset_floors(c1.gen, c1.n))
+    return itertools.product(_coset_floors(code.c2.pchk, code.n),
+                             _coset_floors(code.c1.gen, code.n))
 
 
-def count_distinct_family_codes(c1: LinearCode, c2: LinearCode) -> int:
-    """The number of code-space classes of the pair: its syndrome pairs."""
-    return 1 << (len(c1.pchk) + len(c2.gen))
+def count_distinct_family_codes(code: CssCode) -> int:
+    """The number of code-space classes of the code: its syndrome pairs."""
+    return 1 << (len(code.c1.pchk) + len(code.c2.gen))
 
 
 class KeyEvolver:
     """Closed-form (u, v) updates for the transversal operations.
 
     The rules hold for base pairs whose inner code is the dual of the outer
-    one (C2 = C1^perp), as both builtin pairs are: transversal H swaps the
+    one (C2 = C1^perp), as base_code builds every pair: transversal H swaps the
     roles of phase and shift, X then S-dagger folds the shift into the
     phase, and CNOT spreads the target's phase to the control and the
     control's shift to the target.

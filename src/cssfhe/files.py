@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import asymmetric, codes as codes_mod, sim, symmetric
+from . import asymmetric, codes as codes_mod, css, sim, symmetric
 from .errors import ShapeError
 
 
@@ -48,7 +48,8 @@ def key_record(key) -> dict:
         key, ct_weight = key.private, key.public.ct_weight
     elif not isinstance(key, symmetric.SymKey):
         raise ShapeError(f"cannot serialize {type(key).__name__}")
-    c1, c2 = symmetric.base_pair(key.base_name)
+    base = css.base_code(key.base_name)
+    c1, c2 = base.c1, base.c2
     scrambled = key.variant == "scrambled"
     rec = {
         "kind": key.variant,
@@ -97,6 +98,7 @@ def parse_state(rec: dict) -> sim.StateVector:
                          dtype=np.complex128))
 
 
-def transcript_records(tr: asymmetric.Transcript) -> list[dict]:
-    return [{"seq": m.seq, "kind": m.kind, "bounds": list(m.bounds)}
-            for m in tr.messages]
+def transcript_records(transcript: list) -> list[dict]:
+    """A session transcript's (kind, bounds) messages, numbered in order."""
+    return [{"seq": seq, "kind": kind, "bounds": list(bounds)}
+            for seq, (kind, bounds) in enumerate(transcript)]

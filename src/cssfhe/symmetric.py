@@ -10,14 +10,11 @@ never runs an error-correction round.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import codes as codes_mod
 from . import css, gf2, sim
-from .codes import LinearCode
 from .css import CssCode, KeyEvolver
 from .errors import (
     AncillaExhaustedError,
@@ -48,30 +45,16 @@ MAX_TRIALS = 10_000
 MAX_COPIES = 64
 
 
-@functools.cache
-def base_pair(name: str) -> tuple[LinearCode, LinearCode]:
-    """The named (C1, C2) pair, built once per process; every key over the
-    pair shares its rows."""
-    builtins = codes_mod.builtin_codes()
-    if name == "steane":
-        pair = builtins["hamming74"], builtins["simplex73"]
-    elif name == "golay":
-        g = builtins["golay2312"]
-        pair = g, codes_mod.dual(g)
-    else:
-        raise ParameterError(f"unknown base pair {name!r}")
-    return pair
-
-
 @dataclass(eq=False)
 class SymKey:
     """A secret key over a named base pair: a qubit presentation of the
     pair's code, and the Pauli frame X^v Z^u that every block is encoded
-    under. A family key is a random (u, v) over the pair's own code. A
-    scrambled key holds the S and P that made its code from the pair
-    (McEliece style): the pair's code with its qubits permuted by P,
-    published as S C1 P, with u = v = 0. The asymmetric private key is a
-    scrambled SymKey. u and v are int masks, S and P int rows (gf2)."""
+    under. A family key is a random (u, v) over the pair's one code,
+    css.base_code(base_name) itself. A scrambled key holds the S and P
+    that made its code from that one (McEliece style): the base code with
+    its qubits permuted by P, published as S C1 P, with u = v = 0. The
+    asymmetric private key is a scrambled SymKey. u and v are int masks,
+    S and P int rows (gf2)."""
     base_name: str
     code: CssCode
     u: int
@@ -90,15 +73,15 @@ class SymKey:
 
 
 def keygen(base_name: str, mode: str, rng: np.random.Generator) -> SymKey:
-    c1, c2 = base_pair(base_name)
+    base = css.base_code(base_name)
     if mode == "scrambled":
-        s = gf2.random_nonsingular(c1.k, rng)
-        p = gf2.random_permutation(c1.n, rng)
-        return SymKey(base_name, css.scrambled(c1, c2, s, p), 0, 0, s, p)
+        s = gf2.random_nonsingular(base.c1.k, rng)
+        p = gf2.random_permutation(base.n, rng)
+        return SymKey(base_name, css.scrambled(base, s, p), 0, 0, s, p)
     if mode == "family":
-        u = gf2.random_vector(c1.n, rng)
-        v = gf2.random_vector(c1.n, rng)
-        return SymKey(base_name, css.base_code(c1, c2), u, v)
+        u = gf2.random_vector(base.n, rng)
+        v = gf2.random_vector(base.n, rng)
+        return SymKey(base_name, base, u, v)
     raise ParameterError(f"unknown key mode {mode!r}")
 
 

@@ -25,6 +25,12 @@ def random_state(gen: np.random.Generator, m: int) -> sim.StateVector:
     return sim.StateVector(m, amps)
 
 
+def refresh_count(transcript: list) -> int:
+    """The refresh round trips of a session transcript of (kind, bounds)
+    messages."""
+    return sum(kind == "RefreshRequest" for kind, _ in transcript)
+
+
 def state_record(state: sim.StateVector) -> dict:
     """A state as the record that files.parse_state reads."""
     return {"qubits": state.num_qubits,

@@ -459,14 +459,19 @@ def test_parser_is_built_once_and_reused(tmp_path, capsys):
 
 
 def test_enumerate_counts_family_classes(capsys):
-    code, lines, _ = run_cli(["enumerate", "--seed", "0"], capsys)
+    code, lines, _ = run_cli(["enumerate"], capsys)
     assert code == 0 and lines[0] == {"base": "steane", "count": 64}
 
 
 def test_enumerate_counts_golay_in_closed_form(capsys):
-    code, lines, _ = run_cli(["enumerate", "--base", "golay", "--seed", "0"],
-                             capsys)
+    code, lines, _ = run_cli(["enumerate", "--base", "golay"], capsys)
     assert code == 0 and lines[0] == {"base": "golay", "count": 4194304}
+
+
+def test_enumerate_takes_no_seed(capsys):
+    # the count draws nothing, so the command has no --seed to take
+    code, _, _ = run_cli(["enumerate", "--seed", "0"], capsys)
+    assert code == 1
 
 
 @pytest.mark.parametrize("base, seed, count", [
@@ -530,7 +535,7 @@ def test_session_rejects_mode_option(tmp_path, capsys):
 
 
 def test_installed_entry_point():
-    proc = subprocess.run(["cssfhe", "enumerate", "--seed", "0"],
+    proc = subprocess.run(["cssfhe", "enumerate"],
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"base": "steane", "count": 64}
@@ -573,13 +578,13 @@ def test_every_error_class_exits_with_its_code(error, monkeypatch, capsys):
     """Each package error, raised from inside a command, exits 3 with
     "decode failure:" if it is a DecodeError and 2 with "invalid request:"
     otherwise, with no traceback."""
-    def broken(c1, c2):
+    def broken(code):
         if issubclass(error, CircuitParseError):
             raise error("boom", 1)
         raise error("boom")
 
     monkeypatch.setattr(css, "count_distinct_family_codes", broken)
-    code = cli.main(["enumerate", "--seed", "0"])
+    code = cli.main(["enumerate"])
     captured = capsys.readouterr()
     if issubclass(error, errors.DecodeError):
         assert code == 3 and captured.err.startswith("decode failure: ")

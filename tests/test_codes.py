@@ -2,7 +2,7 @@
 
 import pytest
 
-from cssfhe import codes, gf2, symmetric
+from cssfhe import codes, css, gf2
 from cssfhe.errors import CapacityError, DegenerateCodeError
 
 from helpers import min_weight_brute, span_brute
@@ -195,8 +195,8 @@ def _six_codes():
     """The codes the CSS layer enumerates or tabulates: C1, C2 and the
     dual of C2 of the Steane and Golay pairs."""
     for name in ("steane", "golay"):
-        c1, c2 = symmetric.base_pair(name)
-        yield from (c1, c2, codes.dual(c2))
+        code = css.base_code(name)
+        yield from (code.c1, code.c2, codes.dual(code.c2))
 
 
 def test_codewords_order_is_the_message_bits():

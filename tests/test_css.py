@@ -21,8 +21,9 @@ from cssfhe.errors import (
 )
 
 from helpers import (count_calls, decode_per_block, family_signature,
-                     iso_columns, isometry, logical_basis, random_state, rng,
-                     span_brute, stabilizers, transversal_sdgx)
+                     iso_columns, isometry, logical_basis, random_state,
+                     refresh_count, rng, span_brute, stabilizers,
+                     transversal_sdgx)
 
 
 @pytest.fixture(scope="module")
@@ -223,7 +224,8 @@ def test_codec_matches_per_block_path():
 def _reference_code(key):
     """The key's code as build makes it from scratch: on the pair of a
     family key, on the scrambled pair (S C1 P, C2 P) of a scrambled one."""
-    c1, c2 = symmetric.base_pair(key.base_name)
+    base = css.base_code(key.base_name)
+    c1, c2 = base.c1, base.c2
     if key.s is None:
         return css.build(c1, c2)
     return css.build(
@@ -522,8 +524,33 @@ def test_frames_leave_the_cache_bounded(steane_pair):
         css.decode_blocks(base, css.encode_blocks(base, psi, [frame]), [frame])
         css.correct_errors(base, css.encode_blocks(base, psi), 0)
         supports.add(id(base._cache[("support", 1)]))
-    assert set(base._cache) == {"inner_words", "tables", ("support", 1)}
+    assert set(base._cache) == {("support", 1)}
     assert len(supports) == 1
+
+
+@pytest.mark.parametrize("pair", ["steane", "golay", "toy"])
+def test_a_code_is_whole_at_construction(pair, toy_pair):
+    """build and scrambled return a code with nothing cached and its inner
+    words and both leader tables set: codes.codewords of its own c2, and
+    codes.build_syndrome_table of its own c1 and of its c2's dual. A
+    scrambled view moves the base code's arrays by P, which maps each
+    leader to the unique error of weight <= t with the view's syndrome,
+    so the view's arrays must match exactly too."""
+    if pair == "toy":
+        made = [css.build(*toy_pair)]
+    else:
+        base = css.base_code(pair)
+        made = [css.build(base.c1, base.c2)] + [
+            symmetric.keygen(pair, "scrambled", rng(480 + seed)).code
+            for seed in range(3)]
+    for code in made:
+        assert code._cache == {}
+        assert np.array_equal(code.inner, codes.codewords(code.c2))
+        assert np.array_equal(
+            code.x_table, codes.build_syndrome_table(code.c1, code.t))
+        assert np.array_equal(
+            code.z_table,
+            codes.build_syndrome_table(codes.dual(code.c2), code.t))
 
 
 def test_stabilizers_fix_basis_states(steane):
@@ -581,7 +608,8 @@ def _table_leaders(code, errors) -> list[np.ndarray]:
     error, by the code's own checks (c1.pchk and the rows of c2.gen), in
     the code's qubit order, as int masks."""
     out = []
-    for table, checks in zip(css._tables(code), (code.c1.pchk, code.c2.gen)):
+    for table, checks in zip((code.x_table, code.z_table),
+                             (code.c1.pchk, code.c2.gen)):
         leaders = []
         for e in errors:
             syndrome = 0
@@ -665,7 +693,7 @@ def test_key_paths_build_no_isometry(monkeypatch):
     alice = asymmetric.make_refresh_authority(pair.private, rng(468))
     ct, transcript = asymmetric.evaluate_session(pair.public, circuit, ct,
                                                  alice, rng(469))
-    assert transcript.refresh_count > 0
+    assert refresh_count(transcript) > 0
     assert sim.fidelity(asymmetric.decrypt(pair.private, ct), want) >= 1 - 1e-9
     assert built == []
 
@@ -679,23 +707,23 @@ def test_keygen_family_deterministic():
 
 @pytest.mark.parametrize("pair", ["steane", "golay"])
 def test_family_keys_share_the_cached_base_code(pair, monkeypatch):
-    c1, c2 = symmetric.base_pair(pair)
+    base = css.base_code(pair)
+    n = base.n
     first = symmetric.keygen(pair, "family", rng(91))
     css.correct_errors(first.code, css.encode_blocks(first.code,
                                                      random_state(rng(92), 1)),
                        0)
     calls = count_calls(monkeypatch, codes, "min_distance")
-    base = css.base_code(c1, c2)
     built = dict(base._cache)  # earlier tests may have added supports
     for seed in range(93, 98):
         key = symmetric.keygen(pair, "family", rng(seed))
         want = rng(seed)  # the same draws as before: u, then v
-        assert key.u == gf2.random_vector(c1.n, want)
-        assert key.v == gf2.random_vector(c1.n, want)
+        assert key.u == gf2.random_vector(n, want)
+        assert key.v == gf2.random_vector(n, want)
         assert key.code is base is first.code
         ct = symmetric.encrypt(key, random_state(rng(seed), 1), 1, rng(seed))
         circuit = sim.parse_circuit("T 0")
-        symmetric.evaluate(c1.n, circuit, ct, symmetric.make_readout(key, ct))
+        symmetric.evaluate(n, circuit, ct, symmetric.make_readout(key, ct))
         out = symmetric.decrypt(key, ct)
         assert sim.fidelity(out, sim.run_circuit(
             random_state(rng(seed), 1), circuit)) >= 1 - 1e-10
@@ -703,8 +731,7 @@ def test_family_keys_share_the_cached_base_code(pair, monkeypatch):
     # one entry per block count, built once, however many keys use it
     assert set(base._cache) == set(built) | {("support", 1)}
     assert all(base._cache[k] is built[k] for k in built)
-    assert all(k in ("inner_words", "tables") or k[0] == "support"
-               for k in base._cache)
+    assert all(k == "magic" or k[0] == "support" for k in base._cache)
 
 
 def test_keygen_family_zero_key_matches_plain(steane):
@@ -819,8 +846,7 @@ def test_logical_readout_is_the_coset_bit(pair):
     by codes.codewords: on the base code and on three scrambled views.
     Steane takes every word with every error; Golay every word clean and
     once under an error, each error on two words."""
-    c1, c2 = symmetric.base_pair(pair)
-    views = [css.base_code(c1, c2)] + [
+    views = [css.base_code(pair)] + [
         symmetric.keygen(pair, "scrambled", rng(470 + seed)).code
         for seed in range(3)]
     for code in views:
@@ -865,7 +891,7 @@ def test_x_leader_weight2_misbehaves(steane):
 
 
 def test_x_leader_golay_randomized():
-    code = css.base_code(*symmetric.base_pair("golay"))
+    code = css.base_code("golay")
     gen = rng(50)
     for _ in range(1000):
         msg = gf2.random_vector(12, gen)
@@ -879,23 +905,23 @@ def test_x_leader_golay_randomized():
         assert got_e == e
 
 
-def test_family_classes_steane_count(steane_pair):
-    classes = list(css.family_key_classes(*steane_pair))
+def test_family_classes_steane_count(steane):
+    classes = list(css.family_key_classes(steane))
     assert len(classes) == 64  # 2^(n-1) at n=7
-    assert css.count_distinct_family_codes(*steane_pair) == 64
+    assert css.count_distinct_family_codes(steane) == 64
 
 
 def test_family_classes_toy_count(toy_pair):
-    assert css.count_distinct_family_codes(*toy_pair) == 4  # 2^(n-1) at n=3
+    # 2^(n-1) at n=3
+    assert css.count_distinct_family_codes(css.build(*toy_pair)) == 4
 
 
 def test_family_classes_golay_count():
     """The closed form holds past the old brute-force cap (n <= 7): 11
     checks of C1 and 11 rows of C2 give 2^22 classes, listed lazily."""
-    c1, c2 = symmetric.base_pair("golay")
-    assert css.count_distinct_family_codes(c1, c2) == 1 << 22 == 4194304
-    code = css.base_code(c1, c2)
-    first = list(itertools.islice(css.family_key_classes(c1, c2), 4096))
+    code = css.base_code("golay")
+    assert css.count_distinct_family_codes(code) == 1 << 22 == 4194304
+    first = list(itertools.islice(css.family_key_classes(code), 4096))
     assert first[:3] == [(0, 0), (0, 1), (0, 2)]
     assert len({css.frame_class(code, (v, u)) for u, v in first}) == 4096
 
@@ -912,17 +938,15 @@ def test_family_signature_reflexive_sibling_distinct(steane):
     assert cls != css.frame_class(steane, (v, 0b1010111))
 
 
-def test_family_class_representatives_pairwise_distinct(steane_pair):
+def test_family_class_representatives_pairwise_distinct(steane):
     """Recompute signatures for a sample of enumerated representatives;
     each must land in its own class."""
-    c1, c2 = steane_pair
     g = rng(93)
-    classes = list(css.family_key_classes(c1, c2))
+    classes = list(css.family_key_classes(steane))
     picks = [classes[int(i)] for i in g.choice(len(classes), size=6, replace=False)]
-    code = css.build(c1, c2)
     for (u1, v1), (u2, v2) in itertools.combinations(picks, 2):
-        s1 = family_signature(code, u1, v1)
-        s2 = family_signature(code, u2, v2)
+        s1 = family_signature(steane, u1, v1)
+        s2 = family_signature(steane, u2, v2)
         assert s1 != s2
 
 
@@ -948,22 +972,23 @@ def test_frame_class_names_the_code_space(name, steane, toy_pair):
             first_reach.setdefault(sig, (u, v))
             pairs.add((sig, css.frame_class(code, (v, u))))
     assert len(pairs) == len(first_reach) == len({c for _, c in pairs})
-    assert len(pairs) == css.count_distinct_family_codes(code.c1, code.c2)
+    assert len(pairs) == css.count_distinct_family_codes(code)
     if name in ("steane", "toy"):
-        assert list(css.family_key_classes(code.c1, code.c2)) == list(
+        assert list(css.family_key_classes(code)) == list(
             first_reach.values())
 
 
-def test_steane_permutations_give_30_code_spaces(steane_pair):
+def test_steane_permutations_give_30_code_spaces():
     """The 7! qubit permutations of Steane give 7!/168 = 30 distinct code
     spaces: P matters only up to the Hamming code's automorphism group,
     GL(3,2) of order 168."""
-    c1, c2 = steane_pair
-    s = tuple(1 << (c1.k - 1 - i) for i in range(c1.k))  # the identity
+    base = css.base_code("steane")
+    k = base.c1.k
+    s = tuple(1 << (k - 1 - i) for i in range(k))  # the identity
     spaces = set()
     for perm in itertools.permutations(range(7)):
         p = tuple(1 << (6 - j) for j in perm)
-        spaces.add(family_signature(css.scrambled(c1, c2, s, p), 0, 0))
+        spaces.add(family_signature(css.scrambled(base, s, p), 0, 0))
     assert len(spaces) == math.factorial(7) // 168 == 30
 
 
@@ -973,13 +998,13 @@ def test_golay_cyclic_shift_keeps_the_code_space(shift):
     of its qubits gives back the base code's own code space: P matters
     only up to the code's automorphism group, M23, and there are
     23!/|M23| = 23!/10200960 scrambled presentations in all."""
-    c1, c2 = symmetric.base_pair("golay")
-    s = tuple(1 << (c1.k - 1 - i) for i in range(c1.k))  # the identity
+    base = css.base_code("golay")
+    k = base.c1.k
+    s = tuple(1 << (k - 1 - i) for i in range(k))  # the identity
     p = tuple(1 << (22 - (j + shift) % 23) for j in range(23))
-    view = css.scrambled(c1, c2, s, p)
-    assert view.c1.gen != c1.gen
-    assert family_signature(view, 0, 0) == family_signature(
-        css.base_code(c1, c2), 0, 0)
+    view = css.scrambled(base, s, p)
+    assert view.c1.gen != base.c1.gen
+    assert family_signature(view, 0, 0) == family_signature(base, 0, 0)
 
 
 def test_transversal_h_scrambled_commutation():

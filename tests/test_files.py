@@ -74,7 +74,8 @@ def test_key_record_schema(name, kind):
     else:
         written = key = symmetric.keygen(name, kind, rng(51))
     rec = files.key_record(written)
-    c1, c2 = symmetric.base_pair(name)
+    base = css.base_code(name)
+    c1, c2 = base.c1, base.c2
     n, k = c1.n, c1.k
     fields = {"kind", "base", "S", "P", "u", "v", "n", "t"}
     assert set(rec) == fields | ({"ct"} if kind == "asym" else set())
@@ -111,10 +112,10 @@ def parse_key_record(rec: dict):
     command reads a key file back; the tests read one to show that the
     record is complete and its words strict."""
     name = rec["base"]["name"]
-    c1, c2 = symmetric.base_pair(name)
-    u, v = (gf2.parse_word(rec[part], c1.n) for part in ("u", "v"))
+    base = css.base_code(name)
+    u, v = (gf2.parse_word(rec[part], base.n) for part in ("u", "v"))
     if rec["kind"] == "family":
-        return symmetric.SymKey(name, css.base_code(c1, c2), u, v)
+        return symmetric.SymKey(name, base, u, v)
 
     def rows(part: str, size: int) -> tuple[int, ...]:
         try:
@@ -122,8 +123,8 @@ def parse_key_record(rec: dict):
         except ShapeError as e:
             raise ShapeError(f"{part}: {e}") from e
 
-    s, p = rows("S", c1.k), rows("P", c1.n)
-    key = symmetric.SymKey(name, css.scrambled(c1, c2, s, p), u, v, s, p)
+    s, p = rows("S", base.c1.k), rows("P", base.n)
+    key = symmetric.SymKey(name, css.scrambled(base, s, p), u, v, s, p)
     if "ct" not in rec:
         return key
     return asymmetric.AsymKeyPair(
@@ -249,13 +250,8 @@ def test_parse_state_rejects_non_finite_numbers(bad):
 
 
 def test_transcript_records():
-    g = rng(56)
-    kp = asymmetric.keygen("golay", 0.5, g)
-    tr = asymmetric.Transcript()
-    tr.append("Cipher", [1])
-    tr.append("RefreshRequest", [1])
-    tr.append("RefreshResponse", [0])
-    tr.append("Result", [1])
+    tr = [("Cipher", (1,)), ("RefreshRequest", (1,)),
+          ("RefreshResponse", (0,)), ("Result", (1,))]
     recs = files.transcript_records(tr)
     assert [r["kind"] for r in recs] == [
         "Cipher", "RefreshRequest", "RefreshResponse", "Result"]

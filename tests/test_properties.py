@@ -12,7 +12,7 @@ import pytest
 
 from cssfhe import asymmetric, sim, symmetric
 
-from helpers import FrameOracle, random_state, rng
+from helpers import FrameOracle, random_state, refresh_count, rng
 
 FIDELITY = 1 - 1e-9
 
@@ -111,7 +111,7 @@ def test_asymmetric_bounds_cover_the_errors_at_every_gate(circuit, seed):
         one = sim.LogicalCircuit(num_wires=m, gates=(gate,))
         ct, transcript = asymmetric.evaluate_session(kp.public, one, ct,
                                                      alice, gen)
-        refreshes += transcript.refresh_count
+        refreshes += refresh_count(transcript)
         getattr(oracle, gate.kind.lower())(*gate.wires)
         assert oracle.frames == FrameOracle.read(kp.private, ct).frames
         assert all(oracle.weight(w) <= ct.bounds[w] <= ct.t

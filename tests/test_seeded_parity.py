@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 
 from cssfhe import asymmetric, css, sim, symmetric
-from helpers import random_circuit, random_state
+from helpers import random_circuit, random_state, refresh_count
 
 SEEDS = range(40)
 FIDELITY_TOL = 1e-12
@@ -67,10 +67,10 @@ def session_record(seed: int) -> tuple[str, float]:
               for w in range(ct.num_wires)]
     out = asymmetric.decrypt(pair.private, ct)
     fid = sim.fidelity(out, sim.run_circuit(psi.copy(), circuit))
-    words = [KIND_LETTERS[m.kind] + "".join(map(str, m.bounds))
-             for m in transcript.messages]
+    words = [KIND_LETTERS[kind] + "".join(map(str, bounds))
+             for kind, bounds in transcript]
     words += [f"{x:02x}{z:02x}" for x, z in frames]
-    return f"{transcript.refresh_count}/{' '.join(words)}", fid
+    return f"{refresh_count(transcript)}/{' '.join(words)}", fid
 
 
 # recorded before keys became frames on one shared support

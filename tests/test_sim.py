@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cssfhe import codes, css, gf2, sim, symmetric
+from cssfhe import codes, css, gf2, sim
 from cssfhe.errors import (
     CapacityError,
     CircuitParseError,
@@ -493,7 +493,7 @@ def test_block_kernels_take_numpy_integers():
         lambda s, c: sim.transversal_cnot(s, c(7), c(0), c(7)),
         lambda s, c: sim.splice_ancilla(
             s, c(0), c(7), *css.magic_ancilla_sparse(
-                css.base_code(*symmetric.base_pair("steane")), (0, 0)),
+                css.base_code("steane"), (0, 0)),
             _corrected, rng(75))[2],
     ]
     for call in calls:

@@ -22,9 +22,8 @@ from helpers import count_calls, iso_columns, random_state, rng
 
 def family_key(u, v):
     """A Steane family key; u and v as int masks or '0101' strings."""
-    c1, c2 = symmetric.base_pair("steane")
     u, v = (w if isinstance(w, int) else int(w, 2) for w in (u, v))
-    return symmetric.SymKey("steane", css.base_code(c1, c2), u, v)
+    return symmetric.SymKey("steane", css.base_code("steane"), u, v)
 
 
 def run_encrypted(key, plaintext, circuit_text, t_budget, seed):
@@ -494,20 +493,27 @@ def test_decrypt_of_no_wires_is_a_new_state():
     assert out is not ct.state and out.amps.tolist() == [1.0]
 
 
-def test_base_pairs_are_shared_and_read_only():
+def test_base_code_is_one_read_only_code_per_name():
+    """css.base_code builds each named pair once, with read-only rows:
+    every family key holds that one code, a scrambled key publishes S C1 P
+    of its C1, and an unknown name is refused."""
     for name in ("steane", "golay"):
-        pair = symmetric.base_pair(name)
-        assert symmetric.base_pair(name) is pair
-        for code in pair:
+        base = css.base_code(name)
+        assert css.base_code(name) is base
+        for code in (base.c1, base.c2):
             for mat in (code.gen, code.pchk):
                 with pytest.raises(TypeError):
                     mat[0] ^= 1
-    c1, _ = symmetric.base_pair("steane")
+    base = css.base_code("steane")
     a = symmetric.keygen("steane", "family", rng(50))
     b = symmetric.keygen("steane", "scrambled", rng(51))
-    assert a.code.c1 is c1
+    assert a.code is base
     assert np.array_equal(b.code.c1.gen,
-                          gf2.mat_mul(gf2.mat_mul(b.s, c1.gen), b.p))
+                          gf2.mat_mul(gf2.mat_mul(b.s, base.c1.gen), b.p))
+    with pytest.raises(ParameterError, match="unknown base pair 'x'"):
+        css.base_code("x")
+    with pytest.raises(ParameterError, match="unknown base pair 'x'"):
+        symmetric.keygen("x", "family", rng(52))
 
 
 def test_decrypt_wrong_scrambled_key_leaks():
